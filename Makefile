@@ -1,6 +1,6 @@
 # Convenience targets; see ci/check.sh for the full gate.
 
-.PHONY: build test check bench perf quick tracecheck cachecheck scalecheck shardbench deliverybench
+.PHONY: build test check bench benchcheck perf quick tracecheck cachecheck scalecheck shardbench deliverybench
 
 build:
 	cargo build --workspace --release
@@ -14,6 +14,11 @@ check:
 # All experiment tables + micro-benchmarks.
 bench:
 	cargo bench --workspace
+
+# The benchmark package's own gate (fmt, clippy, tests, quick suite,
+# BENCHMARK.json contract); see benchmark/README.md.
+benchcheck:
+	./benchmark/check.sh
 
 # Kernel wall-time/events-per-second report -> BENCH_kernel.json.
 perf:

@@ -3,7 +3,8 @@
 #
 # Run from the repository root:
 #   ./ci/check.sh            # full gate
-#   ./ci/check.sh --fast     # skip the release build
+#   ./ci/check.sh --fast     # skip the release build, the release gates
+#                            # and the benchmark gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -133,7 +134,10 @@ if [[ $fast -eq 0 ]]; then
   #      traces, every shard count) plus the counting-allocator suite that
   #      pins zero steady-state allocations per delivery;
   #   3. tracereport --check on a batched traced run, so the trace/ledger
-  #      reconciliation identities hold with coalescing on.
+  #      reconciliation identities hold with coalescing on. E12 and E14 ride
+  #      along so every line kind the JSONL encoder writes — sharded part
+  #      files, shard_sync/shard_recv, fault events, run_end fault counters
+  #      — goes through parse_line end to end.
   echo "==> delivery-soundness gate"
   delivery_exps="e1 e2 e12 e13"
   ./target/release/experiments $delivery_exps --quick > "$cachedir/del_batched.txt"
@@ -144,7 +148,7 @@ if [[ $fast -eq 0 ]]; then
   cargo test --release -q -p mobidist-bench --test delivery_equivalence
   cargo test --release -q -p mobidist-net --test delivery_alloc
   cargo build --release --bin tracereport
-  ./target/release/experiments e2 e13 --quick --trace "$cachedir/del_trace.jsonl" \
+  ./target/release/experiments e2 e12 e13 e14 --quick --trace "$cachedir/del_trace.jsonl" \
     > /dev/null
   ./target/release/tracereport --check "$cachedir/del_trace.jsonl"
 
@@ -171,6 +175,12 @@ if [[ $fast -eq 0 ]]; then
   else
     echo "==> shard throughput-sanity gate skipped: cpus == 1 (fan-out cannot beat a single CPU)"
   fi
+
+  # The benchmark package is its own workspace, so nothing above builds or
+  # tests it: run its gate (fmt, clippy, tests, quick suite, BENCHMARK.json
+  # contract) so a crate API change cannot silently break the benchmark.
+  echo "==> benchmark gate"
+  ./benchmark/check.sh
 fi
 
 echo "==> OK"

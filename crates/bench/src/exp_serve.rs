@@ -168,7 +168,7 @@ fn finish_serving<A: MutexAlgorithm>(
     let mut t = CHUNK;
     loop {
         sim.run_until(SimTime::from_ticks(t.min(HORIZON)));
-        if sim.protocol().report().completed >= target || t >= HORIZON {
+        if sim.protocol().completed() >= target || t >= HORIZON {
             break;
         }
         t += CHUNK;

@@ -213,12 +213,12 @@ pub fn merge_worker_files(base: &Path) -> std::io::Result<usize> {
 
 /// Extracts the value of the `"run":` field from a schema line.
 fn run_id_of(line: &str) -> Option<u64> {
-    let idx = line.find("\"run\":")?;
-    let digits: String = line[idx + 6..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().ok()
+    let rest = &line[line.find("\"run\":")? + 6..];
+    let end = rest
+        .bytes()
+        .position(|b| !b.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 #[cfg(test)]

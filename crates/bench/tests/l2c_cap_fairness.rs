@@ -39,7 +39,7 @@ fn serve_at(cap: Option<u32>) -> (f64, u64, u64) {
         .with_mobility(MobilityConfig::moving(2_000));
     let mut sim = Simulation::new(cfg, MutexHarness::new(algo, wl));
     let mut t = 100_000u64;
-    while sim.protocol().report().completed < target {
+    while sim.protocol().completed() < target {
         assert!(t <= 500_000_000, "fixed work did not finish");
         sim.run_until(SimTime::from_ticks(t));
         t += 100_000;

@@ -230,6 +230,12 @@ impl<A: MutexAlgorithm> MutexHarness<A> {
         &self.checker
     }
 
+    /// Requests completed so far (granted and released) — the count a
+    /// driver polls; [`report`](Self::report) sorts every wait to get there.
+    pub fn completed(&self) -> u64 {
+        self.completed
+    }
+
     /// Builds the final report.
     pub fn report(&self) -> MutexReport {
         let outstanding = self
@@ -255,8 +261,10 @@ impl<A: MutexAlgorithm> MutexHarness<A> {
     }
 
     fn apply_effects(&mut self, ctx: &mut Ctx<'_, A::Msg, HarnessTimer<A::Timer>>) {
-        let effects = std::mem::take(&mut self.effects);
-        for e in effects {
+        // Drain and hand the buffer back: consuming the `Vec` would free it,
+        // and the next grant would have to allocate it again.
+        let mut effects = std::mem::take(&mut self.effects);
+        for e in effects.drain(..) {
             match e {
                 Effect::Granted { mh, key } => {
                     let Some(st) = self.states.get_mut(&mh) else {
@@ -294,6 +302,7 @@ impl<A: MutexAlgorithm> MutexHarness<A> {
                 }
             }
         }
+        self.effects = effects;
     }
 
     /// Runs an algorithm callback and applies resulting effects.

@@ -58,7 +58,6 @@ use crate::search::SearchPolicy;
 use crate::time::SimTime;
 use std::any::Any;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::io::Write;
 
 /// Version stamp written as `"v"` on every JSONL line.
@@ -332,6 +331,21 @@ pub enum TraceEvent {
     },
 }
 
+/// Appends `v` in decimal, exactly as `u64::to_string` prints it.
+fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    buf.extend_from_slice(&digits[at..]);
+}
+
 impl TraceEvent {
     /// The stable snake_case kind name written to the `"ev"` JSONL field.
     pub fn name(&self) -> &'static str {
@@ -389,11 +403,18 @@ impl TraceEvent {
     }
 
     /// Appends this event's `"ev"` and payload fields (no braces, no
-    /// version/run/seq/time envelope) to `buf` as JSONL fragments.
-    fn write_fields(&self, buf: &mut String) {
-        let _ = write!(buf, "\"ev\":\"{}\"", self.name());
-        let mut num = |k: &str, v: u64| {
-            let _ = write!(buf, ",\"{k}\":{v}");
+    /// version/run/seq/time envelope) to `buf` as JSONL fragments, each with
+    /// its leading comma. Static fragments and [`push_u64`] only: this runs
+    /// once per traced operation, so `core::fmt` stays off the path.
+    fn write_fields(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b",\"ev\":\"");
+        buf.extend_from_slice(self.name().as_bytes());
+        buf.push(b'"');
+        let mut num = |key: &str, v: u64| {
+            buf.extend_from_slice(b",\"");
+            buf.extend_from_slice(key.as_bytes());
+            buf.extend_from_slice(b"\":");
+            push_u64(buf, v);
         };
         match *self {
             TraceEvent::FixedSend { from, to } => {
@@ -754,6 +775,11 @@ impl RunSummary {
 /// writer is flushed on `finish`, `rewind` and drop, so a sink that is
 /// simply dropped still leaves a complete file.
 ///
+/// Each line is one `write_all` into the supplied writer (wrap files in a
+/// `BufWriter`, as [`jsonl_file_sink`] does). An I/O error drops that line
+/// and never aborts the run; `run_end.events` counts lines attempted, so
+/// `tracereport --check` notices the gap.
+///
 /// # Examples
 ///
 /// ```
@@ -781,7 +807,11 @@ pub struct JsonlSink<W: Write> {
     // `Option` so `into_inner` can move the writer out despite `Drop`.
     out: Option<W>,
     run: u64,
-    buf: String,
+    // Reused line buffer. Its first `prefix` bytes are the run's event-line
+    // envelope `{"v":1,"run":R,"seq":`, rendered once; `record` truncates
+    // back to it instead of formatting it again.
+    buf: Vec<u8>,
+    prefix: usize,
     events: u64,
 }
 
@@ -792,8 +822,8 @@ impl<W: Write> JsonlSink<W> {
     ///
     /// Propagates I/O errors from writing the header.
     pub fn new(mut out: W, meta: RunMeta) -> std::io::Result<Self> {
-        let mut buf = String::with_capacity(160);
-        let _ = write!(
+        let mut buf = Vec::with_capacity(160);
+        let _ = writeln!(
             buf,
             "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"ev\":\"run_begin\",\"label\":\"{}\",\
              \"m\":{},\"n\":{},\"seed\":{},\"c_fixed\":{},\"c_wireless\":{},\"c_search\":{},\
@@ -808,17 +838,23 @@ impl<W: Write> JsonlSink<W> {
             meta.c_search,
             meta.policy,
         );
-        buf.push('\n');
-        out.write_all(buf.as_bytes())?;
+        out.write_all(&buf)?;
+        buf.clear();
+        let _ = write!(
+            buf,
+            "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"seq\":",
+            meta.run
+        );
         Ok(JsonlSink {
             out: Some(out),
             run: meta.run,
+            prefix: buf.len(),
             buf,
             events: 0,
         })
     }
 
-    /// Events written so far (excluding the envelope lines).
+    /// Event lines attempted so far (excluding the envelope lines).
     pub fn events_written(&self) -> u64 {
         self.events
     }
@@ -857,19 +893,16 @@ pub fn jsonl_file_sink(
 
 impl<W: Write + Send + std::fmt::Debug + 'static> TraceSink for JsonlSink<W> {
     fn record(&mut self, at: SimTime, seq: u64, ev: &TraceEvent) {
-        self.buf.clear();
-        let _ = write!(
-            self.buf,
-            "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"seq\":{seq},\"t\":{},",
-            self.run,
-            at.ticks()
-        );
-        ev.write_fields(&mut self.buf);
-        self.buf.push('}');
-        self.buf.push('\n');
+        let buf = &mut self.buf;
+        buf.truncate(self.prefix);
+        push_u64(buf, seq);
+        buf.extend_from_slice(b",\"t\":");
+        push_u64(buf, at.ticks());
+        ev.write_fields(buf);
+        buf.extend_from_slice(b"}\n");
         if let Some(out) = self.out.as_mut() {
             // Trace I/O failures must not abort a simulation; drop the line.
-            let _ = out.write_all(self.buf.as_bytes());
+            let _ = out.write_all(buf);
         }
         self.events += 1;
     }
@@ -882,9 +915,9 @@ impl<W: Write + Send + std::fmt::Debug + 'static> TraceSink for JsonlSink<W> {
 
     fn finish(&mut self, ledger: &CostLedger) {
         let s = RunSummary::from_ledger(self.run, ledger);
-        self.buf.clear();
+        let mut line = Vec::with_capacity(400);
         let _ = write!(
-            self.buf,
+            line,
             "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"ev\":\"run_end\",\"events\":{},\
              \"fixed_msgs\":{},\"wireless_msgs\":{},\"searches\":{},\"re_searches\":{},\
              \"search_failures\":{},\"moves\":{},\"handoffs\":{},\"disconnects\":{},\
@@ -917,13 +950,13 @@ impl<W: Write + Send + std::fmt::Debug + 'static> TraceSink for JsonlSink<W> {
             ("fault_storms", s.fault_storms),
         ] {
             if v != 0 {
-                self.buf.pop(); // reopen the object: drop the closing '}'
-                let _ = write!(self.buf, ",\"{key}\":{v}}}");
+                line.pop(); // reopen the object: drop the closing '}'
+                let _ = write!(line, ",\"{key}\":{v}}}");
             }
         }
-        self.buf.push('\n');
+        line.push(b'\n');
         if let Some(out) = self.out.as_mut() {
-            let _ = out.write_all(self.buf.as_bytes());
+            let _ = out.write_all(&line);
             let _ = out.flush();
         }
     }
@@ -984,94 +1017,148 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+#[cold]
 fn err<T>(msg: impl Into<String>) -> Result<T, ParseError> {
     Err(ParseError(msg.into()))
 }
 
-/// Parses one flat JSONL object of the trace schema: string and unsigned
-/// integer values only, no nesting, no escapes.
-fn parse_object(line: &str) -> Result<Vec<(String, String)>, ParseError> {
-    let body = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| ParseError(format!("not an object: {line:?}")))?;
-    let mut fields = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let Some(after_quote) = rest.strip_prefix('"') else {
-            return err(format!("expected key quote at {rest:?}"));
-        };
-        let Some(kq) = after_quote.find('"') else {
-            return err("unterminated key");
-        };
-        let key = &after_quote[..kq];
-        let Some(after_colon) = after_quote[kq + 1..].strip_prefix(':') else {
-            return err(format!("expected ':' after key {key:?}"));
-        };
-        let (value, tail) = if let Some(v) = after_colon.strip_prefix('"') {
-            let Some(vq) = v.find('"') else {
-                return err(format!("unterminated string value for {key:?}"));
-            };
-            (v[..vq].to_owned(), &v[vq + 1..])
-        } else {
-            let end = after_colon.find(',').unwrap_or(after_colon.len());
-            let v = &after_colon[..end];
-            if v.is_empty() || !v.bytes().all(|b| b.is_ascii_digit()) {
-                return err(format!(
-                    "value of {key:?} is not an unsigned integer: {v:?}"
-                ));
-            }
-            (v.to_owned(), &after_colon[end..])
-        };
-        fields.push((key.to_owned(), value));
-        rest = match tail.strip_prefix(',') {
-            Some(t) => t,
-            None if tail.is_empty() => tail,
-            None => return err(format!("expected ',' at {tail:?}")),
-        };
-    }
-    Ok(fields)
+/// A `ParseError` about one field: `what` is formatted around its key.
+#[cold]
+fn field_err(key: &str, what: std::fmt::Arguments<'_>) -> ParseError {
+    ParseError(format!("field {key:?} {what}"))
 }
 
-struct Fields(Vec<(String, String)>);
+/// The widest v1 line, `run_end` with every fault counter, has 22 fields.
+const MAX_FIELDS: usize = 24;
 
-impl Fields {
-    fn get(&self, key: &str) -> Option<&str> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+/// A field's value: the slice between the quotes or the bare digits, and for
+/// bare digits that fit `u64` their value, read in the pass that checks them.
+#[derive(Clone, Copy)]
+struct Value<'a> {
+    raw: &'a str,
+    num: Option<u64>,
+}
+
+/// One flat JSONL object of the trace schema — string and unsigned integer
+/// values only, no nesting, no escapes — as keys and values borrowed from
+/// the line, so reading a line never touches the allocator.
+struct Fields<'a> {
+    slots: [(&'a str, Value<'a>); MAX_FIELDS],
+    len: usize,
+}
+
+impl<'a> Fields<'a> {
+    const EMPTY: Self = Fields {
+        slots: [("", Value { raw: "", num: None }); MAX_FIELDS],
+        len: 0,
+    };
+
+    /// Reads `line` into `self` (in place: the table is too big to move).
+    fn scan(&mut self, line: &'a str) -> Result<(), ParseError> {
+        let body = line
+            .trim()
+            .strip_prefix('{')
+            .and_then(|s| s.strip_suffix('}'))
+            .ok_or_else(|| ParseError(format!("not an object: {line:?}")))?;
+        // Keys and values are a few bytes long: a byte loop beats `memchr`.
+        let quote = |s: &str| s.bytes().position(|b| b == b'"');
+        let mut rest = body;
+        while !rest.is_empty() {
+            let Some(after_quote) = rest.strip_prefix('"') else {
+                return err(format!("expected key quote at {rest:?}"));
+            };
+            let Some(kq) = quote(after_quote) else {
+                return err("unterminated key");
+            };
+            let key = &after_quote[..kq];
+            let Some(after_colon) = after_quote[kq + 1..].strip_prefix(':') else {
+                return err(format!("expected ':' after key {key:?}"));
+            };
+            let (value, tail) = if let Some(v) = after_colon.strip_prefix('"') {
+                let Some(vq) = quote(v) else {
+                    return err(format!("unterminated string value for {key:?}"));
+                };
+                let raw = &v[..vq];
+                (Value { raw, num: None }, &v[vq + 1..])
+            } else {
+                let (mut digits, mut num) = (0, Some(0u64));
+                for b in after_colon.bytes().take_while(u8::is_ascii_digit) {
+                    num = num.and_then(|n| n.checked_mul(10)?.checked_add(u64::from(b - b'0')));
+                    digits += 1;
+                }
+                let (raw, tail) = after_colon.split_at(digits);
+                if digits == 0 || !(tail.is_empty() || tail.starts_with(',')) {
+                    let v = after_colon.split(',').next().unwrap_or_default();
+                    return err(format!(
+                        "value of {key:?} is not an unsigned integer: {v:?}"
+                    ));
+                }
+                (Value { raw, num }, tail)
+            };
+            if self.get(key).is_some() {
+                return err(format!("duplicate key {key:?}"));
+            }
+            let Some(slot) = self.slots.get_mut(self.len) else {
+                return err(format!("more than {MAX_FIELDS} fields"));
+            };
+            *slot = (key, value);
+            self.len += 1;
+            rest = match tail.strip_prefix(',') {
+                Some(t) => t,
+                None if tail.is_empty() => tail,
+                None => return err(format!("expected ',' at {tail:?}")),
+            };
+        }
+        Ok(())
+    }
+
+    fn get(&self, key: &str) -> Option<Value<'a>> {
+        let mut known = self.slots[..self.len].iter();
+        known.find(|(k, _)| *k == key).map(|&(_, v)| v)
+    }
+
+    fn value(&self, key: &str) -> Result<Value<'a>, ParseError> {
+        self.get(key)
+            .ok_or_else(|| field_err(key, format_args!("is missing")))
+    }
+
+    fn string(&self, key: &str) -> Result<&'a str, ParseError> {
+        self.value(key).map(|v| v.raw)
     }
 
     fn num(&self, key: &str) -> Result<u64, ParseError> {
-        let v = self
-            .get(key)
-            .ok_or_else(|| ParseError(format!("missing field {key:?}")))?;
-        v.parse()
-            .map_err(|_| ParseError(format!("field {key:?} is not a number: {v:?}")))
+        let Value { raw, num } = self.value(key)?;
+        num.ok_or_else(|| field_err(key, format_args!("is not a number: {raw:?}")))
     }
 
-    fn opt_num(&self, key: &str) -> Result<Option<u64>, ParseError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(_) => self.num(key).map(Some),
+    /// An id or count the event types hold as `u32`.
+    fn id(&self, key: &str) -> Result<u32, ParseError> {
+        let v = self.num(key)?;
+        u32::try_from(v).map_err(|_| field_err(key, format_args!("exceeds u32: {v}")))
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, ParseError> {
+        match self.num(key)? {
+            v @ 0..=1 => Ok(v == 1),
+            v => Err(field_err(key, format_args!("is not 0 or 1: {v}"))),
         }
     }
 
-    fn string(&self, key: &str) -> Result<String, ParseError> {
-        self.get(key)
-            .map(str::to_owned)
-            .ok_or_else(|| ParseError(format!("missing field {key:?}")))
+    fn opt_num(&self, key: &str) -> Result<Option<u64>, ParseError> {
+        self.get(key).map(|_| self.num(key)).transpose()
+    }
+
+    fn opt_id(&self, key: &str) -> Result<Option<u32>, ParseError> {
+        self.get(key).map(|_| self.id(key)).transpose()
     }
 }
 
 fn mss(f: &Fields, key: &str) -> Result<MssId, ParseError> {
-    Ok(MssId(f.num(key)? as u32))
+    f.id(key).map(MssId)
 }
 
 fn mh(f: &Fields, key: &str) -> Result<MhId, ParseError> {
-    Ok(MhId(f.num(key)? as u32))
+    f.id(key).map(MhId)
 }
 
 /// Parses one line of the versioned JSONL schema back into a [`Line`].
@@ -1084,24 +1171,24 @@ fn mh(f: &Fields, key: &str) -> Result<MhId, ParseError> {
 /// Returns a [`ParseError`] naming the violated schema rule (unknown event
 /// kind, missing field, bad version, malformed JSON).
 pub fn parse_line(line: &str) -> Result<Line, ParseError> {
-    let f = Fields(parse_object(line)?);
+    let mut f = Fields::EMPTY;
+    f.scan(line)?;
     let v = f.num("v")?;
     if v != SCHEMA_VERSION as u64 {
         return err(format!("unsupported schema version {v}"));
     }
     let run = f.num("run")?;
-    let ev = f.string("ev")?;
-    match ev.as_str() {
+    match f.string("ev")? {
         "run_begin" => Ok(Line::RunBegin(RunMeta {
             run,
-            label: f.string("label")?,
+            label: f.string("label")?.to_owned(),
             m: f.num("m")?,
             n: f.num("n")?,
             seed: f.num("seed")?,
             c_fixed: f.num("c_fixed")?,
             c_wireless: f.num("c_wireless")?,
             c_search: f.num("c_search")?,
-            policy: f.string("policy")?,
+            policy: f.string("policy")?.to_owned(),
         })),
         "run_end" => Ok(Line::RunEnd {
             events: f.num("events")?,
@@ -1155,7 +1242,7 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
                 },
                 "cell_broadcast" => TraceEvent::CellBroadcast {
                     mss: mss(&f, "mss")?,
-                    listeners: f.num("listeners")? as u32,
+                    listeners: f.id("listeners")?,
                 },
                 "down_lost" => TraceEvent::DownLost {
                     mss: mss(&f, "mss")?,
@@ -1163,7 +1250,7 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
                 },
                 "search" => TraceEvent::Search {
                     target: mh(&f, "target")?,
-                    re: f.num("re")? != 0,
+                    re: f.flag("re")?,
                 },
                 "search_fail" => TraceEvent::SearchFail {
                     origin: mss(&f, "origin")?,
@@ -1177,7 +1264,7 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
                 "handoff_end" => TraceEvent::HandoffEnd {
                     mh: mh(&f, "mh")?,
                     to: mss(&f, "to")?,
-                    prev: f.opt_num("prev")?.map(|p| MssId(p as u32)),
+                    prev: f.opt_id("prev")?.map(MssId),
                 },
                 "disconnect" => TraceEvent::Disconnect {
                     mh: mh(&f, "mh")?,
@@ -1186,14 +1273,14 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
                 "reconnect" => TraceEvent::Reconnect {
                     mh: mh(&f, "mh")?,
                     mss: mss(&f, "mss")?,
-                    prev: f.opt_num("prev")?.map(|p| MssId(p as u32)),
+                    prev: f.opt_id("prev")?.map(MssId),
                 },
                 "cs_request" => TraceEvent::CsRequest { mh: mh(&f, "mh")? },
                 "cs_enter" => TraceEvent::CsEnter { mh: mh(&f, "mh")? },
                 "cs_exit" => TraceEvent::CsExit { mh: mh(&f, "mh")? },
                 "lv_update" => TraceEvent::LvUpdate {
                     cell: mss(&f, "cell")?,
-                    added: f.num("added")? != 0,
+                    added: f.flag("added")?,
                 },
                 "proxy_forward" => TraceEvent::ProxyForward {
                     mss: mss(&f, "mss")?,
@@ -1204,22 +1291,22 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
                     fp_lo: f.num("fp_lo")?,
                 },
                 "shard_sync" => TraceEvent::ShardSync {
-                    shard: f.num("shard")? as u32,
+                    shard: f.id("shard")?,
                     window: f.num("window")?,
                     skipped: f.opt_num("skipped")?.unwrap_or(0),
                 },
                 "shard_recv" => TraceEvent::ShardRecv {
-                    shard: f.num("shard")? as u32,
+                    shard: f.id("shard")?,
                     from: mss(&f, "from")?,
                     to: mss(&f, "to")?,
                 },
                 "combine_batch" => TraceEvent::CombineBatch {
                     mss: mss(&f, "mss")?,
-                    size: f.num("size")? as u32,
+                    size: f.id("size")?,
                 },
                 "deliver_batch" => TraceEvent::DeliverBatch {
                     at: mss(&f, "at")?,
-                    len: f.num("len")? as u32,
+                    len: f.id("len")?,
                 },
                 "fault_crash" => TraceEvent::FaultCrash {
                     mss: mss(&f, "mss")?,
@@ -1228,11 +1315,11 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
                     mss: mss(&f, "mss")?,
                 },
                 "fault_partition" => TraceEvent::FaultPartition {
-                    cut: f.num("cut")? as u32,
-                    healed: f.num("healed")? != 0,
+                    cut: f.id("cut")?,
+                    healed: f.flag("healed")?,
                 },
                 "fault_storm" => TraceEvent::FaultStorm {
-                    moved: f.num("moved")? as u32,
+                    moved: f.id("moved")?,
                 },
                 other => return err(format!("unknown event kind {other:?}")),
             };
@@ -1249,152 +1336,6 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn all_events() -> Vec<TraceEvent> {
-        vec![
-            TraceEvent::FixedSend {
-                from: MssId(1),
-                to: MssId(2),
-            },
-            TraceEvent::FixedRecv {
-                at: MssId(2),
-                from: MssId(1),
-            },
-            TraceEvent::UpSend {
-                mh: MhId(3),
-                mss: MssId(0),
-            },
-            TraceEvent::UpRecv {
-                mss: MssId(0),
-                mh: MhId(3),
-            },
-            TraceEvent::DownSend {
-                mss: MssId(0),
-                mh: MhId(3),
-            },
-            TraceEvent::DownRecv {
-                mh: MhId(3),
-                mss: MssId(0),
-            },
-            TraceEvent::CellBroadcast {
-                mss: MssId(1),
-                listeners: 4,
-            },
-            TraceEvent::DownLost {
-                mss: MssId(1),
-                mh: MhId(2),
-            },
-            TraceEvent::Search {
-                target: MhId(5),
-                re: true,
-            },
-            TraceEvent::SearchFail {
-                origin: MssId(0),
-                target: MhId(5),
-            },
-            TraceEvent::DozeInterrupt { mh: MhId(1) },
-            TraceEvent::HandoffBegin {
-                mh: MhId(1),
-                from: MssId(0),
-            },
-            TraceEvent::HandoffEnd {
-                mh: MhId(1),
-                to: MssId(1),
-                prev: Some(MssId(0)),
-            },
-            TraceEvent::HandoffEnd {
-                mh: MhId(1),
-                to: MssId(1),
-                prev: None,
-            },
-            TraceEvent::Disconnect {
-                mh: MhId(1),
-                mss: MssId(1),
-            },
-            TraceEvent::Reconnect {
-                mh: MhId(1),
-                mss: MssId(0),
-                prev: Some(MssId(1)),
-            },
-            TraceEvent::CsRequest { mh: MhId(0) },
-            TraceEvent::CsEnter { mh: MhId(0) },
-            TraceEvent::CsExit { mh: MhId(0) },
-            TraceEvent::LvUpdate {
-                cell: MssId(3),
-                added: true,
-            },
-            TraceEvent::ProxyForward {
-                mss: MssId(2),
-                mh: MhId(4),
-            },
-            TraceEvent::CacheHit {
-                fp_hi: u64::MAX,
-                fp_lo: 12345,
-            },
-            TraceEvent::ShardSync {
-                shard: 2,
-                window: 17,
-                skipped: 0,
-            },
-            TraceEvent::ShardSync {
-                shard: 0,
-                window: 40,
-                skipped: 22,
-            },
-            TraceEvent::ShardRecv {
-                shard: 1,
-                from: MssId(9),
-                to: MssId(4),
-            },
-            TraceEvent::CombineBatch {
-                mss: MssId(3),
-                size: 12,
-            },
-            TraceEvent::DeliverBatch {
-                at: MssId(5),
-                len: 3,
-            },
-            TraceEvent::FaultCrash { mss: MssId(2) },
-            TraceEvent::FaultRecover { mss: MssId(2) },
-            TraceEvent::FaultPartition {
-                cut: 4,
-                healed: false,
-            },
-            TraceEvent::FaultPartition {
-                cut: 4,
-                healed: true,
-            },
-            TraceEvent::FaultStorm { moved: 9 },
-        ]
-    }
-
-    #[test]
-    fn every_event_round_trips_through_jsonl() {
-        let meta = RunMeta::new(7, "round-trip", &NetworkConfig::new(2, 2));
-        let mut sink = JsonlSink::new(Vec::new(), meta.clone()).unwrap();
-        let events = all_events();
-        for (i, e) in events.iter().enumerate() {
-            sink.record(SimTime::from_ticks(10 + i as u64), i as u64, e);
-        }
-        sink.finish(&CostLedger::new(2));
-        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
-        let lines: Vec<Line> = text.lines().map(|l| parse_line(l).unwrap()).collect();
-        assert_eq!(lines.len(), events.len() + 2);
-        assert_eq!(lines[0], Line::RunBegin(meta));
-        for (i, e) in events.iter().enumerate() {
-            let Line::Event { run, seq, t, ev } = &lines[1 + i] else {
-                panic!("line {i} is not an event: {:?}", lines[1 + i]);
-            };
-            assert_eq!((*run, *seq), (7, i as u64));
-            assert_eq!(*t, SimTime::from_ticks(10 + i as u64));
-            assert_eq!(ev, e, "event {i} did not round-trip");
-        }
-        let Line::RunEnd { summary, events: n } = &lines[lines.len() - 1] else {
-            panic!("missing run_end");
-        };
-        assert_eq!(*n, events.len() as u64);
-        assert_eq!(summary.fixed_msgs, 0);
-    }
 
     #[test]
     fn ring_sink_bounds_and_rewinds() {
@@ -1437,14 +1378,40 @@ mod tests {
             parse_line("{\"v\":1,\"run\":-1,\"ev\":\"cs_exit\",\"seq\":0,\"t\":0,\"mh\":0}")
                 .is_err()
         );
-    }
-
-    #[test]
-    fn message_class_accounting_helpers() {
-        let fixed: u64 = all_events().iter().map(TraceEvent::fixed_msgs).sum();
-        let wireless: u64 = all_events().iter().map(TraceEvent::wireless_msgs).sum();
-        assert_eq!(fixed, 3); // fixed_send + search_fail + shard_recv
-        assert_eq!(wireless, 3); // up_send + down_send + cell_broadcast
+        // Ids and counts above `u32::MAX`, booleans other than 0/1 and
+        // duplicated keys are errors, not silently narrowed or first-wins.
+        let event =
+            |fields: &str| parse_line(&format!("{{\"v\":1,\"run\":0,\"seq\":0,\"t\":0,{fields}}}"));
+        assert!(event("\"ev\":\"fault_crash\",\"mss\":4294967295").is_ok());
+        // An unknown key that merely resembles `mh` is not a duplicate.
+        assert!(event("\"ev\":\"cs_exit\",\"mh\":0,\"mx\":1").is_ok());
+        for bad in [
+            "\"ev\":\"fault_crash\",\"mss\":4294967296",
+            "\"ev\":\"cs_exit\",\"mh\":4294967296",
+            "\"ev\":\"handoff_end\",\"mh\":0,\"to\":1,\"prev\":4294967296",
+            "\"ev\":\"cell_broadcast\",\"mss\":0,\"listeners\":4294967296",
+            "\"ev\":\"shard_sync\",\"shard\":4294967296,\"window\":0",
+            "\"ev\":\"combine_batch\",\"mss\":0,\"size\":4294967296",
+            "\"ev\":\"deliver_batch\",\"at\":0,\"len\":4294967296",
+            "\"ev\":\"fault_partition\",\"cut\":4294967296,\"healed\":0",
+            "\"ev\":\"fault_storm\",\"moved\":4294967296",
+            "\"ev\":\"cache_hit\",\"fp_hi\":18446744073709551616,\"fp_lo\":0",
+            "\"ev\":\"search\",\"target\":0,\"re\":2",
+            "\"ev\":\"lv_update\",\"cell\":0,\"added\":2",
+            "\"ev\":\"fault_partition\",\"cut\":1,\"healed\":2",
+            "\"ev\":\"cs_exit\",\"mh\":0,\"mh\":0",
+            "\"ev\":\"cs_exit\",\"mh\":0,\"seq\":1",
+            "\"ev\":\"cs_exit\",\"mh\":\"0\"",
+        ] {
+            assert!(event(bad).is_err(), "accepted {bad}");
+        }
+        // Unknown keys are tolerated up to the table's size, not beyond it.
+        let padded = |n: usize| {
+            let pad: String = (0..n).map(|i| format!(",\"x{i}\":0")).collect();
+            event(&format!("\"ev\":\"cs_exit\",\"mh\":0{pad}"))
+        };
+        assert!(padded(MAX_FIELDS - 6).is_ok());
+        assert!(padded(MAX_FIELDS - 5).is_err());
     }
 
     #[test]
