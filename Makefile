@@ -1,6 +1,6 @@
 # Convenience targets; see ci/check.sh for the full gate.
 
-.PHONY: build test check bench benchcheck perf quick tracecheck cachecheck scalecheck shardbench deliverybench
+.PHONY: build test check bench benchcheck quick tracecheck cachecheck scalecheck
 
 build:
 	cargo build --workspace --release
@@ -11,7 +11,7 @@ test:
 check:
 	./ci/check.sh
 
-# All experiment tables + micro-benchmarks.
+# All experiment tables (timings live in benchmark/, see benchcheck).
 bench:
 	cargo bench --workspace
 
@@ -19,21 +19,6 @@ bench:
 # BENCHMARK.json contract); see benchmark/README.md.
 benchcheck:
 	./benchmark/check.sh
-
-# Kernel wall-time/events-per-second report -> BENCH_kernel.json.
-perf:
-	cargo run --release --bin perfreport
-
-# Re-time only the sharded legs (E12 scale curve + shard throughput
-# matrix) and splice them into the existing BENCH_kernel.json, leaving
-# the other sections' numbers untouched.
-shardbench:
-	cargo run --release --bin perfreport -- --shard-only
-
-# Re-time only the delivery comparison (kernel rows batched vs unbatched)
-# and splice it into the existing BENCH_kernel.json.
-deliverybench:
-	cargo run --release --bin perfreport -- --delivery-only
 
 # Fast small-scale experiment tables.
 quick:

@@ -9,9 +9,9 @@
 //! Two properties distinguish E12 from every other experiment:
 //!
 //! * **Every column is a pure function of the spec.** No wall-clock times
-//!   appear (throughput lives in `BENCH_kernel.json`, measured by
-//!   `perfreport`), so the table is byte-identical at every shard count —
-//!   which is exactly what CI's shard-soundness gate `cmp`s.
+//!   appear (throughput is the benchmark's `churn_1m` workload, see
+//!   `benchmark/README.md`), so the table is byte-identical at every shard
+//!   count — which is exactly what CI's shard-soundness gate `cmp`s.
 //! * **The run cache is deliberately bypassed.** A cached replay would let
 //!   the 1-shard and 4-shard gate legs serve the same stored bytes without
 //!   re-executing either, making the equivalence check vacuous.

@@ -383,24 +383,16 @@ fn plan(quick: bool) -> Vec<RowPlan> {
                 sweep: "requesters",
                 cell: format!("N={n} think={think_c}"),
                 algo,
-                spec: Box::new((serve_cfg(m, n, i), serve_wl(n, reqs, think_c))),
+                spec: Box::new((
+                    NetworkConfig::new(m, n).with_seed(1360 + i as u64),
+                    WorkloadConfig::all_mhs(n, reqs)
+                        .with_think(think_c)
+                        .with_hold(10),
+                )),
             });
         }
     }
     rows
-}
-
-/// Network configuration of an E13c requester-count cell (shared with the
-/// perfreport serving comparison so the run cache serves both).
-fn serve_cfg(m: usize, n: usize, cell_index: usize) -> NetworkConfig {
-    NetworkConfig::new(m, n).with_seed(1360 + cell_index as u64)
-}
-
-/// Workload of an E13c requester-count cell.
-fn serve_wl(n: usize, reqs: usize, think: u64) -> WorkloadConfig {
-    WorkloadConfig::all_mhs(n, reqs)
-        .with_think(think)
-        .with_hold(10)
 }
 
 /// **E13** — the serving benchmark table. One row per (cell, algorithm);
@@ -496,57 +488,6 @@ pub fn e13_serving(quick: bool) -> Table {
     t
 }
 
-/// One algorithm's point in perfreport's `serving` section.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServingPoint {
-    /// Algorithm display name.
-    pub algo: &'static str,
-    /// Closed-loop requesters in the cell.
-    pub requesters: u64,
-    /// Entries per 1000 simulated ticks.
-    pub throughput_per_ktick: f64,
-    /// 95th-percentile request→grant wait.
-    pub p95: u64,
-    /// Wireless messages per completed execution.
-    pub wireless_per_entry: f64,
-    /// Mean members per combining round (0 without combining).
-    pub mean_batch: f64,
-}
-
-/// The headline L2-vs-L2C serving comparison: the largest E13c cell
-/// (1024 closed-loop requesters over 8 MSSs at saturation; 32 in quick
-/// mode). Reuses the E13c cell's exact configuration, so a warm run cache
-/// serves both this and the table.
-pub fn serving_comparison(quick: bool) -> Vec<ServingPoint> {
-    let m = 8;
-    let reqs = 2;
-    let (n, cell_index, think) = if quick {
-        (32, 1, 200)
-    } else {
-        (1024, 2, 1_000)
-    };
-    let mut pools = ServePools::new();
-    [ServeAlgo::L2, ServeAlgo::L2c]
-        .into_iter()
-        .map(|algo| {
-            let r = run_serve_in(
-                &mut pools,
-                algo,
-                serve_cfg(m, n, cell_index),
-                serve_wl(n, reqs, think),
-            );
-            ServingPoint {
-                algo: algo.name(),
-                requesters: n as u64,
-                throughput_per_ktick: r.throughput_per_ktick(),
-                p95: r.p95,
-                wireless_per_entry: r.wireless_per_entry(),
-                mean_batch: r.mean_batch(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -583,6 +524,20 @@ mod tests {
         for r in rows_of(&t, "contention", "L2") {
             assert_eq!(r[11], "-");
         }
+        // The headline cell (largest requester count): combining spends
+        // strictly less wireless without losing throughput.
+        let num = |r: &[String], col: usize| r[col].parse::<f64>().unwrap();
+        let l2 = *rows_of(&t, "requesters", "L2").last().unwrap();
+        let l2c = *rows_of(&t, "requesters", "L2C").last().unwrap();
+        assert_eq!(l2[1], "N=32 think=200");
+        assert!(
+            num(l2c, 9) < num(l2, 9),
+            "combining must reduce wireless cost: {l2c:?} vs {l2:?}"
+        );
+        assert!(
+            num(l2c, 4) >= num(l2, 4),
+            "combining must not lose throughput: {l2c:?} vs {l2:?}"
+        );
     }
 
     #[test]
@@ -592,28 +547,5 @@ mod tests {
         let a = e13_serving(true);
         let b = e13_serving(true);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serving_comparison_quick_l2c_wins_wireless_without_losing_throughput() {
-        let pts = serving_comparison(true);
-        assert_eq!(pts.len(), 2);
-        let l2 = &pts[0];
-        let l2c = &pts[1];
-        assert_eq!((l2.algo, l2c.algo), ("L2", "L2C"));
-        assert!(
-            l2c.wireless_per_entry < l2.wireless_per_entry,
-            "combining must reduce wireless cost ({} vs {})",
-            l2c.wireless_per_entry,
-            l2.wireless_per_entry
-        );
-        assert!(
-            l2c.throughput_per_ktick >= l2.throughput_per_ktick,
-            "combining must not lose throughput ({} vs {})",
-            l2c.throughput_per_ktick,
-            l2.throughput_per_ktick
-        );
-        assert!(l2c.mean_batch >= 1.0);
-        assert_eq!(l2.mean_batch, 0.0);
     }
 }

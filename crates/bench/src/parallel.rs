@@ -33,10 +33,8 @@ pub fn default_jobs() -> usize {
 ///
 /// On a 1-CPU box the fan-out buys no concurrency and the queue/channel
 /// overhead plus context switches make "parallel" runs *slower* than the
-/// sequential loop (the sub-1× speedups `perfreport` used to record).
-/// [`map_indexed_with`] consults this to fall back to the sequential path —
-/// which is byte-identical by the ordering guarantee — and `perfreport`
-/// uses it to mark sweep rows instead of reporting misleading slowdowns.
+/// sequential loop. [`map_indexed_with`] consults this to fall back to the
+/// sequential path — which is byte-identical by the ordering guarantee.
 pub fn oversubscribed(jobs: usize) -> bool {
     jobs > 1 && std::thread::available_parallelism().map_or(1, |n| n.get()) == 1
 }

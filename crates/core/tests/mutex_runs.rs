@@ -737,6 +737,39 @@ fn deterministic_replay_same_seed() {
     assert_eq!(la, lb);
 }
 
+#[test]
+fn batched_delivery_matches_the_per_event_reference() {
+    // Every run in the repository uses the kernel's batched delivery
+    // engine; `DeliveryMode::Unbatched` is the one-event-per-message
+    // reference it must be indistinguishable from. Broadcast-heavy (L2),
+    // combining (L2C) and unicast-ring (R2) traffic, mobility on.
+    fn check<A: MutexAlgorithm>(name: &str, algo: impl Fn() -> A, horizon: u64) {
+        let n = 16;
+        let wl = WorkloadConfig::all_mhs(n, 3).with_think(100);
+        let go = |mode| {
+            let cfg = net(4, n, 77)
+                .with_mobility(MobilityConfig::moving(300))
+                .with_delivery(mode);
+            let (report, sim) = run(cfg, algo(), wl.clone(), horizon);
+            assert_eq!(report.completed, 48, "{name}: {report:?}");
+            (
+                report,
+                sim.ledger().clone(),
+                sim.protocol().checker().episodes().to_vec(),
+                sim.kernel().events_processed(),
+            )
+        };
+        assert_eq!(
+            go(DeliveryMode::Batched),
+            go(DeliveryMode::Unbatched),
+            "{name}"
+        );
+    }
+    check("L2", || L2::new(4), 1_000_000);
+    check("L2C", || L2c::new(4), 1_000_000);
+    check("R2", || R2::new(4, RingGuard::Counter), 400_000);
+}
+
 // ------------------------------------------------ request handoff ----
 
 #[test]

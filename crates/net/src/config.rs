@@ -29,15 +29,17 @@ impl Default for LatencyConfig {
 
 /// How the kernel dispatches deliveries that share a `(tick, destination)`.
 ///
-/// Both modes produce byte-identical experiment tables and cost ledgers for
-/// every workload in this repository, and both modes' traces pass
-/// `tracereport --check` reconciliation with identical per-kind event counts
-/// — the `delivery_equivalence` suites and the `ci/check.sh`
-/// delivery-soundness gate diff them end to end. (Within one tick the trace
-/// *interleaving* may differ: batched mode emits a run's receive records
-/// before the fused callback fires; see DESIGN.md §7.) `Batched` is the
-/// default; `Unbatched` is the historical one-event-per-message path, kept
-/// as the reference the gates compare against.
+/// Not a run-time choice: every run in this repository — experiments,
+/// benchmark, examples — uses [`Batched`](DeliveryMode::Batched), the
+/// default, and nothing reads an environment variable or flag to pick
+/// another. [`Unbatched`](DeliveryMode::Unbatched) is the
+/// one-event-per-message *reference* the batched engine is diffed against
+/// (`crates/net/tests/delivery_equivalence.rs`,
+/// `crates/core/tests/mutex_runs.rs`): both must give identical reports,
+/// cost ledgers and logical event counts, and traces with identical per-kind
+/// counts. (Within one tick the trace *interleaving* may differ: the batched
+/// path emits a run's receive records before the fused callback fires; see
+/// DESIGN.md §7.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeliveryMode {
     /// Coalesce same-tick runs to one fixed host into a single batch
@@ -45,27 +47,9 @@ pub enum DeliveryMode {
     /// event per arrival tick.
     #[default]
     Batched,
-    /// One wheel event and one protocol callback per message.
+    /// One wheel event and one protocol callback per message (test
+    /// reference only).
     Unbatched,
-}
-
-/// Environment variable selecting the process-default [`DeliveryMode`]
-/// (`batched` or `unbatched`). The CI delivery-soundness gate runs the
-/// experiment pipeline once per mode and `cmp`s the outputs.
-pub const DELIVERY_ENV: &str = "MOBIDIST_DELIVERY";
-
-/// Process-default delivery mode, read from [`DELIVERY_ENV`] at every
-/// config construction (like the sharded kernel's worker knob, so tests can
-/// flip it in-process). Each built config carries its mode and the mode is
-/// part of the canonical fingerprint, so mid-process flips can never alias
-/// run-cache keys.
-pub(crate) fn delivery_default() -> DeliveryMode {
-    match std::env::var(DELIVERY_ENV) {
-        Ok(v) if v == "unbatched" => DeliveryMode::Unbatched,
-        Ok(v) if v == "batched" => DeliveryMode::Batched,
-        Ok(v) => panic!("{DELIVERY_ENV} must be 'batched' or 'unbatched', got '{v}'"),
-        Err(_) => DeliveryMode::Batched,
-    }
 }
 
 /// How MHs are placed into cells at simulation start.
@@ -119,8 +103,8 @@ pub struct NetworkConfig {
     pub fault: FaultConfig,
     /// Initial placement of MHs into cells.
     pub placement: Placement,
-    /// Delivery dispatch strategy (batched vs one-callback-per-message).
-    /// Defaults to [`DeliveryMode::Batched`] unless `MOBIDIST_DELIVERY=unbatched`.
+    /// Delivery dispatch strategy. Always [`DeliveryMode::Batched`] outside
+    /// the equivalence tests that diff it against the per-event reference.
     pub delivery: DeliveryMode,
     /// Whether a `join()` carries the id of the previous MSS (required by the
     /// location-view protocol of Section 4; part of the handoff).
@@ -149,7 +133,7 @@ impl NetworkConfig {
             disconnect: DisconnectConfig::default(),
             fault: FaultConfig::default(),
             placement: Placement::default(),
-            delivery: delivery_default(),
+            delivery: DeliveryMode::Batched,
             supply_prev_on_join: true,
             seed: 0,
         }
@@ -203,7 +187,8 @@ impl NetworkConfig {
         self
     }
 
-    /// Replaces the delivery mode.
+    /// Replaces the delivery mode — for equivalence tests that run the
+    /// per-event reference; production code never calls this.
     pub fn with_delivery(mut self, delivery: DeliveryMode) -> Self {
         self.delivery = delivery;
         self

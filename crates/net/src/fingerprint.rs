@@ -429,11 +429,10 @@ impl CanonHash for Placement {
 
 impl CanonHash for DeliveryMode {
     fn canon_hash(&self, h: &mut CanonHasher) {
-        // Both modes are proven byte-identical by the delivery_equivalence
-        // suites, but they are hashed apart anyway: the CI soundness gate
-        // re-runs the experiment pipeline per mode and `cmp`s the outputs —
-        // a shared fingerprint would let the second run replay the first
-        // run's cache records and prove nothing.
+        // The batched engine and the per-event reference are proven
+        // byte-identical by the delivery equivalence tests, but they are
+        // hashed apart anyway: a test that runs both through one run cache
+        // must recompute the second, not replay the first's records.
         h.write_u64(match self {
             DeliveryMode::Batched => 0,
             DeliveryMode::Unbatched => 1,

@@ -188,8 +188,9 @@ pub struct Kernel<M, T> {
     /// clears. Always empty on fault-free runs.
     blocked: Vec<(MssId, MssId, M)>,
     /// Logical events processed since reset. Batch and fan-out members are
-    /// counted individually, so both delivery modes report identical totals
-    /// for the same run (pinned by the delivery_equivalence suites).
+    /// counted individually, so the batched engine and the per-event
+    /// reference report identical totals for the same run (pinned by
+    /// `tests/delivery_equivalence.rs`).
     events_processed: u64,
     /// Recycled backing store for the single in-flight coalesced MSS batch
     /// (the driver drains every batch before the next advance, so one slot
@@ -447,10 +448,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// Logical events processed since construction/reset. Coalesced batch
-    /// members and fused fan-out recipients count individually, so both
-    /// delivery modes report the same total for the same run — and the
-    /// total equals the per-`advance` step count of the historical
-    /// one-event-per-message kernel.
+    /// members and fused fan-out recipients count individually, so the
+    /// total equals the per-`advance` step count of the
+    /// one-event-per-message reference ([`DeliveryMode::Unbatched`]).
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -485,9 +485,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         true
     }
 
-    /// Routes a popped event: in batched mode, a unicast delivery to a fixed
-    /// host opens a coalescing run over the current tick; everything else
-    /// (and everything in unbatched mode) processes one event at a time.
+    /// Routes a popped event: a unicast delivery to a fixed host opens a
+    /// coalescing run over the current tick; everything else (and everything
+    /// under the per-event test reference) processes one event at a time.
     #[inline]
     fn dispatch(&mut self, ev: Ev<M, T>) {
         if self.cfg.delivery == DeliveryMode::Batched {
@@ -521,8 +521,8 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         // so no run can form — dispatch through the plain per-event path
         // without touching the batch buffer. Unicast-heavy workloads (ring
         // topologies, search traffic) take this branch almost always, and
-        // it is exactly the unbatched path, so it costs them one O(1) slot
-        // peek over unbatched mode.
+        // it is exactly the per-event reference path plus one O(1) slot
+        // peek.
         if !self.queue.next_same_tick_matches(|e| {
             matches!(e, Ev::FixedDeliver { to, .. } if *to == at)
                 || matches!(e, Ev::UpDeliver { mss, .. } if *mss == at)
@@ -568,17 +568,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         match ev {
             Ev::FixedDeliver { from, to, msg } => {
                 debug_assert_eq!(to, at);
-                if self.wired_blocked(from, to)
-                    || (!self.blocked.is_empty()
-                        && self.blocked.iter().any(|(f, t, _)| *f == from && *t == to))
-                {
-                    self.blocked.push((from, to, msg));
-                    return;
+                if let Some(msg) = self.admit_wired(from, to, msg) {
+                    batch.push((Src::Mss(from), msg));
                 }
-                if from != to {
-                    self.emit(|| TraceEvent::FixedRecv { at: to, from });
-                }
-                batch.push((Src::Mss(from), msg));
             }
             Ev::UpDeliver { mh, mss, msg } => {
                 debug_assert_eq!(mss, at);
@@ -1069,26 +1061,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         };
         match ev {
             Ev::FixedDeliver { from, to, msg } => {
-                // Fault plane: defer delivery while either endpoint is down
-                // or the pair straddles an active partition — or while older
-                // messages of the same pair are already deferred (FIFO).
-                if self.wired_blocked(from, to)
-                    || (!self.blocked.is_empty()
-                        && self.blocked.iter().any(|(f, t, _)| *f == from && *t == to))
-                {
-                    self.blocked.push((from, to, msg));
-                    return;
+                if let Some(msg) = self.admit_wired(from, to, msg) {
+                    self.pending.push_back(ProtoEvent::MssMsg {
+                        at: to,
+                        src: Src::Mss(from),
+                        msg,
+                    });
                 }
-                if from != to {
-                    // Self-sends are not messages in the model; only real
-                    // fixed-network deliveries appear in the trace.
-                    self.emit(|| TraceEvent::FixedRecv { at: to, from });
-                }
-                self.pending.push_back(ProtoEvent::MssMsg {
-                    at: to,
-                    src: Src::Mss(from),
-                    msg,
-                });
             }
             Ev::UpDeliver { mh, mss, msg } => {
                 self.emit(|| TraceEvent::UpRecv { mss, mh });
@@ -1141,21 +1120,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                     } else {
                         msg.as_ref().expect("payload present until last").clone()
                     };
-                    if self.wired_blocked(from, to)
-                        || (!self.blocked.is_empty()
-                            && self.blocked.iter().any(|(f, t, _)| *f == from && *t == to))
-                    {
-                        self.blocked.push((from, to, payload));
-                        continue;
+                    if let Some(msg) = self.admit_wired(from, to, payload) {
+                        self.pending.push_back(ProtoEvent::MssMsg {
+                            at: to,
+                            src: Src::Mss(from),
+                            msg,
+                        });
                     }
-                    // Broadcasts never self-send, so every member is a real
-                    // fixed-network delivery.
-                    self.emit(|| TraceEvent::FixedRecv { at: to, from });
-                    self.pending.push_back(ProtoEvent::MssMsg {
-                        at: to,
-                        src: Src::Mss(from),
-                        msg: payload,
-                    });
                 }
                 self.mss_pool.push(dsts);
             }
@@ -1246,6 +1217,28 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             Some(cut) => (from.0 < cut) != (to.0 < cut),
             None => false,
         }
+    }
+
+    /// Wired admission, the one rule every fixed-network arrival passes
+    /// through: the fault plane defers the message while either endpoint is
+    /// down or the pair straddles an active partition — or while older
+    /// messages of the same pair are already deferred (per-pair FIFO).
+    /// Returns the message when it is delivered now, after tracing the
+    /// receive; self-sends are not messages in the model, so only real
+    /// fixed-network deliveries appear in the trace.
+    #[inline]
+    fn admit_wired(&mut self, from: MssId, to: MssId, msg: M) -> Option<M> {
+        if self.wired_blocked(from, to)
+            || (!self.blocked.is_empty()
+                && self.blocked.iter().any(|(f, t, _)| *f == from && *t == to))
+        {
+            self.blocked.push((from, to, msg));
+            return None;
+        }
+        if from != to {
+            self.emit(|| TraceEvent::FixedRecv { at: to, from });
+        }
+        Some(msg)
     }
 
     /// `want`, unless it is crashed — then the next live cell in ascending

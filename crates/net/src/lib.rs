@@ -91,9 +91,7 @@ pub mod prelude {
     pub use crate::proto::{Ctx, MsgBatch, Protocol, Src};
     pub use crate::rng::SimRng;
     pub use crate::search::SearchPolicy;
-    pub use crate::shard::{
-        run_scale, run_scale_traced, run_scale_with_mode, ScaleReport, ScaleSpec,
-    };
+    pub use crate::shard::{run_scale, run_scale_traced, ScaleReport, ScaleSpec};
     pub use crate::sim::{SimPool, Simulation};
     pub use crate::time::SimTime;
 }

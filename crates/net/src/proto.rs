@@ -191,11 +191,11 @@ pub trait Protocol: Sized + 'static {
     );
 
     /// A coalesced run of same-tick messages arrived at one fixed host
-    /// (batched delivery mode only; always two or more messages, in the
-    /// exact order [`on_mss_msg`](Protocol::on_mss_msg) would have seen
-    /// them). The default unrolls the batch through `on_mss_msg`, so
-    /// protocols observe identical callback sequences in both delivery
-    /// modes unless they override this for batch-aware handling.
+    /// (always two or more messages, in the exact order
+    /// [`on_mss_msg`](Protocol::on_mss_msg) would have seen them). The
+    /// default unrolls the batch through `on_mss_msg`, so a protocol
+    /// observes the per-message callback sequence unless it overrides this
+    /// for batch-aware handling.
     fn on_mss_batch(
         &mut self,
         ctx: &mut Ctx<'_, Self::Msg, Self::Timer>,
@@ -337,9 +337,8 @@ impl<'a, M: Debug + Clone + 'static, T: Debug + 'static> Ctx<'a, M, T> {
     }
 
     /// Sends `msg` to every other MSS (cost `(M − 1)·C_fixed`). One payload
-    /// is stored for the whole fan-out and cloned only at delivery; in
-    /// batched delivery mode the charge and the wheel traffic are fused
-    /// across the fan-out too.
+    /// is stored for the whole fan-out and cloned only at delivery; the
+    /// charge and the wheel traffic are fused across the fan-out too.
     pub fn broadcast_fixed(&mut self, from: MssId, msg: M) {
         self.k.broadcast_fixed(from, msg);
     }

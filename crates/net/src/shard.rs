@@ -108,7 +108,7 @@
 //! assert_eq!(a.ledger, b.ledger);
 //! ```
 
-use crate::config::{delivery_default, DeliveryMode, Placement};
+use crate::config::Placement;
 use crate::cost::CostModel;
 use crate::event::EventQueue;
 use crate::fingerprint::{CanonHash, CanonHasher, Fingerprint};
@@ -400,24 +400,11 @@ struct ShardOut {
     sink: Option<Box<dyn TraceSink>>,
 }
 
-/// Runs `spec` across `shards` workers with tracing disabled, under the
-/// process-default [`DeliveryMode`] (see `MOBIDIST_DELIVERY`).
+/// Runs `spec` across `shards` workers with tracing disabled.
 ///
 /// See [`run_scale_traced`] for the full contract.
 pub fn run_scale(spec: &ScaleSpec, shards: usize) -> ScaleReport {
-    run_scale_with_mode(spec, shards, delivery_default())
-}
-
-/// Runs `spec` across `shards` workers under an explicit [`DeliveryMode`],
-/// tracing disabled.
-///
-/// In `Batched` mode each worker coalesces consecutive same-tick wired
-/// deliveries into one fused ledger charge; every delivery still emits its
-/// own [`TraceEvent::ShardRecv`] in the same order and counts as one event,
-/// so reports are bit-identical across modes — the `delivery_equivalence`
-/// suite pins this at several shard counts.
-pub fn run_scale_with_mode(spec: &ScaleSpec, shards: usize, mode: DeliveryMode) -> ScaleReport {
-    run_scale_traced_with_mode(spec, shards, Vec::new(), mode).0
+    run_scale_traced(spec, shards, Vec::new()).0
 }
 
 /// Runs `spec` across `shards` workers, feeding each worker's trace into
@@ -439,18 +426,6 @@ pub fn run_scale_traced(
     spec: &ScaleSpec,
     shards: usize,
     sinks: Vec<Box<dyn TraceSink>>,
-) -> (ScaleReport, Vec<Box<dyn TraceSink>>) {
-    run_scale_traced_with_mode(spec, shards, sinks, delivery_default())
-}
-
-/// [`run_scale_traced`] with an explicit [`DeliveryMode`] (see
-/// [`run_scale_with_mode`] for what the mode changes — and what it
-/// provably does not).
-pub fn run_scale_traced_with_mode(
-    spec: &ScaleSpec,
-    shards: usize,
-    sinks: Vec<Box<dyn TraceSink>>,
-    mode: DeliveryMode,
 ) -> (ScaleReport, Vec<Box<dyn TraceSink>>) {
     let m = spec.num_mss;
     let n = spec.num_mh;
@@ -516,7 +491,6 @@ pub fn run_scale_traced_with_mode(
                 scope.spawn(move || {
                     run_shard(
                         spec, shard, shards, w, windows, queue, owner, lanes, barrier, mins, sink,
-                        mode,
                     )
                 })
             })
@@ -599,7 +573,6 @@ fn run_shard(
     barrier: &EpochBarrier,
     mins: &[AtomicU64],
     mut sink: Option<Box<dyn TraceSink>>,
-    mode: DeliveryMode,
 ) -> ShardOut {
     let m = spec.num_mss;
     let mut ledger = CostLedger::new(0);
@@ -775,33 +748,33 @@ fn run_shard(
                             to: MssId(to),
                         }
                     );
+                    // Coalesce the run of consecutive same-tick wired
+                    // deliveries: pop each O(1) off the cursor slot, emit
+                    // its ShardRecv in the exact order the outer loop would
+                    // have, and fold its charge into one fused ledger
+                    // update below — the same total as n single charges,
+                    // which `traced_shard_events_reconcile_with_the_ledger`
+                    // checks against the per-delivery trace. The run never
+                    // crosses the window limit (the pops stay on this tick)
+                    // and stops at the first non-wired same-tick event, so
+                    // the global pop order is untouched.
                     let mut n = 1u64;
-                    if mode == DeliveryMode::Batched {
-                        // Coalesce the run of consecutive same-tick wired
-                        // deliveries: pop each O(1) off the cursor slot,
-                        // emit its ShardRecv in the exact order the outer
-                        // loop would have, and fold its charge into one
-                        // fused ledger update below. The run never crosses
-                        // the window limit (the pops stay on this tick) and
-                        // stops at the first non-wired same-tick event, so
-                        // the global pop order is untouched.
-                        while let Some((_, run_ev)) =
-                            queue.pop_same_tick_if(|e| matches!(e, SEv::Wired(..)))
-                        {
-                            let SEv::Wired(f, d) = run_ev else {
-                                unreachable!("predicate admits only Wired")
-                            };
-                            events += 1;
-                            emit!(
-                                t,
-                                TraceEvent::ShardRecv {
-                                    shard: shard as u32,
-                                    from: MssId(f),
-                                    to: MssId(d),
-                                }
-                            );
-                            n += 1;
-                        }
+                    while let Some((_, run_ev)) =
+                        queue.pop_same_tick_if(|e| matches!(e, SEv::Wired(..)))
+                    {
+                        let SEv::Wired(f, d) = run_ev else {
+                            unreachable!("predicate admits only Wired")
+                        };
+                        events += 1;
+                        emit!(
+                            t,
+                            TraceEvent::ShardRecv {
+                                shard: shard as u32,
+                                from: MssId(f),
+                                to: MssId(d),
+                            }
+                        );
+                        n += 1;
                     }
                     ledger.charge_fixed_n(&spec.cost, n);
                 }
@@ -919,19 +892,6 @@ mod tests {
                 r.skipped_windows, base.skipped_windows,
                 "fast-forward schedule diverged at {s} shards"
             );
-        }
-    }
-
-    #[test]
-    fn delivery_modes_agree_bit_for_bit() {
-        let spec = spec();
-        let reference = run_scale_with_mode(&spec, 1, DeliveryMode::Unbatched);
-        assert!(reference.ledger.fixed_msgs > 0, "need wired traffic");
-        for s in [1, 4, 8] {
-            let batched = run_scale_with_mode(&spec, s, DeliveryMode::Batched);
-            assert_eq!(batched.digest, reference.digest, "digest diverged at {s}");
-            assert_eq!(batched.ledger, reference.ledger, "ledger diverged at {s}");
-            assert_eq!(batched.events, reference.events, "events diverged at {s}");
         }
     }
 

@@ -10,8 +10,7 @@
 //! * a [`store`] module with the two-tier [`RunCache`](store::RunCache):
 //!   an in-process `FxHash` map for hits within one invocation (repeated
 //!   sweep points, resampled seeds) and an on-disk content-addressed store
-//!   shared by `experiments`, `perfreport` and `tracereport` across
-//!   sessions.
+//!   shared by `experiments` invocations across sessions.
 //!
 //! The cache is **inactive unless [`CACHE_ENV`] (`MOBIDIST_CACHE`) names a
 //! directory** — set by the CLIs' `--cache DIR` flag. When inactive every

@@ -139,7 +139,7 @@ impl RunCache {
     }
 
     /// Drops every memory-tier record (counters keep accumulating). Used
-    /// by tests and `perfreport` to force the disk tier to be exercised.
+    /// by tests and the benchmark to force the disk tier to be exercised.
     pub fn clear_memory(&self) {
         let mut mem = self.mem.lock().expect("cache lock");
         mem.map.clear();
