@@ -68,6 +68,12 @@ if [[ $fast -eq 0 ]]; then
   cargo build --workspace --release
 fi
 
+# benchmark/ is its own workspace and compiles against the crates' public
+# API; type-check it (tests included) here, so a break of that surface fails
+# in seconds instead of at the release benchmark gate at the very end.
+echo "==> benchmark surface check"
+cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
+
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 

@@ -55,6 +55,14 @@ impl SafetyChecker {
         SafetyChecker::default()
     }
 
+    /// Creates a checker whose episode log has room for `episodes` entries.
+    pub fn with_capacity(episodes: usize) -> Self {
+        SafetyChecker {
+            episodes: Vec::with_capacity(episodes),
+            ..SafetyChecker::default()
+        }
+    }
+
     /// Records a critical-section entry.
     pub fn enter(&mut self, mh: MhId, requested_at: SimTime, now: SimTime, key: Option<u64>) {
         if self.holder.is_some() {

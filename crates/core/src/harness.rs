@@ -9,11 +9,10 @@
 use crate::algorithm::{AlgoCtx, Effect, HarnessTimer, MutexAlgorithm};
 use crate::checker::SafetyChecker;
 use mobidist_net::host::MhStatus;
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::obs::TraceEvent;
 use mobidist_net::proto::{Ctx, Protocol, Src};
 use mobidist_net::time::SimTime;
-use std::collections::BTreeMap;
 
 /// Closed-loop workload parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,8 +164,8 @@ pub struct MutexHarness<A: MutexAlgorithm> {
     wl: WorkloadConfig,
     /// Per-MH mean hold overrides from the workload's `hold_profile`
     /// (empty for uniform workloads).
-    hold_of: BTreeMap<MhId, u64>,
-    states: BTreeMap<MhId, ReqState>,
+    hold_of: IdMap<MhId, u64>,
+    states: IdMap<MhId, ReqState>,
     checker: SafetyChecker,
     effects: Vec<Effect>,
     issued: u64,
@@ -194,7 +193,7 @@ impl<A: MutexAlgorithm> MutexHarness<A> {
             })
             .collect();
         let hold_of = if wl.hold_profile.is_empty() {
-            BTreeMap::new()
+            IdMap::new()
         } else {
             wl.requesters
                 .iter()
@@ -202,12 +201,19 @@ impl<A: MutexAlgorithm> MutexHarness<A> {
                 .map(|(i, mh)| (*mh, wl.hold_mean_of(i)))
                 .collect()
         };
+        // Every completed request is one episode; reserving the log up front
+        // spares the run its regrowth copies (untouched pages cost nothing).
+        let episodes = wl
+            .requesters
+            .len()
+            .saturating_mul(wl.requests_per_mh)
+            .min(1 << 20);
         MutexHarness {
             algo,
             wl,
             hold_of,
             states,
-            checker: SafetyChecker::new(),
+            checker: SafetyChecker::with_capacity(episodes),
             effects: Vec::new(),
             issued: 0,
             completed: 0,

@@ -15,9 +15,9 @@
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
 use mobidist_clock::{LamportClock, Timestamp};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// L1 protocol messages (all MH→MH).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -46,7 +46,7 @@ struct Participant {
     /// The replicated request queue: totally ordered by timestamp.
     queue: BTreeSet<(Timestamp, MhId)>,
     /// Largest timestamp seen from each other participant.
-    last_seen: BTreeMap<MhId, Timestamp>,
+    last_seen: IdMap<MhId, Timestamp>,
     /// Own outstanding request, if any.
     own: Option<Timestamp>,
     granted: bool,
@@ -56,7 +56,7 @@ struct Participant {
 #[derive(Debug)]
 pub struct L1 {
     participants: Vec<MhId>,
-    state: BTreeMap<MhId, Participant>,
+    state: IdMap<MhId, Participant>,
 }
 
 impl L1 {
@@ -78,7 +78,7 @@ impl L1 {
                     Participant {
                         clock: LamportClock::new(mh.0),
                         queue: BTreeSet::new(),
-                        last_seen: BTreeMap::new(),
+                        last_seen: IdMap::new(),
                         own: None,
                         granted: false,
                     },
@@ -113,7 +113,7 @@ impl L1 {
         if p.granted {
             return;
         }
-        if p.queue.iter().next() != Some(&(own_ts, me)) {
+        if p.queue.first() != Some(&(own_ts, me)) {
             return;
         }
         let all_later = others
@@ -125,10 +125,12 @@ impl L1 {
             ctx.grant_with_key(me, key);
         }
     }
+}
 
-    fn note_seen(&mut self, me: MhId, from: MhId, ts: Timestamp) {
-        let p = self.state.get_mut(&me).expect("known participant");
-        let e = p.last_seen.entry(from).or_insert(ts);
+impl Participant {
+    /// Records `ts` as seen from `from` when it is the largest so far.
+    fn note_seen(&mut self, from: MhId, ts: Timestamp) {
+        let e = self.last_seen.get_or_insert_with(from, || ts);
         if ts > *e {
             *e = ts;
         }
@@ -177,38 +179,19 @@ impl MutexAlgorithm for L1 {
     fn on_mh_msg(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, at: MhId, src: Src, msg: L1Msg) {
         let from = src.as_mh().expect("L1 peers are MHs");
         let ts = msg.timestamp();
-        self.note_seen(at, from, ts);
-        {
-            let p = self.state.get_mut(&at).expect("known participant");
-            p.clock.witness(ts);
-        }
+        let p = self.state.get_mut(&at).expect("known participant");
+        p.note_seen(from, ts);
+        p.clock.witness(ts);
         match msg {
             L1Msg::Request(req_ts) => {
-                {
-                    let p = self.state.get_mut(&at).expect("known participant");
-                    p.queue.insert((req_ts, from));
-                }
-                let reply_ts = self
-                    .state
-                    .get_mut(&at)
-                    .expect("known participant")
-                    .clock
-                    .tick();
+                p.queue.insert((req_ts, from));
+                let reply_ts = p.clock.tick();
                 let _ = ctx.mh_send_to_mh(at, from, L1Msg::Reply(reply_ts));
             }
             L1Msg::Reply(_) => {}
             L1Msg::Release(_) => {
-                let p = self.state.get_mut(&at).expect("known participant");
                 // Remove the releaser's (unique) queued request.
-                let doomed: Vec<(Timestamp, MhId)> = p
-                    .queue
-                    .iter()
-                    .filter(|(_, who)| *who == from)
-                    .copied()
-                    .collect();
-                for d in doomed {
-                    p.queue.remove(&d);
-                }
+                p.queue.retain(|(_, who)| *who != from);
             }
         }
         self.try_grant(ctx, at);

@@ -22,9 +22,9 @@
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
 use mobidist_clock::{LamportClock, Timestamp};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// A queue entry: a request timestamped at its proxy on behalf of an MH.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -71,19 +71,20 @@ pub enum L2Msg {
 #[derive(Debug)]
 struct Station {
     clock: LamportClock,
+    /// The replicated Lamport request queue: its order *is* the algorithm.
     queue: BTreeSet<Entry>,
-    last_seen: BTreeMap<MssId, Timestamp>,
+    last_seen: IdMap<MssId, Timestamp>,
     /// Requests this MSS proxies, by MH, with grant status.
-    owned: BTreeMap<MhId, (Entry, bool)>,
+    owned: IdMap<MhId, (Entry, bool)>,
 }
 
 /// Lamport's algorithm at the MSS proxies. See the module docs.
 #[derive(Debug)]
 pub struct L2 {
-    stations: BTreeMap<MssId, Station>,
+    stations: IdMap<MssId, Station>,
     /// MHs that hold the CS but disconnected before releasing; they must
     /// reconnect to send `release-resource`.
-    pending_release: BTreeMap<MhId, MssId>,
+    pending_release: IdMap<MhId, MssId>,
 }
 
 impl L2 {
@@ -101,15 +102,15 @@ impl L2 {
                     Station {
                         clock: LamportClock::new(i),
                         queue: BTreeSet::new(),
-                        last_seen: BTreeMap::new(),
-                        owned: BTreeMap::new(),
+                        last_seen: IdMap::new(),
+                        owned: IdMap::new(),
                     },
                 )
             })
             .collect();
         L2 {
             stations,
-            pending_release: BTreeMap::new(),
+            pending_release: IdMap::new(),
         }
     }
 
@@ -118,79 +119,75 @@ impl L2 {
         self.stations[&mss].queue.len()
     }
 
-    fn note_seen(&mut self, me: MssId, from: MssId, ts: Timestamp) {
-        let s = self.stations.get_mut(&me).expect("known MSS");
-        let e = s.last_seen.entry(from).or_insert(ts);
+    fn station(&mut self, me: MssId) -> &mut Station {
+        self.stations.get_mut(&me).expect("known MSS")
+    }
+
+    /// The proxy whose grant `mh` holds: the first station, in ascending id
+    /// order, with a granted entry for `mh`.
+    fn granting_proxy(&self, mh: MhId) -> Option<MssId> {
+        self.stations
+            .iter()
+            .find_map(|(m, s)| s.owned.get(&mh).and_then(|(_, g)| g.then_some(m)))
+    }
+
+    /// Grant check for the head entry when `me` proxies it (Lamport's
+    /// condition over the MSS set).
+    fn try_grant(&mut self, ctx: &mut AlgoCtx<'_, '_, L2Msg, ()>, me: MssId) {
+        let m = ctx.num_mss();
+        let s = self.station(me);
+        let Some(head) = s.queue.first().copied() else {
+            return;
+        };
+        if head.proxy != me {
+            return;
+        }
+        let Some(&(entry, granted)) = s.owned.get(&head.mh) else {
+            return;
+        };
+        if granted || entry != head {
+            return;
+        }
+        let all_later = (0..m as u32)
+            .map(MssId)
+            .filter(|o| *o != me)
+            .all(|o| s.last_seen.get(&o).is_some_and(|t| *t > entry.ts));
+        if !all_later {
+            return;
+        }
+        s.owned.insert(head.mh, (entry, true));
+        // Locating the (possibly moved) initiator costs one search.
+        ctx.search_send(me, head.mh, L2Msg::GrantRequest { proxy: me });
+    }
+
+    /// Proxy-side release: withdraw the entry and broadcast `Release`.
+    fn proxy_release(&mut self, ctx: &mut AlgoCtx<'_, '_, L2Msg, ()>, proxy: MssId, mh: MhId) {
+        let s = self.station(proxy);
+        let Some((entry, _)) = s.owned.remove(&mh) else {
+            return;
+        };
+        s.queue.remove(&entry);
+        let ts = s.clock.tick();
+        ctx.broadcast_fixed(proxy, L2Msg::Release(ts, entry));
+        self.try_grant(ctx, proxy);
+    }
+}
+
+impl Station {
+    /// Records `ts` as seen from `from` when it is the largest so far.
+    fn note_seen(&mut self, from: MssId, ts: Timestamp) {
+        let e = self.last_seen.get_or_insert_with(from, || ts);
         if ts > *e {
             *e = ts;
         }
     }
 
-    /// Grant check for every entry proxied by `me` (Lamport's condition over
-    /// the MSS set).
-    fn try_grant(&mut self, ctx: &mut AlgoCtx<'_, '_, L2Msg, ()>, me: MssId) {
-        let m = ctx.num_mss();
-        let grants: Vec<(MhId, Entry)> = {
-            let s = self.stations.get_mut(&me).expect("known MSS");
-            let Some(head) = s.queue.iter().next().copied() else {
-                return;
-            };
-            if head.proxy != me {
-                return;
-            }
-            let Some((entry, granted)) = s.owned.get(&head.mh).copied() else {
-                return;
-            };
-            if granted || entry != head {
-                return;
-            }
-            let all_later = (0..m as u32)
-                .map(MssId)
-                .filter(|o| *o != me)
-                .all(|o| s.last_seen.get(&o).is_some_and(|t| *t > entry.ts));
-            if !all_later {
-                return;
-            }
-            s.owned.insert(head.mh, (entry, true));
-            vec![(head.mh, entry)]
-        };
-        for (mh, entry) in grants {
-            // Locating the (possibly moved) initiator costs one search.
-            ctx.search_send(me, mh, L2Msg::GrantRequest { proxy: me });
-            let _ = entry;
-        }
-    }
-
-    /// Removes an entry everywhere it is queued at `me`.
+    /// Removes `entry` from the queue, and from `owned` when `me` proxies it.
     fn drop_entry(&mut self, me: MssId, entry: Entry) {
-        let s = self.stations.get_mut(&me).expect("known MSS");
-        s.queue.remove(&entry);
+        self.queue.remove(&entry);
         if entry.proxy == me {
-            s.owned.remove(&entry.mh);
+            self.owned.remove(&entry.mh);
         }
-    }
-
-    /// Proxy-side release: withdraw the entry and broadcast `Release`.
-    fn proxy_release(&mut self, ctx: &mut AlgoCtx<'_, '_, L2Msg, ()>, proxy: MssId, mh: MhId) {
-        let Some((entry, _)) = self
-            .stations
-            .get_mut(&proxy)
-            .expect("known MSS")
-            .owned
-            .get(&mh)
-            .copied()
-        else {
-            return;
-        };
-        self.drop_entry(proxy, entry);
-        let ts = self
-            .stations
-            .get_mut(&proxy)
-            .expect("known MSS")
-            .clock
-            .tick();
-        ctx.broadcast_fixed(proxy, L2Msg::Release(ts, entry));
-        self.try_grant(ctx, proxy);
     }
 }
 
@@ -208,11 +205,9 @@ impl MutexAlgorithm for L2 {
     }
 
     fn release(&mut self, ctx: &mut AlgoCtx<'_, '_, L2Msg, ()>, mh: MhId) {
-        let proxy = self
-            .stations
-            .iter()
-            .find_map(|(m, s)| s.owned.get(&mh).and_then(|(_, g)| g.then_some(*m)));
-        let Some(proxy) = proxy else { return };
+        let Some(proxy) = self.granting_proxy(mh) else {
+            return;
+        };
         match ctx.send_wireless_up(mh, L2Msg::ReleaseResource { proxy, mh }) {
             Ok(()) => {}
             Err(_) => {
@@ -234,46 +229,36 @@ impl MutexAlgorithm for L2 {
             L2Msg::Init => {
                 let mh = src.as_mh().expect("init arrives on the uplink");
                 // Timestamp the request on behalf of the MH.
-                let ts = self.stations.get_mut(&at).expect("known MSS").clock.tick();
+                let s = self.station(at);
+                let ts = s.clock.tick();
                 let entry = Entry { ts, proxy: at, mh };
-                {
-                    let s = self.stations.get_mut(&at).expect("known MSS");
-                    s.queue.insert(entry);
-                    s.owned.insert(mh, (entry, false));
-                }
+                s.queue.insert(entry);
+                s.owned.insert(mh, (entry, false));
                 ctx.broadcast_fixed(at, L2Msg::Request(entry));
                 self.try_grant(ctx, at);
             }
             L2Msg::Request(entry) => {
                 let from = src.as_mss().expect("requests travel MSS to MSS");
-                self.note_seen(at, from, entry.ts);
-                {
-                    let s = self.stations.get_mut(&at).expect("known MSS");
-                    s.clock.witness(entry.ts);
-                    s.queue.insert(entry);
-                }
-                let reply_ts = self.stations.get_mut(&at).expect("known MSS").clock.tick();
+                let s = self.station(at);
+                s.note_seen(from, entry.ts);
+                s.clock.witness(entry.ts);
+                s.queue.insert(entry);
+                let reply_ts = s.clock.tick();
                 ctx.send_fixed(at, from, L2Msg::Reply(reply_ts));
             }
             L2Msg::Reply(ts) => {
                 let from = src.as_mss().expect("replies travel MSS to MSS");
-                self.note_seen(at, from, ts);
-                self.stations
-                    .get_mut(&at)
-                    .expect("known MSS")
-                    .clock
-                    .witness(ts);
+                let s = self.station(at);
+                s.note_seen(from, ts);
+                s.clock.witness(ts);
                 self.try_grant(ctx, at);
             }
             L2Msg::Release(ts, entry) => {
                 let from = src.as_mss().expect("releases travel MSS to MSS");
-                self.note_seen(at, from, ts);
-                self.stations
-                    .get_mut(&at)
-                    .expect("known MSS")
-                    .clock
-                    .witness(ts);
-                self.drop_entry(at, entry);
+                let s = self.station(at);
+                s.note_seen(from, ts);
+                s.clock.witness(ts);
+                s.drop_entry(at, entry);
                 self.try_grant(ctx, at);
             }
             L2Msg::ReleaseResource { proxy, mh } => {
@@ -363,6 +348,31 @@ mod tests {
             assert_eq!(l2.queue_len(MssId(i)), 0);
         }
         assert_eq!(l2.name(), "L2");
+    }
+
+    #[test]
+    fn release_goes_to_the_first_granted_proxy_in_ascending_mss_order() {
+        let mut l2 = L2::new(4);
+        let mh = MhId(5);
+        let own = |l2: &mut L2, at: u32, granted: bool| {
+            let entry = Entry {
+                ts: Timestamp::new(9 - u64::from(at), at),
+                proxy: MssId(at),
+                mh,
+            };
+            l2.station(MssId(at)).owned.insert(mh, (entry, granted));
+        };
+        assert_eq!(l2.granting_proxy(mh), None);
+        // An ungranted entry at a lower id is passed over.
+        own(&mut l2, 0, false);
+        assert_eq!(l2.granting_proxy(mh), None);
+        // Two stations hold a granted entry for the same MH: the lower id
+        // wins, whichever was inserted first or carries the older timestamp.
+        own(&mut l2, 3, true);
+        assert_eq!(l2.granting_proxy(mh), Some(MssId(3)));
+        own(&mut l2, 1, true);
+        assert_eq!(l2.granting_proxy(mh), Some(MssId(1)));
+        assert_eq!(l2.granting_proxy(MhId(6)), None, "other MHs hold nothing");
     }
 
     #[test]

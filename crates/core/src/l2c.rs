@@ -48,10 +48,10 @@
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
 use mobidist_clock::{LamportClock, Timestamp};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::obs::TraceEvent;
 use mobidist_net::proto::Src;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// A *combined* queue entry: one Lamport request standing for every
 /// operation its proxy collected before the grant.
@@ -98,8 +98,9 @@ struct Batch {
 #[derive(Debug)]
 struct Station {
     clock: LamportClock,
+    /// The replicated Lamport request queue: its order *is* the algorithm.
     queue: BTreeSet<CEntry>,
-    last_seen: BTreeMap<MssId, Timestamp>,
+    last_seen: IdMap<MssId, Timestamp>,
     /// Operations collected but not yet drained into a batch.
     pending: VecDeque<MhId>,
     /// My outstanding combined request, if any (at most one).
@@ -111,9 +112,9 @@ struct Station {
 /// Flat-combining L2 at the MSS proxies. See the module docs.
 #[derive(Debug)]
 pub struct L2c {
-    stations: BTreeMap<MssId, Station>,
+    stations: IdMap<MssId, Station>,
     /// MH currently inside the critical section → its combiner.
-    server_of: BTreeMap<MhId, MssId>,
+    server_of: IdMap<MhId, MssId>,
     /// Largest batch one grant may serve (`None` = unbounded). See
     /// [`Self::with_batch_cap`].
     batch_cap: Option<u32>,
@@ -142,7 +143,7 @@ impl L2c {
                     Station {
                         clock: LamportClock::new(i),
                         queue: BTreeSet::new(),
-                        last_seen: BTreeMap::new(),
+                        last_seen: IdMap::new(),
                         pending: VecDeque::new(),
                         mine: None,
                         batch: None,
@@ -152,7 +153,7 @@ impl L2c {
             .collect();
         L2c {
             stations,
-            server_of: BTreeMap::new(),
+            server_of: IdMap::new(),
             batch_cap: None,
         }
     }
@@ -186,13 +187,6 @@ impl L2c {
         self.stations.get_mut(&me).expect("known MSS")
     }
 
-    fn note_seen(&mut self, me: MssId, from: MssId, ts: Timestamp) {
-        let e = self.station(me).last_seen.entry(from).or_insert(ts);
-        if ts > *e {
-            *e = ts;
-        }
-    }
-
     /// Opens a combined request covering everything in `pending`.
     fn open_request(&mut self, ctx: &mut AlgoCtx<'_, '_, L2cMsg, ()>, me: MssId) {
         let s = self.station(me);
@@ -214,7 +208,7 @@ impl L2c {
             if s.batch.is_some() {
                 return;
             }
-            let Some(head) = s.queue.iter().next().copied() else {
+            let Some(head) = s.queue.first().copied() else {
                 return;
             };
             if head.proxy != me || s.mine != Some(head) {
@@ -298,10 +292,20 @@ impl L2c {
         s.queue.remove(&batch.entry);
         let ts = s.clock.tick();
         ctx.broadcast_fixed(me, L2cMsg::Release(ts, batch.entry));
-        if !self.station(me).pending.is_empty() {
+        if !s.pending.is_empty() {
             self.open_request(ctx, me);
         }
         self.try_grant(ctx, me);
+    }
+}
+
+impl Station {
+    /// Records `ts` as seen from `from` when it is the largest so far.
+    fn note_seen(&mut self, from: MssId, ts: Timestamp) {
+        let e = self.last_seen.get_or_insert_with(from, || ts);
+        if ts > *e {
+            *e = ts;
+        }
     }
 }
 
@@ -353,23 +357,24 @@ impl MutexAlgorithm for L2c {
             }
             L2cMsg::Request(entry) => {
                 let from = src.as_mss().expect("requests travel MSS to MSS");
-                self.note_seen(at, from, entry.ts);
                 let s = self.station(at);
+                s.note_seen(from, entry.ts);
                 s.clock.witness(entry.ts);
                 s.queue.insert(entry);
-                let reply_ts = self.station(at).clock.tick();
+                let reply_ts = s.clock.tick();
                 ctx.send_fixed(at, from, L2cMsg::Reply(reply_ts));
             }
             L2cMsg::Reply(ts) => {
                 let from = src.as_mss().expect("replies travel MSS to MSS");
-                self.note_seen(at, from, ts);
-                self.station(at).clock.witness(ts);
+                let s = self.station(at);
+                s.note_seen(from, ts);
+                s.clock.witness(ts);
                 self.try_grant(ctx, at);
             }
             L2cMsg::Release(ts, entry) => {
                 let from = src.as_mss().expect("releases travel MSS to MSS");
-                self.note_seen(at, from, ts);
                 let s = self.station(at);
+                s.note_seen(from, ts);
                 s.clock.witness(ts);
                 s.queue.remove(&entry);
                 self.try_grant(ctx, at);

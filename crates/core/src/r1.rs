@@ -16,9 +16,9 @@
 //! each exposing its cost.
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::host::HostSet;
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::BTreeMap;
 
 /// What R1 does when the next token holder is disconnected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -55,8 +55,9 @@ pub enum R1Timer {
 #[derive(Debug)]
 pub struct R1 {
     ring: Vec<MhId>,
-    pos: BTreeMap<MhId, usize>,
-    wants: BTreeMap<MhId, bool>,
+    pos: IdMap<MhId, usize>,
+    /// Ring members with an unserved request.
+    wants: HostSet,
     /// MH currently holding (relaying or using) the token.
     holder: Option<MhId>,
     /// Holder is inside the critical section.
@@ -82,11 +83,10 @@ impl R1 {
     pub fn new(ring: Vec<MhId>, policy: R1DisconnectPolicy) -> Self {
         assert!(!ring.is_empty(), "R1 needs at least one MH in the ring");
         let pos = ring.iter().enumerate().map(|(i, mh)| (*mh, i)).collect();
-        let wants = ring.iter().map(|mh| (*mh, false)).collect();
         R1 {
             ring,
             pos,
-            wants,
+            wants: HostSet::new(),
             holder: None,
             in_cs: false,
             policy,
@@ -145,8 +145,7 @@ impl R1 {
         if self.pos[&at] == 0 {
             self.traversals += 1;
         }
-        if self.wants[&at] {
-            self.wants.insert(at, false);
+        if self.wants.remove(&at) {
             self.in_cs = true;
             ctx.grant(at);
             // The token parks here until the harness calls release().
@@ -171,11 +170,11 @@ impl MutexAlgorithm for R1 {
     }
 
     fn request(&mut self, ctx: &mut AlgoCtx<'_, '_, R1Msg, R1Timer>, mh: MhId) {
-        self.wants.insert(mh, true);
+        self.wants.insert(mh);
         // Only in a single-member ring can the token be parked at an idle
         // MH; enter immediately in that case.
         if self.holder == Some(mh) && !self.in_cs {
-            self.wants.insert(mh, false);
+            self.wants.remove(&mh);
             self.in_cs = true;
             ctx.grant(mh);
         }

@@ -28,9 +28,10 @@
 //!   is absent from the list. Immune to malicious under-reporting.
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::host::HostSet;
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 /// Admission guard selecting the R2 variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -99,14 +100,14 @@ pub struct R2 {
     stations: Vec<Station>,
     token: TokenState,
     /// True access count per MH (what an honest MH reports).
-    access_count: BTreeMap<MhId, u64>,
+    access_count: IdMap<MhId, u64>,
     /// MHs that always report an access count of 0 (malice injection).
-    liars: BTreeSet<MhId>,
+    liars: HostSet,
     /// Granting MSS for each MH currently holding the token.
-    holding: BTreeMap<MhId, MssId>,
+    holding: IdMap<MhId, MssId>,
     /// MHs that disconnected while holding; they return the token on
     /// reconnection.
-    pending_return: BTreeMap<MhId, MssId>,
+    pending_return: IdMap<MhId, MssId>,
     /// `(traversal, mh)` for every completed service.
     grant_log: Vec<(u64, MhId)>,
     /// `(serving MSS, mh)` for every completed service.
@@ -135,10 +136,10 @@ impl R2 {
                 val: 1,
                 list: Vec::new(),
             },
-            access_count: BTreeMap::new(),
-            liars: BTreeSet::new(),
-            holding: BTreeMap::new(),
-            pending_return: BTreeMap::new(),
+            access_count: IdMap::new(),
+            liars: HostSet::new(),
+            holding: IdMap::new(),
+            pending_return: IdMap::new(),
             grant_log: Vec::new(),
             service_log: Vec::new(),
             request_handoff: false,

@@ -16,7 +16,7 @@
 //! (counted) search, or drop the copy.
 
 use crate::strategy::{GroupCtx, LocationStrategy};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
 use std::collections::BTreeMap;
 
@@ -79,7 +79,7 @@ pub enum AiPayload {
 pub struct AlwaysInform {
     members: Vec<MhId>,
     /// Per-member location directory: `ld[h]` is h's copy of LD(G).
-    ld: BTreeMap<MhId, BTreeMap<MhId, MssId>>,
+    ld: IdMap<MhId, IdMap<MhId, MssId>>,
     stale: StalePolicy,
 }
 
@@ -102,7 +102,7 @@ impl AlwaysInform {
         assert!(!members.is_empty(), "a group needs members");
         AlwaysInform {
             members,
-            ld: BTreeMap::new(),
+            ld: IdMap::new(),
             stale,
         }
     }
@@ -113,15 +113,15 @@ impl AlwaysInform {
     }
 
     /// Sends `inner` from `from` to every other member per the directory.
-    fn fan_out(&mut self, ctx: &mut GroupCtx<'_, '_, AiMsg, ()>, from: MhId, inner: AiPayload) {
-        let dir = self.ld.get(&from).cloned().unwrap_or_default();
-        for m in self.members.clone() {
+    fn fan_out(&self, ctx: &mut GroupCtx<'_, '_, AiMsg, ()>, from: MhId, inner: AiPayload) {
+        let dir = self.ld.get(&from);
+        for &m in &self.members {
             if m == from {
                 continue;
             }
             // The paper charges 2·C_w + C_f per member copy: a wireless
             // uplink per copy, one fixed hop, one wireless downlink.
-            let dest_mss = dir.get(&m).copied().unwrap_or(MssId(0));
+            let dest_mss = dir.and_then(|d| d.get(&m)).copied().unwrap_or(MssId(0));
             let _ = ctx.send_wireless_up(
                 from,
                 AiMsg::Route {
@@ -148,6 +148,7 @@ impl LocationStrategy for AlwaysInform {
         placement: &BTreeMap<MhId, MssId>,
     ) {
         // Bootstrap: every member knows the initial location of every other.
+        let placement: IdMap<MhId, MssId> = placement.iter().map(|(m, c)| (*m, *c)).collect();
         for owner in &self.members {
             self.ld.insert(*owner, placement.clone());
         }
@@ -170,7 +171,7 @@ impl LocationStrategy for AlwaysInform {
         _prev: Option<MssId>,
     ) {
         // Update own directory entry, then inform every member.
-        self.ld.entry(mh).or_default().insert(mh, mss);
+        self.ld.get_or_insert_with(mh, IdMap::new).insert(mh, mss);
         ctx.bump("ai_location_updates");
         self.fan_out(
             ctx,
@@ -189,7 +190,7 @@ impl LocationStrategy for AlwaysInform {
         mss: MssId,
         _prev: Option<MssId>,
     ) {
-        self.ld.entry(mh).or_default().insert(mh, mss);
+        self.ld.get_or_insert_with(mh, IdMap::new).insert(mh, mss);
         ctx.bump("ai_location_updates");
         self.fan_out(
             ctx,
@@ -242,7 +243,9 @@ impl LocationStrategy for AlwaysInform {
         match inner {
             AiPayload::Group { msg_id } => ctx.deliver(at, msg_id),
             AiPayload::LocationUpdate { who, now_at } => {
-                self.ld.entry(at).or_default().insert(who, now_at);
+                self.ld
+                    .get_or_insert_with(at, IdMap::new)
+                    .insert(who, now_at);
             }
         }
     }

@@ -22,9 +22,10 @@
 //! E11 quantifies the trade.
 
 use crate::strategy::{GroupCtx, LocationStrategy};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::host::HostSet;
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Exactly-once protocol messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,7 +63,7 @@ pub enum EoMsg {
 /// The exactly-once strategy. See the module docs.
 #[derive(Debug)]
 pub struct ExactlyOnce {
-    members: BTreeSet<MhId>,
+    members: HostSet,
     sequencer: MssId,
     /// Next sequence number the sequencer will assign.
     next_seq: u64,
@@ -70,12 +71,12 @@ pub struct ExactlyOnce {
     log: Vec<(u64, MhId)>, // (msg_id, sender)
     /// Highest sequence number each MSS has received (exclusive bound:
     /// the MSS holds seqs `0..high[mss]`).
-    high: BTreeMap<MssId, u64>,
+    high: IdMap<MssId, u64>,
     /// Per-member delivery cursor: next seq to hand to the member.
-    cursor: BTreeMap<MhId, u64>,
+    cursor: IdMap<MhId, u64>,
     /// Copies sent on the member's current downlink but not yet confirmed
     /// received (rolled back wholesale on leave).
-    pending: BTreeMap<MhId, Vec<u64>>,
+    pending: IdMap<MhId, Vec<u64>>,
     /// Retransmissions performed after moves.
     retransmissions: u64,
 }
@@ -94,9 +95,9 @@ impl ExactlyOnce {
             sequencer,
             next_seq: 0,
             log: Vec::new(),
-            high: BTreeMap::new(),
+            high: IdMap::new(),
             cursor,
-            pending: BTreeMap::new(),
+            pending: IdMap::new(),
             retransmissions: 0,
         }
     }
@@ -127,7 +128,7 @@ impl ExactlyOnce {
                 .send_wireless_down(mss, mh, EoMsg::Deliver { seq, msg_id })
                 .is_ok()
             {
-                self.pending.entry(mh).or_default().push(seq);
+                self.pending.get_or_insert_with(mh, Vec::new).push(seq);
             }
         }
     }
@@ -187,7 +188,6 @@ impl LocationStrategy for ExactlyOnce {
                         let locals: Vec<MhId> = self
                             .members
                             .iter()
-                            .copied()
                             .filter(|m| ctx.is_local(at, *m))
                             .collect();
                         for mh in locals {
@@ -212,7 +212,6 @@ impl LocationStrategy for ExactlyOnce {
                 let locals: Vec<MhId> = self
                     .members
                     .iter()
-                    .copied()
                     .filter(|m| ctx.is_local(at, *m))
                     .collect();
                 for mh in locals {

@@ -21,9 +21,10 @@
 //! only on the significant fraction `f` of the mobility-to-message ratio.
 
 use crate::strategy::{GroupCtx, LocationStrategy};
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::host::HostSet;
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// Location-view protocol messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -90,16 +91,16 @@ pub enum LvMsg {
 /// The location-view strategy. See the module docs.
 #[derive(Debug)]
 pub struct LocationView {
-    members: BTreeSet<MhId>,
+    members: HostSet,
     coordinator: MssId,
     /// The coordinator's master copy of LV(G).
-    master: BTreeSet<MssId>,
+    master: HostSet<MssId>,
     /// Per-MSS copies of LV(G) (present only at view members… and the
     /// coordinator, which always tracks the master).
-    copies: BTreeMap<MssId, BTreeSet<MssId>>,
+    copies: IdMap<MssId, HostSet<MssId>>,
     /// Group members local to each cell (strategy-side bookkeeping fed by
     /// the join/leave hooks — the MSS "list of local MHs that belong to G").
-    local_members: BTreeMap<MssId, BTreeSet<MhId>>,
+    local_members: IdMap<MssId, HostSet>,
     /// Largest view size observed.
     max_view: usize,
     /// Significant moves (view actually changed).
@@ -125,9 +126,9 @@ impl LocationView {
         LocationView {
             members: members.into_iter().collect(),
             coordinator,
-            master: BTreeSet::new(),
-            copies: BTreeMap::new(),
-            local_members: BTreeMap::new(),
+            master: HostSet::new(),
+            copies: IdMap::new(),
+            local_members: IdMap::new(),
             max_view: 0,
             significant: 0,
             moves: 0,
@@ -145,7 +146,7 @@ impl LocationView {
     }
 
     /// Current master view (coordinator's copy).
-    pub fn view(&self) -> &BTreeSet<MssId> {
+    pub fn view(&self) -> &HostSet<MssId> {
         &self.master
     }
 
@@ -185,22 +186,22 @@ impl LocationView {
     /// True when every view copy matches the master and the master matches
     /// the cells that actually host members. Only meaningful at quiescence.
     pub fn is_consistent(&self) -> bool {
-        let occupied: BTreeSet<MssId> = self
+        let occupied: HostSet<MssId> = self
             .local_members
             .iter()
             .filter(|(_, ms)| !ms.is_empty())
-            .map(|(m, _)| *m)
+            .map(|(m, _)| m)
             .collect();
         if occupied != self.master {
             return false;
         }
         self.master
             .iter()
-            .all(|m| self.copies.get(m).is_some_and(|c| *c == self.master))
+            .all(|m| self.copies.get(&m).is_some_and(|c| *c == self.master))
     }
 
     fn deliver_local(
-        &mut self,
+        &self,
         ctx: &mut GroupCtx<'_, '_, LvMsg, ()>,
         at: MssId,
         msg_id: u64,
@@ -212,12 +213,7 @@ impl LocationView {
             ctx.broadcast_cell(at, LvMsg::GroupDeliver { msg_id });
             return;
         }
-        let locals: Vec<MhId> = self
-            .local_members
-            .get(&at)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default();
-        for mh in locals {
+        for mh in self.local_members.get(&at).into_iter().flatten() {
             if mh != sender {
                 let _ = ctx.send_wireless_down(at, mh, LvMsg::GroupDeliver { msg_id });
             }
@@ -225,18 +221,13 @@ impl LocationView {
     }
 
     fn fan_out(
-        &mut self,
+        &self,
         ctx: &mut GroupCtx<'_, '_, LvMsg, ()>,
         from_mss: MssId,
         msg_id: u64,
         sender: MhId,
     ) {
-        let view: Vec<MssId> = self
-            .copies
-            .get(&from_mss)
-            .map(|c| c.iter().copied().collect())
-            .unwrap_or_default();
-        for mss in view {
+        for mss in self.copies.get(&from_mss).into_iter().flatten() {
             if mss == from_mss {
                 self.deliver_local(ctx, mss, msg_id, sender);
             } else {
@@ -262,8 +253,7 @@ impl LocationView {
                 });
                 // Incremental update to current members, full copy to the
                 // newcomer.
-                let current: Vec<MssId> = self.master.iter().copied().collect();
-                for m in current {
+                for m in &self.master {
                     if m != a {
                         ctx.send_fixed(at, m, LvMsg::ViewAdd { mss: a });
                         ctx.bump("lv_update_msgs");
@@ -274,7 +264,7 @@ impl LocationView {
                     at,
                     a,
                     LvMsg::ViewCopy {
-                        view: self.master.iter().copied().collect(),
+                        view: self.master.iter().collect(),
                     },
                 );
                 ctx.bump("lv_update_msgs");
@@ -290,8 +280,7 @@ impl LocationView {
                     added: false,
                 });
                 self.master.remove(&d);
-                let all: Vec<MssId> = self.master.iter().copied().chain([d]).collect();
-                for m in all {
+                for m in self.master.iter().chain([d]) {
                     ctx.send_fixed(at, m, LvMsg::ViewDel { mss: d });
                     ctx.bump("lv_update_msgs");
                 }
@@ -312,7 +301,9 @@ impl LocationView {
         prev: Option<MssId>,
     ) {
         self.moves += 1;
-        self.local_members.entry(mss).or_default().insert(mh);
+        self.local_members
+            .get_or_insert_with(mss, HostSet::new)
+            .insert(mh);
         match prev {
             Some(p) if p != mss => {
                 // Paper protocol: M asks M' to notify the coordinator.
@@ -354,10 +345,12 @@ impl LocationStrategy for LocationView {
     ) {
         // Bootstrap: the initial view is distributed out of band.
         for (mh, mss) in placement {
-            self.local_members.entry(*mss).or_default().insert(*mh);
+            self.local_members
+                .get_or_insert_with(*mss, HostSet::new)
+                .insert(*mh);
             self.master.insert(*mss);
         }
-        for mss in self.master.clone() {
+        for mss in &self.master {
             self.copies.insert(mss, self.master.clone());
         }
         self.copies.insert(self.coordinator, self.master.clone());
@@ -406,9 +399,9 @@ impl LocationStrategy for LocationView {
                 sender,
                 origin,
             } => {
-                let targets: BTreeSet<MssId> =
-                    self.master.iter().copied().chain([origin]).collect();
-                for mss in targets {
+                let mut targets = self.master.clone();
+                targets.insert(origin);
+                for mss in &targets {
                     if mss == at {
                         self.deliver_local(ctx, at, msg_id, sender);
                     } else {

@@ -9,12 +9,12 @@
 
 use mobidist_net::config::NetworkConfig;
 use mobidist_net::error::NetError;
-use mobidist_net::host::MhStatus;
-use mobidist_net::ids::{GroupId, MhId, MssId};
+use mobidist_net::host::{HostSet, MhStatus};
+use mobidist_net::ids::{GroupId, IdMap, MhId, MssId};
 use mobidist_net::proto::{Ctx, Protocol, Src};
 use mobidist_net::rng::SimRng;
 use mobidist_net::time::SimTime;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 /// Timer payload of the group harness.
@@ -356,17 +356,16 @@ impl GroupReport {
 ///
 /// ```
 /// use mobidist_group::strategy::sequences_consistent;
-/// use mobidist_net::ids::MhId;
-/// use std::collections::BTreeMap;
+/// use mobidist_net::ids::{IdMap, MhId};
 ///
-/// let mut seqs = BTreeMap::new();
+/// let mut seqs = IdMap::new();
 /// seqs.insert(MhId(0), vec![1, 2, 3]);
 /// seqs.insert(MhId(1), vec![2, 3]); // a subsequence: fine
 /// assert!(sequences_consistent(&seqs));
 /// seqs.insert(MhId(2), vec![3, 2]); // contradicts the others
 /// assert!(!sequences_consistent(&seqs));
 /// ```
-pub fn sequences_consistent(seqs: &BTreeMap<MhId, Vec<u64>>) -> bool {
+pub fn sequences_consistent(seqs: &IdMap<MhId, Vec<u64>>) -> bool {
     // rank[m][msg] = position of msg in m's sequence.
     let ranks: Vec<BTreeMap<u64, usize>> = seqs
         .values()
@@ -394,14 +393,14 @@ pub fn sequences_consistent(seqs: &BTreeMap<MhId, Vec<u64>>) -> bool {
 pub struct GroupHarness<S: LocationStrategy> {
     strategy: S,
     wl: GroupWorkload,
-    member_set: BTreeSet<MhId>,
+    member_set: HostSet,
     deliveries: Vec<Delivery>,
     /// msg_id → expected recipients at send time.
-    expected: BTreeMap<u64, BTreeSet<MhId>>,
+    expected: BTreeMap<u64, HostSet>,
     /// msg_id → actual recipients (with duplicate count).
-    received: BTreeMap<u64, BTreeMap<MhId, u64>>,
+    received: BTreeMap<u64, IdMap<MhId, u64>>,
     /// Per-member delivery order (first deliveries only).
-    sequences: BTreeMap<MhId, Vec<u64>>,
+    sequences: IdMap<MhId, Vec<u64>>,
     next_msg: u64,
     member_moves: u64,
     sender_cursor: usize,
@@ -418,7 +417,7 @@ impl<S: LocationStrategy> GroupHarness<S> {
             deliveries: Vec::new(),
             expected: BTreeMap::new(),
             received: BTreeMap::new(),
-            sequences: BTreeMap::new(),
+            sequences: IdMap::new(),
             next_msg: 0,
             member_moves: 0,
             sender_cursor: 0,
@@ -426,7 +425,7 @@ impl<S: LocationStrategy> GroupHarness<S> {
     }
 
     /// Per-member delivery sequences (first delivery of each message).
-    pub fn delivery_sequences(&self) -> &BTreeMap<MhId, Vec<u64>> {
+    pub fn delivery_sequences(&self) -> &IdMap<MhId, Vec<u64>> {
         &self.sequences
     }
 
@@ -457,7 +456,7 @@ impl<S: LocationStrategy> GroupHarness<S> {
             let got = self.received.get(msg);
             expected_total += exp.len() as u64;
             for m in exp {
-                match got.and_then(|g| g.get(m)) {
+                match got.and_then(|g| g.get(&m)) {
                     None => missed += 1,
                     Some(n) => {
                         delivered += 1;
@@ -466,8 +465,8 @@ impl<S: LocationStrategy> GroupHarness<S> {
                 }
             }
             if let Some(g) = got {
-                for (m, n) in g {
-                    if !exp.contains(m) {
+                for (m, n) in g.iter() {
+                    if !exp.contains(&m) {
                         unexpected += n;
                     }
                 }
@@ -490,11 +489,12 @@ impl<S: LocationStrategy> GroupHarness<S> {
                 .received
                 .entry(d.msg_id)
                 .or_default()
-                .entry(d.to)
-                .or_insert(0);
+                .get_or_insert_with(d.to, || 0);
             *count += 1;
             if *count == 1 {
-                self.sequences.entry(d.to).or_default().push(d.msg_id);
+                self.sequences
+                    .get_or_insert_with(d.to, Vec::new)
+                    .push(d.msg_id);
             }
         }
     }
@@ -562,7 +562,7 @@ impl<S: LocationStrategy> Protocol for GroupHarness<S> {
                 // Expected recipients: connected members at send time,
                 // excluding the sender (the paper's accounting footnote
                 // disregards in-transit moves; we *count* them as misses).
-                let exp: BTreeSet<MhId> = self
+                let exp: HostSet = self
                     .wl
                     .members
                     .iter()

@@ -4,8 +4,10 @@
 //! flags required by the model: when an MH disconnects, its last MSS marks it
 //! so that a later search can be answered with the disconnected status.
 
-use crate::ids::{MhId, MssId};
-use std::collections::VecDeque;
+use crate::ids::{DenseId, MhId, MssId};
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
+use std::marker::PhantomData;
 
 /// An uplink message buffered while its sender is between cells.
 #[derive(Debug, Clone)]
@@ -103,27 +105,39 @@ impl<M> MhState<M> {
     }
 }
 
-/// A set of MH ids, stored as a bitmap.
+/// A set of dense ids (MH ids unless said otherwise), stored as a bitmap.
 ///
-/// MH ids are small dense integers, so membership tests and the
+/// Ids are small dense integers, so membership tests and the
 /// every-broadcast iteration the kernel performs are word operations instead
 /// of `BTreeSet` pointer chases. Iteration order is ascending id — the same
 /// deterministic order the tree set gave, so event ordering is unaffected.
-#[derive(Debug, Clone, Default)]
-pub struct HostSet {
+/// [`IdMap`](crate::ids::IdMap) is the map counterpart.
+#[derive(Clone)]
+pub struct HostSet<K = MhId> {
     words: Vec<u64>,
     len: usize,
+    _key: PhantomData<K>,
 }
 
-impl HostSet {
+impl<K> Default for HostSet<K> {
+    fn default() -> Self {
+        HostSet {
+            words: Vec::new(),
+            len: 0,
+            _key: PhantomData,
+        }
+    }
+}
+
+impl<K: DenseId> HostSet<K> {
     /// Creates an empty set.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Adds `mh`; returns `true` when it was not already present.
-    pub fn insert(&mut self, mh: MhId) -> bool {
-        let (w, b) = (mh.index() / 64, mh.index() % 64);
+    /// Adds `id`; returns `true` when it was not already present.
+    pub fn insert(&mut self, id: K) -> bool {
+        let (w, b) = (id.index() / 64, id.index() % 64);
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
         }
@@ -133,9 +147,9 @@ impl HostSet {
         fresh
     }
 
-    /// Removes `mh`; returns `true` when it was present.
-    pub fn remove(&mut self, mh: &MhId) -> bool {
-        let (w, b) = (mh.index() / 64, mh.index() % 64);
+    /// Removes `id`; returns `true` when it was present.
+    pub fn remove(&mut self, id: &K) -> bool {
+        let (w, b) = (id.index() / 64, id.index() % 64);
         match self.words.get_mut(w) {
             Some(word) if *word & (1u64 << b) != 0 => {
                 *word &= !(1u64 << b);
@@ -146,11 +160,11 @@ impl HostSet {
         }
     }
 
-    /// True when `mh` is a member.
-    pub fn contains(&self, mh: &MhId) -> bool {
+    /// True when `id` is a member.
+    pub fn contains(&self, id: &K) -> bool {
         self.words
-            .get(mh.index() / 64)
-            .is_some_and(|w| w & (1u64 << (mh.index() % 64)) != 0)
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1u64 << (id.index() % 64)) != 0)
     }
 
     /// Number of members.
@@ -158,7 +172,7 @@ impl HostSet {
         self.len
     }
 
-    /// True when no MH is a member.
+    /// True when the set has no member.
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -170,35 +184,72 @@ impl HostSet {
     }
 
     /// Iterates members in ascending id order.
-    pub fn iter(&self) -> HostSetIter<'_> {
+    pub fn iter(&self) -> HostSetIter<'_, K> {
         HostSetIter {
             words: &self.words,
             word_idx: 0,
             bits: self.words.first().copied().unwrap_or(0),
+            _key: PhantomData,
         }
     }
 }
 
-impl<'a> IntoIterator for &'a HostSet {
-    type Item = MhId;
-    type IntoIter = HostSetIter<'a>;
-    fn into_iter(self) -> HostSetIter<'a> {
+impl<'a, K: DenseId> IntoIterator for &'a HostSet<K> {
+    type Item = K;
+    type IntoIter = HostSetIter<'a, K>;
+    fn into_iter(self) -> HostSetIter<'a, K> {
         self.iter()
+    }
+}
+
+impl<K: DenseId> FromIterator<K> for HostSet<K> {
+    fn from_iter<I: IntoIterator<Item = K>>(iter: I) -> Self {
+        let mut set = HostSet::new();
+        for id in iter {
+            set.insert(id);
+        }
+        set
+    }
+}
+
+/// Equal when the members are the same, whatever either bitmap's allocated
+/// length.
+impl<K> PartialEq for HostSet<K> {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.words.len() <= other.words.len() {
+            (&self.words, &other.words)
+        } else {
+            (&other.words, &self.words)
+        };
+        long[..short.len()] == short[..] && long[short.len()..].iter().all(|w| *w == 0)
+    }
+}
+
+impl<K: DenseId + Ord> PartialEq<BTreeSet<K>> for HostSet<K> {
+    fn eq(&self, other: &BTreeSet<K>) -> bool {
+        self.len == other.len() && self.iter().all(|id| other.contains(&id))
+    }
+}
+
+impl<K: DenseId + fmt::Debug> fmt::Debug for HostSet<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 /// Ascending-id iterator over a [`HostSet`].
 #[derive(Debug)]
-pub struct HostSetIter<'a> {
+pub struct HostSetIter<'a, K = MhId> {
     words: &'a [u64],
     word_idx: usize,
     bits: u64,
+    _key: PhantomData<K>,
 }
 
-impl Iterator for HostSetIter<'_> {
-    type Item = MhId;
+impl<K: DenseId> Iterator for HostSetIter<'_, K> {
+    type Item = K;
 
-    fn next(&mut self) -> Option<MhId> {
+    fn next(&mut self) -> Option<K> {
         while self.bits == 0 {
             self.word_idx += 1;
             if self.word_idx >= self.words.len() {
@@ -206,9 +257,9 @@ impl Iterator for HostSetIter<'_> {
             }
             self.bits = self.words[self.word_idx];
         }
-        let b = self.bits.trailing_zeros();
+        let b = self.bits.trailing_zeros() as usize;
         self.bits &= self.bits - 1;
-        Some(MhId((self.word_idx * 64) as u32 + b))
+        Some(K::from_index(self.word_idx * 64 + b))
     }
 }
 

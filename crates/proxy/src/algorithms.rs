@@ -6,7 +6,6 @@
 //! clients unchanged.
 
 use crate::framework::{ProcId, StaticAlgorithm, StaticCtx};
-use std::collections::BTreeMap;
 
 /// Echo service: every input is answered with `input + 1` by the client's
 /// own proxy. No inter-process traffic — isolates the pure mobility
@@ -187,7 +186,8 @@ pub enum BarrierMsg {
 /// for future rounds. All-to-one plus one-to-all inter-proxy traffic.
 #[derive(Debug, Default)]
 pub struct Barrier {
-    arrivals: BTreeMap<ProcId, u64>,
+    /// Banked arrivals per process, indexed by [`ProcId::index`].
+    arrivals: Vec<u64>,
     round: u64,
 }
 
@@ -239,12 +239,14 @@ impl StaticAlgorithm for Barrier {
 
 impl Barrier {
     fn note_arrival(&mut self, ctx: &mut StaticCtx<BarrierMsg>, who: ProcId) {
-        *self.arrivals.entry(who).or_insert(0) += 1;
-        while self.arrivals.len() == ctx.num_procs() && self.arrivals.values().all(|c| *c > 0) {
-            for c in self.arrivals.values_mut() {
+        if self.arrivals.len() < ctx.num_procs() {
+            self.arrivals.resize(ctx.num_procs(), 0);
+        }
+        self.arrivals[who.index()] += 1;
+        while self.arrivals.iter().all(|c| *c > 0) {
+            for c in &mut self.arrivals {
                 *c -= 1;
             }
-            self.arrivals.retain(|_, c| *c > 0);
             self.round += 1;
             let round = self.round;
             ctx.output(ProcId(0), round);

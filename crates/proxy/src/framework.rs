@@ -21,7 +21,7 @@
 //! from the algorithm, at a measurable price the experiments quantify.
 
 use mobidist_net::host::MhStatus;
-use mobidist_net::ids::{MhId, MssId};
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::{Ctx, Protocol, Src};
 use std::fmt::Debug;
 
@@ -332,8 +332,7 @@ impl<A: StaticAlgorithm> ProxyRuntime<A> {
         ctx: &mut Ctx<'_, PrxMsg<A::Msg>, PrxTimer>,
         outputs: Vec<(ProcId, u64)>,
     ) {
-        let mut cells: std::collections::BTreeMap<MssId, Vec<(ProcId, u64)>> =
-            std::collections::BTreeMap::new();
+        let mut cells: IdMap<MssId, Vec<(ProcId, u64)>> = IdMap::new();
         for (proc, value) in outputs {
             let proxy = self.proxy_of[proc.index()];
             let mh = self.clients[proc.index()];
@@ -342,7 +341,9 @@ impl<A: StaticAlgorithm> ProxyRuntime<A> {
                 ProxyPolicy::LocalMss => proxy,
             };
             if believed == proxy && ctx.is_local(proxy, mh) {
-                cells.entry(proxy).or_default().push((proc, value));
+                cells
+                    .get_or_insert_with(proxy, Vec::new)
+                    .push((proc, value));
             } else {
                 self.route_output(ctx, proc, value);
             }
