@@ -129,15 +129,19 @@ if [[ $fast -eq 0 ]]; then
 
   # Shard-soundness gate: the space-sharded kernel must produce
   # byte-identical results at every worker count. Three legs:
-  #   1. E12's quick table, 1 shard vs 4 shards, cmp'd byte-for-byte
-  #      (E12 bypasses the run cache, so both legs genuinely recompute);
-  #   2. the release-mode equivalence suite (ledgers, digests, traces);
-  #   3. the million-host smoke with its 8 GiB peak-RSS ceiling.
+  #   1. E12's quick table, 1 shard vs 2 (what the benchmark's churn_1m
+  #      runs), 3 (uneven cell division) and 4 shards, cmp'd byte-for-byte
+  #      (E12 bypasses the run cache, so every leg genuinely recomputes);
+  #   2. the release-mode equivalence suite (ledgers, digests, and the
+  #      pinned per-shard trace order);
+  #   3. the million-host smoke with its 1 GiB peak-RSS ceiling.
   echo "==> shard-soundness gate"
   ./target/release/experiments e12 --quick --shards 1 > "$cachedir/shard1.txt"
-  ./target/release/experiments e12 --quick --shards 4 > "$cachedir/shard4.txt"
-  cmp "$cachedir/shard1.txt" "$cachedir/shard4.txt" || {
-    echo "shard gate: 4-shard table differs from the 1-shard run" >&2; exit 1; }
+  for s in 2 3 4; do
+    ./target/release/experiments e12 --quick --shards $s > "$cachedir/shard$s.txt"
+    cmp "$cachedir/shard1.txt" "$cachedir/shard$s.txt" || {
+      echo "shard gate: $s-shard table differs from the 1-shard run" >&2; exit 1; }
+  done
   # E14 runs on the classic kernel, so the shard knob must be inert for it
   # even with the fault plane and the mobility zoo in play (its runs are
   # cache-bypassing here: no --cache directory is passed).

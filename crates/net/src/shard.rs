@@ -27,9 +27,10 @@
 //! and a mutex per send). Each barrier round `r` runs, per worker:
 //!
 //! 1. **drain** — swap out the buffer every producer filled in round
-//!    `r - 1` (the lane's epoch check proves nobody is still writing it),
-//!    k-way-merge the buffers in `(arrival, src_cell, src_seq)` order, and
-//!    push into the local queue;
+//!    `r - 1` (the lane's epoch check proves nobody is still writing it)
+//!    and push the transfers into the local queue in
+//!    `(arrival, src_cell, send order)` order, found by sorting one vector
+//!    of 16-byte integer keys rather than the records themselves;
 //! 2. **process** — pop all events `< (k+1)W`, appending outgoing transfers
 //!    to the round-`r` side of each lane (no lock: one producer per lane);
 //! 3. **publish + barrier** — release the round on every outgoing lane,
@@ -57,10 +58,15 @@
 //!   transfers whose destination cell lives on the sending worker — the
 //!   queue/lane residency of any in-flight event is therefore identical
 //!   at every `S`;
-//! * lane drains merge in `(arrival, source cell, per-worker send seq)`
-//!   order — a total order, because a worker's `src_cell`s are cells it
-//!   owns — so the commit order at a destination never depends on thread
-//!   timing *or* on which lane carried the transfer;
+//! * every worker seeds its own queue by replaying the whole placement in
+//!   host order and keeping the hosts whose cell it owns, so per-queue
+//!   insertion order is host order at every `S`;
+//! * lane drains commit in `(arrival, source cell, index in lane)` order.
+//!   A lane has one producer, so index order *is* send order; producers own
+//!   disjoint cells, so the source cell names the lane. The key is
+//!   therefore unique and the order total — the commit order at a
+//!   destination never depends on thread timing *or* on which lane carried
+//!   the transfer;
 //! * the fast-forward jump is a pure function of the global minimum pending
 //!   tick, which is partition-independent (the union of queue contents and
 //!   in-flight transfers does not depend on who owns what), so every worker
@@ -68,7 +74,10 @@
 //! * cell ownership is planned once, before the workers start, from the
 //!   spec alone; ledger counters are commutative sums
 //!   ([`CostLedger::merge`]) and the final digest hashes per-host state in
-//!   `MhId` order, so neither depends on how cells were partitioned.
+//!   `MhId` order — each worker sorts its resident rows, the coordinator
+//!   merges them by asking which worker holds the next id and *panics*,
+//!   in release builds too, unless every host turns up exactly once — so
+//!   neither depends on how cells were partitioned.
 //!
 //! # Workload and charging
 //!
@@ -89,9 +98,13 @@
 //! # Memory
 //!
 //! There is no per-host array at all: a host's record (20 bytes) lives
-//! inside its one pending event, so resident state is one queue entry per
-//! host — tens of bytes — and the only allocations on the hot path are the
-//! amortised growth of the queues and lane buffers. Lane buffers circulate
+//! inside its one pending event, so host state is one queue entry per host
+//! — [`ScaleReport::state_bytes`] reports that *nominal* entry size, 44 B.
+//! What a million-host run actually keeps *resident* is ≈ 340 B/host,
+//! nearly all of it timing-wheel deque capacity rather than live entries
+//! (`scalecheck` prints both figures; DESIGN.md §6 has the census). The
+//! only allocations on the hot path are the amortised growth of the queues,
+//! the lane buffers and the commit-key scratch. Lane buffers circulate
 //! between each lane and its consumer's drain scratch (`mem::swap`, never a
 //! fresh `Vec`), which a debug assertion pins: a drained buffer's capacity
 //! never shrinks across rounds, as it would if one were reallocated.
@@ -292,8 +305,9 @@ pub struct ScaleReport {
     /// Canonical digest of the complete final state — every host record
     /// (in `MhId` order) plus every undelivered wired message.
     pub digest: Fingerprint,
-    /// Nominal resident state footprint: one queue entry per host. The
-    /// scale curve divides this by `N` for its bytes/host column.
+    /// Nominal host-state footprint: one queue entry per host. The scale
+    /// curve divides this by `N` for its bytes/host column; it is *not* the
+    /// process's resident size (see the module docs, "Memory").
     pub state_bytes: u64,
     /// Lookahead `W` the run synchronised on.
     pub lookahead: u64,
@@ -324,14 +338,13 @@ enum SEv {
     Wired(u32, u32),
 }
 
-/// A cross-cell message in flight between workers. `src_cell` and
-/// `src_seq` (a per-sending-worker monotone counter) make the drain order
-/// at the destination a pure function of simulation state.
+/// A cross-cell message in flight between workers. There is no send
+/// sequence field: a lane has one producer, so a transfer's position in its
+/// lane *is* its send order (see [`Inbox::drain`]).
 #[derive(Debug, Clone, Copy)]
 struct Transfer {
     arrival: u64,
     src_cell: u32,
-    src_seq: u64,
     ev: SEv,
 }
 
@@ -394,6 +407,7 @@ struct ShardOut {
     ledger: CostLedger,
     events: u64,
     skipped: u64,
+    /// Resident hosts, sorted by id.
     hosts: Vec<HostRow>,
     /// `(due, from, to)` for each undelivered wired notification.
     wires: Vec<(u64, u32, u32)>,
@@ -439,30 +453,6 @@ pub fn run_scale_traced(
     let windows = spec.horizon.div_ceil(w);
     let plan = plan_partition(spec, shards);
 
-    // Seed every host sequentially (host order ⇒ identical per-queue
-    // insertion order at every shard count): host h dwells in its placement
-    // cell, then leaves. Decision 0 is the initial dwell draw.
-    let mut queues: Vec<EventQueue<SEv>> = plan
-        .load
-        .iter()
-        .map(|&hosts| EventQueue::with_capacity(hosts as usize + 16))
-        .collect();
-    let mut h: u32 = 0;
-    spec.place_hosts(|cell| {
-        let mut rng = decision_rng(spec.seed, h, 0);
-        let dwell = rng.exp_delay(spec.mean_dwell);
-        let rec = HostRec {
-            id: h,
-            home: cell,
-            cell,
-            ctr: 1,
-            moves: 0,
-        };
-        queues[plan.owner[cell as usize] as usize]
-            .push(SimTime::from_ticks(dwell), SEv::Leave(rec));
-        h += 1;
-    });
-
     // One SPSC lane per ordered worker pair, a single fused barrier, and a
     // per-worker slot pair for the fast-forward minimum. The slots are
     // double-buffered by round parity like the lane buffers: a worker one
@@ -483,14 +473,13 @@ pub fn run_scale_traced(
     };
 
     let mut outs: Vec<ShardOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = queues
+        let handles: Vec<_> = slots
             .drain(..)
-            .zip(slots.drain(..))
             .enumerate()
-            .map(|(shard, (queue, sink))| {
+            .map(|(shard, sink)| {
                 scope.spawn(move || {
                     run_shard(
-                        spec, shard, shards, w, windows, queue, owner, lanes, barrier, mins, sink,
+                        spec, shard, shards, w, windows, owner, lanes, barrier, mins, sink,
                     )
                 })
             })
@@ -506,7 +495,6 @@ pub fn run_scale_traced(
     // partition.
     let mut ledger = CostLedger::new(0);
     let mut events = 0;
-    let mut hosts = Vec::with_capacity(n);
     let mut wires = Vec::new();
     let mut done_sinks = Vec::new();
     let skipped_windows = outs.first().map_or(0, |o| o.skipped);
@@ -517,19 +505,55 @@ pub fn run_scale_traced(
         );
         ledger.merge(&out.ledger);
         events += out.events;
-        hosts.append(&mut out.hosts);
         wires.append(&mut out.wires);
         if let Some(s) = out.sink.take() {
             done_sinks.push(s);
         }
     }
-    hosts.sort_unstable();
     wires.sort_unstable();
-    debug_assert_eq!(hosts.len(), n, "every host must appear exactly once");
+    let parts: Vec<&[HostRow]> = outs.iter().map(|o| &o.hosts[..]).collect();
+    let digest = digest_state(n, &parts, &wires);
 
+    let entry = std::mem::size_of::<SEv>() + 2 * std::mem::size_of::<u64>();
+    let report = ScaleReport {
+        ledger,
+        events,
+        windows,
+        skipped_windows,
+        digest,
+        state_bytes: n as u64 * entry as u64,
+        lookahead: w,
+        shards,
+    };
+    (report, done_sinks)
+}
+
+/// Hashes the complete final state: every host row in `MhId` order, then
+/// every undelivered wire. `parts` are the workers' resident rows, each
+/// sorted by id; the merge asks "which worker holds id `next`" and streams
+/// the row straight into the hasher, so no merged copy is ever built.
+///
+/// # Panics
+///
+/// Panics unless every id in `0..n` appears exactly once across `parts` —
+/// a lost or duplicated host is a kernel bug, and must not become a
+/// silently wrong digest in a release build.
+fn digest_state(n: usize, parts: &[&[HostRow]], wires: &[(u64, u32, u32)]) -> Fingerprint {
+    let rows: usize = parts.iter().map(|p| p.len()).sum();
+    assert_eq!(rows, n, "every host must appear exactly once");
     let mut hasher = CanonHasher::new();
-    hasher.write_u64(hosts.len() as u64);
-    for &(id, tag, due, cell, home, ctr, moves, prev) in &hosts {
+    hasher.write_u64(n as u64);
+    let mut cursors = vec![0usize; parts.len()];
+    for next in 0..n as u32 {
+        let (id, tag, due, cell, home, ctr, moves, prev) = parts
+            .iter()
+            .zip(&mut cursors)
+            .find_map(|(part, cur)| {
+                let row = part.get(*cur).filter(|row| row.0 == next)?;
+                *cur += 1;
+                Some(*row)
+            })
+            .unwrap_or_else(|| panic!("host {next} was lost or duplicated"));
         for v in [id as u64, tag as u64, due, cell as u64, home as u64] {
             hasher.write_u64(v);
         }
@@ -538,24 +562,79 @@ pub fn run_scale_traced(
         hasher.write_u64(prev as u64);
     }
     hasher.write_u64(wires.len() as u64);
-    for &(due, from, to) in &wires {
+    for &(due, from, to) in wires {
         hasher.write_u64(due);
         hasher.write_u64(from as u64);
         hasher.write_u64(to as u64);
     }
+    hasher.finish()
+}
 
-    let entry = std::mem::size_of::<SEv>() + 2 * std::mem::size_of::<u64>();
-    let report = ScaleReport {
-        ledger,
-        events,
-        windows,
-        skipped_windows,
-        digest: hasher.finish(),
-        state_bytes: n as u64 * entry as u64,
-        lookahead: w,
-        shards,
-    };
-    (report, done_sinks)
+/// A worker's inbound side: its `S` lanes, one pooled drain scratch per
+/// lane, and the commit-key scratch.
+struct Inbox<'a> {
+    /// `lanes[src]` carries what worker `src` sends to this worker.
+    lanes: Vec<&'a Lane<Transfer>>,
+    /// Swapped with the lane buffer each round (`mem::swap`, never a fresh
+    /// `Vec`), so the steady state allocates nothing.
+    bufs: Vec<Vec<Transfer>>,
+    /// One `(arrival, src_cell, index-in-lane)` key per inbound transfer.
+    keys: Vec<u128>,
+    /// Each lane's two buffers and its drain scratch rotate positions in a
+    /// 3-cycle (one swap per drain), so the same allocation comes back every
+    /// third drain — and a `Vec`'s capacity never shrinks. Watermarking
+    /// `drain count mod 3` per lane pins that the pool really is recycled
+    /// (a fresh `Vec` would re-enter at capacity 0).
+    #[cfg(debug_assertions)]
+    caps: Vec<usize>,
+}
+
+impl<'a> Inbox<'a> {
+    fn new(lanes: Vec<&'a Lane<Transfer>>) -> Self {
+        Inbox {
+            bufs: lanes.iter().map(|_| Vec::new()).collect(),
+            keys: Vec::new(),
+            #[cfg(debug_assertions)]
+            caps: vec![0; 3 * lanes.len()],
+            lanes,
+        }
+    }
+
+    /// Takes everything the producers published in `round` and hands it to
+    /// `commit` in `(arrival, src_cell, send order)` order.
+    ///
+    /// Only 16-byte integer keys are sorted, never the records. A lane has
+    /// one producer, so a transfer's index in its lane is its send order;
+    /// producers own disjoint cells, so `owner[src_cell]` names the lane a
+    /// key came from. The order is therefore total and independent of which
+    /// lane carried what — i.e. of the partition.
+    fn drain(&mut self, round: u64, owner: &[u32], mut commit: impl FnMut(u64, SEv)) {
+        self.keys.clear();
+        for (src, (lane, buf)) in self.lanes.iter().zip(&mut self.bufs).enumerate() {
+            lane.take(round, buf);
+            #[cfg(debug_assertions)]
+            {
+                let slot = 3 * src + (round % 3) as usize;
+                debug_assert!(
+                    buf.capacity() >= self.caps[slot],
+                    "lane buffer was reallocated instead of recycled"
+                );
+                self.caps[slot] = buf.capacity();
+            }
+            assert!(buf.len() <= u32::MAX as usize, "lane outgrew its key");
+            self.keys.extend(buf.iter().enumerate().map(|(i, tr)| {
+                debug_assert_eq!(owner[tr.src_cell as usize] as usize, src);
+                (tr.arrival as u128) << 64 | (tr.src_cell as u128) << 32 | i as u128
+            }));
+        }
+        self.keys.sort_unstable();
+        for &key in &self.keys {
+            let (src_cell, i) = ((key >> 32) as u32, key as u32);
+            let tr = &self.bufs[owner[src_cell as usize] as usize][i as usize];
+            commit(tr.arrival, tr.ev);
+        }
+        self.bufs.iter_mut().for_each(Vec::clear);
+    }
 }
 
 /// One worker: processes its cells' events window by window, exchanging
@@ -567,7 +646,6 @@ fn run_shard(
     shards: usize,
     w: u64,
     windows: u64,
-    mut queue: EventQueue<SEv>,
     owner: &[u32],
     lanes: &[Lane<Transfer>],
     barrier: &EpochBarrier,
@@ -578,20 +656,35 @@ fn run_shard(
     let mut ledger = CostLedger::new(0);
     let mut events = 0u64;
     let mut trace_seq = 0u64;
-    let mut send_seq = 0u64;
     let mut total_skipped = 0u64;
-    // Pooled drain scratch, one per inbound lane: swapped with the lane
-    // buffer each round so the steady state allocates nothing. The
-    // capacity watermarks back the debug assertion that the pool really is
-    // recycled (a fresh `Vec` would re-enter at capacity 0).
-    let mut drain_bufs: Vec<Vec<Transfer>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut cursors: Vec<usize> = vec![0; shards];
-    // Each lane's two buffers and its drain scratch rotate positions in a
-    // 3-cycle (one swap per drain), so the same allocation comes back every
-    // third drain — and a `Vec`'s capacity never shrinks. Watermarking
-    // `drain count mod 3` per lane pins exactly that.
-    #[cfg(debug_assertions)]
-    let mut drain_caps: Vec<usize> = vec![0; 3 * shards];
+    let mut inbox = Inbox::new(
+        (0..shards)
+            .map(|src| &lanes[src * shards + shard])
+            .collect(),
+    );
+
+    // Seed the hosts whose cell this worker owns. Every worker replays the
+    // whole placement in host order (⇒ identical per-queue insertion order
+    // at every shard count) and keeps only its own, so the build runs in
+    // parallel and first-touches the wheel on the thread that will use it.
+    // Host h dwells in its placement cell, then leaves; decision 0 is the
+    // initial dwell draw.
+    let mut queue = EventQueue::new();
+    let mut h: u32 = 0;
+    spec.place_hosts(|cell| {
+        if owner[cell as usize] as usize == shard {
+            let dwell = decision_rng(spec.seed, h, 0).exp_delay(spec.mean_dwell);
+            let rec = HostRec {
+                id: h,
+                home: cell,
+                cell,
+                ctr: 1,
+                moves: 0,
+            };
+            queue.push(SimTime::from_ticks(dwell), SEv::Leave(rec));
+        }
+        h += 1;
+    });
 
     macro_rules! emit {
         ($at:expr, $ev:expr) => {
@@ -600,49 +693,6 @@ fn run_shard(
                 trace_seq += 1;
             }
         };
-    }
-
-    macro_rules! drain_round {
-        ($round:expr) => {{
-            let round: u64 = $round;
-            for (src, buf) in drain_bufs.iter_mut().enumerate() {
-                lanes[src * shards + shard].take(round, buf);
-                #[cfg(debug_assertions)]
-                {
-                    let slot = 3 * src + (round % 3) as usize;
-                    debug_assert!(
-                        buf.capacity() >= drain_caps[slot],
-                        "lane buffer was reallocated instead of recycled"
-                    );
-                    drain_caps[slot] = buf.capacity();
-                }
-                // Within one producer the full key is already unique;
-                // sorting per lane feeds the cross-lane merge below.
-                buf.sort_unstable_by_key(|tr| (tr.arrival, tr.src_cell, tr.src_seq));
-            }
-            // K-way merge in (arrival, src_cell, src_seq) order — the same
-            // total order the seed implementation got from one global sort,
-            // because distinct producers send from disjoint cell sets.
-            cursors.iter_mut().for_each(|c| *c = 0);
-            loop {
-                let mut best: Option<(usize, (u64, u32, u64))> = None;
-                for (i, buf) in drain_bufs.iter().enumerate() {
-                    if let Some(tr) = buf.get(cursors[i]) {
-                        let key = (tr.arrival, tr.src_cell, tr.src_seq);
-                        if best.is_none_or(|(_, b)| key < b) {
-                            best = Some((i, key));
-                        }
-                    }
-                }
-                let Some((i, _)) = best else { break };
-                let tr = drain_bufs[i][cursors[i]];
-                cursors[i] += 1;
-                queue.push(SimTime::from_ticks(tr.arrival), tr.ev);
-            }
-            for buf in drain_bufs.iter_mut() {
-                buf.clear();
-            }
-        }};
     }
 
     // `round` counts barrier rounds (= processed windows) and selects lane
@@ -656,7 +706,9 @@ fn run_shard(
         // sent in window k' arrive ≥ (k'+1)W, so draining at entry of the
         // next *processed* window is always timely.
         if round > 0 {
-            drain_round!(round - 1);
+            inbox.drain(round - 1, owner, |arrival, ev| {
+                queue.push(SimTime::from_ticks(arrival), ev)
+            });
         }
         let end = ((k + 1) * w).min(spec.horizon);
         let limit = SimTime::from_ticks(end - 1);
@@ -669,10 +721,8 @@ fn run_shard(
                 let tr = Transfer {
                     arrival,
                     src_cell: $src_cell,
-                    src_seq: send_seq,
                     ev: $sev,
                 };
-                send_seq += 1;
                 sent_min = sent_min.min(arrival);
                 lanes[shard * shards + owner[$dst_cell as usize] as usize].push(round, tr);
             }};
@@ -824,12 +874,15 @@ fn run_shard(
     // The final round's sends are still parked in the lanes; drain them so
     // the queue holds the complete end state.
     if round > 0 {
-        drain_round!(round - 1);
+        inbox.drain(round - 1, owner, |arrival, ev| {
+            queue.push(SimTime::from_ticks(arrival), ev)
+        });
     }
 
     // Collect the final state for the digest: the queue now holds every
-    // resident host and undelivered wire.
-    let mut hosts = Vec::new();
+    // resident host and undelivered wire. Rows are sorted by id here, on
+    // the worker, so the coordinator only has to merge.
+    let mut hosts = Vec::with_capacity(queue.len());
     let mut wires = Vec::new();
     while let Some((t, ev)) = queue.pop() {
         match ev {
@@ -842,6 +895,7 @@ fn run_shard(
             SEv::Wired(from, to) => wires.push((t.ticks(), from, to)),
         }
     }
+    hosts.sort_unstable_by_key(|row: &HostRow| row.0);
     if let Some(s) = sink.as_deref_mut() {
         s.finish(&ledger);
     }
@@ -965,6 +1019,79 @@ mod tests {
         assert_eq!(ends as u64, report.ledger.moves);
         // Tracing must not perturb the simulation.
         assert_eq!(report.digest, run_scale(&spec, 1).digest);
+    }
+
+    #[test]
+    fn drain_commits_in_arrival_cell_send_order() {
+        // Oracle: the rule the k-way merge this replaced implemented — one
+        // sort of `(arrival, src_cell, send index)` over the concatenated
+        // lanes. Cell `c` belongs to worker `c % shards`.
+        let m = 7;
+        for shards in [1, 2, 4] {
+            let owner: Vec<u32> = (0..m).map(|c| (c % shards) as u32).collect();
+            let lanes: Vec<Lane<Transfer>> = (0..shards).map(|_| Lane::new()).collect();
+            let mut inbox = Inbox::new(lanes.iter().collect());
+            let mut rng = SimRng::seed_from(0xD8A1 + shards as u64);
+            let mut tag = 0;
+            for round in 0..6 {
+                let mut sent = Vec::new();
+                for (src, lane) in lanes.iter().enumerate() {
+                    // The last lane sits every other round out (at one
+                    // shard: a wholly empty drain).
+                    let idle = src + 1 == shards && round % 2 == 1;
+                    let len = if idle { 0 } else { rng.below(40) };
+                    for i in 0..len {
+                        let owned = (m - src).div_ceil(shards) as u64;
+                        let src_cell = (src + shards * rng.below(owned) as usize) as u32;
+                        // A handful of arrivals, so ties abound across and
+                        // within cells — some of them 2^32 and 2^40 ticks
+                        // apart, which a narrower key would alias.
+                        let arrival =
+                            5 + rng.below(3) + (rng.below(3) << 32) + (rng.below(2) << 40);
+                        let ev = SEv::Wired(src_cell, tag);
+                        lane.push(
+                            round,
+                            Transfer {
+                                arrival,
+                                src_cell,
+                                ev,
+                            },
+                        );
+                        sent.push((arrival, src_cell, i, tag));
+                        tag += 1;
+                    }
+                    lane.publish(round);
+                }
+                sent.sort_unstable();
+                let want: Vec<(u64, u32)> = sent.iter().map(|&(at, _, _, tag)| (at, tag)).collect();
+                let mut got = Vec::new();
+                inbox.drain(round, &owner, |at, ev| match ev {
+                    SEv::Wired(_, tag) => got.push((at, tag)),
+                    other => panic!("unexpected {other:?}"),
+                });
+                assert_eq!(got, want, "round {round} at {shards} shards");
+            }
+        }
+    }
+
+    fn row(id: u32) -> HostRow {
+        (id, 0, 100 + id as u64, id % 4, id % 4, 1, 0, u32::MAX)
+    }
+
+    #[test]
+    #[should_panic(expected = "lost or duplicated")]
+    fn digest_rejects_a_duplicated_host() {
+        // The row count of a sound state: host 3 twice, host 4 missing.
+        let mut rows: Vec<HostRow> = (0..6).map(row).collect();
+        rows[4] = row(3);
+        digest_state(6, &[&rows[..3], &rows[3..]], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly once")]
+    fn digest_rejects_a_lost_host() {
+        let rows: Vec<HostRow> = (0..6).map(row).collect();
+        digest_state(6, &[&rows[..3], &rows[4..]], &[]);
     }
 
     #[test]

@@ -68,14 +68,18 @@ fn kernel_salt_tracks_behaviour_changes() {
     assert_eq!(KERNEL_VERSION_SALT, 5);
 }
 
+/// One ring sink per shard, each large enough to hold a whole test stream.
+fn ring_sinks(shards: usize) -> Vec<Box<dyn TraceSink>> {
+    (0..shards)
+        .map(|_| Box::new(RingSink::new(1 << 20)) as Box<dyn TraceSink>)
+        .collect()
+}
+
 #[test]
 fn traced_shard_events_reconcile_with_the_ledger() {
     let spec = ScaleSpec::new(8, 500).with_seed(42);
     let shards = 4;
-    let sinks: Vec<Box<dyn TraceSink>> = (0..shards)
-        .map(|_| Box::new(RingSink::new(1 << 20)) as Box<dyn TraceSink>)
-        .collect();
-    let (r, sinks) = run_scale_traced(&spec, shards, sinks);
+    let (r, sinks) = run_scale_traced(&spec, shards, ring_sinks(shards));
     assert_eq!(
         r.digest,
         run_scale(&spec, 1).digest,
@@ -165,6 +169,75 @@ fn skewed_occupancy_stays_balanced_and_bit_identical() {
             assert_eq!(r.digest, base.digest, "digest diverged at {shards} shards");
             assert_eq!(r.ledger, base.ledger, "ledger diverged at {shards} shards");
             assert_eq!(r.events, base.events, "events diverged at {shards} shards");
+        }
+    }
+}
+
+/// FNV-1a of each shard's full `RingSink` stream `(t, seq, event)`.
+fn stream_hashes(spec: &ScaleSpec, shards: usize) -> Vec<u64> {
+    let (_, sinks) = run_scale_traced(spec, shards, ring_sinks(shards));
+    sinks
+        .iter()
+        .map(|sink| {
+            let ring = sink.as_any().downcast_ref::<RingSink>().unwrap();
+            assert!(ring.len() < 1 << 20, "ring must hold the whole stream");
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            for (t, seq, ev) in ring.iter() {
+                for b in format!("{} {seq} {ev:?}\n", t.ticks()).bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+            h
+        })
+        .collect()
+}
+
+#[test]
+fn per_shard_trace_order_is_pinned() {
+    // The suites above reconcile *counts*; this is the test that fails if
+    // the world build or the lane commit reorders same-tick events. The
+    // constants were recorded with a serial build and a per-lane sort +
+    // k-way merge, the rule's first implementation. `Random` and
+    // `Clustered` exercise each worker's replay of the placement stream;
+    // 3 shards divide 16 cells unevenly.
+    let base = ScaleSpec::new(16, 240)
+        .with_seed(42)
+        .with_horizon(1_500)
+        .with_churn(120, 15);
+    let pins: [(Placement, [&[u64]; 3]); 3] = [
+        (
+            Placement::RoundRobin,
+            [
+                &[0xa0877d330179bf58],
+                &[0x19245c23b127119c, 0xd8625be6e1cc1193],
+                &[0xd99a77757ee198e6, 0x4219387a8d50e434, 0x61834b7fb653d148],
+            ],
+        ),
+        (
+            Placement::Random,
+            [
+                &[0xe6b6df3521860d0f],
+                &[0x60b1e8b322fbb9dc, 0xcbeda4af7dfd6a98],
+                &[0xbc57d1c70cfcff4a, 0x43b9e76b62e83f5f, 0x6b6b6ab3a738eccb],
+            ],
+        ),
+        (
+            Placement::Clustered { cells: 5 },
+            [
+                &[0xce74c80f245f704b],
+                &[0x88eea2fd212b1c67, 0xd402c1bc6a96cb3f],
+                &[0xbcdddb69302c98c9, 0xbe7f833494e5d2fc, 0x481ce77443babb78],
+            ],
+        ),
+    ];
+    for (placement, by_shards) in pins {
+        let spec = base.clone().with_placement(placement);
+        for (want, shards) in by_shards.into_iter().zip(1..) {
+            assert_eq!(
+                stream_hashes(&spec, shards),
+                want,
+                "trace order moved: {placement:?} at {shards} shards"
+            );
         }
     }
 }
