@@ -11,9 +11,10 @@ test:
 check:
 	./ci/check.sh
 
-# All experiment tables (timings live in benchmark/, see benchcheck).
+# All experiment tables at full size (timings live in benchmark/, see
+# benchcheck).
 bench:
-	cargo bench --workspace
+	cargo run --release --bin experiments -- all
 
 # The benchmark package's own gate (fmt, clippy, tests, quick suite,
 # BENCHMARK.json contract); see benchmark/README.md.

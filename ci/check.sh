@@ -56,6 +56,15 @@ for bin in $(grep -hoE -e '--bin [a-z_]+' $cmd_docs | sed 's/--bin //' | sort -u
   [[ -f "src/bin/$bin.rs" ]] || {
     echo "doc gate: docs name \`--bin $bin\`, but src/bin/$bin.rs does not exist" >&2; exit 1; }
 done
+# `experiments` is the one launcher: the per-experiment bench targets and
+# their quick-mode variable are gone and must not creep back. (The name is
+# spelled in two halves so this file passes its own gate.)
+if grep -rn "MOBIDIST""_QUICK" crates src tests examples Makefile ci .claude/skills $knob_docs; then
+  echo "doc gate: the quick-mode variable is retired (use \`experiments ... --quick\`)" >&2; exit 1
+fi
+if grep -n '\[\[bench\]\]' crates/bench/Cargo.toml; then
+  echo "doc gate: crates/bench has a [[bench]] target again (use \`make bench\`)" >&2; exit 1
+fi
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
@@ -81,16 +90,14 @@ echo "==> cargo test"
 cargo test --workspace -q
 
 if [[ $fast -eq 0 ]]; then
-  # Scheduler-equivalence and determinism gates in release mode: the timing
-  # wheel must replay the reference heap's order, and sweeps must render
-  # byte-identical tables at any worker count — with optimizations on, since
-  # that's how experiment tables are produced.
-  echo "==> release determinism gates"
-  cargo test --release -q -p mobidist-net --test wheel_equivalence
-  cargo test --release -q -p mobidist-bench --test determinism
-  cargo test --release -q -p mobidist-bench --test sim_reuse
-  cargo test --release -q -p mobidist-bench --test trace_check
-  cargo test --release -q -p mobidist-bench --test cache_check
+  # Every suite again with optimizations on, since that is how experiment
+  # tables are produced: wheel vs reference heap, batched delivery vs its
+  # per-event reference (and its zero-allocation steady state), the shard
+  # equivalence pins, and the bench crate's differential table over jobs,
+  # shards, cache and trace. The whole workspace rather than a hand-kept
+  # list, so a new suite cannot be forgotten in release mode.
+  echo "==> cargo test --release"
+  cargo test --workspace --release -q
 
   # Cache-soundness gate: run the cacheable sweep set (e0..e11, e13, e14) twice
   # against one cache directory. The second pass must replay from disk —
@@ -99,7 +106,6 @@ if [[ $fast -eq 0 ]]; then
   # by design (see exp_scale), so it would recompute in both passes and
   # dilute the timing check; the shard gate below covers it instead.
   echo "==> run-cache soundness gate"
-  cargo build --release --bin experiments
   cached_exps="e0 e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e13 e14"
   cachedir="$(mktemp -d)"
   trap 'rm -rf "$cachedir"' EXIT
@@ -128,13 +134,13 @@ if [[ $fast -eq 0 ]]; then
   fi
 
   # Shard-soundness gate: the space-sharded kernel must produce
-  # byte-identical results at every worker count. Three legs:
+  # byte-identical results at every worker count (the release-mode test
+  # run above covers ledgers, digests and the pinned per-shard trace
+  # order). Two legs here:
   #   1. E12's quick table, 1 shard vs 2 (what the benchmark's churn_1m
   #      runs), 3 (uneven cell division) and 4 shards, cmp'd byte-for-byte
   #      (E12 bypasses the run cache, so every leg genuinely recomputes);
-  #   2. the release-mode equivalence suite (ledgers, digests, and the
-  #      pinned per-shard trace order);
-  #   3. the million-host smoke with its 1 GiB peak-RSS ceiling.
+  #   2. the million-host smoke with its 1 GiB peak-RSS ceiling.
   echo "==> shard-soundness gate"
   ./target/release/experiments e12 --quick --shards 1 > "$cachedir/shard1.txt"
   for s in 2 3 4; do
@@ -149,27 +155,14 @@ if [[ $fast -eq 0 ]]; then
   ./target/release/experiments e14 --quick --shards 4 > "$cachedir/e14shard4.txt"
   cmp "$cachedir/e14shard1.txt" "$cachedir/e14shard4.txt" || {
     echo "shard gate: E14 table changed under --shards 4" >&2; exit 1; }
-  cargo test --release -q -p mobidist-net --test shard_equivalence
-  cargo test --release -q -p mobidist-bench --test shard_equivalence
-  cargo build --release --bin scalecheck
   ./target/release/scalecheck --shards 4
 
-  # Delivery-soundness gate: the batched delivery engine must be invisible
-  # in every output. Two legs:
-  #   1. the release-mode equivalence suites — the engine against its
-  #      per-event reference on the kernel (callbacks, ledgers, traces) and
-  #      on L2/L2C/R2 runs (reports, ledgers, checker episodes) — plus the
-  #      counting-allocator suite that pins zero steady-state allocations
-  #      per delivery;
-  #   2. tracereport --check on a traced run, so the trace/ledger
-  #      reconciliation identities hold with coalescing on. E12 and E14 ride
-  #      along so every line kind the JSONL encoder writes — sharded part
-  #      files, shard_sync/shard_recv, fault events, run_end fault counters
-  #      — goes through parse_line end to end.
-  echo "==> delivery-soundness gate"
-  cargo test --release -q -p mobidist-net --test delivery_equivalence --test delivery_alloc
-  cargo test --release -q -p mobidist-core --test mutex_runs
-  cargo build --release --bin tracereport
+  # Trace-soundness gate: tracereport --check on a traced run, so the
+  # trace/ledger reconciliation identities hold with coalescing on. E12 and
+  # E14 ride along so every line kind the JSONL encoder writes — sharded
+  # part files, shard_sync/shard_recv, fault events, run_end fault counters
+  # — goes through parse_line end to end.
+  echo "==> trace-soundness gate"
   ./target/release/experiments e2 e12 e13 e14 --quick --trace "$cachedir/del_trace.jsonl" \
     > /dev/null
   ./target/release/tracereport --check "$cachedir/del_trace.jsonl"

@@ -1,20 +1,13 @@
 //! Experiments E5–E6: group location management (Section 4).
 
+use crate::cache::run_cached;
+use crate::exp_mutex::params;
 use crate::parallel::{default_jobs, map_indexed_with};
 use crate::table::{f2, pct, Table};
 use mobidist_cost as formulas;
-use mobidist_cost::Params;
 use mobidist_group::prelude::*;
 use mobidist_net::ledger::CostLedger;
 use mobidist_net::prelude::*;
-
-fn params(c: CostModel) -> Params {
-    Params {
-        c_fixed: c.c_fixed,
-        c_wireless: c.c_wireless,
-        c_search: c.c_search,
-    }
-}
 
 /// Outcome of one group-strategy run.
 #[derive(Debug)]
@@ -58,22 +51,6 @@ impl StrategyPools {
     }
 }
 
-fn finish_group<S: LocationStrategy>(
-    sim: &mut Simulation<GroupHarness<S>>,
-    label: &str,
-    horizon: u64,
-    lv: impl FnOnce(&GroupHarness<S>) -> Option<(usize, f64)>,
-) -> GroupRun {
-    crate::obs::install(sim, label);
-    sim.run_until(SimTime::from_ticks(horizon));
-    crate::obs::finish_run(sim);
-    GroupRun {
-        report: sim.protocol().report(),
-        ledger: sim.ledger().clone(),
-        lv: lv(sim.protocol()),
-    }
-}
-
 /// Runs one strategy under the given network/workload, recycling pooled
 /// simulations.
 pub fn run_strategy_in(
@@ -84,51 +61,64 @@ pub fn run_strategy_in(
     wl: GroupWorkload,
     horizon: u64,
 ) -> GroupRun {
-    crate::cache::cached(
-        which,
-        &cfg,
-        &(&members, &wl, horizon),
-        |r: &GroupRun| &r.ledger,
-        || match which {
-            "pure-search" => pools.ps.run(
-                cfg.clone(),
-                GroupHarness::new(PureSearch::new(members.clone()), wl.clone()),
-                |sim| finish_group(sim, "pure-search", horizon, |_| None),
-            ),
-            "always-inform" => pools.ai.run(
-                cfg.clone(),
-                GroupHarness::new(AlwaysInform::new(members.clone()), wl.clone()),
-                |sim| finish_group(sim, "always-inform", horizon, |_| None),
-            ),
-            "location-view" => pools.lv.run(
-                cfg.clone(),
-                GroupHarness::new(LocationView::new(members.clone(), MssId(0)), wl.clone()),
-                |sim| {
-                    finish_group(sim, "location-view", horizon, |p| {
-                        let s = p.strategy();
-                        Some((s.max_view_size(), s.significant_fraction()))
-                    })
-                },
-            ),
-            "exactly-once" => pools.eo.run(
-                cfg.clone(),
-                GroupHarness::new(ExactlyOnce::new(members.clone(), MssId(0)), wl.clone()),
-                |sim| finish_group(sim, "exactly-once", horizon, |_| None),
-            ),
-            other => panic!("unknown strategy {other}"),
-        },
-    )
-}
-
-/// Runs one strategy under the given network/workload.
-pub fn run_strategy(
-    cfg: NetworkConfig,
-    which: &str,
-    members: Vec<MhId>,
-    wl: GroupWorkload,
-    horizon: u64,
-) -> GroupRun {
-    run_strategy_in(&mut StrategyPools::new(), cfg, which, members, wl, horizon)
+    /// One run on the pool of its strategy's simulation type; `lv` reads
+    /// the location-view statistics off the finished strategy.
+    fn run<S: LocationStrategy>(
+        pool: &mut SimPool<GroupHarness<S>>,
+        which: &str,
+        cfg: &NetworkConfig,
+        extra: (&Vec<MhId>, &GroupWorkload, u64),
+        strategy: S,
+        lv: impl FnOnce(&S) -> Option<(usize, f64)>,
+    ) -> GroupRun {
+        let (_, wl, horizon) = extra;
+        run_cached(
+            pool,
+            which,
+            cfg,
+            &extra,
+            || GroupHarness::new(strategy, wl.clone()),
+            |sim| {
+                sim.run_until(SimTime::from_ticks(horizon));
+                GroupRun {
+                    report: sim.protocol().report(),
+                    ledger: sim.ledger().clone(),
+                    lv: lv(sim.protocol().strategy()),
+                }
+            },
+        )
+    }
+    let extra = (&members, &wl, horizon);
+    let m = || members.clone();
+    match which {
+        "pure-search" => run(
+            &mut pools.ps,
+            which,
+            &cfg,
+            extra,
+            PureSearch::new(m()),
+            |_| None,
+        ),
+        "always-inform" => run(
+            &mut pools.ai,
+            which,
+            &cfg,
+            extra,
+            AlwaysInform::new(m()),
+            |_| None,
+        ),
+        "location-view" => {
+            let s = LocationView::new(m(), MssId(0));
+            run(&mut pools.lv, which, &cfg, extra, s, |s| {
+                Some((s.max_view_size(), s.significant_fraction()))
+            })
+        }
+        "exactly-once" => {
+            let s = ExactlyOnce::new(m(), MssId(0));
+            run(&mut pools.eo, which, &cfg, extra, s, |_| None)
+        }
+        other => panic!("unknown strategy {other}"),
+    }
 }
 
 /// **E5** — effective cost per group message vs the mobility-to-message

@@ -1,7 +1,7 @@
 //! Experiment E10: the proxy framework's mobility price (Section 5).
 
+use crate::cache::run_cached;
 use crate::table::{f2, Table};
-use mobidist_net::ledger::CostLedger;
 use mobidist_net::prelude::*;
 use mobidist_proxy::prelude::*;
 
@@ -28,6 +28,7 @@ pub fn e10_proxy(quick: bool) -> Table {
     } else {
         &[4_000, 1_000, 400, 150]
     };
+    let mut pool = SimPool::new();
     for &dwell in dwells {
         for policy in [
             ProxyPolicy::Fixed,
@@ -49,7 +50,8 @@ pub fn e10_proxy(quick: bool) -> Table {
                 ProxyPolicy::Adaptive { radius } => (2, radius as u64),
             };
             // Cache the ledger plus the report counters the table reads.
-            let (ledger, (loc_updates, handoffs, stale, served, inputs)) = crate::cache::cached(
+            let (ledger, (loc_updates, handoffs, stale, served, inputs)) = run_cached(
+                &mut pool,
                 "e10_proxy",
                 &cfg,
                 &(
@@ -59,13 +61,11 @@ pub fn e10_proxy(quick: bool) -> Table {
                     wl.mean_interval,
                     horizon,
                 ),
-                |out: &(CostLedger, (u64, u64, u64, u64, u64))| &out.0,
                 || {
                     let clients: Vec<MhId> = (0..n as u32).map(MhId).collect();
-                    let mut sim = Simulation::new(
-                        cfg.clone(),
-                        ProxyRuntime::new(CentralCounter::new(), clients, policy, wl),
-                    );
+                    ProxyRuntime::new(CentralCounter::new(), clients, policy, wl)
+                },
+                |sim| {
                     sim.run_until(SimTime::from_ticks(horizon));
                     let r = sim.protocol().report();
                     (

@@ -20,6 +20,7 @@
 //! completion-count index would be trivially 1.0 — wait times are where
 //! unfairness shows).
 
+use crate::cache::run_cached;
 use crate::parallel::{default_jobs, map_indexed_with};
 use crate::stats::{jain, LatencyHist};
 use crate::table::{f2, Table};
@@ -233,71 +234,41 @@ pub fn run_serve_labeled(
     cfg: NetworkConfig,
     wl: WorkloadConfig,
 ) -> ServeRun {
-    let target = (wl.requesters.len() * wl.requests_per_mh) as u64;
-    let m = cfg.num_mss;
-    let extra = (&wl, HORIZON, CHUNK);
-    fn ledger_of(r: &ServeRun) -> &CostLedger {
-        &r.ledger
+    /// One cell on the pool of its algorithm's simulation type.
+    fn serve<A: MutexAlgorithm>(
+        pool: &mut SimPool<MutexHarness<A>>,
+        label: &str,
+        cfg: &NetworkConfig,
+        wl: &WorkloadConfig,
+        algo: A,
+    ) -> ServeRun {
+        let target = (wl.requesters.len() * wl.requests_per_mh) as u64;
+        run_cached(
+            pool,
+            label,
+            cfg,
+            &(wl, HORIZON, CHUNK),
+            || MutexHarness::new(algo, wl.clone()),
+            |sim| finish_serving(sim, target),
+        )
     }
+    let (cfg, wl, m) = (&cfg, &wl, cfg.num_mss);
     match algo {
-        ServeAlgo::L1 => crate::cache::cached(label, &cfg, &extra, ledger_of, || {
-            let a = L1::new(wl.requesters.clone());
-            pools
-                .l1
-                .run(cfg.clone(), MutexHarness::new(a, wl.clone()), |sim| {
-                    crate::obs::install(sim, label);
-                    let run = finish_serving(sim, target);
-                    crate::obs::finish_run(sim);
-                    run
-                })
-        }),
-        ServeAlgo::L2 => crate::cache::cached(label, &cfg, &extra, ledger_of, || {
-            pools.l2.run(
-                cfg.clone(),
-                MutexHarness::new(L2::new(m), wl.clone()),
-                |sim| {
-                    crate::obs::install(sim, label);
-                    let run = finish_serving(sim, target);
-                    crate::obs::finish_run(sim);
-                    run
-                },
-            )
-        }),
-        ServeAlgo::L2c => crate::cache::cached(label, &cfg, &extra, ledger_of, || {
-            pools.l2c.run(
-                cfg.clone(),
-                MutexHarness::new(L2c::new(m), wl.clone()),
-                |sim| {
-                    crate::obs::install(sim, label);
-                    let run = finish_serving(sim, target);
-                    crate::obs::finish_run(sim);
-                    run
-                },
-            )
-        }),
-        ServeAlgo::R1 => crate::cache::cached(label, &cfg, &extra, ledger_of, || {
+        ServeAlgo::L1 => serve(
+            &mut pools.l1,
+            label,
+            cfg,
+            wl,
+            L1::new(wl.requesters.clone()),
+        ),
+        ServeAlgo::L2 => serve(&mut pools.l2, label, cfg, wl, L2::new(m)),
+        ServeAlgo::L2c => serve(&mut pools.l2c, label, cfg, wl, L2c::new(m)),
+        ServeAlgo::R1 => {
             let ring: Vec<MhId> = (0..cfg.num_mh as u32).map(MhId).collect();
-            let a = R1::new(ring, R1DisconnectPolicy::Stall);
-            pools
-                .r1
-                .run(cfg.clone(), MutexHarness::new(a, wl.clone()), |sim| {
-                    crate::obs::install(sim, label);
-                    let run = finish_serving(sim, target);
-                    crate::obs::finish_run(sim);
-                    run
-                })
-        }),
-        ServeAlgo::R2 => crate::cache::cached(label, &cfg, &extra, ledger_of, || {
-            let a = R2::new(m, RingGuard::Plain);
-            pools
-                .r2
-                .run(cfg.clone(), MutexHarness::new(a, wl.clone()), |sim| {
-                    crate::obs::install(sim, label);
-                    let run = finish_serving(sim, target);
-                    crate::obs::finish_run(sim);
-                    run
-                })
-        }),
+            let algo = R1::new(ring, R1DisconnectPolicy::Stall);
+            serve(&mut pools.r1, label, cfg, wl, algo)
+        }
+        ServeAlgo::R2 => serve(&mut pools.r2, label, cfg, wl, R2::new(m, RingGuard::Plain)),
     }
 }
 

@@ -2,14 +2,15 @@
 //!
 //! Regenerates every cost comparison in *"Structuring Distributed
 //! Algorithms for Mobile Hosts"* (ICDCS 1994) as a measured table printed
-//! against the paper's closed-form prediction. One `harness = false` bench
-//! target exists per experiment (`e0`…`e10`), so
+//! against the paper's closed-form prediction. One table function exists
+//! per experiment (`e0`…`e14`); the root crate's `experiments` binary is
+//! their one launcher, so
 //!
 //! ```text
-//! cargo bench --workspace
+//! cargo run --release --bin experiments -- all
 //! ```
 //!
-//! reprints the paper's entire evaluation. See DESIGN.md for the experiment
+//! (`make bench`) reprints the paper's entire evaluation. See DESIGN.md for the experiment
 //! index and EXPERIMENTS.md for recorded paper-vs-measured results.
 //!
 //! Each experiment also has a `quick` mode exercised by unit tests, so the

@@ -2,7 +2,7 @@
 //!
 //! When `MOBIDIST_TRACE=<path>` is set (the `experiments` CLI sets it from
 //! `--trace <path>`), every traced run attaches a
-//! [`JsonlSink`](mobidist_net::obs::JsonlSink) before it starts and writes
+//! [`JsonlSink`] before it starts and writes
 //! a `run_begin`/events/`run_end` envelope. Because sweeps fan out across
 //! worker threads and one file cannot be appended from many threads without
 //! interleaving lines, each worker thread writes its own part file
@@ -13,12 +13,12 @@
 //! Run ids come from a process-wide counter, so *which* id a run gets is
 //! scheduling-dependent under `--jobs > 1` — but every run's event stream,
 //! and therefore every trace-derived count, is byte-deterministic (pinned
-//! by the bench crate's `trace_check` test).
+//! by the `trace` axis of the bench crate's `differential` test).
 
 use mobidist_net::config::NetworkConfig;
 use mobidist_net::fingerprint::Fingerprint;
 use mobidist_net::ledger::CostLedger;
-use mobidist_net::obs::{jsonl_file_sink, RunMeta, TraceEvent, TraceSink};
+use mobidist_net::obs::{jsonl_file_sink, JsonlSink, RunMeta, TraceEvent, TraceSink};
 use mobidist_net::proto::Protocol;
 use mobidist_net::sim::Simulation;
 use mobidist_net::time::SimTime;
@@ -45,31 +45,34 @@ pub fn trace_base() -> Option<PathBuf> {
     }
 }
 
-/// The part file this thread appends to for `base`.
-fn worker_part(base: &Path) -> PathBuf {
-    let w = WORKER_ID.with(|id| *id);
+/// Part file number `part` of `base`.
+fn part_file(base: &Path, part: u64) -> PathBuf {
     let mut os = base.as_os_str().to_owned();
-    os.push(format!(".w{w}"));
+    os.push(format!(".w{part}"));
     PathBuf::from(os)
+}
+
+type FileSink = JsonlSink<std::io::BufWriter<std::fs::File>>;
+
+/// Opens a sink for a new run — the next run id, its `run_begin` line
+/// written — appending to part file `part` (this thread's own when `None`).
+/// A file that cannot be opened costs the run its trace, not its result.
+fn open_run(base: &Path, part: Option<u64>, label: &str, cfg: &NetworkConfig) -> Option<FileSink> {
+    let run = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
+    let part = part.unwrap_or_else(|| WORKER_ID.with(|id| *id));
+    jsonl_file_sink(&part_file(base, part), RunMeta::new(run, label, cfg))
+        .map_err(|e| eprintln!("warning: cannot open trace file: {e}"))
+        .ok()
 }
 
 /// Attaches a JSONL sink for one labelled run when tracing is enabled
 /// (no-op otherwise). Call after the simulation is initialised/reset and
-/// before it runs; pair with [`finish_run`] once the run completes.
+/// before it runs; `Simulation::finish_trace` ends the run's envelope.
 pub fn install<P: Protocol>(sim: &mut Simulation<P>, label: &str) {
     let Some(base) = trace_base() else { return };
-    let run = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let meta = RunMeta::new(run, label, sim.kernel().config());
-    match jsonl_file_sink(&worker_part(&base), meta) {
-        Ok(sink) => sim.set_trace_sink(Box::new(sink)),
-        Err(e) => eprintln!("warning: cannot open trace file: {e}"),
+    if let Some(sink) = open_run(&base, None, label, sim.kernel().config()) {
+        sim.set_trace_sink(Box::new(sink));
     }
-}
-
-/// Ends a traced run: the sink writes its `run_end` ledger summary and is
-/// detached. No-op when [`install`] did not attach a sink.
-pub fn finish_run<P: Protocol>(sim: &mut Simulation<P>) {
-    let _ = sim.finish_trace();
 }
 
 /// Opens one trace sink per shard of a space-sharded run (empty when
@@ -92,17 +95,10 @@ pub fn install_shard_sinks(
     };
     let mut sinks: Vec<Box<dyn TraceSink>> = Vec::with_capacity(shards);
     for _ in 0..shards {
-        let run = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
         let part = WORKER_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let meta = RunMeta::new(run, label, cfg);
-        let mut os = base.as_os_str().to_owned();
-        os.push(format!(".w{part}"));
-        match jsonl_file_sink(Path::new(&os), meta) {
-            Ok(sink) => sinks.push(Box::new(sink)),
-            Err(e) => {
-                eprintln!("warning: cannot open shard trace file: {e}");
-                return Vec::new();
-            }
+        match open_run(&base, Some(part), label, cfg) {
+            Some(sink) => sinks.push(Box::new(sink)),
+            None => return Vec::new(),
         }
     }
     sinks
@@ -119,21 +115,13 @@ pub fn install_shard_sinks(
 /// identity for exactly this reason.
 pub fn trace_cached_run(label: &str, cfg: &NetworkConfig, fp: Fingerprint, ledger: &CostLedger) {
     let Some(base) = trace_base() else { return };
-    let run = RUN_COUNTER.fetch_add(1, Ordering::Relaxed);
-    let meta = RunMeta::new(run, label, cfg);
-    match jsonl_file_sink(&worker_part(&base), meta) {
-        Ok(mut sink) => {
-            sink.record(
-                SimTime::ZERO,
-                0,
-                &TraceEvent::CacheHit {
-                    fp_hi: fp.hi,
-                    fp_lo: fp.lo,
-                },
-            );
-            sink.finish(ledger);
-        }
-        Err(e) => eprintln!("warning: cannot open trace file: {e}"),
+    if let Some(mut sink) = open_run(&base, None, label, cfg) {
+        let hit = TraceEvent::CacheHit {
+            fp_hi: fp.hi,
+            fp_lo: fp.lo,
+        };
+        sink.record(SimTime::ZERO, 0, &hit);
+        sink.finish(ledger);
     }
 }
 

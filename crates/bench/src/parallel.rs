@@ -1,7 +1,7 @@
 //! Deterministic fan-out of independent simulation runs.
 //!
 //! Every simulation run is fully determined by its `(config, seed)` pair, so
-//! an experiment sweep is embarrassingly parallel: [`map_indexed`] fans the
+//! an experiment sweep is embarrassingly parallel: [`map_indexed_with`] fans the
 //! work items across `std::thread::scope` workers and collects results **by
 //! input index**, so the assembled output — and therefore every experiment
 //! table — is byte-identical to the sequential path regardless of worker
@@ -43,37 +43,17 @@ pub fn oversubscribed(jobs: usize) -> bool {
 /// threads and returns the results **in input order**.
 ///
 /// Ordering guarantee: the output vector at position `i` holds
-/// `f(i, items[i])` exactly as the sequential loop would produce it; thread
-/// scheduling can never reorder, duplicate or drop a slot. A panic in any
-/// worker propagates once the scope joins.
-///
-/// # Examples
-///
-/// ```
-/// use mobidist_bench::parallel::map_indexed;
-/// let doubled = map_indexed(vec![1, 2, 3], 4, |_, x| x * 2);
-/// assert_eq!(doubled, vec![2, 4, 6]);
-/// ```
-pub fn map_indexed<I, T>(items: Vec<I>, jobs: usize, f: impl Fn(usize, I) -> T + Sync) -> Vec<T>
-where
-    I: Send,
-    T: Send,
-{
-    map_indexed_with(items, jobs, || (), |(), i, x| f(i, x))
-}
-
-/// [`map_indexed`] with per-worker scratch state.
+/// `f(state, i, items[i])` exactly as the sequential loop would produce it;
+/// thread scheduling can never reorder, duplicate or drop a slot. A panic in
+/// any worker propagates once the scope joins.
 ///
 /// Each worker thread (and the sequential fallback) builds one `W` with
 /// `make_state` and threads it through every item it processes. Sweeps pass a
 /// [`SimPool`](mobidist_net::prelude::SimPool) here so consecutive points on
 /// the same worker recycle one simulation's allocations instead of
-/// rebuilding them.
-///
-/// The ordering guarantee of [`map_indexed`] is unchanged, and `W` must not
-/// influence results (a pool doesn't: a reset simulation replays
-/// byte-identically) — which worker processes which item is scheduling-
-/// dependent.
+/// rebuilding them. `W` must not influence results (a pool doesn't: a reset
+/// simulation replays byte-identically) — which worker processes which item
+/// is scheduling-dependent.
 ///
 /// # Examples
 ///
@@ -173,39 +153,50 @@ mod tests {
     fn results_are_in_input_order() {
         // Make later items finish first: result order must still be stable.
         let items: Vec<u64> = (0..32).collect();
-        let out = map_indexed(items, 8, |_, x| {
-            std::thread::sleep(std::time::Duration::from_micros(200 * (32 - x)));
-            x * 10
-        });
+        let out = map_indexed_with(
+            items,
+            8,
+            || (),
+            |(), _, x| {
+                std::thread::sleep(std::time::Duration::from_micros(200 * (32 - x)));
+                x * 10
+            },
+        );
         assert_eq!(out, (0..32).map(|x| x * 10).collect::<Vec<_>>());
     }
 
     #[test]
     fn sequential_and_parallel_agree() {
-        let work = |i: usize, x: u64| (i as u64) * 1000 + x * x;
+        let work = |(): &mut (), i: usize, x: u64| (i as u64) * 1000 + x * x;
         let items: Vec<u64> = (0..50).collect();
-        let seq = map_indexed(items.clone(), 1, work);
-        let par = map_indexed(items, 7, work);
+        let seq = map_indexed_with(items.clone(), 1, || (), work);
+        let par = map_indexed_with(items, 7, || (), work);
         assert_eq!(seq, par);
     }
 
     #[test]
     fn every_item_runs_exactly_once() {
         let calls = AtomicUsize::new(0);
-        let out = map_indexed((0..100usize).collect(), 4, |i, x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            assert_eq!(i, x);
-            x
-        });
+        let out = map_indexed_with(
+            (0..100usize).collect(),
+            4,
+            || (),
+            |(), i, x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                assert_eq!(i, x);
+                x
+            },
+        );
         assert_eq!(out.len(), 100);
         assert_eq!(calls.load(Ordering::Relaxed), 100);
     }
 
     #[test]
     fn empty_and_single_inputs() {
-        let empty: Vec<u8> = map_indexed(Vec::new(), 8, |_, x: u8| x);
+        let empty: Vec<u8> = map_indexed_with(Vec::new(), 8, || (), |(), _, x: u8| x);
         assert!(empty.is_empty());
-        assert_eq!(map_indexed(vec![9], 8, |_, x| x + 1), vec![10]);
+        let one = map_indexed_with(vec![9], 8, || (), |(), _, x| x + 1);
+        assert_eq!(one, vec![10]);
     }
 
     #[test]

@@ -42,15 +42,6 @@ impl Summary {
             n,
         }
     }
-
-    /// Relative spread `std/mean` (0 when the mean is 0).
-    pub fn cv(&self) -> f64 {
-        if self.mean == 0.0 {
-            0.0
-        } else {
-            self.std / self.mean.abs()
-        }
-    }
 }
 
 impl fmt::Display for Summary {
@@ -172,26 +163,6 @@ pub fn jain(samples: &[f64]) -> f64 {
     (sum * sum) / (n as f64 * sq)
 }
 
-/// Runs `f` for each seed and summarises the results.
-///
-/// Fans the seeds across worker threads ([`crate::parallel::default_jobs`]
-/// of them); results are collected in seed order, so the summary is
-/// bit-identical to a sequential loop.
-pub fn over_seeds(seeds: impl IntoIterator<Item = u64>, f: impl Fn(u64) -> f64 + Sync) -> Summary {
-    over_seeds_jobs(seeds, crate::parallel::default_jobs(), f)
-}
-
-/// [`over_seeds`] with an explicit worker count (1 = sequential).
-pub fn over_seeds_jobs(
-    seeds: impl IntoIterator<Item = u64>,
-    jobs: usize,
-    f: impl Fn(u64) -> f64 + Sync,
-) -> Summary {
-    let seeds: Vec<u64> = seeds.into_iter().collect();
-    let samples = crate::parallel::map_indexed(seeds, jobs, |_, s| f(s));
-    Summary::of(&samples)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +173,6 @@ mod tests {
         assert_eq!(s.mean, 5.0);
         assert_eq!(s.std, 0.0);
         assert_eq!((s.min, s.max, s.n), (5.0, 5.0, 3));
-        assert_eq!(s.cv(), 0.0);
         assert_eq!(s.to_string(), "5.00 ± 0.00");
     }
 
@@ -219,13 +189,6 @@ mod tests {
     #[should_panic(expected = "zero samples")]
     fn empty_rejected() {
         let _ = Summary::of(&[]);
-    }
-
-    #[test]
-    fn over_seeds_feeds_each_seed() {
-        let s = over_seeds(0..4, |seed| seed as f64);
-        assert_eq!(s.mean, 1.5);
-        assert_eq!(s.n, 4);
     }
 
     #[test]

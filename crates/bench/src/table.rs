@@ -1,7 +1,7 @@
 //! Plain-text table rendering for experiment output.
 //!
 //! Every experiment produces a [`Table`] printed as aligned
-//! markdown-compatible text, so `cargo bench` output can be pasted straight
+//! markdown-compatible text, so `experiments` output can be pasted straight
 //! into EXPERIMENTS.md.
 
 use std::fmt;

@@ -226,11 +226,6 @@ impl<A: MutexAlgorithm> MutexHarness<A> {
         &self.algo
     }
 
-    /// Mutable access to the wrapped algorithm.
-    pub fn algorithm_mut(&mut self) -> &mut A {
-        &mut self.algo
-    }
-
     /// The invariant checker.
     pub fn checker(&self) -> &SafetyChecker {
         &self.checker

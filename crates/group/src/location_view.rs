@@ -150,16 +150,6 @@ impl LocationView {
         &self.master
     }
 
-    /// Number of members in the group, `|G|`.
-    pub fn group_size(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when `mh` belongs to the group.
-    pub fn is_member(&self, mh: MhId) -> bool {
-        self.members.contains(&mh)
-    }
-
     /// Largest view size observed during the run (`|LV(G)|max`).
     pub fn max_view_size(&self) -> usize {
         self.max_view

@@ -440,11 +440,6 @@ impl<S: LocationStrategy> GroupHarness<S> {
         &self.strategy
     }
 
-    /// Mutable access to the wrapped strategy.
-    pub fn strategy_mut(&mut self) -> &mut S {
-        &mut self.strategy
-    }
-
     /// Builds the delivery/cost report.
     pub fn report(&self) -> GroupReport {
         let mut delivered = 0;

@@ -208,8 +208,7 @@ pub struct ReorderBuffers<M> {
     // Keyed lookups only — never iterated (see FifoChains::last).
     tx_seq: FxHashMap<(MhId, MhId), u64>,
     rx: FxHashMap<(MhId, MhId), PairState<M>>,
-    /// Peak number of simultaneously-held (out-of-order) messages.
-    peak_held: usize,
+    /// Messages held back waiting for a predecessor, over all pairs.
     currently_held: usize,
 }
 
@@ -218,7 +217,6 @@ impl<M> Default for ReorderBuffers<M> {
         ReorderBuffers {
             tx_seq: FxHashMap::default(),
             rx: FxHashMap::default(),
-            peak_held: 0,
             currently_held: 0,
         }
     }
@@ -244,7 +242,6 @@ impl<M> ReorderBuffers<M> {
         }
         st.held.insert(seq, msg);
         self.currently_held += 1;
-        self.peak_held = self.peak_held.max(self.currently_held);
         let (out, drained) = st.drain();
         self.currently_held -= drained;
         out
@@ -268,18 +265,11 @@ impl<M> ReorderBuffers<M> {
         self.currently_held
     }
 
-    /// Peak of [`held`](ReorderBuffers::held) over the run — the buffering
-    /// burden L1 places on the network layer.
-    pub fn peak_held(&self) -> usize {
-        self.peak_held
-    }
-
     /// Forgets all sequencing state and statistics, retaining the map
     /// allocations for reuse.
     pub fn clear(&mut self) {
         self.tx_seq.clear();
         self.rx.clear();
-        self.peak_held = 0;
         self.currently_held = 0;
     }
 }
@@ -347,7 +337,6 @@ mod tests {
         assert!(b.accept(a, z, s1, 1).is_empty());
         b.clear();
         assert_eq!(b.held(), 0);
-        assert_eq!(b.peak_held(), 0);
         // Sequence numbers restart, as on a fresh buffer.
         assert_eq!(b.next_seq(a, z), 0);
         assert_eq!(b.accept(a, z, s0, 0), vec![0]);
@@ -363,7 +352,6 @@ mod tests {
             assert_eq!(b.accept(a, z, s, i as u32), vec![i as u32]);
         }
         assert_eq!(b.held(), 0);
-        assert_eq!(b.peak_held(), 1);
     }
 
     #[test]
@@ -377,7 +365,6 @@ mod tests {
         assert_eq!(b.accept(a, z, s[0], 0), vec![0, 1, 2]);
         assert_eq!(b.accept(a, z, s[3], 3), vec![3]);
         assert_eq!(b.held(), 0);
-        assert!(b.peak_held() >= 2);
     }
 
     #[test]

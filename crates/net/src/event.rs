@@ -12,9 +12,10 @@
 //!   events that dominate discrete-event workloads, versus O(log n) for a
 //!   heap. This is what the kernel runs on.
 //! * [`EventHeap`] — the original hand-rolled four-ary min-heap, kept as the
-//!   reference implementation. `tests/wheel_equivalence.rs` drives both with
-//!   randomized workloads and asserts identical pop sequences, and
-//!   `benches/micro.rs` (in the bench crate) races them head to head.
+//!   reference implementation (`tests/wheel_equivalence.rs` drives both with
+//!   randomized workloads and asserts identical pop sequences; the benchmark
+//!   package's `net.event.heap_hold_ns` races them head to head). The wheel's
+//!   overflow is one of these too, so there is a single sift implementation.
 //!
 //! # Wheel layout
 //!
@@ -150,9 +151,9 @@ impl<E> Level<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     levels: [Level<E>; LEVELS],
-    /// Far-future entries (`time ^ cursor >= REGION`), a 4-ary min-heap on
-    /// `(time, seq)`.
-    overflow: Vec<Entry<E>>,
+    /// Far-future entries (`time ^ cursor >= REGION`), keyed by the wheel's
+    /// own `(time, seq)`.
+    overflow: EventHeap<E>,
     /// Tick of the last popped event; never decreases.
     cursor: u64,
     /// Next insertion sequence number.
@@ -186,23 +187,13 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             levels: [Level::new(), Level::new(), Level::new()],
-            overflow: Vec::new(),
+            overflow: EventHeap::new(),
             cursor: 0,
             seq: 0,
             len: 0,
             wheel_len: 0,
             deque_pool: [Vec::new(), Vec::new(), Vec::new()],
         }
-    }
-
-    /// Creates an empty queue sized for roughly `cap` pending events.
-    ///
-    /// The wheel's slots grow on demand and are retained across
-    /// [`clear`](Self::clear), so the hint only pre-sizes the overflow heap.
-    pub fn with_capacity(cap: usize) -> Self {
-        let mut q = Self::new();
-        q.overflow.reserve(cap.min(1024));
-        q
     }
 
     /// Schedules `body` at `time`.
@@ -324,7 +315,7 @@ impl<E> EventQueue<E> {
         if self.wheel_len == 0 {
             // The jump in `settle` sets the cursor to the overflow minimum,
             // which then settles at its own tick.
-            return Some(self.overflow[0].time);
+            return self.overflow.heap.first().map(|e| e.time);
         }
         let c0 = (self.cursor & SLOT_MASK) as usize;
         if let Some(s) = self.levels[0].first_occupied_from(c0) {
@@ -354,7 +345,7 @@ impl<E> EventQueue<E> {
             return None;
         }
         if self.wheel_len == 0 {
-            return Some(SimTime::from_ticks(self.overflow[0].time));
+            return self.overflow.peek_time();
         }
         let c0 = (self.cursor & SLOT_MASK) as usize;
         if let Some(s) = self.levels[0].first_occupied_from(c0) {
@@ -424,7 +415,7 @@ impl<E> EventQueue<E> {
             lv.mark(slot);
             self.wheel_len += 1;
         } else {
-            self.overflow_push(e);
+            self.overflow.push_entry(e);
         }
     }
 
@@ -441,7 +432,7 @@ impl<E> EventQueue<E> {
                 // in everything that now fits the 2^24 region. Overflow
                 // times always exceed any wheel/cursor time (they differ in
                 // bits >= 24), so no pending event is skipped.
-                let t = self.overflow[0].time;
+                let t = self.overflow.heap[0].time;
                 debug_assert!(t >= self.cursor);
                 self.cursor = t;
                 self.drain_overflow();
@@ -512,11 +503,11 @@ impl<E> EventQueue<E> {
     /// wheel, in `(time, seq)` heap order — which preserves FIFO seq order
     /// for same-tick runs.
     fn drain_overflow(&mut self) {
-        while let Some(root) = self.overflow.first() {
+        while let Some(root) = self.overflow.heap.first() {
             if root.time ^ self.cursor >= REGION {
                 break;
             }
-            let e = self.overflow_pop();
+            let e = self.overflow.pop_entry().expect("root just seen");
             self.insert(e);
         }
     }
@@ -531,50 +522,6 @@ impl<E> EventQueue<E> {
             .min()
             .map(SimTime::from_ticks)
     }
-
-    // -- overflow: 4-ary min-heap on (time, seq) --------------------------
-
-    fn overflow_push(&mut self, e: Entry<E>) {
-        self.overflow.push(e);
-        let mut i = self.overflow.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.overflow[i].key() < self.overflow[parent].key() {
-                self.overflow.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn overflow_pop(&mut self) -> Entry<E> {
-        let last = self.overflow.len() - 1;
-        self.overflow.swap(0, last);
-        let e = self.overflow.pop().expect("caller checked non-empty");
-        let len = self.overflow.len();
-        let mut i = 0;
-        loop {
-            let first = 4 * i + 1;
-            if first >= len {
-                break;
-            }
-            let mut min = first;
-            let end = (first + 4).min(len);
-            for c in (first + 1)..end {
-                if self.overflow[c].key() < self.overflow[min].key() {
-                    min = c;
-                }
-            }
-            if self.overflow[min].key() < self.overflow[i].key() {
-                self.overflow.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-        e
-    }
 }
 
 const ARITY: usize = 4;
@@ -584,8 +531,8 @@ const ARITY: usize = 4;
 /// The original hand-rolled **four-ary min-heap** event queue, kept as the
 /// reference implementation for [`EventQueue`] (the timing wheel the kernel
 /// now runs on): `tests/wheel_equivalence.rs` asserts both pop identical
-/// `(time, seq, event)` sequences, and the bench crate's `micro.rs` compares
-/// their throughput across event-time distributions.
+/// `(time, seq, event)` sequences. It also backs the wheel's far-future
+/// overflow, which pushes entries carrying the wheel's own sequence numbers.
 ///
 /// # Examples
 ///
@@ -601,22 +548,8 @@ const ARITY: usize = 4;
 /// ```
 #[derive(Debug)]
 pub struct EventHeap<E> {
-    heap: Vec<HeapEntry<E>>,
+    heap: Vec<Entry<E>>,
     seq: u64,
-}
-
-#[derive(Debug)]
-struct HeapEntry<E> {
-    time: SimTime,
-    seq: u64,
-    body: E,
-}
-
-impl<E> HeapEntry<E> {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
 }
 
 impl<E> Default for EventHeap<E> {
@@ -634,41 +567,45 @@ impl<E> EventHeap<E> {
         }
     }
 
-    /// Creates an empty queue with room for `cap` pending events, so the
-    /// steady-state working set never reallocates.
-    pub fn with_capacity(cap: usize) -> Self {
-        EventHeap {
-            heap: Vec::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
     /// Schedules `body` at `time`.
     pub fn push(&mut self, time: SimTime, body: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(HeapEntry { time, seq, body });
-        self.sift_up(self.heap.len() - 1);
+        self.push_entry(Entry {
+            time: time.ticks(),
+            seq,
+            body,
+        });
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        self.pop_entry()
+            .map(|e| (SimTime::from_ticks(e.time), e.body))
+    }
+
+    /// Keyed push: the entry carries a sequence number assigned by the
+    /// caller (the wheel's overflow), bypassing this heap's own counter.
+    fn push_entry(&mut self, e: Entry<E>) {
+        self.heap.push(e);
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn pop_entry(&mut self) -> Option<Entry<E>> {
         if self.heap.is_empty() {
             return None;
         }
-        let last = self.heap.len() - 1;
-        self.heap.swap(0, last);
-        let e = self.heap.pop().expect("checked non-empty");
+        let e = self.heap.swap_remove(0);
         if !self.heap.is_empty() {
             self.sift_down(0);
         }
-        Some((e.time, e.body))
+        Some(e)
     }
 
     /// Fused peek-and-pop: removes the earliest event only when it is due at
     /// or before `limit`.
     pub fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        if self.heap.first()?.time > limit {
+        if self.heap.first()?.time > limit.ticks() {
             return None;
         }
         self.pop()
@@ -676,7 +613,7 @@ impl<E> EventHeap<E> {
 
     /// Time of the earliest pending event.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|e| e.time)
+        self.heap.first().map(|e| SimTime::from_ticks(e.time))
     }
 
     /// Number of pending events.
@@ -882,16 +819,6 @@ mod tests {
         assert!(q.pop_same_tick_if(|_| true).is_none());
         assert_eq!(q.pop().unwrap().1, 200);
         assert_eq!(q.pop().unwrap().1, 100);
-    }
-
-    #[test]
-    fn with_capacity_behaves_like_new() {
-        let mut q = EventQueue::with_capacity(128);
-        for i in (0..100).rev() {
-            q.push(SimTime::from_ticks(i), i);
-        }
-        let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -84,22 +84,9 @@ impl<M> MhState<M> {
         }
     }
 
-    /// True when attached to a cell.
-    pub fn is_connected(&self) -> bool {
-        self.status == MhStatus::Connected
-    }
-
-    /// Restores freshly-connected state in `cell` (as [`MhState::new`]),
-    /// retaining the outbox allocation for reuse.
-    pub fn reset(&mut self, cell: MssId, home: MssId) {
-        self.cell = Some(cell);
-        self.status = MhStatus::Connected;
-        self.dozing = false;
-        self.epoch = 0;
-        self.prev_cell = None;
-        self.home = home;
-        self.disconnected_at = None;
-        self.outbox.clear();
+    /// Zeroes the per-dwell downlink counters (on every leave/join: the `r`
+    /// of `leave(r)` restarts per cell).
+    pub(crate) fn reset_down_counts(&mut self) {
         self.down_received = 0;
         self.down_sent = 0;
     }
@@ -289,41 +276,6 @@ impl MssState {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn new_mh_is_connected() {
-        let h: MhState<()> = MhState::new(MssId(2), MssId(2));
-        assert!(h.is_connected());
-        assert_eq!(h.cell, Some(MssId(2)));
-        assert_eq!(h.epoch, 0);
-        assert!(h.outbox.is_empty());
-    }
-
-    #[test]
-    fn status_transitions_affect_is_connected() {
-        let mut h: MhState<()> = MhState::new(MssId(0), MssId(0));
-        h.status = MhStatus::BetweenCells;
-        assert!(!h.is_connected());
-        h.status = MhStatus::Disconnected;
-        assert!(!h.is_connected());
-    }
-
-    #[test]
-    fn reset_matches_new() {
-        let mut h: MhState<u32> = MhState::new(MssId(0), MssId(0));
-        h.status = MhStatus::BetweenCells;
-        h.dozing = true;
-        h.epoch = 9;
-        h.outbox.push_back(OutMsg::Plain(1));
-        h.down_received = 3;
-        h.reset(MssId(2), MssId(2));
-        assert!(h.is_connected());
-        assert_eq!(h.cell, Some(MssId(2)));
-        assert_eq!(h.epoch, 0);
-        assert!(!h.dozing);
-        assert!(h.outbox.is_empty());
-        assert_eq!(h.down_received, 0);
-    }
 
     #[test]
     fn host_set_basics() {

@@ -23,16 +23,14 @@ use crate::channel::{ChainKey, FifoChains, ReorderBuffers};
 use crate::config::{DeliveryMode, NetworkConfig, Placement};
 use crate::error::NetError;
 use crate::event::EventQueue;
-use crate::host::{MhStatus, MssState, OutMsg};
+use crate::host::{MhState, MhStatus, MssState, OutMsg};
 use crate::ids::{MhId, MssId};
 use crate::ledger::CostLedger;
 use crate::obs::{TraceEvent, TraceSink};
 use crate::proto::{ProtoEvent, Src};
 use crate::rng::SimRng;
 use crate::search::SearchPolicy;
-use crate::soa::MhSoa;
 use crate::time::SimTime;
-use crate::trace::Trace;
 use std::collections::VecDeque;
 use std::fmt::Debug;
 
@@ -160,15 +158,11 @@ pub struct Kernel<M, T> {
     rng: SimRng,
     proto_rng: SimRng,
     msss: Vec<MssState>,
-    /// Per-MH state as structure-of-arrays columns (see [`crate::soa`]):
-    /// ~3× fewer bytes per host than the old `Vec<MhState>` and cache-linear
-    /// scans of the hot columns at large populations.
-    mhs: MhSoa<M>,
+    mhs: Vec<MhState<M>>,
     fifo: FifoChains,
     reorder: ReorderBuffers<M>,
     ledger: CostLedger,
     pending: VecDeque<ProtoEvent<M, T>>,
-    trace: Trace,
     /// Structured event sink; `None` (the default) costs one branch per
     /// emission site and never constructs the event.
     sink: Option<Box<dyn TraceSink>>,
@@ -214,12 +208,11 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             rng: SimRng::seed_from(cfg.seed),
             proto_rng: SimRng::seed_from(cfg.seed),
             msss: Vec::new(),
-            mhs: MhSoa::new(),
+            mhs: Vec::new(),
             fifo: FifoChains::new(cfg.num_mss, cfg.num_mh),
             reorder: ReorderBuffers::default(),
             ledger: CostLedger::new(cfg.num_mh),
             pending: VecDeque::new(),
-            trace: Trace::default(),
             sink: None,
             trace_seq: 0,
             scratch_locals: Vec::new(),
@@ -237,14 +230,14 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
 
     /// Rewinds the kernel to the fresh-`new(cfg)` state while retaining
     /// every allocation (event-wheel slots, FIFO chain arrays, reorder maps,
-    /// per-MH outboxes, ledger vectors, trace ring, scratch buffers).
+    /// the per-MH table, ledger vectors, scratch buffers).
     ///
     /// Observable behaviour is bit-identical to a freshly built kernel: the
     /// RNG streams are reseeded and forked in the same order, MH placement
     /// draws the same values, and the event queue's insertion-sequence
     /// counter restarts at zero, so a reused kernel replays the exact event
-    /// order of a fresh one. `tests/determinism` and the bench crate's
-    /// sim-reuse test pin this.
+    /// order of a fresh one (pinned by the bench crate's `differential`
+    /// test).
     pub(crate) fn reset(&mut self, cfg: NetworkConfig) {
         // Same RNG derivation order as the original construction path:
         // seed, fork the protocol stream, fork the placement stream, then
@@ -261,21 +254,20 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             s.clear();
         }
         self.msss.resize_with(m, MssState::default);
-        self.mhs.reset_to(n);
+        self.mhs.clear();
         for i in 0..n {
             let cell = match cfg.placement {
                 Placement::RoundRobin => MssId((i % m) as u32),
                 Placement::Random => MssId(place_rng.below(m as u64) as u32),
                 Placement::Clustered { cells } => MssId((i % cells.clamp(1, m)) as u32),
             };
-            self.mhs.place(i, cell, cell);
+            self.mhs.push(MhState::new(cell, cell));
             self.msss[cell.index()].local.insert(MhId(i as u32));
         }
         self.fifo.reset_topology(m, n);
         self.reorder.clear();
         self.ledger.reset(n);
         self.pending.clear();
-        self.trace.reset();
         self.trace_seq = 0;
         if let Some(s) = self.sink.as_deref_mut() {
             s.rewind();
@@ -335,22 +327,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         &mut self.proto_rng
     }
 
-    /// The execution trace.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the trace (to enable/disable it).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
-    }
-
     /// Installs a structured trace sink; it observes every subsequent typed
     /// emission. Replaces any previously installed sink.
     ///
     /// Sinks only observe: installing one never changes simulation results
-    /// (no RNG draws, no scheduling — pinned byte-for-byte by the bench
-    /// crate's trace tests).
+    /// (no RNG draws, no scheduling — pinned byte-for-byte by the `trace`
+    /// axis of the bench crate's `differential` test).
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.sink = Some(sink);
     }
@@ -360,11 +342,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// end-of-run path).
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.sink.take()
-    }
-
-    /// True when a structured trace sink is installed.
-    pub fn has_trace_sink(&self) -> bool {
-        self.sink.is_some()
     }
 
     /// Borrows the installed trace sink for inspection (downcast through
@@ -394,12 +371,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         }
     }
 
-    /// Peak occupancy of the MH→MH resequencing buffers — the FIFO burden L1
-    /// places on the network layer.
-    pub fn reorder_peak(&self) -> usize {
-        self.reorder.peak_held()
-    }
-
     /// True when `mh` is local to `mss`.
     pub fn is_local(&self, mss: MssId, mh: MhId) -> bool {
         self.msss[mss.index()].has_local(mh)
@@ -415,7 +386,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
 
     /// Connectivity status of `mh`.
     pub fn mh_status(&self, mh: MhId) -> MhStatus {
-        self.mhs.status(mh)
+        self.mhs[mh.index()].status
     }
 
     /// True when the disconnected flag for `mh` is set at `mss`.
@@ -425,17 +396,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
 
     /// Oracle view of the current cell of `mh`.
     pub fn current_cell(&self, mh: MhId) -> Option<MssId> {
-        self.mhs.cell(mh)
+        self.mhs[mh.index()].cell
     }
 
     /// Sets doze mode for `mh`.
     pub fn set_doze(&mut self, mh: MhId, dozing: bool) {
-        self.mhs.set_dozing(mh, dozing);
-    }
-
-    /// True when no timed or pending protocol events remain.
-    pub fn is_quiescent(&self) -> bool {
-        self.queue.is_empty() && self.pending.is_empty()
+        self.mhs[mh.index()].dozing = dozing;
     }
 
     /// Time of the next timed event.
@@ -684,7 +650,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         if !self.is_local(mss, mh) {
             return Err(NetError::NotLocal { mss, mh });
         }
-        let epoch = self.mhs.epoch(mh);
+        let epoch = self.mhs[mh.index()].epoch;
         self.schedule_down(mss, mh, epoch, DownMode::Local, msg);
         Ok(())
     }
@@ -714,8 +680,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         let mut msg = Some(msg);
         if self.cfg.delivery == DeliveryMode::Unbatched {
             for (i, mh) in locals.iter().enumerate() {
-                let epoch = self.mhs.epoch(*mh);
-                self.mhs.incr_down_sent(*mh);
+                let h = &mut self.mhs[mh.index()];
+                let epoch = h.epoch;
+                h.down_sent += 1;
                 let at = self.fifo.schedule(ChainKey::Down(mss, *mh), self.now + lat);
                 let payload = if i == n - 1 {
                     msg.take().expect("payload present until last")
@@ -742,8 +709,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             debug_assert!(group.is_empty());
             let mut group_at = SimTime::ZERO;
             for mh in &locals {
-                let epoch = self.mhs.epoch(*mh);
-                self.mhs.incr_down_sent(*mh);
+                let h = &mut self.mhs[mh.index()];
+                let epoch = h.epoch;
+                h.down_sent += 1;
                 let at = self.fifo.schedule(ChainKey::Down(mss, *mh), self.now + lat);
                 if !group.is_empty() && at != group_at {
                     let payload = msg.as_ref().expect("payload present until last").clone();
@@ -805,14 +773,14 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     ///
     /// [`NetError::Disconnected`] when `mh` has disconnected.
     pub fn send_wireless_up(&mut self, mh: MhId, msg: M) -> Result<(), NetError> {
-        match self.mhs.status(mh) {
+        match self.mhs[mh.index()].status {
             MhStatus::Disconnected => Err(NetError::Disconnected { mh }),
             MhStatus::BetweenCells => {
-                self.mhs.push_outbox(mh, OutMsg::Plain(msg));
+                self.mhs[mh.index()].outbox.push_back(OutMsg::Plain(msg));
                 Ok(())
             }
             MhStatus::Connected => {
-                let mss = self.mhs.cell(mh).expect("connected MH has a cell");
+                let mss = self.mhs[mh.index()].cell.expect("connected MH has a cell");
                 self.push_uplink(mh, mss, OutMsg::Plain(msg));
                 Ok(())
             }
@@ -830,17 +798,19 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     ///
     /// [`NetError::Disconnected`] when the *sender* has disconnected.
     pub fn mh_send_to_mh(&mut self, src: MhId, dst: MhId, msg: M) -> Result<(), NetError> {
-        if self.mhs.status(src) == MhStatus::Disconnected {
+        if self.mhs[src.index()].status == MhStatus::Disconnected {
             return Err(NetError::Disconnected { mh: src });
         }
         let seq = self.reorder.next_seq(src, dst);
-        match self.mhs.status(src) {
+        match self.mhs[src.index()].status {
             MhStatus::Connected => {
-                let mss = self.mhs.cell(src).expect("connected MH has a cell");
+                let mss = self.mhs[src.index()].cell.expect("connected MH has a cell");
                 self.push_uplink(src, mss, OutMsg::ToMh { dst, seq, msg });
             }
             MhStatus::BetweenCells => {
-                self.mhs.push_outbox(src, OutMsg::ToMh { dst, seq, msg });
+                self.mhs[src.index()]
+                    .outbox
+                    .push_back(OutMsg::ToMh { dst, seq, msg });
             }
             MhStatus::Disconnected => unreachable!("checked above"),
         }
@@ -857,14 +827,14 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// Forces `mh` to leave now and join `dest` (or a pattern-chosen cell)
     /// after the configured gap. No-op when not connected.
     pub fn initiate_move(&mut self, mh: MhId, dest: Option<MssId>) {
-        if self.mhs.status(mh) == MhStatus::Connected {
+        if self.mhs[mh.index()].status == MhStatus::Connected {
             self.do_leave(mh, dest);
         }
     }
 
     /// Forces `mh` to disconnect now. No-op when not connected.
     pub fn initiate_disconnect(&mut self, mh: MhId) {
-        if self.mhs.status(mh) == MhStatus::Connected {
+        if self.mhs[mh.index()].status == MhStatus::Connected {
             self.do_disconnect(mh, false);
         }
     }
@@ -872,10 +842,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// Forces a disconnected `mh` to reconnect at `at` (or its previous
     /// cell) after `delay` ticks. No-op when not disconnected.
     pub fn initiate_reconnect(&mut self, mh: MhId, at: Option<MssId>, delay: u64) {
-        if self.mhs.status(mh) != MhStatus::Disconnected {
+        if self.mhs[mh.index()].status != MhStatus::Disconnected {
             return;
         }
-        let dest = at.or(self.mhs.disconnected_at(mh)).unwrap_or(MssId(0));
+        let dest = at
+            .or(self.mhs[mh.index()].disconnected_at)
+            .unwrap_or(MssId(0));
         self.queue
             .push(self.now + delay.max(1), Ev::DoReconnect { mh, mss: dest });
     }
@@ -909,7 +881,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.ledger.wireless_msgs += 1;
         self.ledger.wireless_cost += self.cfg.cost.c_wireless;
         self.emit(|| TraceEvent::DownSend { mss, mh });
-        self.mhs.incr_down_sent(mh);
+        self.mhs[mh.index()].down_sent += 1;
         let lat = self.cfg.latency.wireless.sample(&mut self.rng);
         let at = self.fifo.schedule(ChainKey::Down(mss, mh), self.now + lat);
         self.queue.push(
@@ -947,7 +919,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             }
         };
         self.emit(|| TraceEvent::Search { target, re });
-        match self.mhs.status(target) {
+        match self.mhs[target.index()].status {
             MhStatus::Disconnected => {
                 // The MSS where the MH disconnected answers with its status.
                 let back = self.cfg.latency.fixed.sample(&mut self.rng);
@@ -956,10 +928,10 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             MhStatus::Connected | MhStatus::BetweenCells => {
                 // Forward to the current cell, or toward the last known cell
                 // when mid-move; arrival there triggers a counted re-search.
-                let at = self
-                    .mhs
-                    .cell(target)
-                    .or(self.mhs.prev_cell(target))
+                let h = &self.mhs[target.index()];
+                let at = h
+                    .cell
+                    .or(h.prev_cell)
                     .expect("an MH always has a current or previous cell");
                 self.queue.push(
                     self.now + lat,
@@ -1005,13 +977,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     fn deliver_down(&mut self, mss: MssId, mh: MhId, epoch: u64, mode: DownMode, msg: M) {
-        let fresh = self.mhs.status(mh) == MhStatus::Connected
-            && self.mhs.cell(mh) == Some(mss)
-            && self.mhs.epoch(mh) == epoch;
+        let h = &mut self.mhs[mh.index()];
+        let fresh = h.status == MhStatus::Connected && h.cell == Some(mss) && h.epoch == epoch;
         if fresh {
-            self.mhs.incr_down_received(mh);
+            h.down_received += 1;
+            let dozing = h.dozing;
             self.emit(|| TraceEvent::DownRecv { mh, mss });
-            if self.mhs.dozing(mh) {
+            if dozing {
                 self.ledger.doze_interruptions += 1;
                 self.emit(|| TraceEvent::DozeInterrupt { mh });
             }
@@ -1154,7 +1126,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                 msg,
             } => {
                 if self.msss[at.index()].has_local(target) {
-                    let epoch = self.mhs.epoch(target);
+                    let epoch = self.mhs[target.index()].epoch;
                     self.schedule_down(at, target, epoch, mode, msg);
                 } else if self.msss[at.index()].disconnected_here.contains(&target) {
                     let back = self.cfg.latency.fixed.sample(&mut self.rng);
@@ -1178,13 +1150,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             Ev::AutoLeave { mh } => {
                 // Leave only if still connected; moving/disconnected MHs get
                 // a fresh dwell scheduled when they next join/reconnect.
-                if self.mhs.status(mh) == MhStatus::Connected {
+                if self.mhs[mh.index()].status == MhStatus::Connected {
                     self.do_leave(mh, None);
                 }
             }
             Ev::DoJoin { mh, mss } => self.do_join(mh, mss),
             Ev::AutoDisconnect { mh } => {
-                if self.mhs.status(mh) == MhStatus::Connected {
+                if self.mhs[mh.index()].status == MhStatus::Connected {
                     self.do_disconnect(mh, true);
                 } else {
                     let d = self.rng.exp_delay(self.cfg.disconnect.mean_uptime);
@@ -1266,7 +1238,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                 self.down[mss.index()] = true;
                 self.ledger.bump("fault_crashes");
                 self.emit(|| TraceEvent::FaultCrash { mss });
-                self.trace.record(self.now, || format!("{mss} crashes"));
                 self.pending.push_back(ProtoEvent::MssCrashed { mss });
                 // Resident MHs evacuate through the ordinary leave/join
                 // choreography (destinations from the run's MovePattern,
@@ -1291,8 +1262,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                 self.partition_cut = Some(cut);
                 self.ledger.bump("fault_partitions");
                 self.emit(|| TraceEvent::FaultPartition { cut, healed: false });
-                self.trace
-                    .record(self.now, || format!("wired partition at cut {cut}"));
                 self.queue
                     .push(self.now + heal_after.max(1), Ev::PartitionHeal);
             }
@@ -1303,15 +1272,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                         break;
                     }
                     let mh = MhId(i as u32);
-                    if self.mhs.status(mh) == MhStatus::Connected {
+                    if self.mhs[mh.index()].status == MhStatus::Connected {
                         self.do_leave(mh, None);
                         moved += 1;
                     }
                 }
                 self.ledger.bump("fault_storms");
                 self.emit(|| TraceEvent::FaultStorm { moved });
-                self.trace
-                    .record(self.now, || format!("handoff storm moved {moved} MHs"));
             }
         }
     }
@@ -1320,7 +1287,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.down[mss.index()] = false;
         self.ledger.bump("fault_recovers");
         self.emit(|| TraceEvent::FaultRecover { mss });
-        self.trace.record(self.now, || format!("{mss} recovers"));
         self.pending.push_back(ProtoEvent::MssRecovered { mss });
         self.flush_unblocked();
     }
@@ -1329,8 +1295,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         if let Some(cut) = self.partition_cut.take() {
             self.ledger.bump("fault_heals");
             self.emit(|| TraceEvent::FaultPartition { cut, healed: true });
-            self.trace
-                .record(self.now, || format!("partition at cut {cut} heals"));
             self.flush_unblocked();
         }
     }
@@ -1353,32 +1317,35 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         }
     }
 
+    /// Where the run's mobility pattern sends `mh` after it left `from`.
+    fn next_cell(&mut self, mh: MhId, from: MssId) -> MssId {
+        let h = &self.mhs[mh.index()];
+        let ctx = crate::mobility::MoveCtx {
+            mh,
+            from,
+            m: self.cfg.num_mss,
+            home: h.home,
+            era: h.epoch,
+            seed: self.cfg.seed,
+        };
+        self.cfg.mobility.pattern.next_cell(&mut self.rng, ctx)
+    }
+
     fn do_leave(&mut self, mh: MhId, dest: Option<MssId>) {
-        let mss = self.mhs.cell(mh).expect("connected MH has a cell");
-        self.mhs.set_status(mh, MhStatus::BetweenCells);
-        self.mhs.set_prev_cell(mh, Some(mss));
-        self.mhs.set_cell(mh, None);
-        self.mhs.bump_epoch(mh);
-        self.mhs.reset_down_counts(mh);
+        let h = &mut self.mhs[mh.index()];
+        let mss = h.cell.take().expect("connected MH has a cell");
+        h.status = MhStatus::BetweenCells;
+        h.prev_cell = Some(mss);
+        h.epoch += 1;
+        h.reset_down_counts();
         self.msss[mss.index()].local.remove(&mh);
         self.fifo.reset(ChainKey::Down(mss, mh));
         self.fifo.reset(ChainKey::Up(mh, mss));
         self.ledger.bump("control_wireless"); // leave(r)
         self.emit(|| TraceEvent::HandoffBegin { mh, from: mss });
-        self.trace.record(self.now, || format!("{mh} leaves {mss}"));
         self.pending.push_back(ProtoEvent::Left { mh, mss });
         let gap = self.rng.exp_delay(self.cfg.mobility.mean_gap.max(1));
-        let dest = dest.unwrap_or_else(|| {
-            let ctx = crate::mobility::MoveCtx {
-                mh,
-                from: mss,
-                m: self.cfg.num_mss,
-                home: self.mhs.home(mh),
-                era: self.mhs.epoch(mh),
-                seed: self.cfg.seed,
-            };
-            self.cfg.mobility.pattern.next_cell(&mut self.rng, ctx)
-        });
+        let dest = dest.unwrap_or_else(|| self.next_cell(mh, mss));
         self.queue
             .push(self.now + gap, Ev::DoJoin { mh, mss: dest });
     }
@@ -1387,14 +1354,15 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         // Fault plane: a join aimed at a crashed cell lands at the next
         // live one instead (no MSS to run the join choreography).
         let mss = self.live_cell(mss);
-        let prev = self.mhs.prev_cell(mh);
-        self.mhs.set_cell(mh, Some(mss));
-        self.mhs.set_status(mh, MhStatus::Connected);
-        self.mhs.reset_down_counts(mh);
+        let h = &mut self.mhs[mh.index()];
+        let prev = h.prev_cell;
+        h.cell = Some(mss);
+        h.status = MhStatus::Connected;
+        h.reset_down_counts();
         self.msss[mss.index()].local.insert(mh);
         self.ledger.moves += 1;
         self.ledger.bump("control_wireless"); // join(mh-id)
-        if self.cfg.search == SearchPolicy::HomeAgent && self.mhs.home(mh) != mss {
+        if self.cfg.search == SearchPolicy::HomeAgent && self.mhs[mh.index()].home != mss {
             // The new cell registers the MH's location with its home agent.
             self.ledger.bump("ha_registrations");
             self.ledger.bump("control_fixed");
@@ -1415,8 +1383,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             to: mss,
             prev: supplied,
         });
-        self.trace
-            .record(self.now, || format!("{mh} joins {mss} (prev {prev:?})"));
         self.pending.push_back(ProtoEvent::Joined {
             mh,
             mss,
@@ -1430,12 +1396,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     fn do_disconnect(&mut self, mh: MhId, schedule_auto_reconnect: bool) {
-        let mss = self.mhs.cell(mh).expect("connected MH has a cell");
-        self.mhs.set_status(mh, MhStatus::Disconnected);
-        self.mhs.set_prev_cell(mh, Some(mss));
-        self.mhs.set_cell(mh, None);
-        self.mhs.bump_epoch(mh);
-        self.mhs.set_disconnected_at(mh, Some(mss));
+        let h = &mut self.mhs[mh.index()];
+        let mss = h.cell.take().expect("connected MH has a cell");
+        h.status = MhStatus::Disconnected;
+        h.prev_cell = Some(mss);
+        h.epoch += 1;
+        h.disconnected_at = Some(mss);
         self.msss[mss.index()].local.remove(&mh);
         self.msss[mss.index()].disconnected_here.insert(mh);
         self.fifo.reset(ChainKey::Down(mss, mh));
@@ -1443,31 +1409,21 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.ledger.disconnects += 1;
         self.ledger.bump("control_wireless"); // disconnect(r)
         self.emit(|| TraceEvent::Disconnect { mh, mss });
-        self.trace
-            .record(self.now, || format!("{mh} disconnects at {mss}"));
         self.pending.push_back(ProtoEvent::Disconnected { mh, mss });
         if schedule_auto_reconnect {
             let down = self.rng.exp_delay(self.cfg.disconnect.mean_downtime.max(1));
-            let ctx = crate::mobility::MoveCtx {
-                mh,
-                from: mss,
-                m: self.cfg.num_mss,
-                home: self.mhs.home(mh),
-                era: self.mhs.epoch(mh),
-                seed: self.cfg.seed,
-            };
-            let dest = self.cfg.mobility.pattern.next_cell(&mut self.rng, ctx);
+            let dest = self.next_cell(mh, mss);
             self.queue
                 .push(self.now + down, Ev::DoReconnect { mh, mss: dest });
         }
     }
 
     fn do_reconnect(&mut self, mh: MhId, mss: MssId) {
-        if self.mhs.status(mh) != MhStatus::Disconnected {
+        if self.mhs[mh.index()].status != MhStatus::Disconnected {
             return;
         }
         let mss = self.live_cell(mss);
-        let old = self.mhs.disconnected_at(mh);
+        let old = self.mhs[mh.index()].disconnected_at;
         if let Some(o) = old {
             self.msss[o.index()].disconnected_here.remove(&mh);
         }
@@ -1479,15 +1435,16 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             self.ledger
                 .bump_by("control_fixed", (self.cfg.num_mss as u64).saturating_sub(1));
         }
-        self.mhs.set_status(mh, MhStatus::Connected);
-        self.mhs.set_cell(mh, Some(mss));
-        self.mhs.set_disconnected_at(mh, None);
-        self.mhs.set_prev_cell(mh, old);
-        self.mhs.reset_down_counts(mh);
+        let h = &mut self.mhs[mh.index()];
+        h.status = MhStatus::Connected;
+        h.cell = Some(mss);
+        h.disconnected_at = None;
+        h.prev_cell = old;
+        h.reset_down_counts();
         self.msss[mss.index()].local.insert(mh);
         self.ledger.reconnects += 1;
         self.ledger.bump("control_wireless"); // reconnect(mh, prev)
-        if self.cfg.search == SearchPolicy::HomeAgent && self.mhs.home(mh) != mss {
+        if self.cfg.search == SearchPolicy::HomeAgent && self.mhs[mh.index()].home != mss {
             self.ledger.bump("ha_registrations");
             self.ledger.bump("control_fixed");
         }
@@ -1495,9 +1452,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             mh,
             mss,
             prev: if supplies_prev { old } else { None },
-        });
-        self.trace.record(self.now, || {
-            format!("{mh} reconnects at {mss} (was {old:?})")
         });
         self.pending.push_back(ProtoEvent::Reconnected {
             mh,
@@ -1516,9 +1470,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     fn flush_outbox(&mut self, mh: MhId, mss: MssId) {
-        // The outbox side table only holds entries for hosts that actually
-        // buffered, so the common join flushes nothing and touches no map.
-        for out in self.mhs.take_outbox(mh) {
+        // Popped one at a time so the outbox keeps its allocation for the
+        // host's next move (`push_uplink` never touches it).
+        while let Some(out) = self.mhs[mh.index()].outbox.pop_front() {
             self.push_uplink(mh, mss, out);
         }
     }

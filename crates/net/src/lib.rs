@@ -71,9 +71,7 @@ pub mod rng;
 pub mod search;
 pub mod shard;
 pub mod sim;
-mod soa;
 pub mod time;
-pub mod trace;
 
 /// Convenient glob import for protocol authors.
 pub mod prelude {

@@ -220,11 +220,6 @@ impl SpanTracker {
         self.open.remove(&key).map(|b| at.saturating_since(b))
     }
 
-    /// Number of spans currently open.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
     /// Drops all open spans.
     pub fn clear(&mut self) {
         self.open.clear();
@@ -351,11 +346,6 @@ impl MetricsSink {
     /// Read access to the aggregates so far.
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
-    }
-
-    /// Consumes the sink, returning the aggregates.
-    pub fn into_metrics(self) -> Metrics {
-        self.metrics
     }
 }
 

@@ -20,8 +20,7 @@
 //!
 //! Two sinks ship with the crate:
 //!
-//! * [`RingSink`] — a bounded in-memory ring, superseding the string-based
-//!   [`Trace`](crate::trace::Trace) for tests and debugging;
+//! * [`RingSink`] — a bounded in-memory ring for tests and debugging;
 //! * [`JsonlSink`] — a buffered line-oriented JSON writer with the stable,
 //!   versioned schema documented in `OBSERVABILITY.md` and parsed back by
 //!   [`parse_line`].
@@ -553,12 +552,8 @@ pub trait TraceSink: Send + std::fmt::Debug {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// Bounded in-memory ring of typed events, oldest dropped first.
-///
-/// The typed successor of the string-based
-/// [`Trace`](crate::trace::Trace): same bounded-memory contract, but
-/// entries are [`TraceEvent`]s that can be matched on instead of substring
-/// searched.
+/// Bounded in-memory ring of typed events, oldest dropped first. Entries
+/// are [`TraceEvent`]s, to be matched on rather than substring searched.
 ///
 /// A capacity of `0` is an explicit no-op sink: it observes and drops every
 /// event (useful to measure emission overhead without retention).

@@ -59,7 +59,7 @@ impl<P: Protocol> Simulation<P> {
 
     /// Rewinds this simulation to the state `Simulation::new(cfg, proto)`
     /// would produce, recycling the kernel's allocations (event-wheel slots,
-    /// FIFO chains, reorder buffers, outboxes, ledger vectors) instead of
+    /// FIFO chains, reorder buffers, the per-MH table, ledger vectors) instead of
     /// rebuilding them.
     ///
     /// A reset simulation replays byte-identical traces and cost tables for
@@ -87,12 +87,12 @@ impl<P: Protocol> Simulation<P> {
         &mut self.proto
     }
 
-    /// The kernel (topology queries, trace, ledger).
+    /// The kernel (topology queries, trace sink, ledger).
     pub fn kernel(&self) -> &Kernel<P::Msg, P::Timer> {
         &self.kernel
     }
 
-    /// Mutable kernel access (enable tracing, custom counters).
+    /// Mutable kernel access (trace sinks, custom counters).
     pub fn kernel_mut(&mut self) -> &mut Kernel<P::Msg, P::Timer> {
         &mut self.kernel
     }
@@ -144,12 +144,6 @@ impl<P: Protocol> Simulation<P> {
         while self.kernel.advance_up_to(until) {
             self.drain_pending();
         }
-    }
-
-    /// Runs for `d` more ticks of simulated time.
-    pub fn run_for(&mut self, d: u64) {
-        let until = self.now() + d;
-        self.run_until(until);
     }
 
     /// Runs until no events remain or simulated time exceeds `max_ticks`.

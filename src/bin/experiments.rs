@@ -7,8 +7,7 @@
 //! cargo run --release --bin experiments -- --list
 //! ```
 //!
-//! Equivalent to running the `harness = false` bench targets, but from one
-//! binary with experiment selection.
+//! The one launcher for the experiment tables (`make bench` runs `all`).
 //!
 //! `--jobs N` sets the worker count for sweep fan-out (`--jobs 1` forces the
 //! sequential path; default is the machine's available parallelism). Tables
@@ -30,10 +29,20 @@
 //! a repeated invocation replays from disk instead of re-simulating. Tables
 //! are byte-identical either way. A `cache: ...` summary line is printed to
 //! stderr at exit.
+//!
+//! Each value flag has an environment twin the library layers read
+//! (`MOBIDIST_JOBS`, `MOBIDIST_SHARDS`, `MOBIDIST_TRACE`, `MOBIDIST_CACHE`);
+//! the flag wins, an empty variable counts as unset, and both obey one rule,
+//! checked before anything runs. Bad input — an unknown flag or experiment,
+//! a missing or malformed value — is a usage error on stderr with a non-zero
+//! exit and nothing on stdout.
 
 use mobidist_bench::{
     exp_fault, exp_group, exp_model, exp_mutex, exp_proxy, exp_scale, exp_serve, Table,
 };
+use mobidist_bench::{exp_scale::SHARDS_ENV, obs::TRACE_ENV};
+use mobidist_runcache::CACHE_ENV;
+use std::io::Write;
 use std::process::ExitCode;
 
 const EXPERIMENTS: &[(&str, &str)] = &[
@@ -78,150 +87,148 @@ fn run_one(name: &str, quick: bool) -> Option<Table> {
     })
 }
 
-fn print_list() {
-    println!("available experiments:");
+fn list() -> String {
+    let mut s = String::from("available experiments:\n");
     for (id, what) in EXPERIMENTS {
-        println!("  {id:<5} {what}");
+        s += &format!("  {id:<5} {what}\n");
+    }
+    s
+}
+
+/// Writes to stdout; `false` once it is closed (`experiments all | head`).
+fn emit(text: &str) -> bool {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .is_ok()
+}
+
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!(
+        "{msg}\nusage: experiments [--quick] [--csv] [--list] [--jobs N] [--shards N] \
+         [--trace PATH] [--cache DIR] <e0..e14 | all>..."
+    );
+    ExitCode::FAILURE
+}
+
+fn positive(v: &str) -> Result<(), String> {
+    match v.parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(()),
+        _ => Err(format!("expects a positive integer, got '{v}'")),
     }
 }
 
+fn path(v: &str) -> Result<(), String> {
+    if v.is_empty() {
+        return Err("expects a non-empty path".into());
+    }
+    Ok(())
+}
+
+fn dir(v: &str) -> Result<(), String> {
+    path(v)?;
+    std::fs::create_dir_all(v).map_err(|e| format!("cannot create '{v}': {e}"))
+}
+
+/// A value flag: `(--long, -short, environment twin, what the value is,
+/// rule)`. `MOBIDIST_JOBS` is read by `mobidist_bench::parallel`, the other
+/// variables by the modules that name them.
+type Knob = (&'static str, &'static str, &'static str, &'static str, Rule);
+type Rule = fn(&str) -> Result<(), String>;
+const KNOBS: [Knob; 4] = [
+    ("--jobs", "-j", "MOBIDIST_JOBS", "a worker count", positive),
+    ("--shards", "-s", SHARDS_ENV, "a worker count", positive),
+    ("--trace", "-t", TRACE_ENV, "an output path", path),
+    ("--cache", "--cache", CACHE_ENV, "a directory", dir),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick" || a == "-q");
-    let list = args.iter().any(|a| a == "--list" || a == "-l");
-    let csv = args.iter().any(|a| a == "--csv");
-    let mut jobs_value: Option<String> = None;
-    let mut trace_value: Option<String> = None;
-    let mut cache_value: Option<String> = None;
-    let mut shards_value: Option<String> = None;
+    let (mut quick, mut csv, mut list_only) = (false, false, false);
+    let mut values: [Option<String>; 4] = Default::default();
     let mut selected: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--jobs" || a == "-j" {
-            match it.next() {
-                Some(v) => jobs_value = Some(v.clone()),
-                None => {
-                    eprintln!("--jobs requires a worker count");
-                    return ExitCode::FAILURE;
+        match a.as_str() {
+            "--quick" | "-q" => quick = true,
+            "--csv" => csv = true,
+            "--list" | "-l" => list_only = true,
+            a if a.starts_with('-') => {
+                // `--flag V`, `-f V` or `--flag=V`.
+                let (flag, inline) = match a.split_once('=') {
+                    Some((f, v)) => (f, Some(v.to_string())),
+                    None => (a, None),
+                };
+                let Some(k) = KNOBS
+                    .iter()
+                    .position(|k| flag == k.0 || (flag == k.1 && inline.is_none()))
+                else {
+                    return usage_error(&format!("unknown flag '{a}'"));
+                };
+                values[k] = inline.or_else(|| it.next().cloned());
+                if values[k].is_none() {
+                    return usage_error(&format!("{} requires {}", KNOBS[k].0, KNOBS[k].3));
                 }
             }
-        } else if let Some(v) = a.strip_prefix("--jobs=") {
-            jobs_value = Some(v.to_string());
-        } else if a == "--trace" || a == "-t" {
-            match it.next() {
-                Some(v) => trace_value = Some(v.clone()),
-                None => {
-                    eprintln!("--trace requires an output path");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--trace=") {
-            trace_value = Some(v.to_string());
-        } else if a == "--cache" {
-            match it.next() {
-                Some(v) => cache_value = Some(v.clone()),
-                None => {
-                    eprintln!("--cache requires a directory");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--cache=") {
-            cache_value = Some(v.to_string());
-        } else if a == "--shards" || a == "-s" {
-            match it.next() {
-                Some(v) => shards_value = Some(v.clone()),
-                None => {
-                    eprintln!("--shards requires a worker count");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if let Some(v) = a.strip_prefix("--shards=") {
-            shards_value = Some(v.to_string());
-        } else if !a.starts_with('-') {
-            selected.push(a.as_str());
+            name => selected.push(name),
         }
     }
-    if let Some(v) = jobs_value {
-        if v.parse::<usize>().map(|n| n >= 1) != Ok(true) {
-            eprintln!("--jobs expects a positive integer, got '{v}'");
-            return ExitCode::FAILURE;
+    for (value, (flag, _, env, _, rule)) in values.iter_mut().zip(KNOBS) {
+        let exported = || std::env::var(env).ok().filter(|v| !v.is_empty());
+        let (v, origin) = match value.take() {
+            Some(v) => (v, flag),
+            None => match exported() {
+                Some(v) => (v, env),
+                None => continue,
+            },
+        };
+        if let Err(e) = rule(&v) {
+            return usage_error(&format!("{origin} {e}"));
         }
-        // The sweep layer reads MOBIDIST_JOBS; see mobidist_bench::parallel.
-        std::env::set_var("MOBIDIST_JOBS", v);
+        std::env::set_var(env, &v);
+        *value = Some(v);
     }
-    if let Some(v) = shards_value {
-        if v.parse::<usize>().map(|n| n >= 1) != Ok(true) {
-            eprintln!("--shards expects a positive integer, got '{v}'");
-            return ExitCode::FAILURE;
-        }
-        // The sharded kernel reads MOBIDIST_SHARDS; see mobidist_bench::exp_scale.
-        std::env::set_var(exp_scale::SHARDS_ENV, v);
-    }
-    if trace_value.is_none() {
-        // A caller-exported MOBIDIST_TRACE behaves exactly like --trace,
-        // including the worker-part merge after the runs finish.
-        trace_value = std::env::var(mobidist_bench::obs::TRACE_ENV)
-            .ok()
-            .filter(|v| !v.is_empty());
-    }
-    if let Some(path) = &trace_value {
-        if path.is_empty() {
-            eprintln!("--trace expects a non-empty path");
-            return ExitCode::FAILURE;
-        }
-        // The sweep layer reads MOBIDIST_TRACE; see mobidist_bench::obs.
-        std::env::set_var(mobidist_bench::obs::TRACE_ENV, path);
-    }
-    if let Some(dir) = &cache_value {
-        if dir.is_empty() {
-            eprintln!("--cache expects a non-empty directory");
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("--cache: cannot create '{dir}': {e}");
-            return ExitCode::FAILURE;
-        }
-        // The run layer reads MOBIDIST_CACHE; see mobidist_runcache.
-        std::env::set_var(mobidist_runcache::CACHE_ENV, dir);
-    }
+    let [_, _, trace, cache] = &values;
 
-    if list {
-        print_list();
-        return ExitCode::SUCCESS;
+    if list_only {
+        return if emit(&list()) {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
     }
-    if selected.is_empty() {
-        eprintln!(
-            "usage: experiments [--quick] [--csv] [--jobs N] [--shards N] [--trace PATH] \
-             [--cache DIR] <e0..e14 | all>..."
-        );
-        print_list();
-        return ExitCode::FAILURE;
-    }
-
+    // Every name is resolved before the first experiment runs.
     let names: Vec<&str> = if selected.contains(&"all") {
         EXPERIMENTS.iter().map(|(id, _)| *id).collect()
     } else {
         selected
     };
+    if let Some(bad) = names
+        .iter()
+        .find(|n| !EXPERIMENTS.iter().any(|(id, _)| id == *n))
+    {
+        return usage_error(&format!("unknown experiment '{bad}'\n{}", list()));
+    }
+    if names.is_empty() {
+        return usage_error(&format!("no experiment selected\n{}", list()));
+    }
 
+    let mut status = ExitCode::SUCCESS;
     for name in names {
-        match run_one(name, quick) {
-            Some(t) => {
-                if csv {
-                    println!("# {name}");
-                    print!("{}", t.to_csv());
-                } else {
-                    println!("{t}");
-                }
-            }
-            None => {
-                eprintln!("unknown experiment '{name}'");
-                print_list();
-                return ExitCode::FAILURE;
-            }
+        let t = run_one(name, quick).expect("names were resolved above");
+        let text = if csv {
+            format!("# {name}\n{}", t.to_csv())
+        } else {
+            format!("{t}\n")
+        };
+        // A closed stdout is the reader saying "enough": stop quietly, but
+        // say so in the exit code.
+        if !emit(&text) {
+            status = ExitCode::FAILURE;
+            break;
         }
     }
-    if let Some(path) = &trace_value {
+    if let Some(path) = trace {
         match mobidist_bench::obs::merge_worker_files(std::path::Path::new(path)) {
             Ok(runs) => eprintln!("trace: {runs} runs written to {path}"),
             Err(e) => {
@@ -230,7 +237,7 @@ fn main() -> ExitCode {
             }
         }
     }
-    if cache_value.is_some() || std::env::var_os(mobidist_runcache::CACHE_ENV).is_some() {
+    if cache.is_some() {
         let s = mobidist_runcache::store::global().stats();
         eprintln!(
             "cache: hits={} (mem={} disk={}) misses={} stored={} evicted={} corrupt={}",
@@ -243,5 +250,5 @@ fn main() -> ExitCode {
             s.corrupt
         );
     }
-    ExitCode::SUCCESS
+    status
 }
