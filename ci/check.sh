@@ -140,7 +140,10 @@ if [[ $fast -eq 0 ]]; then
   #   1. E12's quick table, 1 shard vs 2 (what the benchmark's churn_1m
   #      runs), 3 (uneven cell division) and 4 shards, cmp'd byte-for-byte
   #      (E12 bypasses the run cache, so every leg genuinely recomputes);
-  #   2. the million-host smoke with its 1 GiB peak-RSS ceiling.
+  #   2. the million-host smoke under its 256 MiB peak-RSS ceiling, at 4
+  #      workers and at 1 — one worker holds the whole million-host wheel
+  #      arena in a single Vec, the worst case for its growth. The 1-worker
+  #      run is timed: it is also the throughput-sanity leg's baseline.
   echo "==> shard-soundness gate"
   ./target/release/experiments e12 --quick --shards 1 > "$cachedir/shard1.txt"
   for s in 2 3 4; do
@@ -156,6 +159,9 @@ if [[ $fast -eq 0 ]]; then
   cmp "$cachedir/e14shard1.txt" "$cachedir/e14shard4.txt" || {
     echo "shard gate: E14 table changed under --shards 4" >&2; exit 1; }
   ./target/release/scalecheck --shards 4
+  t0=$(date +%s%N)
+  ./target/release/scalecheck --shards 1
+  one_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
 
   # Trace-soundness gate: tracereport --check on a traced run, so the
   # trace/ledger reconciliation identities hold with coalescing on. E12 and
@@ -172,18 +178,15 @@ if [[ $fast -eq 0 ]]; then
   # layer whose overhead swamps the parallelism would pass every
   # bit-identity leg above while silently defeating the point of sharding.
   # It times scalecheck (seconds of work), not quick E12: a 20 ms run
-  # measures thread spawn and parking, not the sync layer. A 1-CPU runner
+  # measures thread spawn and parking, not the sync layer. The 1-shard
+  # time is the shard-soundness gate's run above. A 1-CPU runner
   # time-slices the workers, so there the leg is skipped.
   cpus=$(nproc 2>/dev/null || echo 1)
   if (( cpus > 1 )); then
     echo "==> shard throughput-sanity gate"
     t0=$(date +%s%N)
-    ./target/release/scalecheck --shards 1 > /dev/null
-    t1=$(date +%s%N)
     ./target/release/scalecheck --shards 8 > /dev/null
-    t2=$(date +%s%N)
-    one_ms=$(( (t1 - t0) / 1000000 ))
-    eight_ms=$(( (t2 - t1) / 1000000 ))
+    eight_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
     echo "    1-shard ${one_ms} ms, 8-shard ${eight_ms} ms"
     if (( eight_ms > one_ms * 2 )); then
       echo "shard gate: 8-shard scalecheck (${eight_ms} ms) more than 2x slower than 1-shard (${one_ms} ms)" >&2

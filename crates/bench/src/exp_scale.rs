@@ -115,7 +115,7 @@ pub fn e12_scale_curve(quick: bool) -> Table {
 /// `/proc/self/status`), `None` off Linux or if the field is missing.
 ///
 /// `make scalecheck` runs the million-host point and asserts this stays
-/// under the 1 GiB ceiling.
+/// under the 256 MiB ceiling.
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

@@ -8,7 +8,8 @@
 //!
 //! * [`EventQueue`] — a **hierarchical timing wheel** (three levels of 256
 //!   slots covering a 2²⁴-tick region, plus an overflow min-heap for
-//!   far-future timers). Push and pop are O(1) amortized for the near-future
+//!   far-future timers) whose slots are FIFO chains of fixed-size chunks cut
+//!   from one arena. Push and pop are O(1) amortized for the near-future
 //!   events that dominate discrete-event workloads, versus O(log n) for a
 //!   heap. This is what the kernel runs on.
 //! * [`EventHeap`] — the original hand-rolled four-ary min-heap, kept as the
@@ -27,7 +28,15 @@
 //! (`(t >> 8·level) & 255`), not cursor-relative deltas, so a given tick maps
 //! to the same slot for as long as it stays on a level — which is what keeps
 //! same-tick entries in strict insertion order: they always append to the
-//! same `VecDeque`, and cascades move whole deques without reordering.
+//! same slot, and a cascade walks its slot front to back.
+//!
+//! That is also why a wheel-resident item carries no sequence number. A slot
+//! only ever appends at its tail and removes at its head, every item for one
+//! tick reaches that tick's level-0 slot in insertion order, and so position
+//! in the chain *is* the tie-break. Only the overflow heap, which orders by
+//! comparison, needs `seq` — and since far-future entries enter it straight
+//! from `push` and leave it only towards the wheel, the heap's own counter
+//! numbers them.
 //!
 //! When level 0 has no slot at or after the cursor, the first occupied slot
 //! of the lowest non-empty level is *cascaded*: the cursor jumps to that
@@ -40,9 +49,43 @@
 //! Pushing a time earlier than the cursor is allowed for generic users (the
 //! kernel never does): the entry is *placed* at the cursor slot and pops with
 //! its original timestamp, preserving `(time, seq)` order among late entries.
+//!
+//! # Storage: one chunk arena
+//!
+//! All 768 slots share one slab. `items` is a single `Vec` cut into *chunks*
+//! of `CAP` consecutive items; chunk `c` owns `items[c·CAP .. (c+1)·CAP]` and
+//! has an 8-byte header in the parallel `chunks` vector (live range
+//! `[head, tail)` plus the index of the next chunk in its chain). A slot is
+//! just the `(head, tail)` chunk indices of its chain; drained chunks go on a
+//! LIFO free list of `u32` indices, so the chunk a pop just emptied — still
+//! in cache — is the one the next push fills. Memory therefore follows the
+//! number of *pending* entries (live items plus at most one partial chunk at
+//! each end of every occupied slot), not the wheel's rotation or the largest
+//! burst any one slot ever saw, and a warmed-up run allocates nothing
+//! (`tests/delivery_alloc.rs`).
+//!
+//! `CAP` is not a knob: it is derived from the item size so that a chunk is
+//! about one 4 KiB page, rounded down to a power of two (64 for the sharded
+//! kernel's 40-byte items; 32 for the generic kernel's under the mutex and
+//! group protocols, whose events run 80–104 bytes, 64 under protocols with
+//! small messages).
+//!
+//! Small chunks pay a cache miss per `CAP` pops and a header per `CAP`
+//! items; large ones strand more of each sparsely filled slot's partial
+//! chunk. One page is where the million-host run stopped getting faster
+//! (DESIGN.md §7a has the ladder); whether deriving `CAP` beats a fixed 64 on
+//! the small-kernel workloads' footprint is unresolved there.
+//!
+//! The arena grows by exactly one chunk — `CAP` items appended to `items` —
+//! when the free list is empty. `Vec` doubles its *capacity*, but capacity
+//! that was never written is address space, not memory: only pages a chunk
+//! has touched are resident. (Pre-sizing with `None`s would touch them all.)
+//! A cascade releases each source chunk the moment it is drained, so moving
+//! a huge upper-level slot down needs one extra chunk per destination slot,
+//! not a second copy of the slot.
 
 use crate::time::SimTime;
-use std::collections::VecDeque;
+use std::fmt;
 
 /// log2 of slots per level.
 const SLOT_BITS: u32 = 8;
@@ -57,84 +100,47 @@ const SLOT_MASK: u64 = (SLOTS as u64) - 1;
 /// Ticks covered by the wheel region (beyond this from the cursor →
 /// overflow).
 const REGION: u64 = 1 << (SLOT_BITS * LEVELS as u32);
+/// "No chunk": an empty slot's head and tail, the last chunk's `next`.
+const NIL: u32 = u32::MAX;
 
-#[derive(Debug)]
-struct Entry<E> {
+/// A wheel-resident event. No `seq`: slots are FIFO (module docs).
+struct Item<E> {
     time: u64,
-    seq: u64,
     body: E,
 }
 
-impl<E> Entry<E> {
-    #[inline]
-    fn key(&self) -> (u64, u64) {
-        (self.time, self.seq)
-    }
+/// Header of one arena chunk: its live items are `[head, tail)` of its
+/// `CAP`-item window, `next` the following chunk of the same slot.
+#[derive(Clone, Copy)]
+struct Chunk {
+    next: u32,
+    head: u16,
+    tail: u16,
 }
 
-/// One wheel level: 256 slots of FIFO deques plus an occupancy bitmap.
-#[derive(Debug)]
-struct Level<E> {
-    slots: Box<[VecDeque<Entry<E>>]>,
-    occupied: [u64; WORDS],
+const FRESH: Chunk = Chunk {
+    next: NIL,
+    head: 0,
+    tail: 0,
+};
+
+/// One wheel slot: first and last chunk of its FIFO chain, `NIL` when empty.
+#[derive(Clone, Copy)]
+struct Slot {
+    head: u32,
+    tail: u32,
 }
 
-impl<E> Level<E> {
-    fn new() -> Self {
-        Level {
-            slots: (0..SLOTS).map(|_| VecDeque::new()).collect(),
-            occupied: [0; WORDS],
-        }
-    }
-
-    #[inline]
-    fn mark(&mut self, s: usize) {
-        self.occupied[s / 64] |= 1u64 << (s % 64);
-    }
-
-    #[inline]
-    fn unmark(&mut self, s: usize) {
-        self.occupied[s / 64] &= !(1u64 << (s % 64));
-    }
-
-    /// Lowest occupied slot index `>= start`, scanning the bitmap.
-    #[inline]
-    fn first_occupied_from(&self, start: usize) -> Option<usize> {
-        if start >= SLOTS {
-            return None;
-        }
-        let mut w = start / 64;
-        let mut word = self.occupied[w] & (!0u64 << (start % 64));
-        loop {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w == WORDS {
-                return None;
-            }
-            word = self.occupied[w];
-        }
-    }
-
-    fn clear(&mut self) {
-        for (w, word) in self.occupied.iter_mut().enumerate() {
-            let mut bits = *word;
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                self.slots[s].clear();
-                bits &= bits - 1;
-            }
-            *word = 0;
-        }
-    }
-}
+const EMPTY: Slot = Slot {
+    head: NIL,
+    tail: NIL,
+};
 
 /// Hierarchical timing-wheel event queue with deterministic tie-breaking.
 ///
 /// Drop-in replacement for the previous heap-backed queue: same API, same
 /// total pop order `(time, insertion seq)`. See the module docs for the
-/// layout and ordering argument.
+/// layout, the ordering argument and the storage arena.
 ///
 /// # Examples
 ///
@@ -148,32 +154,27 @@ impl<E> Level<E> {
 /// let (t, e) = q.pop().unwrap();
 /// assert_eq!((t.ticks(), e), (2, "sooner"));
 /// ```
-#[derive(Debug)]
 pub struct EventQueue<E> {
-    levels: [Level<E>; LEVELS],
-    /// Far-future entries (`time ^ cursor >= REGION`), keyed by the wheel's
-    /// own `(time, seq)`.
+    /// The arena: chunk `c` owns `items[c * CAP..][..CAP]`; `None` outside
+    /// its header's live range.
+    items: Vec<Option<Item<E>>>,
+    /// One header per chunk ever cut from `items`.
+    chunks: Vec<Chunk>,
+    /// Drained chunks (headers reset to [`FRESH`]), reused last-in first-out.
+    free: Vec<u32>,
+    /// Slot `s` of level `l` at `l * SLOTS + s`.
+    slots: Box<[Slot]>,
+    /// Occupancy bitmap over `slots`, one bit per slot.
+    occupied: [u64; LEVELS * WORDS],
+    /// Far-future entries (`time ^ cursor >= REGION`), in `(time, seq)`
+    /// order by the heap's own insertion counter.
     overflow: EventHeap<E>,
     /// Tick of the last popped event; never decreases.
     cursor: u64,
-    /// Next insertion sequence number.
-    seq: u64,
     /// Total pending entries (wheel + overflow).
     len: usize,
     /// Pending entries in the wheel levels only.
     wheel_len: usize,
-    /// Retired slot deques, recycled into cold slots on first push — one
-    /// pool per level, because slot capacity scales with the level's window
-    /// span (a level-1 slot covers 256 ticks of schedule, a level-0 slot
-    /// one tick) and mixing them makes every reuse a fresh growth chain.
-    ///
-    /// Slots hand their deque back here the moment they empty and take one
-    /// back when next occupied, so buffer capacity follows the *concurrent*
-    /// occupancy profile rather than the wheel's rotation: without this, a
-    /// steady-state run keeps allocating for a full 2^16-tick wrap as each
-    /// upper-level slot is touched for the first time. With it, warmed-up
-    /// windows are allocation-free (pinned by the `delivery_alloc` suite).
-    deque_pool: [Vec<VecDeque<Entry<E>>>; LEVELS],
 }
 
 impl<E> Default for EventQueue<E> {
@@ -182,30 +183,53 @@ impl<E> Default for EventQueue<E> {
     }
 }
 
+/// Compact on purpose: a kernel debug dump embeds its queue, and neither 768
+/// slots nor the arena belong in it.
+impl<E> fmt::Debug for EventQueue<E> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EventQueue")
+            .field("len", &self.len)
+            .field("wheel_len", &self.wheel_len)
+            .field("cursor", &self.cursor)
+            .field("chunks", &self.chunks.len())
+            .field("free_chunks", &self.free.len())
+            .field("overflow_len", &self.overflow.len())
+            .finish()
+    }
+}
+
 impl<E> EventQueue<E> {
+    /// Items per chunk: about one 4 KiB page of them, rounded down to a
+    /// power of two so `chunk * CAP` is a shift (`| 1` only matters for an
+    /// item over 4 KiB, which gets a chunk to itself). Derived, not tunable —
+    /// see the module docs. At most 256 (an item is never under 16 bytes), so
+    /// chunk offsets fit the header's `u16`s.
+    const CAP: usize = 1 << ((4096 / std::mem::size_of::<Option<Item<E>>>()) | 1).ilog2();
+
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            levels: [Level::new(), Level::new(), Level::new()],
+            items: Vec::new(),
+            chunks: Vec::new(),
+            free: Vec::new(),
+            slots: vec![EMPTY; LEVELS * SLOTS].into_boxed_slice(),
+            occupied: [0; LEVELS * WORDS],
             overflow: EventHeap::new(),
             cursor: 0,
-            seq: 0,
             len: 0,
             wheel_len: 0,
-            deque_pool: [Vec::new(), Vec::new(), Vec::new()],
         }
     }
 
     /// Schedules `body` at `time`.
     pub fn push(&mut self, time: SimTime, body: E) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.insert(Entry {
-            time: time.ticks(),
-            seq,
-            body,
-        });
         self.len += 1;
+        let t = time.ticks();
+        if t.max(self.cursor) ^ self.cursor < REGION {
+            self.place(t, body);
+        } else {
+            self.overflow.push(time, body);
+        }
     }
 
     /// Removes and returns the earliest event.
@@ -223,31 +247,28 @@ impl<E> EventQueue<E> {
     /// caller pushes afterwards (at times at or after the last *popped*
     /// tick) never count as late.
     pub fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        // Eligibility is judged by the *placement* tick (what `pop` would
-        // settle to), read without mutating: cascading here and then
-        // returning `None` would advance the cursor past events the caller
-        // is still allowed to push.
+        // Eligibility is judged read-only: cascading here and then returning
+        // `None` would advance the cursor past events the caller is still
+        // allowed to push.
         //
         // Fast path: a due event already sitting in a level-0 slot — it
         // precedes everything at upper levels and in the overflow, so it can
-        // be popped directly without the settle rescan.
-        if self.len == 0 {
-            return None;
-        }
-        let lim = limit.ticks();
+        // be popped directly without the settle rescan. Late entries sit at
+        // the cursor slot, so it is the slot's tick that is judged.
         if self.wheel_len > 0 {
             let c0 = (self.cursor & SLOT_MASK) as usize;
-            if let Some(s) = self.levels[0].first_occupied_from(c0) {
+            if let Some(s) = self.first_occupied_from(0, c0) {
                 let tick = (self.cursor & !SLOT_MASK) | s as u64;
-                if tick > lim {
+                if tick > limit.ticks() {
                     return None;
                 }
                 return Some(self.pop_settled(tick, s));
             }
         }
-        // Slow path (cascade or overflow drain pending): judge read-only,
-        // then let `pop` do the mutation.
-        if self.due_tick().expect("len > 0") > lim {
+        // Slow path (cascade or overflow drain pending). Upper-level and
+        // overflow entries are never cursor-clamped, so the earliest time is
+        // exactly the tick `pop` will settle to.
+        if self.peek_time()? > limit {
             return None;
         }
         self.pop()
@@ -274,19 +295,13 @@ impl<E> EventQueue<E> {
     /// where later pushes land is unaffected. The kernel's delivery batcher
     /// leans on this to coalesce same-tick runs without disturbing the total
     /// order.
+    // Inlined into the batcher's claim loop: left out of line it is a call
+    // that makes a second call (`pop_settled`) per claimed event, and
+    // `net.event.same_tick_pop_ns` reads 14 ns instead of 8.
+    #[inline]
     pub fn pop_same_tick_if(&mut self, pred: impl FnOnce(&E) -> bool) -> Option<(SimTime, E)> {
-        if self.wheel_len == 0 {
-            return None;
-        }
-        let s = (self.cursor & SLOT_MASK) as usize;
-        let front = self.levels[0].slots[s].front()?;
-        // `time != cursor` also rejects late-placed entries (time < cursor)
-        // parked in the cursor slot — those must pop through the normal path
-        // with their original timestamps.
-        if front.time != self.cursor || !pred(&front.body) {
-            return None;
-        }
-        Some(self.pop_settled(self.cursor, s))
+        self.next_same_tick_matches(pred)
+            .then(|| self.pop_settled(self.cursor, (self.cursor & SLOT_MASK) as usize))
     }
 
     /// Read-only twin of [`pop_same_tick_if`](Self::pop_same_tick_if): true
@@ -296,68 +311,38 @@ impl<E> EventQueue<E> {
     /// skip the batch buffer entirely.
     #[inline]
     pub fn next_same_tick_matches(&self, pred: impl FnOnce(&E) -> bool) -> bool {
-        if self.wheel_len == 0 {
+        let c = self.slots[(self.cursor & SLOT_MASK) as usize].head;
+        if c == NIL {
             return false;
         }
-        let s = (self.cursor & SLOT_MASK) as usize;
-        match self.levels[0].slots[s].front() {
-            Some(front) => front.time == self.cursor && pred(&front.body),
-            None => false,
-        }
+        let front = self.items[c as usize * Self::CAP + self.chunks[c as usize].head as usize]
+            .as_ref()
+            .expect("chain head is live");
+        // `time != cursor` also rejects late-placed entries (time < cursor)
+        // parked in the cursor slot — those must pop through the normal path
+        // with their original timestamps.
+        front.time == self.cursor && pred(&front.body)
     }
 
-    /// Placement tick of the earliest pending event, computed read-only.
-    /// Equals the tick `settle` would return, without cascading.
-    fn due_tick(&self) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.wheel_len == 0 {
-            // The jump in `settle` sets the cursor to the overflow minimum,
-            // which then settles at its own tick.
-            return self.overflow.heap.first().map(|e| e.time);
-        }
-        let c0 = (self.cursor & SLOT_MASK) as usize;
-        if let Some(s) = self.levels[0].first_occupied_from(c0) {
-            return Some((self.cursor & !SLOT_MASK) | s as u64);
-        }
-        for l in 1..LEVELS {
+    /// First occupied slot in pop order, read-only: level 0 from the
+    /// cursor's slot on, else the lowest upper level's first slot *after*
+    /// the cursor's own index (slots at or before it hold windows that
+    /// already passed, so they are provably empty).
+    fn first_slot(&self) -> Option<(usize, usize)> {
+        (0..LEVELS).find_map(|l| {
             let ci = ((self.cursor >> (SLOT_BITS * l as u32)) & SLOT_MASK) as usize;
-            if let Some(s) = self.levels[l].first_occupied_from(ci + 1) {
-                // Upper-level entries are never cursor-clamped, so the
-                // slot's minimum time is exactly where its earliest entry
-                // will settle.
-                let min = self.levels[l].slots[s]
-                    .iter()
-                    .map(|e| e.time)
-                    .min()
-                    .expect("occupied slot non-empty");
-                return Some(min);
-            }
-        }
-        unreachable!("wheel_len > 0 but no occupied slot");
+            let s = self.first_occupied_from(l, ci + (l > 0) as usize)?;
+            Some((l, s))
+        })
     }
 
     /// Time of the earliest pending event. Read-only: unlike `pop`, this
     /// never advances the cursor or cascades slots.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
+        match self.first_slot() {
+            Some((l, s)) => self.slot_min_time(l, s).map(SimTime::from_ticks),
+            None => self.overflow.peek_time(),
         }
-        if self.wheel_len == 0 {
-            return self.overflow.peek_time();
-        }
-        let c0 = (self.cursor & SLOT_MASK) as usize;
-        if let Some(s) = self.levels[0].first_occupied_from(c0) {
-            return self.slot_min_time(0, s);
-        }
-        for l in 1..LEVELS {
-            let ci = ((self.cursor >> (SLOT_BITS * l as u32)) & SLOT_MASK) as usize;
-            if let Some(s) = self.levels[l].first_occupied_from(ci + 1) {
-                return self.slot_min_time(l, s);
-            }
-        }
-        unreachable!("wheel_len > 0 but no occupied slot");
     }
 
     /// Number of pending events.
@@ -370,53 +355,89 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Empties the queue while retaining every allocation (slot deques,
-    /// overflow heap, recycled-deque pool) and rewinds the cursor and
-    /// sequence counter, so a reused queue reproduces the exact pop order of
-    /// a fresh one.
+    /// Empties the queue while retaining every allocation (the arena, with
+    /// all its chunks back on the free list, and the overflow heap) and
+    /// rewinds the cursor and sequence counter, so a reused queue reproduces
+    /// the exact pop order of a fresh one. Walks only the occupied slots, so
+    /// the cost follows what was pending, not the arena's size.
     pub fn clear(&mut self) {
-        for level in &mut self.levels {
-            level.clear();
+        for w in 0..self.occupied.len() {
+            while self.occupied[w] != 0 {
+                let si = w * 64 + self.occupied[w].trailing_zeros() as usize;
+                self.drain_slot(si, |_, _| {});
+            }
         }
         self.overflow.clear();
         self.cursor = 0;
-        self.seq = 0;
         self.len = 0;
         self.wheel_len = 0;
     }
 
-    /// Places an entry at the level/slot its time selects relative to the
-    /// current cursor (or the overflow heap). Does not touch `len`.
+    /// Lowest occupied slot index `>= start` on `level`, scanning the bitmap.
     #[inline]
-    fn insert(&mut self, e: Entry<E>) {
+    fn first_occupied_from(&self, level: usize, start: usize) -> Option<usize> {
+        let words = &self.occupied[level * WORDS..][..WORDS];
+        // Only the first word scanned is masked below `start`.
+        let mut mask = !0u64 << (start % 64);
+        for (w, &word) in words.iter().enumerate().skip(start / 64) {
+            if word & mask != 0 {
+                return Some(w * 64 + (word & mask).trailing_zeros() as usize);
+            }
+            mask = !0;
+        }
+        None
+    }
+
+    /// A chunk with a [`FRESH`] header: the most recently released one, else
+    /// `CAP` more items appended to the arena (see the module docs for why
+    /// one chunk at a time).
+    fn grab(&mut self) -> u32 {
+        self.free.pop().unwrap_or_else(|| {
+            let c = self.chunks.len();
+            assert!(c < NIL as usize, "arena under 2^32 chunks");
+            self.chunks.push(FRESH);
+            self.items.resize_with((c + 1) * Self::CAP, || None);
+            c as u32
+        })
+    }
+
+    /// Returns drained chunk `c` (all items taken) to the free list.
+    fn release(&mut self, c: u32) {
+        self.chunks[c as usize] = FRESH;
+        self.free.push(c);
+    }
+
+    /// Appends an event to the slot its time selects relative to the current
+    /// cursor, which must be within the wheel region. Does not touch `len`.
+    #[inline]
+    fn place(&mut self, time: u64, body: E) {
         // Times at or before the cursor are placed *at* the cursor tick;
         // the entry keeps its original `time` for the pop result and for
         // ordering among equally-late entries (all end up FIFO in the cursor
         // slot, i.e. seq order — and their `time`s are all <= cursor, so
         // (time, seq) order among *future* events is unaffected).
-        let place = e.time.max(self.cursor);
+        let place = time.max(self.cursor);
         let x = place ^ self.cursor;
-        if x < REGION {
-            let level = if x < (1 << SLOT_BITS) {
-                0
-            } else if x < (1 << (2 * SLOT_BITS)) {
-                1
+        debug_assert!(x < REGION);
+        // The level is the index of `x`'s highest non-zero byte.
+        let level = ((x | 1).ilog2() / SLOT_BITS) as usize;
+        let si = level * SLOTS + ((place >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        let mut c = self.slots[si].tail;
+        if c == NIL || self.chunks[c as usize].tail as usize == Self::CAP {
+            let fresh = self.grab();
+            if c == NIL {
+                self.slots[si].head = fresh;
+                self.occupied[si / 64] |= 1u64 << (si % 64);
             } else {
-                2
-            };
-            let slot = ((place >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
-            let lv = &mut self.levels[level];
-            if lv.slots[slot].capacity() == 0 {
-                if let Some(d) = self.deque_pool[level].pop() {
-                    lv.slots[slot] = d;
-                }
+                self.chunks[c as usize].next = fresh;
             }
-            lv.slots[slot].push_back(e);
-            lv.mark(slot);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.push_entry(e);
+            self.slots[si].tail = fresh;
+            c = fresh;
         }
+        let chunk = &mut self.chunks[c as usize];
+        self.items[c as usize * Self::CAP + chunk.tail as usize] = Some(Item { time, body });
+        chunk.tail += 1;
+        self.wheel_len += 1;
     }
 
     /// Advances wheel state (cascades, overflow drain) until the earliest
@@ -427,57 +448,70 @@ impl<E> EventQueue<E> {
             return None;
         }
         loop {
-            if self.wheel_len == 0 {
-                // Whole wheel empty: jump to the overflow minimum and pull
-                // in everything that now fits the 2^24 region. Overflow
-                // times always exceed any wheel/cursor time (they differ in
-                // bits >= 24), so no pending event is skipped.
-                let t = self.overflow.heap[0].time;
-                debug_assert!(t >= self.cursor);
-                self.cursor = t;
-                self.drain_overflow();
-                debug_assert!(self.wheel_len > 0);
-            }
-            let c0 = (self.cursor & SLOT_MASK) as usize;
-            if let Some(s) = self.levels[0].first_occupied_from(c0) {
-                return Some(((self.cursor & !SLOT_MASK) | s as u64, s));
-            }
-            let mut cascaded = false;
-            for l in 1..LEVELS {
-                let ci = ((self.cursor >> (SLOT_BITS * l as u32)) & SLOT_MASK) as usize;
-                // Slots <= the cursor's own index hold windows that already
-                // passed, so they are provably empty: scan from ci + 1.
-                if let Some(s) = self.levels[l].first_occupied_from(ci + 1) {
-                    self.cascade(l, s);
-                    cascaded = true;
-                    break;
+            match self.first_slot() {
+                Some((0, s)) => return Some(((self.cursor & !SLOT_MASK) | s as u64, s)),
+                Some((l, s)) => self.cascade(l, s),
+                None => {
+                    // Whole wheel empty: jump to the overflow minimum and
+                    // pull in everything that now fits the 2^24 region.
+                    // Overflow times always exceed any wheel/cursor time
+                    // (they differ in bits >= 24), so no pending event is
+                    // skipped.
+                    let t = self.overflow.heap[0].time;
+                    debug_assert!(t >= self.cursor);
+                    self.cursor = t;
+                    self.drain_overflow();
+                    debug_assert!(self.wheel_len > 0);
                 }
             }
-            debug_assert!(cascaded, "wheel_len > 0 but no occupied slot");
         }
     }
 
-    /// Pops the front of a settled level-0 slot.
+    /// Pops the front of a settled level-0 slot, releasing its chunk if that
+    /// drained it.
     #[inline]
     fn pop_settled(&mut self, tick: u64, slot: usize) -> (SimTime, E) {
-        let lv = &mut self.levels[0];
-        let e = lv.slots[slot].pop_front().expect("settled slot non-empty");
-        if lv.slots[slot].is_empty() {
-            lv.unmark(slot);
-            // Retire the emptied deque so the next cold slot reuses its
-            // capacity instead of growing from scratch.
-            let d = std::mem::take(&mut lv.slots[slot]);
-            if d.capacity() > 0 {
-                self.deque_pool[0].push(d);
+        let c = self.slots[slot].head;
+        let chunk = &mut self.chunks[c as usize];
+        let item = self.items[c as usize * Self::CAP + chunk.head as usize]
+            .take()
+            .expect("settled slot non-empty");
+        chunk.head += 1;
+        if chunk.head == chunk.tail {
+            // A partial chunk is always its chain's last, so a drained chunk
+            // either hands over to a successor or leaves the slot empty.
+            let next = chunk.next;
+            self.release(c);
+            self.slots[slot].head = next;
+            if next == NIL {
+                self.slots[slot].tail = NIL;
+                self.occupied[slot / 64] &= !(1u64 << (slot % 64));
             }
         }
         self.wheel_len -= 1;
         self.len -= 1;
         self.cursor = tick;
-        (SimTime::from_ticks(e.time), e.body)
+        (SimTime::from_ticks(item.time), item.body)
     }
 
-    /// Moves every entry of `levels[l].slots[s]` down the hierarchy after
+    /// Detaches slot `si`'s chain and hands its items to `f` front to back,
+    /// releasing each chunk as soon as it is drained — so whatever `f`
+    /// places can reuse it.
+    fn drain_slot(&mut self, si: usize, mut f: impl FnMut(&mut Self, Item<E>)) {
+        let mut c = std::mem::replace(&mut self.slots[si], EMPTY).head;
+        self.occupied[si / 64] &= !(1u64 << (si % 64));
+        while c != NIL {
+            let Chunk { next, head, tail } = self.chunks[c as usize];
+            for i in head..tail {
+                let item = self.items[c as usize * Self::CAP + i as usize].take();
+                f(self, item.expect("live range holds items"));
+            }
+            self.release(c);
+            c = next;
+        }
+    }
+
+    /// Moves every entry of level `l`'s slot `s` down the hierarchy after
     /// advancing the cursor to the slot's window start. Entries re-land at a
     /// strictly lower level (their level-selecting XOR bits are now zero), so
     /// repeated cascades terminate.
@@ -487,16 +521,11 @@ impl<E> EventQueue<E> {
             (self.cursor & !((1u64 << span) - 1)) | ((s as u64) << (SLOT_BITS * l as u32));
         debug_assert!(window_start > self.cursor);
         self.cursor = window_start;
-        let mut batch = std::mem::take(&mut self.levels[l].slots[s]);
-        self.levels[l].unmark(s);
-        self.wheel_len -= batch.len();
-        for e in batch.drain(..) {
-            debug_assert!(e.time ^ self.cursor < 1 << (SLOT_BITS * l as u32));
-            self.insert(e);
-        }
-        if batch.capacity() > 0 {
-            self.deque_pool[l].push(batch);
-        }
+        self.drain_slot(l * SLOTS + s, |q, item| {
+            debug_assert!(item.time ^ q.cursor < 1 << (SLOT_BITS * l as u32));
+            q.wheel_len -= 1;
+            q.place(item.time, item.body);
+        });
     }
 
     /// Moves every overflow entry now within the cursor's region into the
@@ -507,24 +536,46 @@ impl<E> EventQueue<E> {
             if root.time ^ self.cursor >= REGION {
                 break;
             }
-            let e = self.overflow.pop_entry().expect("root just seen");
-            self.insert(e);
+            let (time, body) = self.overflow.pop().expect("root just seen");
+            self.place(time.ticks(), body);
         }
     }
 
-    /// Minimum original `time` over one slot (entries placed late keep a
-    /// `time` below their placement tick, so the front isn't necessarily the
-    /// minimum). Slots are short; `peek_time` is not on the hot path.
-    fn slot_min_time(&self, l: usize, s: usize) -> Option<SimTime> {
-        self.levels[l].slots[s]
-            .iter()
-            .map(|e| e.time)
+    /// Minimum original `time` over one occupied slot (entries placed late
+    /// keep a `time` below their placement tick, so the front isn't
+    /// necessarily the minimum). `peek_time` is not on the hot path.
+    fn slot_min_time(&self, l: usize, s: usize) -> Option<u64> {
+        let next = |&c: &u32| Some(self.chunks[c as usize].next).filter(|&n| n != NIL);
+        std::iter::successors(Some(self.slots[l * SLOTS + s].head), next)
+            .flat_map(|c| &self.items[c as usize * Self::CAP..][..Self::CAP])
+            .flatten()
+            .map(|item| item.time)
             .min()
-            .map(SimTime::from_ticks)
+    }
+
+    /// `(chunks cut from the arena, chunks on the free list)`.
+    #[cfg(test)]
+    fn arena(&self) -> (usize, usize) {
+        (self.chunks.len(), self.free.len())
     }
 }
 
 const ARITY: usize = 4;
+
+/// A heap-resident event; `seq` breaks ties among equal times.
+#[derive(Debug)]
+struct Entry<E> {
+    time: u64,
+    seq: u64,
+    body: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn key(&self) -> (u64, u64) {
+        (self.time, self.seq)
+    }
+}
 
 /// Min-heap of timed events with deterministic tie-breaking.
 ///
@@ -532,7 +583,7 @@ const ARITY: usize = 4;
 /// reference implementation for [`EventQueue`] (the timing wheel the kernel
 /// now runs on): `tests/wheel_equivalence.rs` asserts both pop identical
 /// `(time, seq, event)` sequences. It also backs the wheel's far-future
-/// overflow, which pushes entries carrying the wheel's own sequence numbers.
+/// overflow.
 ///
 /// # Examples
 ///
@@ -571,27 +622,16 @@ impl<E> EventHeap<E> {
     pub fn push(&mut self, time: SimTime, body: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.push_entry(Entry {
+        self.heap.push(Entry {
             time: time.ticks(),
             seq,
             body,
         });
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry()
-            .map(|e| (SimTime::from_ticks(e.time), e.body))
-    }
-
-    /// Keyed push: the entry carries a sequence number assigned by the
-    /// caller (the wheel's overflow), bypassing this heap's own counter.
-    fn push_entry(&mut self, e: Entry<E>) {
-        self.heap.push(e);
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    fn pop_entry(&mut self) -> Option<Entry<E>> {
         if self.heap.is_empty() {
             return None;
         }
@@ -599,7 +639,7 @@ impl<E> EventHeap<E> {
         if !self.heap.is_empty() {
             self.sift_down(0);
         }
-        Some(e)
+        Some((SimTime::from_ticks(e.time), e.body))
     }
 
     /// Fused peek-and-pop: removes the earliest event only when it is due at
@@ -929,5 +969,51 @@ mod tests {
                 break;
             }
         }
+    }
+
+    #[test]
+    fn debug_is_a_summary_and_a_drained_arena_is_all_free() {
+        let mut q = EventQueue::new();
+        for i in 0..10_000u64 {
+            q.push(SimTime::from_ticks(i * 7919 % (1 << 26)), i);
+        }
+        assert!(format!("{q:?}").len() < 256, "{q:?}");
+        while q.pop().is_some() {}
+        let (cut, free) = q.arena();
+        assert!(cut > 0 && free == cut, "{q:?}");
+    }
+
+    #[test]
+    fn steady_hold_does_not_grow_the_arena() {
+        // The classic hold model at depth 1024: pop one, push it back a
+        // pseudo-random delay later. Past warm-up every push must find a
+        // chunk on the free list.
+        let mut q = EventQueue::new();
+        for i in 0..1_024u64 {
+            q.push(SimTime::from_ticks(i * 31 % 5_000), i);
+        }
+        let mut warm = 0;
+        for i in 0..110_000u64 {
+            if i == 10_000 {
+                warm = q.arena().0;
+            }
+            let (t, e) = q.pop().unwrap();
+            q.push(t + (e + i).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 5_000, e);
+        }
+        assert_eq!(q.arena().0, warm, "{q:?}");
+    }
+
+    #[test]
+    fn cascade_reuses_the_chunks_it_drains() {
+        // 200k entries in one level-1 slot, spread over all 256 of its
+        // ticks: cascading them must recycle the source chunks as it goes
+        // and so need at most one extra (partial) chunk per destination.
+        let mut q = EventQueue::new();
+        for i in 0..200_000u64 {
+            q.push(SimTime::from_ticks(256 + i % 256), i);
+        }
+        let before = q.arena().0;
+        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(256), 0));
+        assert!(q.arena().0 <= before + 256, "{before} chunks, then {q:?}");
     }
 }

@@ -99,15 +99,17 @@
 //!
 //! There is no per-host array at all: a host's record (20 bytes) lives
 //! inside its one pending event, so host state is one queue entry per host
-//! — [`ScaleReport::state_bytes`] reports that *nominal* entry size, 44 B.
-//! What a million-host run actually keeps *resident* is ≈ 340 B/host,
-//! nearly all of it timing-wheel deque capacity rather than live entries
-//! (`scalecheck` prints both figures; DESIGN.md §6 has the census). The
-//! only allocations on the hot path are the amortised growth of the queues,
-//! the lane buffers and the commit-key scratch. Lane buffers circulate
-//! between each lane and its consumer's drain scratch (`mem::swap`, never a
-//! fresh `Vec`), which a debug assertion pins: a drained buffer's capacity
-//! never shrinks across rounds, as it would if one were reallocated.
+//! — [`ScaleReport::state_bytes`] reports a *nominal* entry size, 44 B.
+//! What a million-host run actually keeps *resident* is ≈ 87 B/host: the
+//! wheel's arena holds each entry in 40 B and stays within a few percent of
+//! the live entries, and the rest is the final-state rows, the lanes and the
+//! process itself (`scalecheck` prints both figures; DESIGN.md §6 has the
+//! census). The only allocations on the hot path are the amortised growth
+//! of the queues, the lane buffers and the commit-key scratch. Lane buffers
+//! circulate between each lane and its consumer's drain scratch
+//! (`mem::swap`, never a fresh `Vec`), which a debug assertion pins: a
+//! drained buffer's capacity never shrinks across rounds, as it would if
+//! one were reallocated.
 //!
 //! # Examples
 //!
@@ -305,9 +307,12 @@ pub struct ScaleReport {
     /// Canonical digest of the complete final state — every host record
     /// (in `MhId` order) plus every undelivered wired message.
     pub digest: Fingerprint,
-    /// Nominal host-state footprint: one queue entry per host. The scale
-    /// curve divides this by `N` for its bytes/host column; it is *not* the
-    /// process's resident size (see the module docs, "Memory").
+    /// Nominal host-state footprint: one queue entry per host, counted as
+    /// `size_of::<SEv>()` plus 16 bytes of scheduling overhead — a
+    /// convention E12's byte-pinned `B/host` column fixes, not a layout (the
+    /// wheel's arena stores the event and its time in 40 bytes). The scale
+    /// curve divides this by `N`; it is *not* the process's resident size
+    /// (see the module docs, "Memory").
     pub state_bytes: u64,
     /// Lookahead `W` the run synchronised on.
     pub lookahead: u64,

@@ -2,13 +2,14 @@
 //!
 //! The delivery engine recycles everything it hands out — fan-out
 //! destination vectors, downlink recipient lists, batch buffers — through
-//! per-kernel pools, so once a run has warmed up, processing further
-//! windows must allocate **nothing**. A counting global allocator pins
-//! that: the whole-run allocation count of a quick E12-ladder point must
-//! not change when the horizon doubles (every allocation happens during
-//! construction and warm-up, none per processed window), and a
-//! steady-state broadcast storm on the single-kernel path must allocate
-//! zero once warm.
+//! per-kernel pools, and the timing wheel under it takes its slot storage
+//! from one chunk arena whose drained chunks go back on a free list, so
+//! once a run has warmed up, processing further windows must allocate
+//! **nothing**. A counting global allocator pins that: the whole-run
+//! allocation count of a quick E12-ladder point must not change when the
+//! horizon doubles (every allocation happens during construction and
+//! warm-up, none per processed window), and a steady-state broadcast storm
+//! on the single-kernel path must allocate zero once warm.
 
 use mobidist_net::prelude::*;
 use mobidist_net::time::SimTime;
@@ -92,10 +93,10 @@ impl Protocol for Wave {
 fn steady_state_broadcast_storm_allocates_nothing() {
     let cfg = NetworkConfig::new(8, 16).with_seed(5);
     let mut sim = Simulation::new(cfg, Wave::default());
-    // Warm-up: pools fill, wheel slots and channel buffers reach capacity.
-    // Run past one full level-1 wrap of the timing wheel (2^16 ticks) so
-    // even the rarest recycled buffer — the level-2 slot touched once per
-    // wrap — has been through its first allocation.
+    // Warm-up: pools fill, the wheel's arena and the channel buffers reach
+    // their high-water marks. Run past one full level-1 wrap of the timing
+    // wheel (2^16 ticks) so even the rarest event — the level-2 cascade,
+    // once per wrap — has happened.
     sim.run_until(SimTime::from_ticks(70_000));
     let warm_arrivals = sim.protocol().arrivals;
     assert!(warm_arrivals > 1_000, "storm failed to sustain itself");
@@ -114,8 +115,8 @@ fn e12_ladder_point_allocations_are_horizon_invariant() {
     // The quick-E12 ladder's smallest point (1000 hosts over 64 cells,
     // seed 1202), run single-sharded so thread plumbing stays out of the
     // count. Whole-run allocations plateau once every recycled buffer —
-    // lane double-buffers, wheel slot deques, fan-out pools — has hit its
-    // occupancy high-water mark (~16k ticks for this spec); past that,
+    // lane double-buffers, the wheel's chunk arena, fan-out pools — has hit
+    // its occupancy high-water mark (~16k ticks for this spec); past that,
     // extending the horizon must not allocate once more.
     let spec = |horizon| {
         ScaleSpec::new(64, 1_000)

@@ -5,40 +5,72 @@
 //! enforces the scale budget:
 //!
 //! * the run completes (every window advances to the horizon);
-//! * peak RSS (`VmHWM`) stays under the 1 GiB ceiling (≈ 3× the measured
-//!   0.31–0.32 GiB, so a regression well short of 10× trips it);
+//! * peak RSS (`VmHWM`) stays under the 256 MiB ceiling (≈ 3× the measured
+//!   83–87 MiB, so a regression well short of 10× trips it);
 //! * the churn actually churned (moves and wired deliveries are non-zero).
 //!
 //! Prints one summary line per run plus the throughput, and exits non-zero
 //! on any violation. `MOBIDIST_SHARDS` (or `--shards N`) picks the worker
-//! count; the result is bit-identical at every choice.
+//! count; the result is bit-identical at every choice. `--hosts N` runs a
+//! smaller (or larger) population over the same 1024 cells. A malformed,
+//! zero or missing value — flag or variable — is a usage error on stderr
+//! with a non-zero exit before anything runs, as in `experiments`.
 
-use mobidist_bench::exp_scale::{default_shards, peak_rss_bytes, scale_spec};
+use mobidist_bench::exp_scale::{peak_rss_bytes, scale_spec, SHARDS_ENV};
+use mobidist_bench::parallel::default_jobs;
 use mobidist_net::shard::run_scale;
 use std::process::ExitCode;
 
-/// 1 GiB peak-RSS ceiling for the million-host point.
-const RSS_CEILING: u64 = 1 << 30;
+/// 256 MiB peak-RSS ceiling for the million-host point.
+const RSS_CEILING: u64 = 256 << 20;
+
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("{msg}\nusage: scalecheck [--shards N] [--hosts N]");
+    ExitCode::FAILURE
+}
+
+/// A count of workers or hosts: host ids are `u32`, and zero of either is
+/// no run at all.
+fn positive(origin: &str, v: &str) -> Result<usize, String> {
+    match v.parse::<u32>() {
+        Ok(n) if n >= 1 => Ok(n as usize),
+        _ => Err(format!("{origin} expects a positive integer, got '{v}'")),
+    }
+}
 
 fn main() -> ExitCode {
-    let mut shards = default_shards();
-    let mut hosts = 1_000_000usize;
+    let (mut shards, mut hosts) = (None, 1_000_000usize);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if a == "--shards" || a == "-s" {
-            shards = it.next().and_then(|v| v.parse().ok()).unwrap_or(shards);
-        } else if let Some(v) = a.strip_prefix("--shards=") {
-            shards = v.parse().unwrap_or(shards);
-        } else if a == "--hosts" {
-            hosts = it.next().and_then(|v| v.parse().ok()).unwrap_or(hosts);
-        } else if let Some(v) = a.strip_prefix("--hosts=") {
-            hosts = v.parse().unwrap_or(hosts);
-        } else {
-            eprintln!("usage: scalecheck [--shards N] [--hosts N]");
-            return ExitCode::FAILURE;
+        // `--flag V`, `-s V` or `--flag=V`.
+        let (flag, inline) = match a.split_once('=') {
+            Some((f, v)) => (f, Some(v)),
+            None => (a.as_str(), None),
+        };
+        if !(matches!(flag, "--shards" | "--hosts") || a == "-s") {
+            return usage_error(&format!("unknown argument '{a}'"));
+        }
+        let Some(v) = inline.or_else(|| it.next().map(String::as_str)) else {
+            return usage_error(&format!("{flag} requires a positive integer"));
+        };
+        match positive(flag, v) {
+            Ok(n) if flag == "--hosts" => hosts = n,
+            Ok(n) => shards = Some(n),
+            Err(e) => return usage_error(&e),
         }
     }
+    // The flag wins over the variable; an empty variable counts as unset.
+    // The variable is parsed here and nowhere else: with neither given the
+    // count is `default_jobs`, which is what `default_shards` falls back to.
+    let exported = std::env::var(SHARDS_ENV).ok().filter(|v| !v.is_empty());
+    if let (None, Some(v)) = (shards, exported) {
+        match positive(SHARDS_ENV, &v) {
+            Ok(n) => shards = Some(n),
+            Err(e) => return usage_error(&e),
+        }
+    }
+    let shards = shards.unwrap_or_else(default_jobs);
 
     let spec = scale_spec(hosts, 1_024);
     let start = std::time::Instant::now();
@@ -67,14 +99,14 @@ fn main() -> ExitCode {
     }
     match peak_rss_bytes() {
         Some(rss) => {
-            // Resident bytes per host are mostly timing-wheel capacity, not
-            // host state; print them beside the nominal queue-entry size so
-            // the two are never confused.
+            // Resident bytes per host count everything the process holds —
+            // the wheel's arena, lanes, the final-state rows — so print them
+            // beside the nominal queue-entry size and never confuse the two.
             println!(
-                "scalecheck: peak RSS {:.2} GiB (ceiling {:.0} GiB), \
+                "scalecheck: peak RSS {:.0} MiB (ceiling {:.0} MiB), \
                  {} B/host resident vs {} B/host nominal",
-                rss as f64 / (1u64 << 30) as f64,
-                RSS_CEILING as f64 / (1u64 << 30) as f64,
+                rss as f64 / (1u64 << 20) as f64,
+                RSS_CEILING as f64 / (1u64 << 20) as f64,
                 rss / hosts as u64,
                 r.state_bytes / hosts as u64,
             );

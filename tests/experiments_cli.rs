@@ -1,22 +1,34 @@
 //! The `experiments` command-line contract: bad input is a usage error on
 //! stderr with a non-zero exit and *nothing* on stdout — never a silently
-//! wrong table — and is caught before the first experiment runs.
+//! wrong table — and is caught before the first experiment runs. `scalecheck`
+//! takes two of the same knobs and obeys the same contract.
 
 use std::process::{Command, Output, Stdio};
 
-/// `experiments` with the four knob variables cleared.
-fn command() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_experiments"));
+const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
+const SCALECHECK: &str = env!("CARGO_BIN_EXE_scalecheck");
+
+/// `bin` with the four knob variables cleared.
+fn command(bin: &str) -> Command {
+    let mut cmd = Command::new(bin);
     for var in ["JOBS", "SHARDS", "TRACE", "CACHE"] {
         cmd.env_remove(format!("MOBIDIST_{var}"));
     }
     cmd
 }
 
-fn experiments(args: &[&str], env: &[(&str, &str)]) -> Output {
-    let mut cmd = command();
+fn run(bin: &str, args: &[&str], env: &[(&str, &str)]) -> Output {
+    let mut cmd = command(bin);
     cmd.args(args).envs(env.iter().copied());
-    cmd.output().expect("run experiments")
+    cmd.output().expect("run the binary")
+}
+
+fn experiments(args: &[&str], env: &[(&str, &str)]) -> Output {
+    run(EXPERIMENTS, args, env)
+}
+
+fn scalecheck(args: &[&str], env: &[(&str, &str)]) -> Output {
+    run(SCALECHECK, args, env)
 }
 
 /// Asserts a usage error: failure status, silent stdout, `needle` on stderr.
@@ -74,7 +86,7 @@ fn happy_path_prints_the_table() {
 fn closed_stdout_ends_the_run_quietly() {
     // `experiments all | head`: the reader goes away mid-run. That used to
     // be a panic with a backtrace.
-    let mut child = command()
+    let mut child = command(EXPERIMENTS)
         .args(["e0", "e1", "e2", "--quick"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -85,4 +97,34 @@ fn closed_stdout_ends_the_run_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(!out.status.success(), "a truncated run is not a success");
     assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+}
+
+#[test]
+fn scalecheck_rejects_what_it_used_to_default() {
+    // Each of these used to run the million-host point at the default
+    // instead (or, for the zeros, panic in `ScaleSpec::new` / clamp to 1).
+    for (args, needle) in [
+        (&["--shards", "abc"][..], "--shards"),
+        (&["--hosts", "x"], "--hosts"),
+        (&["--hosts=1e6"], "--hosts"),
+        (&["--hosts", "0"], "--hosts"),
+        (&["--shards", "0"], "--shards"),
+        (&["--hosts", "2000", "--shards"], "requires"),
+        (&["--hosts"], "requires"),
+        (&["--host", "2000"], "--host"),
+    ] {
+        assert_rejected(&scalecheck(args, &[]), needle);
+    }
+    let exported = scalecheck(&["--hosts", "2000"], &[("MOBIDIST_SHARDS", "two")]);
+    assert_rejected(&exported, "MOBIDIST_SHARDS");
+}
+
+#[test]
+fn scalecheck_happy_path_reports_resident_bytes() {
+    let out = scalecheck(&["--hosts", "2000", "--shards", "2"], &[]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "stdout: {stdout}");
+    assert!(stdout.contains("hosts=2000 shards=2 "), "{stdout}");
+    assert!(stdout.contains("B/host resident"), "{stdout}");
+    assert!(stdout.ends_with("scalecheck: OK\n"), "{stdout}");
 }
