@@ -22,7 +22,7 @@ use mobidist_net::obs::{jsonl_file_sink, JsonlSink, RunMeta, TraceEvent, TraceSi
 use mobidist_net::proto::Protocol;
 use mobidist_net::sim::Simulation;
 use mobidist_net::time::SimTime;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -133,15 +133,21 @@ pub fn trace_cached_run(label: &str, cfg: &NetworkConfig, fp: Fingerprint, ledge
 /// wholly in one part file, so grouping lines by their `"run":N` envelope
 /// field is a total, order-preserving merge.
 ///
+/// One pass over the parts indexes `(run id, part, byte range)`; the ranges
+/// are then copied out in run-id order, so memory holds the index and one
+/// copy buffer whatever the size of the trace. A run normally is one range;
+/// one whose lines are not contiguous in its part is several.
+///
 /// # Errors
 ///
 /// Propagates I/O errors; a malformed part line (no `"run":` field) is
 /// reported as `InvalidData`.
 pub fn merge_worker_files(base: &Path) -> std::io::Result<usize> {
+    use std::io::{Error, ErrorKind};
     let dir = base.parent().filter(|p| !p.as_os_str().is_empty());
     let stem = base
         .file_name()
-        .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidInput, "empty trace path"))?
+        .ok_or_else(|| Error::new(ErrorKind::InvalidInput, "empty trace path"))?
         .to_string_lossy()
         .into_owned();
     let mut parts: Vec<PathBuf> = std::fs::read_dir(dir.unwrap_or(Path::new(".")))?
@@ -156,39 +162,78 @@ pub fn merge_worker_files(base: &Path) -> std::io::Result<usize> {
         })
         .collect();
     parts.sort();
-    // (run id, lines) per run, then a stable sort by run id.
-    let mut runs: Vec<(u64, Vec<String>)> = Vec::new();
-    for part in &parts {
-        let file = std::io::BufReader::new(std::fs::File::open(part)?);
-        for line in file.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
+
+    /// Bytes `start..end` of part number `part`: consecutive lines of `run`.
+    struct Span {
+        run: u64,
+        part: usize,
+        start: u64,
+        end: u64,
+    }
+    let mut spans: Vec<Span> = Vec::new();
+    let mut line = Vec::new();
+    for (part, path) in parts.iter().enumerate() {
+        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
+        let mut at = 0u64;
+        loop {
+            line.clear();
+            let len = file.read_until(b'\n', &mut line)? as u64;
+            if len == 0 {
+                break;
+            }
+            let (start, end) = (at, at + len);
+            at = end;
+            let text = std::str::from_utf8(&line).map_err(|e| {
+                Error::new(ErrorKind::InvalidData, format!("{}: {e}", path.display()))
+            })?;
+            if text.trim().is_empty() {
                 continue;
             }
-            let run = run_id_of(&line).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("trace line without run id in {}: {line:?}", part.display()),
+            let run = run_id_of(text).ok_or_else(|| {
+                Error::new(
+                    ErrorKind::InvalidData,
+                    format!(
+                        "trace line without run id in {}: {:?}",
+                        path.display(),
+                        text.trim_end()
+                    ),
                 )
             })?;
-            match runs.last_mut() {
-                Some((r, lines)) if *r == run => lines.push(line),
-                _ => {
-                    if let Some(open) = runs.iter_mut().find(|(r, _)| *r == run) {
-                        open.1.push(line);
-                    } else {
-                        runs.push((run, vec![line]));
-                    }
-                }
+            match spans.last_mut() {
+                Some(s) if (s.run, s.part, s.end) == (run, part, start) => s.end = end,
+                _ => spans.push(Span {
+                    run,
+                    part,
+                    start,
+                    end,
+                }),
             }
         }
     }
-    runs.sort_by_key(|(r, _)| *r);
-    let count = runs.len();
+    // Stable: the spans of one run stay in scan order.
+    spans.sort_by_key(|s| s.run);
+
+    let mut count = 0;
     let mut out = std::io::BufWriter::new(std::fs::File::create(base)?);
-    for (_, lines) in runs {
-        for line in lines {
-            out.write_all(line.as_bytes())?;
+    let mut open: Option<(usize, std::fs::File)> = None;
+    let mut chunk = vec![0u8; 1 << 16];
+    for (i, span) in spans.iter().enumerate() {
+        count += usize::from(i == 0 || spans[i - 1].run != span.run);
+        if open.as_ref().map(|o| o.0) != Some(span.part) {
+            open = Some((span.part, std::fs::File::open(&parts[span.part])?));
+        }
+        let file = &mut open.as_mut().expect("opened above").1;
+        file.seek(SeekFrom::Start(span.start))?;
+        let (mut left, mut last) = (span.end - span.start, b'\n');
+        while left > 0 {
+            let want = chunk.len().min(usize::try_from(left).unwrap_or(usize::MAX));
+            file.read_exact(&mut chunk[..want])?;
+            out.write_all(&chunk[..want])?;
+            last = chunk[want - 1];
+            left -= want as u64;
+        }
+        // Only a part's final line can lack its newline.
+        if last != b'\n' {
             out.write_all(b"\n")?;
         }
     }
@@ -224,22 +269,45 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("mobidist-merge-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let base = dir.join("trace.jsonl");
-        std::fs::write(
-            dir.join("trace.jsonl.w0"),
-            "{\"v\":1,\"run\":1,\"ev\":\"run_begin\"}\n{\"v\":1,\"run\":1,\"ev\":\"run_end\"}\n",
-        )
-        .unwrap();
-        std::fs::write(
-            dir.join("trace.jsonl.w1"),
-            "{\"v\":1,\"run\":0,\"ev\":\"run_begin\"}\n{\"v\":1,\"run\":0,\"ev\":\"run_end\"}\n",
-        )
-        .unwrap();
+        let line = |run: u64, ev: &str| format!("{{\"v\":1,\"run\":{run},\"ev\":\"{ev}\"}}\n");
+        // Part 0 holds two runs whose ids interleave with part 1's, the
+        // second of them split around a blank line and a line of run 1.
+        let w0 = [
+            line(1, "run_begin"),
+            line(1, "run_end"),
+            line(3, "run_begin"),
+            "\n".to_owned(),
+            line(3, "a"),
+            line(1, "straggler"),
+            line(3, "run_end"),
+        ];
+        // Part 1's last line lacks its newline.
+        let w1 = [
+            line(0, "run_begin"),
+            line(0, "run_end"),
+            line(2, "run_begin"),
+            line(2, "run_end").trim_end().to_owned(),
+        ];
+        std::fs::write(dir.join("trace.jsonl.w0"), w0.concat()).unwrap();
+        std::fs::write(dir.join("trace.jsonl.w1"), w1.concat()).unwrap();
         let merged = merge_worker_files(&base).unwrap();
-        assert_eq!(merged, 2);
+        assert_eq!(merged, 4);
         let text = std::fs::read_to_string(&base).unwrap();
-        let runs: Vec<Option<u64>> = text.lines().map(run_id_of).collect();
-        assert_eq!(runs, vec![Some(0), Some(0), Some(1), Some(1)]);
+        let want = [
+            line(0, "run_begin"),
+            line(0, "run_end"),
+            line(1, "run_begin"),
+            line(1, "run_end"),
+            line(1, "straggler"),
+            line(2, "run_begin"),
+            line(2, "run_end"),
+            line(3, "run_begin"),
+            line(3, "a"),
+            line(3, "run_end"),
+        ];
+        assert_eq!(text, want.concat());
         assert!(!dir.join("trace.jsonl.w0").exists());
+        assert!(!dir.join("trace.jsonl.w1").exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

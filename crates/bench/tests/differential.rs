@@ -28,7 +28,7 @@ use mobidist_bench::table::Table;
 use mobidist_core::prelude::*;
 use mobidist_group::prelude::*;
 use mobidist_net::metrics::Metrics;
-use mobidist_net::obs::{parse_line, Line, RingSink, RunMeta, RunSummary, TraceEvent};
+use mobidist_net::obs::{parse_line, Line, RingSink, RunMeta, TraceEvent};
 use mobidist_net::prelude::*;
 use mobidist_runcache::{store, CACHE_ENV};
 use std::fs;
@@ -243,18 +243,13 @@ fn cache_steps(step: &str, dir: &Path, render: &mut dyn FnMut()) {
 
 // ----- trace axis -----------------------------------------------------------
 
-/// One run's event stream, folded: the kernel-level aggregates plus what
-/// `Metrics` does not count.
+/// One run's event stream, folded: `Metrics` (which tallies the ledger
+/// counters) plus the batch sizes it does not sum.
 #[derive(Default)]
 struct Derived {
     label: String,
     metrics: Metrics,
-    events: u64,
-    re_searches: u64,
-    handoffs: u64,
     combined: u64,
-    partitions: u64,
-    heals: u64,
 }
 
 /// The captured stream is complete: every ledger counter re-derived from
@@ -283,46 +278,20 @@ fn trace_steps(_step: &str, trace: &Path, render: &mut dyn FnMut()) {
             }
             Line::Event { run, seq, t, ev } => {
                 let d = open.as_mut().expect("event outside a run");
-                assert_eq!(seq, d.events, "run {run}: seq not dense");
-                d.events += 1;
+                assert_eq!(seq, d.metrics.events, "run {run}: seq not dense");
                 d.metrics.observe(t, &ev);
-                match ev {
-                    TraceEvent::Search { re: true, .. } => d.re_searches += 1,
-                    TraceEvent::HandoffEnd {
-                        to, prev: Some(p), ..
-                    } if p != to => d.handoffs += 1,
-                    TraceEvent::CombineBatch { size, .. } => d.combined += size as u64,
-                    TraceEvent::FaultPartition { healed: false, .. } => d.partitions += 1,
-                    TraceEvent::FaultPartition { healed: true, .. } => d.heals += 1,
-                    _ => {}
+                if let TraceEvent::CombineBatch { size, .. } = ev {
+                    d.combined += size as u64;
                 }
             }
             Line::RunEnd { summary, events } => {
                 let d = open.take().expect("run_end outside a run");
                 let at = format!("run {} [{}]", summary.run, d.label);
-                assert_eq!(events, d.events, "{at}: event count");
+                assert_eq!(events, d.metrics.events, "{at}: event count");
                 let kind = |name| d.metrics.kind_count(name);
-                let derived = RunSummary {
-                    fixed_msgs: d.metrics.fixed_msgs.get(),
-                    wireless_msgs: d.metrics.wireless_msgs.get(),
-                    searches: kind("search"),
-                    re_searches: d.re_searches,
-                    search_failures: kind("search_fail"),
-                    moves: kind("handoff_end"),
-                    handoffs: d.handoffs,
-                    disconnects: kind("disconnect"),
-                    reconnects: kind("reconnect"),
-                    doze_interruptions: kind("doze_interrupt"),
-                    wireless_losses: kind("down_lost"),
-                    fault_crashes: kind("fault_crash"),
-                    fault_recovers: kind("fault_recover"),
-                    fault_partitions: d.partitions,
-                    fault_heals: d.heals,
-                    fault_storms: kind("fault_storm"),
-                    // Run id, total cost and energy are not event counts.
-                    ..summary
-                };
-                assert_eq!(derived, summary, "{at}: trace-derived counters != ledger");
+                let derived: Vec<_> = d.metrics.tally.event_counters().collect();
+                let ledger: Vec<_> = summary.event_counters().collect();
+                assert_eq!(derived, ledger, "{at}: trace-derived counters != ledger");
                 // Combining identity (E13's L2C cells): every grant is
                 // announced in exactly one batch.
                 if kind("combine_batch") > 0 && kind("cs_enter") > 0 {

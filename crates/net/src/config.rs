@@ -2,8 +2,10 @@
 
 use crate::cost::{CostModel, EnergyModel};
 use crate::fault::FaultConfig;
+use crate::ids::MssId;
 use crate::latency::LatencyModel;
 use crate::mobility::{DisconnectConfig, MobilityConfig};
+use crate::rng::SimRng;
 use crate::search::SearchPolicy;
 
 /// Per-channel-class latency distributions.
@@ -65,6 +67,20 @@ pub enum Placement {
         /// Number of initial cells used.
         cells: usize,
     },
+}
+
+impl Placement {
+    /// The cell host number `host` of a world of `m` cells starts in. `rng`
+    /// is the caller's placement stream, drawn from only by
+    /// [`Random`](Self::Random); calling in host order is what makes a
+    /// placement reproducible.
+    pub(crate) fn initial_cell(self, host: usize, m: usize, rng: &mut SimRng) -> MssId {
+        MssId(match self {
+            Placement::RoundRobin => (host % m) as u32,
+            Placement::Random => rng.below(m as u64) as u32,
+            Placement::Clustered { cells } => (host % cells.clamp(1, m)) as u32,
+        })
+    }
 }
 
 /// Complete description of a two-tier network instance.

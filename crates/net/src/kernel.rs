@@ -20,13 +20,13 @@
 //! study.
 
 use crate::channel::{ChainKey, FifoChains, ReorderBuffers};
-use crate::config::{DeliveryMode, NetworkConfig, Placement};
+use crate::config::{DeliveryMode, NetworkConfig};
 use crate::error::NetError;
 use crate::event::EventQueue;
 use crate::host::{MhState, MhStatus, MssState, OutMsg};
 use crate::ids::{MhId, MssId};
 use crate::ledger::CostLedger;
-use crate::obs::{TraceEvent, TraceSink};
+use crate::obs::{TraceEvent, TraceSink, Tracer};
 use crate::proto::{ProtoEvent, Src};
 use crate::rng::SimRng;
 use crate::search::SearchPolicy;
@@ -163,12 +163,10 @@ pub struct Kernel<M, T> {
     reorder: ReorderBuffers<M>,
     ledger: CostLedger,
     pending: VecDeque<ProtoEvent<M, T>>,
-    /// Structured event sink; `None` (the default) costs one branch per
-    /// emission site and never constructs the event.
-    sink: Option<Box<dyn TraceSink>>,
-    /// Per-run emission counter: `(now, trace_seq)` is strictly increasing,
-    /// giving trace consumers a total order. Reset to zero with the kernel.
-    trace_seq: u64,
+    /// Structured event sink and per-run emission counter; no sink (the
+    /// default) costs one branch per emission site and never constructs the
+    /// event. Rewound with the kernel.
+    trace: Tracer,
     /// Reusable buffer for cell-broadcast recipient lists, so the hot path
     /// never allocates per call.
     scratch_locals: Vec<MhId>,
@@ -213,8 +211,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             reorder: ReorderBuffers::default(),
             ledger: CostLedger::new(cfg.num_mh),
             pending: VecDeque::new(),
-            sink: None,
-            trace_seq: 0,
+            trace: Tracer::new(None),
             scratch_locals: Vec::new(),
             down: Vec::new(),
             partition_cut: None,
@@ -256,11 +253,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.msss.resize_with(m, MssState::default);
         self.mhs.clear();
         for i in 0..n {
-            let cell = match cfg.placement {
-                Placement::RoundRobin => MssId((i % m) as u32),
-                Placement::Random => MssId(place_rng.below(m as u64) as u32),
-                Placement::Clustered { cells } => MssId((i % cells.clamp(1, m)) as u32),
-            };
+            let cell = cfg.placement.initial_cell(i, m, &mut place_rng);
             self.mhs.push(MhState::new(cell, cell));
             self.msss[cell.index()].local.insert(MhId(i as u32));
         }
@@ -268,10 +261,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.reorder.clear();
         self.ledger.reset(n);
         self.pending.clear();
-        self.trace_seq = 0;
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.rewind();
-        }
+        self.trace.rewind();
         self.cfg = cfg;
         if self.cfg.mobility.enabled {
             for i in 0..n {
@@ -334,41 +324,34 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// (no RNG draws, no scheduling — pinned byte-for-byte by the `trace`
     /// axis of the bench crate's `differential` test).
     pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.sink = Some(sink);
+        self.trace.sink = Some(sink);
     }
 
     /// Detaches and returns the installed trace sink, if any, without
     /// notifying it (see [`finish_trace`](Self::finish_trace) for the
     /// end-of-run path).
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.sink.take()
+        self.trace.sink.take()
     }
 
     /// Borrows the installed trace sink for inspection (downcast through
     /// [`TraceSink::as_any`] to reach a concrete sink's accessors).
     pub fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        self.sink.as_deref()
+        self.trace.sink.as_deref()
     }
 
     /// Ends the traced run: calls [`TraceSink::finish`] with the final
     /// ledger (the JSONL sink writes its `run_end` summary line here) and
     /// detaches the sink.
     pub fn finish_trace(&mut self) -> Option<Box<dyn TraceSink>> {
-        let mut s = self.sink.take()?;
-        s.finish(&self.ledger);
-        Some(s)
+        self.trace.finish(&self.ledger)
     }
 
-    /// Typed-emission hook: one branch when disabled, and the closure — so
-    /// the event is never even constructed — runs only with a sink
-    /// installed.
+    /// Typed-emission hook, stamped with the current time (see
+    /// [`Tracer::emit`] for what it costs).
     #[inline]
     pub(crate) fn emit(&mut self, f: impl FnOnce() -> TraceEvent) {
-        if let Some(s) = self.sink.as_deref_mut() {
-            let ev = f();
-            s.record(self.now, self.trace_seq, &ev);
-            self.trace_seq += 1;
-        }
+        self.trace.emit(self.now, f);
     }
 
     /// True when `mh` is local to `mss`.

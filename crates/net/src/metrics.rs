@@ -1,5 +1,5 @@
-//! Derived metrics over the typed event stream: monotonic counters,
-//! log2-bucket histograms, and per-phase span timing.
+//! Derived metrics over the typed event stream: the ledger counters
+//! re-derived from events, log2-bucket histograms, and per-phase span timing.
 //!
 //! The building blocks here consume [`TraceEvent`]s — either live, by
 //! installing a [`MetricsSink`] on a kernel, or offline, by feeding parsed
@@ -7,42 +7,11 @@
 //! does). The same aggregation code therefore produces the same numbers in
 //! both modes.
 
-use crate::obs::{TraceEvent, TraceSink};
+use crate::obs::{RunSummary, TraceEvent, TraceSink};
 use crate::time::SimTime;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
-
-/// A monotonic counter.
-///
-/// # Examples
-///
-/// ```
-/// use mobidist_net::metrics::Counter;
-/// let mut c = Counter::default();
-/// c.inc();
-/// c.add(4);
-/// assert_eq!(c.get(), 5);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `by`.
-    pub fn add(&mut self, by: u64) {
-        self.0 += by;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Number of log2 buckets a [`Histogram`] holds (`u64` values need at most
 /// 64 significant bits, plus one bucket for zero).
@@ -249,19 +218,18 @@ impl SpanTracker {
 /// assert_eq!(m.cs_wait.sum(), 20);
 /// assert_eq!(m.cs_hold.sum(), 15);
 /// assert_eq!(m.kind_count("cs_enter"), 1);
+/// assert_eq!(m.events, 3);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Metrics {
     /// Total events observed.
-    pub events: Counter,
+    pub events: u64,
     /// Events per kind name (see [`TraceEvent::name`]).
     pub by_kind: BTreeMap<&'static str, u64>,
-    /// Charged fixed-network messages derived from the stream
-    /// ([`TraceEvent::fixed_msgs`] summed).
-    pub fixed_msgs: Counter,
-    /// Charged wireless-channel uses derived from the stream
-    /// ([`TraceEvent::wireless_msgs`] summed).
-    pub wireless_msgs: Counter,
+    /// Every ledger counter the stream accounts for, derived from it by
+    /// [`RunSummary::tally`] (`run`, `total_cost` and `total_energy` are not
+    /// event counts and stay 0).
+    pub tally: RunSummary,
     /// Ticks from `cs_request` to the matching `cs_enter`, per MH.
     pub cs_wait: Histogram,
     /// Ticks from `cs_enter` to the matching `cs_exit`, per MH.
@@ -286,10 +254,9 @@ impl Metrics {
 
     /// Folds one event into the aggregates.
     pub fn observe(&mut self, at: SimTime, ev: &TraceEvent) {
-        self.events.inc();
+        self.events += 1;
         *self.by_kind.entry(ev.name()).or_insert(0) += 1;
-        self.fixed_msgs.add(ev.fixed_msgs());
-        self.wireless_msgs.add(ev.wireless_msgs());
+        self.tally.tally(ev);
         match *ev {
             TraceEvent::CsRequest { mh } => {
                 self.cs_queue_depth.record(self.waiting as u64);
@@ -335,7 +302,7 @@ impl Metrics {
 /// use mobidist_net::metrics::MetricsSink;
 /// use mobidist_net::obs::TraceSink;
 /// let sink = MetricsSink::default();
-/// assert_eq!(sink.metrics().events.get(), 0);
+/// assert_eq!(sink.metrics().events, 0);
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsSink {
@@ -484,18 +451,18 @@ mod tests {
                 mss: MssId(0),
             },
         );
-        assert_eq!(m.fixed_msgs.get(), 1);
-        assert_eq!(m.wireless_msgs.get(), 2);
-        assert_eq!(m.events.get(), 4);
+        assert_eq!(m.tally.fixed_msgs, 1);
+        assert_eq!(m.tally.wireless_msgs, 2);
+        assert_eq!(m.events, 4);
     }
 
     #[test]
     fn metrics_sink_rewinds_clean() {
         let mut s = MetricsSink::default();
         s.record(SimTime::ZERO, 0, &TraceEvent::CsRequest { mh: MhId(0) });
-        assert_eq!(s.metrics().events.get(), 1);
+        assert_eq!(s.metrics().events, 1);
         s.rewind();
-        assert_eq!(s.metrics().events.get(), 0);
+        assert_eq!(s.metrics().events, 0);
         assert_eq!(s.metrics().cs_queue_depth.count(), 0);
     }
 }

@@ -67,269 +67,6 @@ use std::io::Write;
 /// See `OBSERVABILITY.md` for the policy and the full field reference.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// One typed observation of kernel or algorithm activity.
-///
-/// Kernel events are emitted exactly once per *charged* operation, so
-/// counting events reproduces the [`CostLedger`]
-/// exactly:
-///
-/// * `fixed_msgs` = [`FixedSend`](Self::FixedSend) + [`SearchFail`](Self::SearchFail)
-///   (the disconnection notice back to the origin is a charged fixed
-///   message);
-/// * `wireless_msgs` = [`UpSend`](Self::UpSend) +
-///   [`DownSend`](Self::DownSend) + [`CellBroadcast`](Self::CellBroadcast)
-///   (one charge per broadcast regardless of listeners);
-/// * `searches` = [`Search`](Self::Search), with `re = true` marking the
-///   counted re-searches.
-///
-/// Receive events (`*Recv`) are free in the cost model but carry the
-/// latency information span analyses need. Algorithm-level events
-/// ([`CsRequest`](Self::CsRequest)…, [`LvUpdate`](Self::LvUpdate),
-/// [`ProxyForward`](Self::ProxyForward)) are emitted by the harness /
-/// strategy crates through [`Ctx::emit`](crate::proto::Ctx::emit).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum TraceEvent {
-    /// A charged point-to-point send on the fixed network.
-    FixedSend {
-        /// Sending MSS.
-        from: MssId,
-        /// Receiving MSS.
-        to: MssId,
-    },
-    /// A fixed-network message arrived.
-    FixedRecv {
-        /// Receiving MSS.
-        at: MssId,
-        /// Sending MSS.
-        from: MssId,
-    },
-    /// A charged wireless uplink transmission.
-    UpSend {
-        /// Transmitting MH.
-        mh: MhId,
-        /// Serving MSS the message is headed for.
-        mss: MssId,
-    },
-    /// An uplink message arrived at the serving MSS.
-    UpRecv {
-        /// Receiving MSS.
-        mss: MssId,
-        /// Transmitting MH.
-        mh: MhId,
-    },
-    /// A charged wireless downlink transmission to one MH.
-    DownSend {
-        /// Transmitting MSS.
-        mss: MssId,
-        /// Target MH.
-        mh: MhId,
-    },
-    /// A downlink message was received by a still-local MH.
-    DownRecv {
-        /// Receiving MH.
-        mh: MhId,
-        /// Transmitting MSS.
-        mss: MssId,
-    },
-    /// One charged cell-wide wireless broadcast (every listener still pays
-    /// its own reception, reported as separate [`DownRecv`](Self::DownRecv)s).
-    CellBroadcast {
-        /// Broadcasting MSS.
-        mss: MssId,
-        /// MHs local to the cell at transmission time.
-        listeners: u32,
-    },
-    /// A downlink message was lost because the MH left the cell first
-    /// (prefix-delivery semantics).
-    DownLost {
-        /// Transmitting MSS.
-        mss: MssId,
-        /// The departed MH.
-        mh: MhId,
-    },
-    /// A search was issued (initial or counted re-search after a move).
-    Search {
-        /// The MH being located.
-        target: MhId,
-        /// True when this is a re-search caused by an in-flight move.
-        re: bool,
-    },
-    /// A search terminated at a disconnected MH; the disconnection cell's
-    /// MSS sends one charged fixed message back to the origin.
-    SearchFail {
-        /// MSS that initiated the search.
-        origin: MssId,
-        /// The unreachable MH.
-        target: MhId,
-    },
-    /// A delivery interrupted an MH in doze mode.
-    DozeInterrupt {
-        /// The dozing MH.
-        mh: MhId,
-    },
-    /// An MH left its cell: the handoff begins (`leave(r)`).
-    HandoffBegin {
-        /// The moving MH.
-        mh: MhId,
-        /// The cell it left.
-        from: MssId,
-    },
-    /// An MH joined a cell: the handoff ends (`join(mh, prev)`).
-    HandoffEnd {
-        /// The arriving MH.
-        mh: MhId,
-        /// The new cell.
-        to: MssId,
-        /// The previous MSS, when the configuration supplies it with the
-        /// join. A ledger `handoff` is counted iff `prev` is present and
-        /// differs from `to`.
-        prev: Option<MssId>,
-    },
-    /// An MH voluntarily disconnected.
-    Disconnect {
-        /// The disconnecting MH.
-        mh: MhId,
-        /// The MSS holding its "disconnected" flag.
-        mss: MssId,
-    },
-    /// An MH reconnected after a voluntary disconnection.
-    Reconnect {
-        /// The reconnecting MH.
-        mh: MhId,
-        /// The new cell.
-        mss: MssId,
-        /// Where it had disconnected, when supplied with the reconnect.
-        prev: Option<MssId>,
-    },
-    /// An MH asked its algorithm for the critical section (workload-level).
-    CsRequest {
-        /// The requesting MH.
-        mh: MhId,
-    },
-    /// An MH entered the critical section.
-    CsEnter {
-        /// The entering MH.
-        mh: MhId,
-    },
-    /// An MH released the critical section.
-    CsExit {
-        /// The releasing MH.
-        mh: MhId,
-    },
-    /// The location-view coordinator applied a significant view change
-    /// (Section 4's `LV(G)` update).
-    LvUpdate {
-        /// The cell added to or removed from the view.
-        cell: MssId,
-        /// True for an addition, false for a deletion.
-        added: bool,
-    },
-    /// A proxy forwarded an output to a moved client with a search
-    /// (Section 5's proxy obligation).
-    ProxyForward {
-        /// The proxy MSS doing the forwarding.
-        mss: MssId,
-        /// The moved client MH.
-        mh: MhId,
-    },
-    /// The run cache satisfied this run from a stored result instead of
-    /// simulating it. Emitted (by the experiment drivers, not the kernel)
-    /// as the only event of a synthetic run whose `run_end` carries the
-    /// cached ledger; such runs are exempt from event-count identity
-    /// checks because no kernel events were replayed.
-    CacheHit {
-        /// High 64 bits of the run descriptor fingerprint.
-        fp_hi: u64,
-        /// Low 64 bits of the run descriptor fingerprint.
-        fp_lo: u64,
-    },
-    /// A conservative-sync barrier in a space-sharded run: the shard
-    /// finished a lookahead window and exchanged cross-shard traffic. The
-    /// emission time is the window-end time, so per-shard `(t, seq)` order
-    /// is preserved. Only *processed* windows emit a sync; a stretch the
-    /// kernel fast-forwarded over in one barrier round is folded into the
-    /// next sync's `skipped` count, so `Σ (1 + skipped)` over a shard's
-    /// syncs equals the run's total window count.
-    ShardSync {
-        /// The reporting shard.
-        shard: u32,
-        /// Zero-based window index.
-        window: u64,
-        /// Empty windows fast-forwarded over immediately before this one
-        /// (serialized only when non-zero; schema-additive).
-        skipped: u64,
-    },
-    /// A wired message was delivered out of a cross-shard mailbox. The
-    /// sharded kernel charges wired messages at *delivery*, so each
-    /// `shard_recv` represents exactly one ledger `fixed_msgs` charge —
-    /// `tracereport --check` validates that identity per shard.
-    ShardRecv {
-        /// The delivering (destination) shard.
-        shard: u32,
-        /// Source cell of the wired message.
-        from: MssId,
-        /// Destination cell.
-        to: MssId,
-    },
-    /// A combining proxy (the L2C mutex variant or a combining
-    /// `ProxyRuntime` delivery) finished one batch: `size`
-    /// client operations were served under a single logical-clock exchange /
-    /// cell broadcast. Emitted by the algorithm layer, not the kernel, so it
-    /// carries no message charge of its own — the charged operations it
-    /// amortizes appear as their own events. For L2C runs the sum of `size`
-    /// over all `combine_batch` events equals the run's `cs_enter` count
-    /// (`tracereport --check` validates that identity).
-    CombineBatch {
-        /// The combining MSS.
-        mss: MssId,
-        /// Number of client operations served in this batch.
-        size: u32,
-    },
-    /// The delivery engine coalesced `len` same-tick wired/uplink arrivals
-    /// at one MSS into a single batched protocol callback
-    /// (`DeliveryMode::Batched` only; `len >= 2`). Purely diagnostic: the
-    /// coalesced messages were each charged and traced at their own
-    /// send/receive events, so this carries no message charge of its own and
-    /// is excluded from message-class accounting.
-    DeliverBatch {
-        /// The MSS whose arrivals were coalesced.
-        at: MssId,
-        /// Number of messages dispatched in the batch.
-        len: u32,
-    },
-    /// The fault plane crashed an MSS (fail-stop with stable state; see
-    /// SCENARIOS.md). One ledger `fault_crashes` custom counter bump per
-    /// event — `tracereport --check` reconciles the counts.
-    FaultCrash {
-        /// The crashed station.
-        mss: MssId,
-    },
-    /// A crashed MSS recovered with its state intact; wired messages
-    /// deferred during the outage re-deliver in order right after this
-    /// event. One ledger `fault_recovers` bump per event.
-    FaultRecover {
-        /// The recovered station.
-        mss: MssId,
-    },
-    /// The wired plane partitioned (`healed = false`, ledger
-    /// `fault_partitions`) or healed (`healed = true`, ledger
-    /// `fault_heals`): cells `< cut` and cells `≥ cut` defer wired traffic
-    /// across the split while it lasts.
-    FaultPartition {
-        /// The cut point separating the two halves.
-        cut: u32,
-        /// False when the partition starts, true when it heals.
-        healed: bool,
-    },
-    /// A mass handoff storm fired: `moved` connected MHs were forced to
-    /// leave their cells at once. One ledger `fault_storms` bump per event.
-    FaultStorm {
-        /// Number of MHs forced to move.
-        moved: u32,
-    },
-}
-
 /// Appends `v` in decimal, exactly as `u64::to_string` prints it.
 fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
     let mut digits = [0u8; 20];
@@ -345,42 +82,466 @@ fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
     buf.extend_from_slice(&digits[at..]);
 }
 
-impl TraceEvent {
-    /// The stable snake_case kind name written to the `"ev"` JSONL field.
-    pub fn name(&self) -> &'static str {
-        match self {
-            TraceEvent::FixedSend { .. } => "fixed_send",
-            TraceEvent::FixedRecv { .. } => "fixed_recv",
-            TraceEvent::UpSend { .. } => "up_send",
-            TraceEvent::UpRecv { .. } => "up_recv",
-            TraceEvent::DownSend { .. } => "down_send",
-            TraceEvent::DownRecv { .. } => "down_recv",
-            TraceEvent::CellBroadcast { .. } => "cell_broadcast",
-            TraceEvent::DownLost { .. } => "down_lost",
-            TraceEvent::Search { .. } => "search",
-            TraceEvent::SearchFail { .. } => "search_fail",
-            TraceEvent::DozeInterrupt { .. } => "doze_interrupt",
-            TraceEvent::HandoffBegin { .. } => "handoff_begin",
-            TraceEvent::HandoffEnd { .. } => "handoff_end",
-            TraceEvent::Disconnect { .. } => "disconnect",
-            TraceEvent::Reconnect { .. } => "reconnect",
-            TraceEvent::CsRequest { .. } => "cs_request",
-            TraceEvent::CsEnter { .. } => "cs_enter",
-            TraceEvent::CsExit { .. } => "cs_exit",
-            TraceEvent::LvUpdate { .. } => "lv_update",
-            TraceEvent::ProxyForward { .. } => "proxy_forward",
-            TraceEvent::CacheHit { .. } => "cache_hit",
-            TraceEvent::ShardSync { .. } => "shard_sync",
-            TraceEvent::ShardRecv { .. } => "shard_recv",
-            TraceEvent::CombineBatch { .. } => "combine_batch",
-            TraceEvent::DeliverBatch { .. } => "deliver_batch",
-            TraceEvent::FaultCrash { .. } => "fault_crash",
-            TraceEvent::FaultRecover { .. } => "fault_recover",
-            TraceEvent::FaultPartition { .. } => "fault_partition",
-            TraceEvent::FaultStorm { .. } => "fault_storm",
+/// How one field of type `T` travels in a JSONL line. Every field type
+/// carries itself; a row of a schema table names another carrier (`as
+/// Additive`) where the wire form differs from what the type alone implies.
+trait Wire<T = Self> {
+    /// Appends `frag` — the field's `,"key":` — and the value. Static
+    /// fragments and [`push_u64`] only: this runs once per traced operation,
+    /// so `core::fmt` and the allocator stay off the path.
+    fn put(v: T, frag: &str, buf: &mut Vec<u8>);
+
+    /// Reads the field `key` back out of a scanned line.
+    fn get(f: &Fields<'_>, key: &str) -> Result<T, ParseError>;
+}
+
+impl Wire for u64 {
+    #[inline]
+    fn put(v: u64, frag: &str, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(frag.as_bytes());
+        push_u64(buf, v);
+    }
+
+    fn get(f: &Fields<'_>, key: &str) -> Result<u64, ParseError> {
+        f.num(key)
+    }
+}
+
+/// An id or count the event types hold as `u32`; wider is an error.
+impl Wire for u32 {
+    #[inline]
+    fn put(v: u32, frag: &str, buf: &mut Vec<u8>) {
+        u64::put(u64::from(v), frag, buf);
+    }
+
+    fn get(f: &Fields<'_>, key: &str) -> Result<u32, ParseError> {
+        let v = f.num(key)?;
+        u32::try_from(v).map_err(|_| field_err(key, format_args!("exceeds u32: {v}")))
+    }
+}
+
+/// `0` or `1`; any other number is an error.
+impl Wire for bool {
+    #[inline]
+    fn put(v: bool, frag: &str, buf: &mut Vec<u8>) {
+        u64::put(u64::from(v), frag, buf);
+    }
+
+    fn get(f: &Fields<'_>, key: &str) -> Result<bool, ParseError> {
+        match f.num(key)? {
+            v @ 0..=1 => Ok(v == 1),
+            v => Err(field_err(key, format_args!("is not 0 or 1: {v}"))),
+        }
+    }
+}
+
+macro_rules! wire_id {
+    ($($id:ident)*) => {$(
+        impl Wire for $id {
+            #[inline]
+            fn put(v: $id, frag: &str, buf: &mut Vec<u8>) {
+                u32::put(v.0, frag, buf);
+            }
+
+            fn get(f: &Fields<'_>, key: &str) -> Result<$id, ParseError> {
+                u32::get(f, key).map($id)
+            }
+        }
+    )*};
+}
+wire_id!(MssId MhId);
+
+/// Absent when `None`.
+impl<T: Wire> Wire for Option<T> {
+    #[inline]
+    fn put(v: Option<T>, frag: &str, buf: &mut Vec<u8>) {
+        if let Some(v) = v {
+            T::put(v, frag, buf);
         }
     }
 
+    fn get(f: &Fields<'_>, key: &str) -> Result<Option<T>, ParseError> {
+        f.get(key).map(|_| T::get(f, key)).transpose()
+    }
+}
+
+/// Carrier of a counter added to a line after schema v1 shipped: absent
+/// when 0 and read as 0 when absent, so lines that never needed it are
+/// byte-identical to those written before it existed.
+struct Additive;
+
+impl Wire<u64> for Additive {
+    #[inline]
+    fn put(v: u64, frag: &str, buf: &mut Vec<u8>) {
+        Option::put((v != 0).then_some(v), frag, buf);
+    }
+
+    fn get(f: &Fields<'_>, key: &str) -> Result<u64, ParseError> {
+        Ok(Option::get(f, key)?.unwrap_or(0))
+    }
+}
+
+/// The carrier of a table field: the one the row names, else its own type.
+macro_rules! carrier {
+    ($ty:ty) => {
+        $ty
+    };
+    ($ty:ty, $via:ty) => {
+        $via
+    };
+}
+
+/// The event schema, written once. Each row is a kind: its docs, its
+/// variant, its wire name, and its fields **in wire order** with their docs
+/// and types. From the rows come [`TraceEvent`] (so the enum's declared
+/// field order is the wire order), [`TraceEvent::name`], the encoder behind
+/// [`JsonlSink`], the decoder behind [`parse_line`], and [`SCHEMA`]. A row's
+/// first doc line is its one-line meaning in `SCHEMA` and `tracereport
+/// --help`, so it has to stand on its own.
+macro_rules! trace_schema {
+    ($(
+        #[doc = $summary:literal]
+        $(#[doc = $more:literal])*
+        $variant:ident = $wire:literal {$(
+            $(#[doc = $fdoc:literal])+
+            $field:ident: $ty:ty $(as $via:ty)?,
+        )*}
+    )*) => {
+        /// One typed observation of kernel or algorithm activity.
+        ///
+        /// Kernel events are emitted exactly once per *charged* operation, so
+        /// counting events reproduces the [`CostLedger`] exactly.
+        /// [`RunSummary::tally`] is that identity in full; its message rows:
+        ///
+        /// * `fixed_msgs` = [`FixedSend`](Self::FixedSend) + [`SearchFail`](Self::SearchFail)
+        ///   (the disconnection notice back to the origin is a charged fixed
+        ///   message);
+        /// * `wireless_msgs` = [`UpSend`](Self::UpSend) +
+        ///   [`DownSend`](Self::DownSend) + [`CellBroadcast`](Self::CellBroadcast)
+        ///   (one charge per broadcast regardless of listeners);
+        /// * `searches` = [`Search`](Self::Search), with `re = true` marking the
+        ///   counted re-searches.
+        ///
+        /// Receive events (`*Recv`) are free in the cost model but carry the
+        /// latency information span analyses need. Algorithm-level events
+        /// ([`CsRequest`](Self::CsRequest)…, [`LvUpdate`](Self::LvUpdate),
+        /// [`ProxyForward`](Self::ProxyForward)) are emitted by the harness /
+        /// strategy crates through [`Ctx::emit`](crate::proto::Ctx::emit).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        #[non_exhaustive]
+        pub enum TraceEvent {$(
+            #[doc = $summary]
+            $(#[doc = $more])*
+            $variant {$(
+                $(#[doc = $fdoc])+
+                $field: $ty,
+            )*},
+        )*}
+
+        /// Every event kind as `(wire name, field keys in wire order,
+        /// one-line meaning)`, in declaration order.
+        pub const SCHEMA: &[(&str, &[&str], &str)] = &[$(
+            ($wire, &[$(stringify!($field)),*], $summary.trim_ascii()),
+        )*];
+
+        impl TraceEvent {
+            /// The stable snake_case kind name written to the `"ev"` JSONL field.
+            pub fn name(&self) -> &'static str {
+                match self {$(
+                    TraceEvent::$variant { .. } => $wire,
+                )*}
+            }
+
+            /// Appends this event's `"ev"` and payload fields (no braces, no
+            /// version/run/seq/time envelope) to `buf` as JSONL fragments,
+            /// each with its leading comma.
+            fn write_fields(&self, buf: &mut Vec<u8>) {
+                match *self {$(
+                    TraceEvent::$variant { $($field),* } => {
+                        buf.extend_from_slice(concat!(",\"ev\":\"", $wire, "\"").as_bytes());
+                        $(<carrier!($ty $(, $via)?) as Wire<$ty>>::put(
+                            $field,
+                            concat!(",\"", stringify!($field), "\":"),
+                            buf,
+                        );)*
+                    }
+                )*}
+            }
+
+            /// Rebuilds the event of kind `kind` from a scanned line.
+            fn read_fields(kind: &str, f: &Fields<'_>) -> Result<Self, ParseError> {
+                Ok(match kind {
+                    $($wire => TraceEvent::$variant {$(
+                        $field: <carrier!($ty $(, $via)?) as Wire<$ty>>::get(
+                            f,
+                            stringify!($field),
+                        )?,
+                    )*},)*
+                    other => return err(format!("unknown event kind {other:?}")),
+                })
+            }
+        }
+    };
+}
+
+trace_schema! {
+    /// A charged point-to-point send on the fixed network.
+    FixedSend = "fixed_send" {
+        /// Sending MSS.
+        from: MssId,
+        /// Receiving MSS.
+        to: MssId,
+    }
+    /// A fixed-network message arrived.
+    FixedRecv = "fixed_recv" {
+        /// Receiving MSS.
+        at: MssId,
+        /// Sending MSS.
+        from: MssId,
+    }
+    /// A charged wireless uplink transmission.
+    UpSend = "up_send" {
+        /// Transmitting MH.
+        mh: MhId,
+        /// Serving MSS the message is headed for.
+        mss: MssId,
+    }
+    /// An uplink message arrived at the serving MSS.
+    UpRecv = "up_recv" {
+        /// Transmitting MH.
+        mh: MhId,
+        /// Receiving MSS.
+        mss: MssId,
+    }
+    /// A charged wireless downlink transmission to one MH.
+    DownSend = "down_send" {
+        /// Target MH.
+        mh: MhId,
+        /// Transmitting MSS.
+        mss: MssId,
+    }
+    /// A downlink message was received by a still-local MH.
+    DownRecv = "down_recv" {
+        /// Receiving MH.
+        mh: MhId,
+        /// Transmitting MSS.
+        mss: MssId,
+    }
+    /// One charged cell-wide wireless broadcast.
+    ///
+    /// Every listener still pays its own reception, reported as separate
+    /// [`DownRecv`](Self::DownRecv)s.
+    CellBroadcast = "cell_broadcast" {
+        /// Broadcasting MSS.
+        mss: MssId,
+        /// MHs local to the cell at transmission time.
+        listeners: u32,
+    }
+    /// A downlink message was lost: the MH left the cell first.
+    ///
+    /// Prefix-delivery semantics.
+    DownLost = "down_lost" {
+        /// The departed MH.
+        mh: MhId,
+        /// Transmitting MSS.
+        mss: MssId,
+    }
+    /// A search was issued (initial or counted re-search after a move).
+    Search = "search" {
+        /// The MH being located.
+        target: MhId,
+        /// True when this is a re-search caused by an in-flight move.
+        re: bool,
+    }
+    /// A search terminated at a disconnected MH.
+    ///
+    /// The disconnection cell's MSS sends one charged fixed message back to
+    /// the origin.
+    SearchFail = "search_fail" {
+        /// MSS that initiated the search.
+        origin: MssId,
+        /// The unreachable MH.
+        target: MhId,
+    }
+    /// A delivery interrupted an MH in doze mode.
+    DozeInterrupt = "doze_interrupt" {
+        /// The dozing MH.
+        mh: MhId,
+    }
+    /// An MH left its cell: the handoff begins (`leave(r)`).
+    HandoffBegin = "handoff_begin" {
+        /// The moving MH.
+        mh: MhId,
+        /// The cell it left.
+        from: MssId,
+    }
+    /// An MH joined a cell: the handoff ends (`join(mh, prev)`).
+    HandoffEnd = "handoff_end" {
+        /// The arriving MH.
+        mh: MhId,
+        /// The new cell.
+        to: MssId,
+        /// The previous MSS, when the configuration supplies it with the
+        /// join. A ledger `handoff` is counted iff `prev` is present and
+        /// differs from `to`.
+        prev: Option<MssId>,
+    }
+    /// An MH voluntarily disconnected.
+    Disconnect = "disconnect" {
+        /// The disconnecting MH.
+        mh: MhId,
+        /// The MSS holding its "disconnected" flag.
+        mss: MssId,
+    }
+    /// An MH reconnected after a voluntary disconnection.
+    Reconnect = "reconnect" {
+        /// The reconnecting MH.
+        mh: MhId,
+        /// The new cell.
+        mss: MssId,
+        /// Where it had disconnected, when supplied with the reconnect.
+        prev: Option<MssId>,
+    }
+    /// An MH asked its algorithm for the critical section (workload-level).
+    CsRequest = "cs_request" {
+        /// The requesting MH.
+        mh: MhId,
+    }
+    /// An MH entered the critical section.
+    CsEnter = "cs_enter" {
+        /// The entering MH.
+        mh: MhId,
+    }
+    /// An MH released the critical section.
+    CsExit = "cs_exit" {
+        /// The releasing MH.
+        mh: MhId,
+    }
+    /// The location-view coordinator applied a significant view change.
+    ///
+    /// Section 4's `LV(G)` update.
+    LvUpdate = "lv_update" {
+        /// The cell added to or removed from the view.
+        cell: MssId,
+        /// True for an addition, false for a deletion.
+        added: bool,
+    }
+    /// A proxy forwarded an output to a moved client with a search.
+    ///
+    /// Section 5's proxy obligation.
+    ProxyForward = "proxy_forward" {
+        /// The moved client MH.
+        mh: MhId,
+        /// The proxy MSS doing the forwarding.
+        mss: MssId,
+    }
+    /// The run cache replayed this run from a stored result; nothing was simulated.
+    ///
+    /// Emitted (by the experiment drivers, not the kernel) as the only event
+    /// of a synthetic run whose `run_end` carries the cached ledger; such
+    /// runs are exempt from event-count identity checks because no kernel
+    /// events were replayed.
+    CacheHit = "cache_hit" {
+        /// High 64 bits of the run descriptor fingerprint.
+        fp_hi: u64,
+        /// Low 64 bits of the run descriptor fingerprint.
+        fp_lo: u64,
+    }
+    /// A worker of a space-sharded run finished a lookahead window at a barrier.
+    ///
+    /// At that conservative-sync barrier the shard exchanges cross-shard
+    /// traffic. The emission time is the window-end time, so per-shard
+    /// `(t, seq)` order is preserved. Only *processed* windows emit a sync; a
+    /// stretch the kernel fast-forwarded over in one barrier round is folded
+    /// into the next sync's `skipped` count, so `Σ (1 + skipped)` over a
+    /// shard's syncs equals the run's total window count.
+    ShardSync = "shard_sync" {
+        /// The reporting shard.
+        shard: u32,
+        /// Zero-based window index.
+        window: u64,
+        /// Empty windows fast-forwarded over immediately before this one
+        /// (serialized only when non-zero; schema-additive).
+        skipped: u64 as Additive,
+    }
+    /// A wired message was delivered out of a cross-shard mailbox.
+    ///
+    /// The sharded kernel charges wired messages at *delivery*, so each
+    /// `shard_recv` represents exactly one ledger `fixed_msgs` charge —
+    /// `tracereport --check` validates that identity per shard.
+    ShardRecv = "shard_recv" {
+        /// The delivering (destination) shard.
+        shard: u32,
+        /// Source cell of the wired message.
+        from: MssId,
+        /// Destination cell.
+        to: MssId,
+    }
+    /// A combining proxy served `size` client operations in one batch.
+    ///
+    /// The proxy is the L2C mutex variant or a combining `ProxyRuntime`
+    /// delivery; the batch went out under a single logical-clock exchange /
+    /// cell broadcast. Emitted by the algorithm layer, not the kernel, so it
+    /// carries no message charge of its own — the charged operations it
+    /// amortizes appear as their own events. For L2C runs the sum of `size`
+    /// over all `combine_batch` events equals the run's `cs_enter` count
+    /// (`tracereport --check` validates that identity).
+    CombineBatch = "combine_batch" {
+        /// The combining MSS.
+        mss: MssId,
+        /// Number of client operations served in this batch.
+        size: u32,
+    }
+    /// The delivery engine coalesced `len` same-tick arrivals at one MSS into one callback.
+    ///
+    /// The arrivals are wired/uplink messages (`DeliveryMode::Batched` only;
+    /// `len >= 2`). Purely diagnostic: the coalesced messages were each
+    /// charged and traced at their own send/receive events, so this carries
+    /// no message charge of its own and is excluded from message-class
+    /// accounting.
+    DeliverBatch = "deliver_batch" {
+        /// The MSS whose arrivals were coalesced.
+        at: MssId,
+        /// Number of messages dispatched in the batch.
+        len: u32,
+    }
+    /// The fault plane crashed an MSS (fail-stop with stable state).
+    ///
+    /// See SCENARIOS.md. One ledger `fault_crashes` custom counter bump per
+    /// event — `tracereport --check` reconciles the counts.
+    FaultCrash = "fault_crash" {
+        /// The crashed station.
+        mss: MssId,
+    }
+    /// A crashed MSS recovered with its state intact.
+    ///
+    /// Wired messages deferred during the outage re-deliver in order right
+    /// after this event. One ledger `fault_recovers` bump per event.
+    FaultRecover = "fault_recover" {
+        /// The recovered station.
+        mss: MssId,
+    }
+    /// The wired plane partitioned at `cut` (`healed` = 0) or healed (`healed` = 1).
+    ///
+    /// A partition bumps ledger `fault_partitions`, a heal `fault_heals`;
+    /// cells `< cut` and cells `≥ cut` defer wired traffic across the split
+    /// while it lasts.
+    FaultPartition = "fault_partition" {
+        /// The cut point separating the two halves.
+        cut: u32,
+        /// False when the partition starts, true when it heals.
+        healed: bool,
+    }
+    /// A handoff storm forced `moved` connected MHs out of their cells at once.
+    ///
+    /// One ledger `fault_storms` bump per event.
+    FaultStorm = "fault_storm" {
+        /// Number of MHs forced to move.
+        moved: u32,
+    }
+}
+
+impl TraceEvent {
     /// Number of charged fixed-network messages this event represents.
     pub fn fixed_msgs(&self) -> u64 {
         match self {
@@ -398,122 +559,6 @@ impl TraceEvent {
             | TraceEvent::DownSend { .. }
             | TraceEvent::CellBroadcast { .. } => 1,
             _ => 0,
-        }
-    }
-
-    /// Appends this event's `"ev"` and payload fields (no braces, no
-    /// version/run/seq/time envelope) to `buf` as JSONL fragments, each with
-    /// its leading comma. Static fragments and [`push_u64`] only: this runs
-    /// once per traced operation, so `core::fmt` stays off the path.
-    fn write_fields(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(b",\"ev\":\"");
-        buf.extend_from_slice(self.name().as_bytes());
-        buf.push(b'"');
-        let mut num = |key: &str, v: u64| {
-            buf.extend_from_slice(b",\"");
-            buf.extend_from_slice(key.as_bytes());
-            buf.extend_from_slice(b"\":");
-            push_u64(buf, v);
-        };
-        match *self {
-            TraceEvent::FixedSend { from, to } => {
-                num("from", from.0 as u64);
-                num("to", to.0 as u64);
-            }
-            TraceEvent::FixedRecv { at, from } => {
-                num("at", at.0 as u64);
-                num("from", from.0 as u64);
-            }
-            TraceEvent::UpSend { mh, mss } | TraceEvent::UpRecv { mss, mh } => {
-                num("mh", mh.0 as u64);
-                num("mss", mss.0 as u64);
-            }
-            TraceEvent::DownSend { mss, mh }
-            | TraceEvent::DownRecv { mh, mss }
-            | TraceEvent::DownLost { mss, mh }
-            | TraceEvent::Disconnect { mh, mss }
-            | TraceEvent::ProxyForward { mss, mh } => {
-                num("mh", mh.0 as u64);
-                num("mss", mss.0 as u64);
-            }
-            TraceEvent::CellBroadcast { mss, listeners } => {
-                num("mss", mss.0 as u64);
-                num("listeners", listeners as u64);
-            }
-            TraceEvent::Search { target, re } => {
-                num("target", target.0 as u64);
-                num("re", re as u64);
-            }
-            TraceEvent::SearchFail { origin, target } => {
-                num("origin", origin.0 as u64);
-                num("target", target.0 as u64);
-            }
-            TraceEvent::DozeInterrupt { mh }
-            | TraceEvent::CsRequest { mh }
-            | TraceEvent::CsEnter { mh }
-            | TraceEvent::CsExit { mh } => {
-                num("mh", mh.0 as u64);
-            }
-            TraceEvent::HandoffBegin { mh, from } => {
-                num("mh", mh.0 as u64);
-                num("from", from.0 as u64);
-            }
-            TraceEvent::HandoffEnd { mh, to, prev } => {
-                num("mh", mh.0 as u64);
-                num("to", to.0 as u64);
-                if let Some(p) = prev {
-                    num("prev", p.0 as u64);
-                }
-            }
-            TraceEvent::Reconnect { mh, mss, prev } => {
-                num("mh", mh.0 as u64);
-                num("mss", mss.0 as u64);
-                if let Some(p) = prev {
-                    num("prev", p.0 as u64);
-                }
-            }
-            TraceEvent::LvUpdate { cell, added } => {
-                num("cell", cell.0 as u64);
-                num("added", added as u64);
-            }
-            TraceEvent::CacheHit { fp_hi, fp_lo } => {
-                num("fp_hi", fp_hi);
-                num("fp_lo", fp_lo);
-            }
-            TraceEvent::ShardSync {
-                shard,
-                window,
-                skipped,
-            } => {
-                num("shard", shard as u64);
-                num("window", window);
-                if skipped > 0 {
-                    num("skipped", skipped);
-                }
-            }
-            TraceEvent::ShardRecv { shard, from, to } => {
-                num("shard", shard as u64);
-                num("from", from.0 as u64);
-                num("to", to.0 as u64);
-            }
-            TraceEvent::CombineBatch { mss, size } => {
-                num("mss", mss.0 as u64);
-                num("size", size as u64);
-            }
-            TraceEvent::DeliverBatch { at, len } => {
-                num("at", at.0 as u64);
-                num("len", len as u64);
-            }
-            TraceEvent::FaultCrash { mss } | TraceEvent::FaultRecover { mss } => {
-                num("mss", mss.0 as u64);
-            }
-            TraceEvent::FaultPartition { cut, healed } => {
-                num("cut", cut as u64);
-                num("healed", healed as u64);
-            }
-            TraceEvent::FaultStorm { moved } => {
-                num("moved", moved as u64);
-            }
         }
     }
 }
@@ -550,6 +595,47 @@ pub trait TraceSink: Send + std::fmt::Debug {
 
     /// Upcast for mutable access to a concrete sink.
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// The one emission path, shared by [`Kernel`](crate::kernel::Kernel) and
+/// the sharded workers: the installed sink, if any, and the per-run emission
+/// counter. `(at, seq)` is strictly increasing, which gives trace consumers
+/// a total order.
+#[derive(Debug)]
+pub(crate) struct Tracer {
+    pub(crate) sink: Option<Box<dyn TraceSink>>,
+    seq: u64,
+}
+
+impl Tracer {
+    pub(crate) fn new(sink: Option<Box<dyn TraceSink>>) -> Self {
+        Tracer { sink, seq: 0 }
+    }
+
+    /// One branch when no sink is installed; `f` — so the event is never
+    /// even constructed — runs only with one.
+    #[inline]
+    pub(crate) fn emit(&mut self, at: SimTime, f: impl FnOnce() -> TraceEvent) {
+        if let Some(s) = self.sink.as_deref_mut() {
+            s.record(at, self.seq, &f());
+            self.seq += 1;
+        }
+    }
+
+    /// Restarts the counter and rewinds the sink for the owner's next run.
+    pub(crate) fn rewind(&mut self) {
+        self.seq = 0;
+        if let Some(s) = self.sink.as_deref_mut() {
+            s.rewind();
+        }
+    }
+
+    /// Ends the traced run: hands the sink the final ledger and detaches it.
+    pub(crate) fn finish(&mut self, ledger: &CostLedger) -> Option<Box<dyn TraceSink>> {
+        let mut s = self.sink.take()?;
+        s.finish(ledger);
+        Some(s)
+    }
 }
 
 /// Bounded in-memory ring of typed events, oldest dropped first. Entries
@@ -691,75 +777,152 @@ impl RunMeta {
     }
 }
 
-/// Ledger snapshot written as the `run_end` JSONL line, used by
-/// `tracereport --check` to diff trace-derived counts against the ledger's.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunSummary {
-    /// Run id this summary closes.
-    pub run: u64,
+/// The last column of a `run_end` row: does the counter count events, or is
+/// it a ledger value no event count reproduces?
+const EVENTS: bool = true;
+const VALUE: bool = false;
+
+/// The `run_end` counters, written once. Each row is a counter: its docs,
+/// its key, its carrier (`u64`: always written; [`Additive`]: a later
+/// addition, written when non-zero), the ledger expression it snapshots, and
+/// whether it is an event count. From the rows come [`RunSummary`],
+/// [`RunSummary::from_ledger`], the `run_end` field writer and reader, and
+/// the in-order views [`RunSummary::counters`] and
+/// [`RunSummary::event_counters`].
+macro_rules! run_end_schema {
+    ($ledger:ident => $(
+        $(#[doc = $doc:literal])+
+        $key:ident: $via:ty = $from:expr, $counts:ident;
+    )*) => {
+        /// Ledger snapshot written as the `run_end` JSONL line — and, filled
+        /// by [`tally`](Self::tally) instead, the same counters re-derived
+        /// from a run's events, which is what `tracereport --check` diffs it
+        /// against.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct RunSummary {
+            /// Run id this summary closes.
+            pub run: u64,
+            $(
+                $(#[doc = $doc])+
+                pub $key: u64,
+            )*
+        }
+
+        impl RunSummary {
+            /// Snapshots the counters `tracereport` cross-checks from `ledger`.
+            pub fn from_ledger(run: u64, $ledger: &CostLedger) -> Self {
+                RunSummary { run, $($key: $from),* }
+            }
+
+            /// `(key, value, is an event count)` per counter, in wire order.
+            fn rows(&self) -> impl Iterator<Item = (&'static str, u64, bool)> {
+                [$((stringify!($key), self.$key, $counts)),*].into_iter()
+            }
+
+            /// Appends the counters to a `run_end` line, each with its
+            /// leading comma.
+            fn write_fields(&self, buf: &mut Vec<u8>) {
+                $(<$via as Wire<u64>>::put(
+                    self.$key,
+                    concat!(",\"", stringify!($key), "\":"),
+                    buf,
+                );)*
+            }
+
+            /// Reads the counters of run `run` back from a scanned `run_end` line.
+            fn read_fields(run: u64, f: &Fields<'_>) -> Result<Self, ParseError> {
+                Ok(RunSummary {
+                    run,
+                    $($key: <$via as Wire<u64>>::get(f, stringify!($key))?,)*
+                })
+            }
+        }
+    };
+}
+
+run_end_schema! { ledger =>
     /// Ledger `fixed_msgs`.
-    pub fixed_msgs: u64,
+    fixed_msgs: u64 = ledger.fixed_msgs, EVENTS;
     /// Ledger `wireless_msgs`.
-    pub wireless_msgs: u64,
+    wireless_msgs: u64 = ledger.wireless_msgs, EVENTS;
     /// Ledger `searches`.
-    pub searches: u64,
+    searches: u64 = ledger.searches, EVENTS;
     /// Ledger `re_searches`.
-    pub re_searches: u64,
+    re_searches: u64 = ledger.re_searches, EVENTS;
     /// Ledger `search_failures`.
-    pub search_failures: u64,
+    search_failures: u64 = ledger.search_failures, EVENTS;
     /// Ledger `moves`.
-    pub moves: u64,
+    moves: u64 = ledger.moves, EVENTS;
     /// Ledger `handoffs`.
-    pub handoffs: u64,
+    handoffs: u64 = ledger.handoffs, EVENTS;
     /// Ledger `disconnects`.
-    pub disconnects: u64,
+    disconnects: u64 = ledger.disconnects, EVENTS;
     /// Ledger `reconnects`.
-    pub reconnects: u64,
+    reconnects: u64 = ledger.reconnects, EVENTS;
     /// Ledger `doze_interruptions`.
-    pub doze_interruptions: u64,
+    doze_interruptions: u64 = ledger.doze_interruptions, EVENTS;
     /// Ledger `wireless_losses`.
-    pub wireless_losses: u64,
+    wireless_losses: u64 = ledger.wireless_losses, EVENTS;
     /// Ledger `total_cost()`.
-    pub total_cost: u64,
+    total_cost: u64 = ledger.total_cost(), VALUE;
     /// Ledger `total_energy()`.
-    pub total_energy: u64,
+    total_energy: u64 = ledger.total_energy(), VALUE;
     /// Ledger custom counter `fault_crashes` (optional in the JSONL schema:
     /// written only when nonzero, parsed as 0 when absent).
-    pub fault_crashes: u64,
+    fault_crashes: Additive = ledger.custom("fault_crashes"), EVENTS;
     /// Ledger custom counter `fault_recovers` (optional, see above).
-    pub fault_recovers: u64,
+    fault_recovers: Additive = ledger.custom("fault_recovers"), EVENTS;
     /// Ledger custom counter `fault_partitions` (optional, see above).
-    pub fault_partitions: u64,
+    fault_partitions: Additive = ledger.custom("fault_partitions"), EVENTS;
     /// Ledger custom counter `fault_heals` (optional, see above).
-    pub fault_heals: u64,
+    fault_heals: Additive = ledger.custom("fault_heals"), EVENTS;
     /// Ledger custom counter `fault_storms` (optional, see above).
-    pub fault_storms: u64,
+    fault_storms: Additive = ledger.custom("fault_storms"), EVENTS;
 }
 
 impl RunSummary {
-    /// Snapshots the counters `tracereport` cross-checks from `ledger`.
-    pub fn from_ledger(run: u64, ledger: &CostLedger) -> Self {
-        RunSummary {
-            run,
-            fixed_msgs: ledger.fixed_msgs,
-            wireless_msgs: ledger.wireless_msgs,
-            searches: ledger.searches,
-            re_searches: ledger.re_searches,
-            search_failures: ledger.search_failures,
-            moves: ledger.moves,
-            handoffs: ledger.handoffs,
-            disconnects: ledger.disconnects,
-            reconnects: ledger.reconnects,
-            doze_interruptions: ledger.doze_interruptions,
-            wireless_losses: ledger.wireless_losses,
-            total_cost: ledger.total_cost(),
-            total_energy: ledger.total_energy(),
-            fault_crashes: ledger.custom("fault_crashes"),
-            fault_recovers: ledger.custom("fault_recovers"),
-            fault_partitions: ledger.custom("fault_partitions"),
-            fault_heals: ledger.custom("fault_heals"),
-            fault_storms: ledger.custom("fault_storms"),
+    /// Folds one event into the counters it accounts for: the `ledger =
+    /// trace` identity, stated once. Tallying every event of a run into a
+    /// default summary reproduces that run's
+    /// [`event_counters`](Self::event_counters) exactly (`run`, `total_cost`
+    /// and `total_energy` are not event counts and stay put).
+    pub fn tally(&mut self, ev: &TraceEvent) {
+        self.fixed_msgs += ev.fixed_msgs();
+        self.wireless_msgs += ev.wireless_msgs();
+        match *ev {
+            TraceEvent::Search { re, .. } => {
+                self.searches += 1;
+                self.re_searches += u64::from(re);
+            }
+            TraceEvent::SearchFail { .. } => self.search_failures += 1,
+            TraceEvent::HandoffEnd { to, prev, .. } => {
+                self.moves += 1;
+                self.handoffs += u64::from(prev.is_some_and(|p| p != to));
+            }
+            TraceEvent::Disconnect { .. } => self.disconnects += 1,
+            TraceEvent::Reconnect { .. } => self.reconnects += 1,
+            TraceEvent::DozeInterrupt { .. } => self.doze_interruptions += 1,
+            TraceEvent::DownLost { .. } => self.wireless_losses += 1,
+            TraceEvent::FaultCrash { .. } => self.fault_crashes += 1,
+            TraceEvent::FaultRecover { .. } => self.fault_recovers += 1,
+            TraceEvent::FaultPartition { healed: false, .. } => self.fault_partitions += 1,
+            TraceEvent::FaultPartition { healed: true, .. } => self.fault_heals += 1,
+            TraceEvent::FaultStorm { .. } => self.fault_storms += 1,
+            _ => {}
         }
+    }
+
+    /// Every `run_end` counter as `(key, value)`, in wire order.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        self.rows().map(|(key, v, _)| (key, v))
+    }
+
+    /// The counters [`tally`](Self::tally) re-derives from events — all but
+    /// `total_cost` and `total_energy` — as `(key, value)`, in wire order.
+    pub fn event_counters(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        self.rows()
+            .filter(|&(_, _, counted)| counted)
+            .map(|(key, v, _)| (key, v))
     }
 }
 
@@ -909,47 +1072,14 @@ impl<W: Write + Send + std::fmt::Debug + 'static> TraceSink for JsonlSink<W> {
     }
 
     fn finish(&mut self, ledger: &CostLedger) {
-        let s = RunSummary::from_ledger(self.run, ledger);
         let mut line = Vec::with_capacity(400);
         let _ = write!(
             line,
-            "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"ev\":\"run_end\",\"events\":{},\
-             \"fixed_msgs\":{},\"wireless_msgs\":{},\"searches\":{},\"re_searches\":{},\
-             \"search_failures\":{},\"moves\":{},\"handoffs\":{},\"disconnects\":{},\
-             \"reconnects\":{},\"doze_interruptions\":{},\"wireless_losses\":{},\
-             \"total_cost\":{},\"total_energy\":{}}}",
-            self.run,
-            self.events,
-            s.fixed_msgs,
-            s.wireless_msgs,
-            s.searches,
-            s.re_searches,
-            s.search_failures,
-            s.moves,
-            s.handoffs,
-            s.disconnects,
-            s.reconnects,
-            s.doze_interruptions,
-            s.wireless_losses,
-            s.total_cost,
-            s.total_energy,
+            "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"ev\":\"run_end\",\"events\":{}",
+            self.run, self.events,
         );
-        // Fault counters are optional fields (schema v1 is append-only):
-        // written only when nonzero, so fault-free traces are byte-identical
-        // to those produced before the fault plane existed.
-        for (key, v) in [
-            ("fault_crashes", s.fault_crashes),
-            ("fault_recovers", s.fault_recovers),
-            ("fault_partitions", s.fault_partitions),
-            ("fault_heals", s.fault_heals),
-            ("fault_storms", s.fault_storms),
-        ] {
-            if v != 0 {
-                line.pop(); // reopen the object: drop the closing '}'
-                let _ = write!(line, ",\"{key}\":{v}}}");
-            }
-        }
-        line.push(b'\n');
+        RunSummary::from_ledger(self.run, ledger).write_fields(&mut line);
+        line.extend_from_slice(b"}\n");
         if let Some(out) = self.out.as_mut() {
             let _ = out.write_all(&line);
             let _ = out.flush();
@@ -1125,35 +1255,6 @@ impl<'a> Fields<'a> {
         let Value { raw, num } = self.value(key)?;
         num.ok_or_else(|| field_err(key, format_args!("is not a number: {raw:?}")))
     }
-
-    /// An id or count the event types hold as `u32`.
-    fn id(&self, key: &str) -> Result<u32, ParseError> {
-        let v = self.num(key)?;
-        u32::try_from(v).map_err(|_| field_err(key, format_args!("exceeds u32: {v}")))
-    }
-
-    fn flag(&self, key: &str) -> Result<bool, ParseError> {
-        match self.num(key)? {
-            v @ 0..=1 => Ok(v == 1),
-            v => Err(field_err(key, format_args!("is not 0 or 1: {v}"))),
-        }
-    }
-
-    fn opt_num(&self, key: &str) -> Result<Option<u64>, ParseError> {
-        self.get(key).map(|_| self.num(key)).transpose()
-    }
-
-    fn opt_id(&self, key: &str) -> Result<Option<u32>, ParseError> {
-        self.get(key).map(|_| self.id(key)).transpose()
-    }
-}
-
-fn mss(f: &Fields, key: &str) -> Result<MssId, ParseError> {
-    f.id(key).map(MssId)
-}
-
-fn mh(f: &Fields, key: &str) -> Result<MhId, ParseError> {
-    f.id(key).map(MhId)
 }
 
 /// Parses one line of the versioned JSONL schema back into a [`Line`].
@@ -1187,142 +1288,15 @@ pub fn parse_line(line: &str) -> Result<Line, ParseError> {
         })),
         "run_end" => Ok(Line::RunEnd {
             events: f.num("events")?,
-            summary: RunSummary {
-                run,
-                fixed_msgs: f.num("fixed_msgs")?,
-                wireless_msgs: f.num("wireless_msgs")?,
-                searches: f.num("searches")?,
-                re_searches: f.num("re_searches")?,
-                search_failures: f.num("search_failures")?,
-                moves: f.num("moves")?,
-                handoffs: f.num("handoffs")?,
-                disconnects: f.num("disconnects")?,
-                reconnects: f.num("reconnects")?,
-                doze_interruptions: f.num("doze_interruptions")?,
-                wireless_losses: f.num("wireless_losses")?,
-                total_cost: f.num("total_cost")?,
-                total_energy: f.num("total_energy")?,
-                fault_crashes: f.opt_num("fault_crashes")?.unwrap_or(0),
-                fault_recovers: f.opt_num("fault_recovers")?.unwrap_or(0),
-                fault_partitions: f.opt_num("fault_partitions")?.unwrap_or(0),
-                fault_heals: f.opt_num("fault_heals")?.unwrap_or(0),
-                fault_storms: f.opt_num("fault_storms")?.unwrap_or(0),
-            },
+            summary: RunSummary::read_fields(run, &f)?,
         }),
         kind => {
-            let event = match kind {
-                "fixed_send" => TraceEvent::FixedSend {
-                    from: mss(&f, "from")?,
-                    to: mss(&f, "to")?,
-                },
-                "fixed_recv" => TraceEvent::FixedRecv {
-                    at: mss(&f, "at")?,
-                    from: mss(&f, "from")?,
-                },
-                "up_send" => TraceEvent::UpSend {
-                    mh: mh(&f, "mh")?,
-                    mss: mss(&f, "mss")?,
-                },
-                "up_recv" => TraceEvent::UpRecv {
-                    mss: mss(&f, "mss")?,
-                    mh: mh(&f, "mh")?,
-                },
-                "down_send" => TraceEvent::DownSend {
-                    mss: mss(&f, "mss")?,
-                    mh: mh(&f, "mh")?,
-                },
-                "down_recv" => TraceEvent::DownRecv {
-                    mh: mh(&f, "mh")?,
-                    mss: mss(&f, "mss")?,
-                },
-                "cell_broadcast" => TraceEvent::CellBroadcast {
-                    mss: mss(&f, "mss")?,
-                    listeners: f.id("listeners")?,
-                },
-                "down_lost" => TraceEvent::DownLost {
-                    mss: mss(&f, "mss")?,
-                    mh: mh(&f, "mh")?,
-                },
-                "search" => TraceEvent::Search {
-                    target: mh(&f, "target")?,
-                    re: f.flag("re")?,
-                },
-                "search_fail" => TraceEvent::SearchFail {
-                    origin: mss(&f, "origin")?,
-                    target: mh(&f, "target")?,
-                },
-                "doze_interrupt" => TraceEvent::DozeInterrupt { mh: mh(&f, "mh")? },
-                "handoff_begin" => TraceEvent::HandoffBegin {
-                    mh: mh(&f, "mh")?,
-                    from: mss(&f, "from")?,
-                },
-                "handoff_end" => TraceEvent::HandoffEnd {
-                    mh: mh(&f, "mh")?,
-                    to: mss(&f, "to")?,
-                    prev: f.opt_id("prev")?.map(MssId),
-                },
-                "disconnect" => TraceEvent::Disconnect {
-                    mh: mh(&f, "mh")?,
-                    mss: mss(&f, "mss")?,
-                },
-                "reconnect" => TraceEvent::Reconnect {
-                    mh: mh(&f, "mh")?,
-                    mss: mss(&f, "mss")?,
-                    prev: f.opt_id("prev")?.map(MssId),
-                },
-                "cs_request" => TraceEvent::CsRequest { mh: mh(&f, "mh")? },
-                "cs_enter" => TraceEvent::CsEnter { mh: mh(&f, "mh")? },
-                "cs_exit" => TraceEvent::CsExit { mh: mh(&f, "mh")? },
-                "lv_update" => TraceEvent::LvUpdate {
-                    cell: mss(&f, "cell")?,
-                    added: f.flag("added")?,
-                },
-                "proxy_forward" => TraceEvent::ProxyForward {
-                    mss: mss(&f, "mss")?,
-                    mh: mh(&f, "mh")?,
-                },
-                "cache_hit" => TraceEvent::CacheHit {
-                    fp_hi: f.num("fp_hi")?,
-                    fp_lo: f.num("fp_lo")?,
-                },
-                "shard_sync" => TraceEvent::ShardSync {
-                    shard: f.id("shard")?,
-                    window: f.num("window")?,
-                    skipped: f.opt_num("skipped")?.unwrap_or(0),
-                },
-                "shard_recv" => TraceEvent::ShardRecv {
-                    shard: f.id("shard")?,
-                    from: mss(&f, "from")?,
-                    to: mss(&f, "to")?,
-                },
-                "combine_batch" => TraceEvent::CombineBatch {
-                    mss: mss(&f, "mss")?,
-                    size: f.id("size")?,
-                },
-                "deliver_batch" => TraceEvent::DeliverBatch {
-                    at: mss(&f, "at")?,
-                    len: f.id("len")?,
-                },
-                "fault_crash" => TraceEvent::FaultCrash {
-                    mss: mss(&f, "mss")?,
-                },
-                "fault_recover" => TraceEvent::FaultRecover {
-                    mss: mss(&f, "mss")?,
-                },
-                "fault_partition" => TraceEvent::FaultPartition {
-                    cut: f.id("cut")?,
-                    healed: f.flag("healed")?,
-                },
-                "fault_storm" => TraceEvent::FaultStorm {
-                    moved: f.id("moved")?,
-                },
-                other => return err(format!("unknown event kind {other:?}")),
-            };
+            let ev = TraceEvent::read_fields(kind, &f)?;
             Ok(Line::Event {
                 run,
                 seq: f.num("seq")?,
                 t: SimTime::from_ticks(f.num("t")?),
-                ev: event,
+                ev,
             })
         }
     }
@@ -1407,6 +1381,56 @@ mod tests {
         };
         assert!(padded(MAX_FIELDS - 6).is_ok());
         assert!(padded(MAX_FIELDS - 5).is_err());
+    }
+
+    /// The doc gate: OBSERVABILITY.md's schema reference is checked against
+    /// the two tables, both ways, so neither can move without the other.
+    #[test]
+    fn observability_md_documents_exactly_the_tables() {
+        let doc = include_str!("../../../OBSERVABILITY.md");
+        let section = |heading: &str| {
+            let from = doc
+                .find(heading)
+                .unwrap_or_else(|| panic!("no {heading:?} section"));
+            let body = &doc[from + heading.len()..];
+            &body[..body.find("\n### ").unwrap_or(body.len())]
+        };
+        // The text between backticks, cell by cell.
+        let ticked = |cell: &'static str| cell.split('`').skip(1).step_by(2);
+
+        let documented: Vec<(&str, Vec<&str>)> = section("### Event lines")
+            .lines()
+            .filter(|l| l.starts_with("| `") && !l.starts_with("| `ev` |")) // not the header
+            .map(|row| {
+                let mut cells = row.split('|').skip(1);
+                let kind = ticked(cells.next().unwrap()).next().unwrap();
+                (kind, ticked(cells.next().expect("a fields cell")).collect())
+            })
+            .collect();
+        let defined: Vec<(&str, Vec<&str>)> = SCHEMA
+            .iter()
+            .map(|&(kind, keys, _)| (kind, keys.to_vec()))
+            .collect();
+        for row in &defined {
+            assert!(
+                documented.contains(row),
+                "OBSERVABILITY.md lacks the row {row:?}"
+            );
+        }
+        for row in &documented {
+            assert!(
+                defined.contains(row),
+                "OBSERVABILITY.md's row {row:?} is not in SCHEMA"
+            );
+        }
+
+        let run_end = section("### `run_end`");
+        for (key, _, _) in RunSummary::default().rows() {
+            assert!(
+                run_end.contains(&format!("`{key}`")),
+                "OBSERVABILITY.md's run_end section never mentions `{key}`"
+            );
+        }
     }
 
     #[test]

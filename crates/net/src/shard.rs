@@ -132,7 +132,7 @@ use crate::lanes::{EpochBarrier, Lane};
 use crate::latency::LatencyModel;
 use crate::ledger::CostLedger;
 use crate::mobility::MovePattern;
-use crate::obs::{TraceEvent, TraceSink};
+use crate::obs::{TraceEvent, TraceSink, Tracer};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -243,17 +243,12 @@ impl ScaleSpec {
     /// deterministic definition shared by the seeding loop and the
     /// partition planner, so both always agree on where every host starts.
     fn place_hosts(&self, mut f: impl FnMut(u32)) {
-        let m = self.num_mss;
-        // Domain-separated stream for `Placement::Random`, mirroring the
-        // classic kernel's forked placement stream.
+        // Domain-separated stream for `Placement::Random`: the classic
+        // kernel forks its placement stream off the root one instead.
         let mut place_rng = SimRng::seed_from(self.seed ^ 0x706C_6163_656D_656E); // "placemen"
         for h in 0..self.num_mh {
-            let cell = match self.placement {
-                Placement::RoundRobin => (h % m) as u32,
-                Placement::Random => place_rng.below(m as u64) as u32,
-                Placement::Clustered { cells } => (h % cells.clamp(1, m)) as u32,
-            };
-            f(cell);
+            let cell = self.placement.initial_cell(h, self.num_mss, &mut place_rng);
+            f(cell.0);
         }
     }
 }
@@ -655,12 +650,12 @@ fn run_shard(
     lanes: &[Lane<Transfer>],
     barrier: &EpochBarrier,
     mins: &[AtomicU64],
-    mut sink: Option<Box<dyn TraceSink>>,
+    sink: Option<Box<dyn TraceSink>>,
 ) -> ShardOut {
     let m = spec.num_mss;
     let mut ledger = CostLedger::new(0);
     let mut events = 0u64;
-    let mut trace_seq = 0u64;
+    let mut tracer = Tracer::new(sink);
     let mut total_skipped = 0u64;
     let mut inbox = Inbox::new(
         (0..shards)
@@ -690,15 +685,6 @@ fn run_shard(
         }
         h += 1;
     });
-
-    macro_rules! emit {
-        ($at:expr, $ev:expr) => {
-            if let Some(s) = sink.as_deref_mut() {
-                s.record($at, trace_seq, &$ev);
-                trace_seq += 1;
-            }
-        };
-    }
 
     // `round` counts barrier rounds (= processed windows) and selects lane
     // buffer parity; `k` is the simulation window the round processes —
@@ -737,13 +723,10 @@ fn run_shard(
             events += 1;
             match ev {
                 SEv::Leave(rec) => {
-                    emit!(
-                        t,
-                        TraceEvent::HandoffBegin {
-                            mh: MhId(rec.id),
-                            from: MssId(rec.cell),
-                        }
-                    );
+                    tracer.emit(t, || TraceEvent::HandoffBegin {
+                        mh: MhId(rec.id),
+                        from: MssId(rec.cell),
+                    });
                     let mut rng = decision_rng(spec.seed, rec.id, rec.ctr);
                     // The era is `rec.ctr` — bumped on every leave/join pair —
                     // so waypoint/heading derivations replay identically no
@@ -772,14 +755,11 @@ fn run_shard(
                     send!(next.0, t.ticks() + gap, prev, SEv::Join(moved, prev));
                 }
                 SEv::Join(mut rec, prev) => {
-                    emit!(
-                        t,
-                        TraceEvent::HandoffEnd {
-                            mh: MhId(rec.id),
-                            to: MssId(rec.cell),
-                            prev: Some(MssId(prev)),
-                        }
-                    );
+                    tracer.emit(t, || TraceEvent::HandoffEnd {
+                        mh: MhId(rec.id),
+                        to: MssId(rec.cell),
+                        prev: Some(MssId(prev)),
+                    });
                     ledger.moves += 1;
                     rec.moves += 1;
                     if prev != rec.cell {
@@ -795,14 +775,11 @@ fn run_shard(
                     queue.push(t + dwell, SEv::Leave(rec));
                 }
                 SEv::Wired(from, to) => {
-                    emit!(
-                        t,
-                        TraceEvent::ShardRecv {
-                            shard: shard as u32,
-                            from: MssId(from),
-                            to: MssId(to),
-                        }
-                    );
+                    tracer.emit(t, || TraceEvent::ShardRecv {
+                        shard: shard as u32,
+                        from: MssId(from),
+                        to: MssId(to),
+                    });
                     // Coalesce the run of consecutive same-tick wired
                     // deliveries: pop each O(1) off the cursor slot, emit
                     // its ShardRecv in the exact order the outer loop would
@@ -821,28 +798,22 @@ fn run_shard(
                             unreachable!("predicate admits only Wired")
                         };
                         events += 1;
-                        emit!(
-                            t,
-                            TraceEvent::ShardRecv {
-                                shard: shard as u32,
-                                from: MssId(f),
-                                to: MssId(d),
-                            }
-                        );
+                        tracer.emit(t, || TraceEvent::ShardRecv {
+                            shard: shard as u32,
+                            from: MssId(f),
+                            to: MssId(d),
+                        });
                         n += 1;
                     }
                     ledger.charge_fixed_n(&spec.cost, n);
                 }
             }
         }
-        emit!(
-            SimTime::from_ticks(end),
-            TraceEvent::ShardSync {
-                shard: shard as u32,
-                window: k,
-                skipped,
-            }
-        );
+        tracer.emit(SimTime::from_ticks(end), || TraceEvent::ShardSync {
+            shard: shard as u32,
+            window: k,
+            skipped,
+        });
 
         // Publish this round on every outgoing lane, post the worker's
         // earliest pending tick, and cross the one barrier.
@@ -901,9 +872,7 @@ fn run_shard(
         }
     }
     hosts.sort_unstable_by_key(|row: &HostRow| row.0);
-    if let Some(s) = sink.as_deref_mut() {
-        s.finish(&ledger);
-    }
+    let sink = tracer.finish(&ledger);
     ShardOut {
         ledger,
         events,

@@ -8,11 +8,14 @@
 //! allocator for an event line.
 
 use mobidist_net::ledger::CostLedger;
-use mobidist_net::obs::{parse_line, JsonlSink, Line, RunMeta, TraceEvent, TraceSink};
+use mobidist_net::obs::{
+    parse_line, JsonlSink, Line, RunMeta, RunSummary, TraceEvent, TraceSink, SCHEMA,
+};
 use mobidist_net::prelude::*;
 use mobidist_net::rng::SimRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
 use std::hint::black_box;
 
 const GOLDEN: &str = include_str!("data/trace_v1.jsonl");
@@ -317,4 +320,250 @@ fn record_and_parse_line_allocate_nothing_once_warm() {
     });
     assert_eq!(parsed, event_lines.len());
     assert_eq!(decode, 0, "parse_line allocated {decode} times");
+}
+
+// ----- the schema tables ------------------------------------------------------
+
+/// The line a sink writes after its `run_begin` when `drive` uses it once.
+fn line_after_begin(drive: impl FnOnce(&mut JsonlSink<Vec<u8>>)) -> String {
+    let mut sink = JsonlSink::new(Vec::new(), meta(7)).unwrap();
+    drive(&mut sink);
+    let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
+    text.lines().nth(1).expect("a second line").to_owned()
+}
+
+/// The event line `JsonlSink` writes for `ev`.
+fn encode(ev: &TraceEvent) -> String {
+    line_after_begin(|sink| sink.record(tick(3), 5, ev))
+}
+
+/// The keys that follow `"ev"` in a line, in order.
+fn payload_keys(line: &str) -> Vec<&str> {
+    let tail = &line[line.find("\"ev\":").expect("an ev field")..];
+    let fields = tail.split(",\"").skip(1);
+    fields.map(|kv| kv.split('"').next().unwrap()).collect()
+}
+
+/// `line` without its numeric field `key`.
+fn without(line: &str, key: &str) -> String {
+    let pat = format!(",\"{key}\":");
+    let at = line
+        .find(&pat)
+        .unwrap_or_else(|| panic!("no {key} in {line}"));
+    let rest = &line[at + pat.len()..];
+    let digits = rest.bytes().take_while(u8::is_ascii_digit).count();
+    format!("{}{}", &line[..at], &rest[digits..])
+}
+
+/// A new `SCHEMA` row without a golden sample, an optional field sampled in
+/// one shape only, or a key the encoder writes and the decoder does not
+/// demand (or the reverse) all fail here.
+#[test]
+fn samples_cover_every_schema_row_and_the_codec_agrees_with_it() {
+    let evs = events();
+    for e in &evs {
+        assert!(SCHEMA.iter().any(|row| row.0 == e.name()), "{e:?}");
+    }
+    for &(kind, keys, _) in SCHEMA {
+        let samples: Vec<&TraceEvent> = evs.iter().filter(|e| e.name() == kind).collect();
+        assert!(!samples.is_empty(), "no golden sample of {kind}");
+        let (mut written, mut left_out, mut optional) =
+            (BTreeSet::new(), BTreeSet::new(), BTreeSet::new());
+        for &ev in &samples {
+            let line = encode(ev);
+            let present = payload_keys(&line);
+            let in_schema_order: Vec<&str> = keys
+                .iter()
+                .copied()
+                .filter(|k| present.contains(k))
+                .collect();
+            assert_eq!(present, in_schema_order, "{kind}: {line}");
+            written.extend(in_schema_order);
+            left_out.extend(keys.iter().copied().filter(|k| !present.contains(k)));
+            for key in present {
+                let cut = without(&line, key);
+                match parse_line(&cut) {
+                    // A required key: its absence is an error naming it.
+                    Err(e) => assert!(e.0.contains(&format!("{key:?}")), "{kind}: {e}"),
+                    // An optional or additive one: what is left is the
+                    // event's other shape.
+                    Ok(Line::Event { ev: other, .. }) => {
+                        assert_ne!(other, *ev, "{kind}: {key} is not decoded");
+                        assert_eq!(encode(&other), cut);
+                        optional.extend(keys.iter().copied().filter(|k| *k == key));
+                    }
+                    Ok(other) => panic!("{kind} without {key} parsed as {other:?}"),
+                }
+            }
+        }
+        let keys: BTreeSet<&str> = keys.iter().copied().collect();
+        assert_eq!(written, keys, "{kind}: a key no golden sample writes");
+        assert_eq!(left_out, optional, "{kind}: an optional key always sampled");
+    }
+}
+
+/// OBSERVABILITY.md's identity table, restated as the oracle: the `run_end`
+/// counters one event accounts for.
+fn accounted_by(ev: &TraceEvent) -> &'static [&'static str] {
+    match *ev {
+        TraceEvent::FixedSend { .. } | TraceEvent::ShardRecv { .. } => &["fixed_msgs"],
+        TraceEvent::SearchFail { .. } => &["fixed_msgs", "search_failures"],
+        TraceEvent::UpSend { .. }
+        | TraceEvent::DownSend { .. }
+        | TraceEvent::CellBroadcast { .. } => &["wireless_msgs"],
+        TraceEvent::Search { re: false, .. } => &["searches"],
+        TraceEvent::Search { re: true, .. } => &["searches", "re_searches"],
+        TraceEvent::HandoffEnd { to, prev, .. } if prev.is_some_and(|p| p != to) => {
+            &["moves", "handoffs"]
+        }
+        TraceEvent::HandoffEnd { .. } => &["moves"],
+        TraceEvent::Disconnect { .. } => &["disconnects"],
+        TraceEvent::Reconnect { .. } => &["reconnects"],
+        TraceEvent::DozeInterrupt { .. } => &["doze_interruptions"],
+        TraceEvent::DownLost { .. } => &["wireless_losses"],
+        TraceEvent::FaultCrash { .. } => &["fault_crashes"],
+        TraceEvent::FaultRecover { .. } => &["fault_recovers"],
+        TraceEvent::FaultPartition { healed: false, .. } => &["fault_partitions"],
+        TraceEvent::FaultPartition { healed: true, .. } => &["fault_heals"],
+        TraceEvent::FaultStorm { .. } => &["fault_storms"],
+        _ => &[],
+    }
+}
+
+fn tally<'a>(stream: impl IntoIterator<Item = &'a TraceEvent>) -> RunSummary {
+    let mut sum = RunSummary::default();
+    stream.into_iter().for_each(|e| sum.tally(e));
+    sum
+}
+
+/// `tests/trace_tamper.rs` without the CLI, for every accounting kind: an
+/// event moves exactly its counters by one, and a stream that lost any one
+/// event is off in exactly those.
+#[test]
+fn tally_moves_exactly_the_counters_of_the_identity_table() {
+    let mut stream = events();
+    // A join that names the cell the host is already in is a move, not a
+    // handoff.
+    stream.push(TraceEvent::HandoffEnd {
+        mh: MhId(3),
+        to: MssId(5),
+        prev: Some(MssId(5)),
+    });
+    let total = tally(&stream);
+    let mut exercised = BTreeSet::new();
+    for (i, ev) in stream.iter().enumerate() {
+        let want: BTreeSet<&str> = accounted_by(ev).iter().copied().collect();
+        let alone: BTreeSet<&str> = tally([ev])
+            .counters()
+            .filter(|&(_, v)| v != 0)
+            .inspect(|&(key, v)| assert_eq!(v, 1, "{ev:?} moved {key} by {v}"))
+            .map(|(key, _)| key)
+            .collect();
+        assert_eq!(alone, want, "{ev:?} alone");
+
+        let rest = tally(
+            stream
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, e)| e),
+        );
+        let lost: BTreeSet<&str> = total
+            .counters()
+            .zip(rest.counters())
+            .filter(|((_, all), (_, fewer))| all != fewer)
+            .inspect(|((key, all), (_, fewer))| assert_eq!(*all, fewer + 1, "{ev:?}: {key}"))
+            .map(|((key, _), _)| key)
+            .collect();
+        assert_eq!(lost, want, "the stream without {ev:?}");
+        exercised.extend(want);
+    }
+    // Every event counter was exercised; nothing else ever moves.
+    let counted: BTreeSet<&str> = total.event_counters().map(|(key, _)| key).collect();
+    assert_eq!(exercised, counted);
+    let fixed: Vec<&str> = total
+        .counters()
+        .map(|(key, _)| key)
+        .filter(|key| !counted.contains(key))
+        .collect();
+    assert_eq!(fixed, ["total_cost", "total_energy"]);
+    assert_eq!((total.run, total.total_cost, total.total_energy), (0, 0, 0));
+}
+
+#[test]
+fn run_end_round_trips_with_and_without_each_additive_counter() {
+    let mut ledger = CostLedger::new(40);
+    ledger.fixed_msgs = 2;
+    ledger.wireless_msgs = 3;
+    ledger.searches = 5;
+    ledger.re_searches = 7;
+    ledger.search_failures = 11;
+    ledger.moves = 13;
+    ledger.handoffs = 17;
+    ledger.disconnects = 19;
+    ledger.reconnects = 23;
+    ledger.doze_interruptions = 29;
+    ledger.wireless_losses = 31;
+    let round_trip = |ledger: &CostLedger| {
+        let line = line_after_begin(|sink| sink.finish(ledger));
+        let want = RunSummary::from_ledger(7, ledger);
+        let got = parse_line(&line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        assert_eq!(
+            got,
+            Line::RunEnd {
+                summary: want,
+                events: 0
+            },
+            "{line}"
+        );
+        (line, want)
+    };
+
+    // The additive counters are the ones a ledger without them leaves out.
+    let (plain, summary) = round_trip(&ledger);
+    let additive: Vec<&str> = summary
+        .counters()
+        .map(|(key, _)| key)
+        .filter(|key| !payload_keys(&plain).contains(key))
+        .collect();
+    let faults = [
+        "fault_crashes",
+        "fault_recovers",
+        "fault_partitions",
+        "fault_heals",
+        "fault_storms",
+    ];
+    assert_eq!(additive, faults);
+    // Every other counter is required: dropping it is an error naming it.
+    for key in payload_keys(&plain) {
+        let e = parse_line(&without(&plain, key)).expect_err(key);
+        assert!(e.0.contains(&format!("{key:?}")), "{e}");
+    }
+
+    // Each additive counter alone, then all of them: written iff non-zero,
+    // in table order, and read back to the same summary.
+    let mut all = ledger.clone();
+    for (i, key) in faults.iter().enumerate() {
+        let mut one = ledger.clone();
+        one.bump_by(key, 37 + i as u64);
+        all.bump_by(key, 37 + i as u64);
+        let (line, summary) = round_trip(&one);
+        assert_eq!(
+            line,
+            format!(
+                "{},\"{key}\":{}}}",
+                plain.trim_end_matches('}'),
+                37 + i as u64
+            )
+        );
+        assert_eq!(without(&line, key), plain);
+        let moved: Vec<_> = summary
+            .counters()
+            .filter(|&(k, _)| faults.contains(&k))
+            .collect();
+        assert_eq!(moved.iter().filter(|&&(_, v)| v != 0).count(), 1);
+    }
+    let (line, _) = round_trip(&all);
+    let keys = payload_keys(&line);
+    assert_eq!(keys[keys.len() - faults.len()..], faults);
 }

@@ -14,12 +14,14 @@
 use mobidist_cost as formulas;
 use mobidist_cost::Params;
 use mobidist_net::metrics::{Histogram, Metrics};
-use mobidist_net::obs::{parse_line, Line, RunMeta, RunSummary, TraceEvent, SCHEMA_VERSION};
+use mobidist_net::obs::{
+    parse_line, Line, RunMeta, RunSummary, TraceEvent, SCHEMA, SCHEMA_VERSION,
+};
 use mobidist_net::time::SimTime;
 use std::io::BufRead;
 use std::process::ExitCode;
 
-const HELP: &str = "\
+const HELP_HEAD: &str = "\
 tracereport — inspect structured simulation traces
 
 usage: tracereport [--check] [--no-hist] <trace.jsonl>...
@@ -33,7 +35,8 @@ modes:
   --check     validate every line against the schema (version, known event
               kinds, required fields, dense per-run seq, monotone (t, seq))
               and diff the trace-derived counts against the `run_end`
-              ledger snapshot. Exit code 1 on any violation or mismatch.
+              ledger snapshot. Exit code 1 on any violation or mismatch,
+              and on input that holds no run at all.
 
 options:
   --no-hist   omit the ASCII histograms from the report
@@ -43,91 +46,57 @@ schema (version 1) — one flat JSON object per line:
   envelope   {\"v\":1,\"run\":R,...} on every line; events also carry
              \"seq\" (dense from 0 per run) and \"t\" (sim ticks).
   run_begin  label, m, n, seed, c_fixed, c_wireless, c_search, policy
-  run_end    events + the final ledger counters: fixed_msgs,
-             wireless_msgs, searches, re_searches, search_failures, moves,
-             handoffs, disconnects, reconnects, doze_interruptions,
-             wireless_losses, total_cost, total_energy; fault-injection
-             runs add fault_crashes, fault_recovers, fault_partitions,
-             fault_heals, fault_storms (optional, omitted when zero)
-  events     (fields beyond the envelope)
-    fixed_send     from, to          charged fixed-network send
-    fixed_recv     at, from          fixed-network delivery
-    up_send        mh, mss           charged wireless uplink send
-    up_recv        mss, mh           uplink delivery at the MSS
-    down_send      mss, mh           charged wireless downlink send
-    down_recv      mh, mss           downlink delivery at the MH
-    cell_broadcast mss, listeners    one charged cell-wide broadcast
-    down_lost      mss, mh           downlink lost to a departure
-    search         target, re        search issued (re=1: re-search)
-    search_fail    origin, target    search ended at a disconnected MH
-    doze_interrupt mh                delivery interrupted doze mode
-    handoff_begin  mh, from          MH left its cell
-    handoff_end    mh, to[, prev]    MH joined a cell
-    disconnect     mh, mss           voluntary disconnection
-    reconnect      mh, mss[, prev]   reconnection
-    cs_request     mh                critical section requested
-    cs_enter       mh                critical section entered
-    cs_exit        mh                critical section released
-    lv_update      cell, added       location-view change applied
-    proxy_forward  mss, mh           proxy searched for a moved client
-    combine_batch  mss, size         one cell broadcast carrying `size`
-                                     combined grants/outputs
-    cache_hit      fp_hi, fp_lo      run replayed from the run cache
-    shard_sync     shard, window[, skipped]
-                                     sharded kernel: window processed at a
-                                     barrier round; `skipped` counts empty
-                                     windows fast-forwarded just before it
-    shard_recv     shard, from, to   sharded kernel: cross-cell wired
-                                     delivery (charged as one fixed_msg)
-    fault_crash    mss               injected MSS fail-stop crash
-    fault_recover  mss               crashed MSS back up, deferred wired
-                                     traffic flushed
-    fault_partition cut, healed      wired-plane partition at `cut` raised
-                                     (healed=0) or healed (healed=1)
-    fault_storm    moved             handoff storm forced `moved` hosts out
-
-count identities checked by --check (trace-derived == ledger):
-  fixed_msgs    = fixed_send + search_fail + shard_recv
-  wireless_msgs = up_send + down_send + cell_broadcast
-  searches      = search        re_searches = search(re=1)
-  moves         = handoff_end   handoffs    = handoff_end(prev≠to)
-  plus search_failures, disconnects, reconnects, doze_interruptions,
-  wireless_losses matching their event counts one-to-one.
-  Fault identities: fault_crashes = fault_crash events, fault_recovers =
-  fault_recover events, fault_partitions = fault_partition(healed=0),
-  fault_heals = fault_partition(healed=1), fault_storms = fault_storm
-  events — fault events charge no messages, so the message identities
-  above are unchanged by fault injection.
-  Combining runs (label `l2c`): when a run has both `combine_batch` and
-  `cs_enter` events, the batch sizes must sum to the `cs_enter` count —
-  every grant is delivered in exactly one batch. Runs with only one of
-  the two kinds (e.g. proxy fan-out traces) skip this identity.
-  Runs containing a cache_hit event were replayed from the run cache:
-  their trace is a stub envelope (run_begin, cache_hit, run_end with the
-  cached ledger), so they are exempt from the count identities. The
-  envelope structure is still validated.
-  Sharded runs (`experiments e12`, `scalecheck`) write one trace part per
-  shard, merged into the output by run id; every identity above holds
-  per shard because cross-shard wired messages are charged — and traced —
-  at the delivering shard.
 ";
 
+const HELP_TAIL: &str = "
+count identities checked by --check (trace-derived == ledger):
+  Every run_end counter except total_cost and total_energy counts events,
+  and must equal what the run's own event lines add up to; OBSERVABILITY.md
+  (section `run_end`) tabulates which kinds move which counter.
+  Fault events charge no messages, so the message identities are unchanged
+  by fault injection.
+  Combining runs (label `l2c`): when a run has both kinds, the combine_batch
+  sizes must sum to the cs_enter count — every grant is delivered in exactly
+  one batch. Runs with only one of the two (e.g. proxy fan-out traces) skip
+  this identity.
+  Runs containing a cache_hit event were replayed from the run cache: their
+  trace is a stub envelope (run_begin, cache_hit, run_end with the cached
+  ledger), so they are exempt from the count identities. The envelope
+  structure is still validated.
+  Sharded runs (`experiments e12`, `scalecheck`) write one trace part per
+  shard, merged into the output by run id; every identity above holds per
+  shard because cross-shard wired messages are charged — and traced — at the
+  delivering shard.
+";
+
+/// The `--help` text. The `run_end` counters and the event kinds are
+/// rendered from the schema tables in `mobidist_net::obs`, so the list
+/// cannot fall behind the codec.
+fn help() -> String {
+    let mut out = String::from(HELP_HEAD);
+    let counters: Vec<&str> = RunSummary::default().counters().map(|(k, _)| k).collect();
+    let rows: Vec<String> = counters.chunks(4).map(|row| row.join(", ")).collect();
+    out += "  run_end    events, then the final ledger counters (fault_* only when\n";
+    out += "             non-zero):\n               ";
+    out += &rows.join(",\n               ");
+    out += "\n  events     fields beyond the envelope, in wire order; the ones\n";
+    out += "             OBSERVABILITY.md marks optional are left out when absent / zero\n";
+    for (kind, fields, meaning) in SCHEMA {
+        out += &format!("    {kind:<16} {}\n        {meaning}\n", fields.join(", "));
+    }
+    out + HELP_TAIL
+}
+
 /// Everything accumulated for one run while streaming a trace file.
+#[derive(Default)]
 struct RunAcc {
     meta: Option<RunMeta>,
     metrics: Metrics,
     summary: Option<(RunSummary, u64)>,
-    events: u64,
     next_seq: u64,
     last: (SimTime, u64),
-    re_searches: u64,
-    handoffs: u64,
     /// Sum of `combine_batch` sizes: grants/outputs delivered in batches.
     combined_outputs: u64,
-    /// `fault_partition` events with healed=0 (partitions raised).
-    partitions_raised: u64,
-    /// `fault_partition` events with healed=1 (partitions healed).
-    partitions_healed: u64,
     last_fixed_send: Option<SimTime>,
     last_wireless_send: Option<SimTime>,
     fixed_gaps: Histogram,
@@ -136,27 +105,6 @@ struct RunAcc {
 }
 
 impl RunAcc {
-    fn new() -> Self {
-        RunAcc {
-            meta: None,
-            metrics: Metrics::default(),
-            summary: None,
-            events: 0,
-            next_seq: 0,
-            last: (SimTime::ZERO, 0),
-            re_searches: 0,
-            handoffs: 0,
-            combined_outputs: 0,
-            partitions_raised: 0,
-            partitions_healed: 0,
-            last_fixed_send: None,
-            last_wireless_send: None,
-            fixed_gaps: Histogram::default(),
-            wireless_gaps: Histogram::default(),
-            errors: Vec::new(),
-        }
-    }
-
     fn observe(&mut self, seq: u64, t: SimTime, ev: &TraceEvent) {
         if self.meta.is_none() {
             self.errors
@@ -171,23 +119,15 @@ impl RunAcc {
                 self.next_seq
             ));
         }
-        if self.events > 0 && (t, seq) <= self.last {
+        if self.metrics.events > 0 && (t, seq) <= self.last {
             self.errors
                 .push(format!("(t, seq) not increasing at seq {seq}"));
         }
         self.next_seq = seq + 1;
         self.last = (t, seq);
-        self.events += 1;
         self.metrics.observe(t, ev);
-        match *ev {
-            TraceEvent::Search { re: true, .. } => self.re_searches += 1,
-            TraceEvent::HandoffEnd {
-                to, prev: Some(p), ..
-            } if p != to => self.handoffs += 1,
-            TraceEvent::CombineBatch { size, .. } => self.combined_outputs += size as u64,
-            TraceEvent::FaultPartition { healed: false, .. } => self.partitions_raised += 1,
-            TraceEvent::FaultPartition { healed: true, .. } => self.partitions_healed += 1,
-            _ => {}
+        if let TraceEvent::CombineBatch { size, .. } = *ev {
+            self.combined_outputs += size as u64;
         }
         if ev.fixed_msgs() > 0 {
             if let Some(prev) = self.last_fixed_send.replace(t) {
@@ -211,10 +151,10 @@ impl RunAcc {
         if self.meta.is_none() {
             self.errors.push("missing run_begin".to_owned());
         }
-        if claimed_events != self.events {
+        if claimed_events != self.metrics.events {
             self.errors.push(format!(
                 "run_end claims {claimed_events} events, file has {}",
-                self.events
+                self.metrics.events
             ));
         }
         let m = &self.metrics;
@@ -224,54 +164,9 @@ impl RunAcc {
             // diff against the ledger. Structural checks above still apply.
             return;
         }
-        let pairs: [(&str, u64, u64); 11] = [
-            ("fixed_msgs", m.fixed_msgs.get(), s.fixed_msgs),
-            ("wireless_msgs", m.wireless_msgs.get(), s.wireless_msgs),
-            ("searches", m.kind_count("search"), s.searches),
-            ("re_searches", self.re_searches, s.re_searches),
-            (
-                "search_failures",
-                m.kind_count("search_fail"),
-                s.search_failures,
-            ),
-            ("moves", m.kind_count("handoff_end"), s.moves),
-            ("handoffs", self.handoffs, s.handoffs),
-            ("disconnects", m.kind_count("disconnect"), s.disconnects),
-            ("reconnects", m.kind_count("reconnect"), s.reconnects),
-            (
-                "doze_interruptions",
-                m.kind_count("doze_interrupt"),
-                s.doze_interruptions,
-            ),
-            (
-                "wireless_losses",
-                m.kind_count("down_lost"),
-                s.wireless_losses,
-            ),
-        ];
-        // Fault identities: every injected fault emits exactly one trace
-        // event and bumps exactly one ledger counter, so they reconcile
-        // one-to-one (partitions split by the `healed` flag).
-        let fault_pairs: [(&str, u64, u64); 5] = [
-            (
-                "fault_crashes",
-                m.kind_count("fault_crash"),
-                s.fault_crashes,
-            ),
-            (
-                "fault_recovers",
-                m.kind_count("fault_recover"),
-                s.fault_recovers,
-            ),
-            (
-                "fault_partitions",
-                self.partitions_raised,
-                s.fault_partitions,
-            ),
-            ("fault_heals", self.partitions_healed, s.fault_heals),
-            ("fault_storms", m.kind_count("fault_storm"), s.fault_storms),
-        ];
-        for &(name, derived, ledger) in pairs.iter().chain(fault_pairs.iter()) {
+        // The `ledger = trace` identity: `Metrics` tallied the events into
+        // the same counters the ledger snapshot holds.
+        for ((name, derived), (_, ledger)) in m.tally.event_counters().zip(s.event_counters()) {
             if derived != ledger {
                 self.errors.push(format!(
                     "{name}: trace-derived {derived} != ledger {ledger}"
@@ -323,33 +218,30 @@ impl RunAcc {
                 meta.c_search
             );
         }
-        let m = &self.metrics;
+        // `t`: the ledger counters as the events add up to them.
+        let (m, t) = (&self.metrics, &self.metrics.tally);
         println!(
             "  events: {} ({} kinds); span {}..{}",
-            self.events,
+            m.events,
             m.by_kind.len(),
             SimTime::ZERO,
             self.last.0
         );
         println!(
             "  messages: fixed={} wireless={} (up={} down={} bcast={}) searches={} (re={} failed={}) lost={}",
-            m.fixed_msgs.get(),
-            m.wireless_msgs.get(),
+            t.fixed_msgs,
+            t.wireless_msgs,
             m.kind_count("up_send"),
             m.kind_count("down_send"),
             m.kind_count("cell_broadcast"),
-            m.kind_count("search"),
-            self.re_searches,
-            m.kind_count("search_fail"),
-            m.kind_count("down_lost"),
+            t.searches,
+            t.re_searches,
+            t.search_failures,
+            t.wireless_losses,
         );
         println!(
             "  mobility: moves={} handoffs={} disconnects={} reconnects={} doze_interrupts={}",
-            m.kind_count("handoff_end"),
-            self.handoffs,
-            m.kind_count("disconnect"),
-            m.kind_count("reconnect"),
-            m.kind_count("doze_interrupt"),
+            t.moves, t.handoffs, t.disconnects, t.reconnects, t.doze_interruptions,
         );
         if let Some((s, _)) = self.summary {
             println!(
@@ -377,17 +269,14 @@ impl RunAcc {
                 );
             }
         }
-        let faults = m.kind_count("fault_crash")
-            + m.kind_count("fault_partition")
-            + m.kind_count("fault_storm");
-        if faults > 0 {
+        if t.fault_crashes + t.fault_partitions + t.fault_heals + t.fault_storms > 0 {
             println!(
                 "  faults: crashes={} recovers={} partitions={} heals={} storms={}",
-                m.kind_count("fault_crash"),
-                m.kind_count("fault_recover"),
-                self.partitions_raised,
-                self.partitions_healed,
-                m.kind_count("fault_storm"),
+                t.fault_crashes,
+                t.fault_recovers,
+                t.fault_partitions,
+                t.fault_heals,
+                t.fault_storms,
             );
         }
         if m.handoff_gap.count() > 0 {
@@ -432,16 +321,24 @@ impl RunAcc {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
-        print!("{HELP}");
+        print!("{}", help());
         return if args.is_empty() {
             ExitCode::FAILURE
         } else {
             ExitCode::SUCCESS
         };
     }
-    let check = args.iter().any(|a| a == "--check");
-    let hist = !args.iter().any(|a| a == "--no-hist");
-    let files: Vec<&String> = args.iter().filter(|a| !a.starts_with('-')).collect();
+    let (flags, files): (Vec<&String>, Vec<&String>) =
+        args.iter().partition(|a| a.starts_with('-'));
+    if let Some(unknown) = flags
+        .iter()
+        .find(|f| !["--check", "--no-hist"].contains(&f.as_str()))
+    {
+        eprintln!("tracereport: unknown flag {unknown} (see --help)");
+        return ExitCode::FAILURE;
+    }
+    let check = flags.iter().any(|f| *f == "--check");
+    let hist = !flags.iter().any(|f| *f == "--no-hist");
     if files.is_empty() {
         eprintln!("tracereport: no trace files given (see --help)");
         return ExitCode::FAILURE;
@@ -476,7 +373,7 @@ fn main() -> ExitCode {
             match parse_line(&line) {
                 Ok(Line::RunBegin(meta)) => {
                     let run = meta.run;
-                    let acc = runs.entry(run).or_insert_with(RunAcc::new);
+                    let acc = runs.entry(run).or_default();
                     if acc.meta.replace(meta).is_some() {
                         acc.errors.push("duplicate run_begin".to_owned());
                     }
@@ -485,12 +382,10 @@ fn main() -> ExitCode {
                     }
                 }
                 Ok(Line::Event { run, seq, t, ev }) => {
-                    runs.entry(run)
-                        .or_insert_with(RunAcc::new)
-                        .observe(seq, t, &ev);
+                    runs.entry(run).or_default().observe(seq, t, &ev);
                 }
                 Ok(Line::RunEnd { summary, events }) => {
-                    let acc = runs.entry(summary.run).or_insert_with(RunAcc::new);
+                    let acc = runs.entry(summary.run).or_default();
                     if acc.summary.replace((summary, events)).is_some() {
                         acc.errors.push("duplicate run_end".to_owned());
                     }
@@ -512,11 +407,15 @@ fn main() -> ExitCode {
                 failed = true;
             }
         }
+        if runs.is_empty() {
+            eprintln!("tracereport --check: no runs in the input — nothing was checked");
+            failed = true;
+        }
         if failed {
             eprintln!("tracereport --check: FAILED");
             return ExitCode::FAILURE;
         }
-        let events: u64 = runs.values().map(|a| a.events).sum();
+        let events: u64 = runs.values().map(|a| a.metrics.events).sum();
         println!(
             "tracereport --check: OK — {} lines, {} runs, {events} events, schema v{SCHEMA_VERSION}, all counts match the ledger",
             total_lines,

@@ -1,12 +1,14 @@
 //! The `experiments` command-line contract: bad input is a usage error on
 //! stderr with a non-zero exit and *nothing* on stdout — never a silently
 //! wrong table — and is caught before the first experiment runs. `scalecheck`
-//! takes two of the same knobs and obeys the same contract.
+//! takes two of the same knobs and obeys the same contract, and so does
+//! `tracereport`, whose `--check` additionally may not pass on nothing.
 
 use std::process::{Command, Output, Stdio};
 
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 const SCALECHECK: &str = env!("CARGO_BIN_EXE_scalecheck");
+const TRACEREPORT: &str = env!("CARGO_BIN_EXE_tracereport");
 
 /// `bin` with the four knob variables cleared.
 fn command(bin: &str) -> Command {
@@ -29,6 +31,10 @@ fn experiments(args: &[&str], env: &[(&str, &str)]) -> Output {
 
 fn scalecheck(args: &[&str], env: &[(&str, &str)]) -> Output {
     run(SCALECHECK, args, env)
+}
+
+fn tracereport(args: &[&str]) -> Output {
+    run(TRACEREPORT, args, &[])
 }
 
 /// Asserts a usage error: failure status, silent stdout, `needle` on stderr.
@@ -127,4 +133,61 @@ fn scalecheck_happy_path_reports_resident_bytes() {
     assert!(stdout.contains("hosts=2000 shards=2 "), "{stdout}");
     assert!(stdout.contains("B/host resident"), "{stdout}");
     assert!(stdout.ends_with("scalecheck: OK\n"), "{stdout}");
+}
+
+/// Runs `experiments <exp> --quick --trace F` and hands `F` (as a string) to
+/// `then`; the scratch directory is removed afterwards.
+fn with_trace_of(exp: &str, then: impl FnOnce(&str)) {
+    let dir = std::env::temp_dir().join(format!("mobidist-cli-{exp}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let trace = dir.join("trace.jsonl");
+    let trace = trace.to_str().expect("utf-8 temp path");
+    let out = experiments(&[exp, "--quick", "--trace", trace], &[]);
+    assert!(out.status.success(), "experiments {exp} --trace failed");
+    then(trace);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn tracereport_unknown_flag_is_a_usage_error() {
+    // A typo of `--check` used to be dropped: a report and exit 0 where a
+    // gate meant to validate. Rejected before the (missing) file is opened.
+    assert_rejected(&tracereport(&["--chek", "no-such-file.jsonl"]), "--chek");
+}
+
+#[test]
+fn tracereport_check_fails_on_input_without_runs() {
+    // E0 is the closed-form model: it simulates nothing, so its trace is
+    // empty — which `--check` used to call "OK — 0 lines, 0 runs".
+    with_trace_of("e0", |trace| {
+        assert_eq!(std::fs::read(trace).expect("read trace"), b"");
+        assert_rejected(&tracereport(&["--check", trace]), "no runs");
+    });
+}
+
+#[test]
+fn tracereport_check_happy_path() {
+    with_trace_of("e1", |trace| {
+        let out = tracereport(&["--check", trace]);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "stderr: {:?}", out.stderr);
+        assert!(stdout.starts_with("tracereport --check: OK"), "{stdout}");
+        assert!(stdout.contains("all counts match the ledger"), "{stdout}");
+    });
+}
+
+#[test]
+fn tracereport_help_lists_every_schema_kind() {
+    let out = tracereport(&["--help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(mobidist_net::obs::SCHEMA.len(), 29);
+    for (kind, fields, meaning) in mobidist_net::obs::SCHEMA {
+        let row = format!("    {kind:<16} {}\n        {meaning}\n", fields.join(", "));
+        assert!(help.contains(&row), "--help lacks the row of {kind}: {row}");
+    }
+    let counters = mobidist_net::obs::RunSummary::default().counters();
+    for (key, _) in counters {
+        assert!(help.contains(key), "--help lacks run_end counter {key}");
+    }
 }
