@@ -168,6 +168,35 @@ if [[ $fast -eq 0 ]]; then
     > /dev/null
   ./target/release/tracereport --check "$cachedir/del_trace.jsonl"
 
+  # Sweep fan-out gate: every table that fans its runs out through
+  # map_indexed_with (E12 shards inside one run and has its own gate; E13 is
+  # in differential.rs's jobs row) must print the same bytes on one worker —
+  # the calling thread alone — as on every CPU. On a multi-core machine the
+  # parallel pass must also not be slower than the one-worker pass, or the
+  # fan-out costs more than it buys; a 1-CPU runner clamps --jobs to 1
+  # anyway, so there the timing check is skipped.
+  echo "==> sweep fan-out gate"
+  cpus=$(nproc 2>/dev/null || echo 1)
+  sweep_exps="e0 e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e14"
+  t0=$(date +%s%N)
+  ./target/release/experiments $sweep_exps --jobs 1 > "$cachedir/jobs1.txt"
+  t1=$(date +%s%N)
+  ./target/release/experiments $sweep_exps --jobs "$cpus" > "$cachedir/jobsP.txt"
+  t2=$(date +%s%N)
+  cmp "$cachedir/jobs1.txt" "$cachedir/jobsP.txt" || {
+    echo "sweep gate: --jobs $cpus tables differ from --jobs 1" >&2; exit 1; }
+  seq_ms=$(( (t1 - t0) / 1000000 ))
+  par_ms=$(( (t2 - t1) / 1000000 ))
+  if (( cpus > 1 )); then
+    echo "    --jobs 1 ${seq_ms} ms, --jobs ${cpus} ${par_ms} ms"
+    if (( par_ms > seq_ms )); then
+      echo "sweep gate: --jobs ${cpus} (${par_ms} ms) slower than --jobs 1 (${seq_ms} ms)" >&2
+      exit 1
+    fi
+  else
+    echo "==> sweep fan-out timing check skipped: cpus == 1 (fan-out cannot beat a single CPU)"
+  fi
+
   # Throughput-sanity leg: on a multi-core machine the 8-shard million-host
   # point must not be slower than the 1-shard run by more than 2x — a sync
   # layer whose overhead swamps the parallelism would pass every
@@ -176,7 +205,6 @@ if [[ $fast -eq 0 ]]; then
   # measures thread spawn and parking, not the sync layer. The 1-shard
   # time is the shard-soundness gate's run above. A 1-CPU runner
   # time-slices the workers, so there the leg is skipped.
-  cpus=$(nproc 2>/dev/null || echo 1)
   if (( cpus > 1 )); then
     echo "==> shard throughput-sanity gate"
     t0=$(date +%s%N)

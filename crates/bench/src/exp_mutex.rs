@@ -150,6 +150,16 @@ pub fn run_r2_in(
     )
 }
 
+/// E1's and E4's sweep unit: one request per MH on L1 or L2, on the
+/// worker's pool of that algorithm.
+fn run_lamport(pools: &mut (L1Pool, L2Pool), cfg: NetworkConfig, is_l2: bool) -> MutexRun {
+    if is_l2 {
+        run_l2_in(&mut pools.1, cfg, 1, 50_000_000)
+    } else {
+        run_l1_in(&mut pools.0, cfg, 1, 50_000_000)
+    }
+}
+
 /// **E1** — L1 vs L2 cost per execution as `N` grows (Section 3.1.1).
 pub fn e1_lamport(quick: bool) -> Table {
     let m = 8;
@@ -177,14 +187,13 @@ pub fn e1_lamport(quick: bool) -> Table {
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        || (L1Pool::new(), L2Pool::new()),
-        |(l1s, l2s), _, (n, is_l2)| {
-            let cfg = NetworkConfig::new(m, n).with_seed(100 + n as u64);
-            if is_l2 {
-                run_l2_in(l2s, cfg, 1, 50_000_000)
-            } else {
-                run_l1_in(l1s, cfg, 1, 50_000_000)
-            }
+        Default::default,
+        |pools, _, (n, is_l2)| {
+            run_lamport(
+                pools,
+                NetworkConfig::new(m, n).with_seed(100 + n as u64),
+                is_l2,
+            )
         },
     );
     for (i, &n) in ns.iter().enumerate() {
@@ -302,78 +311,80 @@ pub fn e3_energy(quick: bool) -> Table {
         ],
     );
     let cfg = || NetworkConfig::new(m, n).with_seed(31);
-
-    // L1: single execution by mh0.
-    {
-        let wl = WorkloadConfig::only(vec![MhId(0)], 1);
-        let run = run_cached(
-            &mut L1Pool::new(),
-            "e3_l1",
-            &cfg(),
-            &(&wl, 50_000_000u64),
-            || MutexHarness::new(L1::new((0..n as u32).map(MhId).collect()), wl.clone()),
-            |sim| finish(sim, 50_000_000),
-        );
-        t.push(vec![
-            "L1".into(),
-            formulas::l1_energy_total(n as u64).to_string(),
-            run.ledger.total_energy().to_string(),
-            formulas::l1_energy_initiator(n as u64).to_string(),
-            run.ledger.mh_energy[0].to_string(),
-        ]);
-    }
-    // L2: single execution by mh0.
-    {
-        let wl = WorkloadConfig::only(vec![MhId(0)], 1);
-        let run = run_cached(
-            &mut L2Pool::new(),
-            "e3_l2",
-            &cfg(),
-            &(&wl, 50_000_000u64),
-            || MutexHarness::new(L2::new(m), wl.clone()),
-            |sim| finish(sim, 50_000_000),
-        );
-        t.push(vec![
-            "L2".into(),
-            formulas::l2_wireless_msgs().to_string(),
-            run.ledger.total_energy().to_string(),
-            formulas::l2_wireless_msgs().to_string(),
-            run.ledger.mh_energy[0].to_string(),
-        ]);
-    }
-    // R1: per traversal (nobody requests; pure relay cost).
-    {
-        let wl = WorkloadConfig::only(vec![], 0);
-        let (run, traversals, _) = run_r1_in(&mut R1Pool::new(), cfg(), wl, 60_000);
-        let per = run.ledger.total_energy() as f64 / traversals.max(1) as f64;
-        t.push(vec![
-            "R1 (per traversal)".into(),
-            formulas::r1_energy_per_traversal(n as u64).to_string(),
-            f2(per),
-            "0 (no requester)".into(),
-            "-".into(),
-        ]);
-    }
-    // R2': per served request.
-    {
-        let wl = WorkloadConfig::only(vec![MhId(0)], 4).with_think(50);
-        let (run, _, _, _) = run_r2_in(
-            &mut R2Pool::new(),
-            cfg(),
-            RingGuard::Counter,
-            wl,
-            300_000,
-            None,
-        );
-        let per = run.ledger.total_energy() as f64 / run.report.completed.max(1) as f64;
-        t.push(vec![
-            "R2' (per request)".into(),
-            formulas::r2_wireless_ops_per_request().to_string(),
-            f2(per),
-            formulas::r2_wireless_ops_per_request().to_string(),
-            f2(run.ledger.mh_energy[0] as f64 / run.report.completed.max(1) as f64),
-        ]);
-    }
+    // Each row is one independent run: fan the four out, each worker
+    // recycling one simulation per algorithm, and push them in task order.
+    let rows = map_indexed_with(
+        vec!["L1", "L2", "R1 (per traversal)", "R2' (per request)"],
+        default_jobs(),
+        <(L1Pool, L2Pool, R1Pool, R2Pool)>::default,
+        |(l1s, l2s, r1s, r2s), _, row| match row {
+            // L1: single execution by mh0.
+            "L1" => {
+                let wl = WorkloadConfig::only(vec![MhId(0)], 1);
+                let run = run_cached(
+                    l1s,
+                    "e3_l1",
+                    &cfg(),
+                    &(&wl, 50_000_000u64),
+                    || MutexHarness::new(L1::new((0..n as u32).map(MhId).collect()), wl.clone()),
+                    |sim| finish(sim, 50_000_000),
+                );
+                vec![
+                    row.into(),
+                    formulas::l1_energy_total(n as u64).to_string(),
+                    run.ledger.total_energy().to_string(),
+                    formulas::l1_energy_initiator(n as u64).to_string(),
+                    run.ledger.mh_energy[0].to_string(),
+                ]
+            }
+            // L2: single execution by mh0.
+            "L2" => {
+                let wl = WorkloadConfig::only(vec![MhId(0)], 1);
+                let run = run_cached(
+                    l2s,
+                    "e3_l2",
+                    &cfg(),
+                    &(&wl, 50_000_000u64),
+                    || MutexHarness::new(L2::new(m), wl.clone()),
+                    |sim| finish(sim, 50_000_000),
+                );
+                vec![
+                    row.into(),
+                    formulas::l2_wireless_msgs().to_string(),
+                    run.ledger.total_energy().to_string(),
+                    formulas::l2_wireless_msgs().to_string(),
+                    run.ledger.mh_energy[0].to_string(),
+                ]
+            }
+            // R1: per traversal (nobody requests; pure relay cost).
+            "R1 (per traversal)" => {
+                let wl = WorkloadConfig::only(vec![], 0);
+                let (run, traversals, _) = run_r1_in(r1s, cfg(), wl, 60_000);
+                let per = run.ledger.total_energy() as f64 / traversals.max(1) as f64;
+                vec![
+                    row.into(),
+                    formulas::r1_energy_per_traversal(n as u64).to_string(),
+                    f2(per),
+                    "0 (no requester)".into(),
+                    "-".into(),
+                ]
+            }
+            // R2': per served request.
+            _ => {
+                let wl = WorkloadConfig::only(vec![MhId(0)], 4).with_think(50);
+                let (run, _, _, _) = run_r2_in(r2s, cfg(), RingGuard::Counter, wl, 300_000, None);
+                let per = run.ledger.total_energy() as f64 / run.report.completed.max(1) as f64;
+                vec![
+                    row.into(),
+                    formulas::r2_wireless_ops_per_request().to_string(),
+                    f2(per),
+                    formulas::r2_wireless_ops_per_request().to_string(),
+                    f2(run.ledger.mh_energy[0] as f64 / run.report.completed.max(1) as f64),
+                ]
+            }
+        },
+    );
+    rows.into_iter().for_each(|row| t.push(row));
     t
 }
 
@@ -403,35 +414,47 @@ pub fn e4_search_ratio(quick: bool) -> Table {
     // agents (C_search ≈ 2·C_fixed).
     let oracle = |&cs: &u64| (cs.to_string(), "oracle", cs, 41, SearchPolicy::Oracle);
     let flood = m as u64 + 1;
-    let rows = ratios.iter().map(oracle).chain([
-        (
-            format!("{flood} (flood)"),
-            "flood",
-            flood,
-            42,
-            SearchPolicy::Flood,
-        ),
-        (
-            "2 (home agent)".into(),
-            "home-agent",
-            2,
-            43,
-            SearchPolicy::HomeAgent,
-        ),
-    ]);
-    // One pool per algorithm serves the whole sweep: each point reuses the
-    // previous point's allocations.
-    let mut l1s = L1Pool::new();
-    let mut l2s = L2Pool::new();
-    for (label, policy, cs, seed, search) in rows {
-        let cost = CostModel::new(1, 10, cs);
-        let cfg = NetworkConfig::new(m, n)
-            .with_seed(seed)
-            .with_cost(cost)
-            .with_search(search);
-        let p = params(cost);
-        let l1 = run_l1_in(&mut l1s, cfg.clone(), 1, 50_000_000);
-        let l2 = run_l2_in(&mut l2s, cfg, 1, 50_000_000);
+    let rows: Vec<_> = ratios
+        .iter()
+        .map(oracle)
+        .chain([
+            (
+                format!("{flood} (flood)"),
+                "flood",
+                flood,
+                42,
+                SearchPolicy::Flood,
+            ),
+            (
+                "2 (home agent)".into(),
+                "home-agent",
+                2,
+                43,
+                SearchPolicy::HomeAgent,
+            ),
+        ])
+        .map(|(label, policy, cs, seed, search)| {
+            let cfg = NetworkConfig::new(m, n)
+                .with_seed(seed)
+                .with_cost(CostModel::new(1, 10, cs))
+                .with_search(search);
+            (label, policy, cfg)
+        })
+        .collect();
+    // Fan every (row, L1|L2) run out as its own task, as E1 does.
+    let tasks: Vec<(&NetworkConfig, bool)> = rows
+        .iter()
+        .flat_map(|(_, _, cfg)| [(cfg, false), (cfg, true)])
+        .collect();
+    let runs = map_indexed_with(
+        tasks,
+        default_jobs(),
+        Default::default,
+        |pools, _, (cfg, is_l2)| run_lamport(pools, cfg.clone(), is_l2),
+    );
+    for (i, (label, policy, cfg)) in rows.into_iter().enumerate() {
+        let (l1, l2) = (&runs[2 * i], &runs[2 * i + 1]);
+        let p = params(cfg.cost);
         let factor = l1.cost_per_execution() / l2.cost_per_execution();
         let paper = formulas::l1_execution_cost(n as u64, p) as f64
             / formulas::l2_execution_cost(m as u64, p) as f64;
@@ -470,12 +493,20 @@ pub fn e7_disconnection(quick: bool) -> Table {
     } else {
         &[None, Some(20_000), Some(6_000), Some(2_000)]
     };
-    let mut l1s = L1Pool::new();
-    let mut l2s = L2Pool::new();
-    let mut r1s = R1Pool::new();
-    let mut r2s = R2Pool::new();
-    for &up in uptimes {
-        let mk = |seed: u64| {
+    let reqs = 2;
+    let wl = || WorkloadConfig::all_mhs(n, reqs).with_think(300);
+    let expect = (n * reqs) as u64;
+    // Fan every (uptime, algorithm) run out as its own task. L1, L2, R1 and
+    // R2 run on seeds 1, 2, 3 and 4, so the seed names the algorithm.
+    let tasks: Vec<(Option<u64>, u64)> = uptimes
+        .iter()
+        .flat_map(|&up| (1..=4).map(move |seed| (up, seed)))
+        .collect();
+    let runs = map_indexed_with(
+        tasks,
+        default_jobs(),
+        <(L1Pool, L2Pool, R1Pool, R2Pool)>::default,
+        |(l1s, l2s, r1s, r2s), _, (up, seed)| {
             let mut cfg = NetworkConfig::new(m, n).with_seed(seed);
             if let Some(u) = up {
                 cfg = cfg.with_disconnect(DisconnectConfig {
@@ -485,31 +516,32 @@ pub fn e7_disconnection(quick: bool) -> Table {
                     p_supply_prev: 1.0,
                 });
             }
-            cfg
+            match seed {
+                1 => run_cached(
+                    l1s,
+                    "e7_l1",
+                    &cfg,
+                    &(&wl(), horizon),
+                    || MutexHarness::new(L1::new(wl().requesters), wl()),
+                    |sim| finish(sim, horizon),
+                ),
+                2 => run_cached(
+                    l2s,
+                    "e7_l2",
+                    &cfg,
+                    &(&wl(), horizon),
+                    || MutexHarness::new(L2::new(m), wl()),
+                    |sim| finish(sim, horizon),
+                ),
+                3 => run_r1_in(r1s, cfg, wl(), horizon).0,
+                _ => run_r2_in(r2s, cfg, RingGuard::Plain, wl(), horizon, None).0,
+            }
+        },
+    );
+    for (&up, quad) in uptimes.iter().zip(runs.chunks_exact(4)) {
+        let [l1, l2, r1, r2] = quad else {
+            unreachable!("chunks of four")
         };
-        let reqs = 2;
-        let wl = || WorkloadConfig::all_mhs(n, reqs).with_think(300);
-        let expect = (n * reqs) as u64;
-
-        let l1 = run_cached(
-            &mut l1s,
-            "e7_l1",
-            &mk(1),
-            &(&wl(), horizon),
-            || MutexHarness::new(L1::new(wl().requesters), wl()),
-            |sim| finish(sim, horizon),
-        );
-        let l2 = run_cached(
-            &mut l2s,
-            "e7_l2",
-            &mk(2),
-            &(&wl(), horizon),
-            || MutexHarness::new(L2::new(m), wl()),
-            |sim| finish(sim, horizon),
-        );
-        let (r1, _, _) = run_r1_in(&mut r1s, mk(3), wl(), horizon);
-        let (r2, _, _, _) = run_r2_in(&mut r2s, mk(4), RingGuard::Plain, wl(), horizon, None);
-
         t.push(vec![
             up.map_or("static".into(), |u| u.to_string()),
             pct(l1.report.completed as f64 / expect as f64),
@@ -535,26 +567,24 @@ pub fn e8_doze(quick: bool) -> Table {
     );
     let wl = || WorkloadConfig::only(vec![MhId(0), MhId(1)], 3).with_doze();
     let cfg = || NetworkConfig::new(m, n).with_seed(81);
-
-    let (r1, _, _) = run_r1_in(&mut R1Pool::new(), cfg(), wl(), horizon);
-    t.push(vec![
-        "R1".into(),
-        r1.report.completed.to_string(),
-        r1.ledger.doze_interruptions.to_string(),
-    ]);
-    let (r2, _, _, _) = run_r2_in(
-        &mut R2Pool::new(),
-        cfg(),
-        RingGuard::Counter,
-        wl(),
-        horizon,
-        None,
+    // The two rings are independent runs, one task each.
+    let rows = map_indexed_with(
+        vec!["R1", "R2'"],
+        default_jobs(),
+        <(R1Pool, R2Pool)>::default,
+        |(r1s, r2s), _, ring| {
+            let run = match ring {
+                "R1" => run_r1_in(r1s, cfg(), wl(), horizon).0,
+                _ => run_r2_in(r2s, cfg(), RingGuard::Counter, wl(), horizon, None).0,
+            };
+            vec![
+                ring.into(),
+                run.report.completed.to_string(),
+                run.ledger.doze_interruptions.to_string(),
+            ]
+        },
     );
-    t.push(vec![
-        "R2'".into(),
-        r2.report.completed.to_string(),
-        r2.ledger.doze_interruptions.to_string(),
-    ]);
+    rows.into_iter().for_each(|row| t.push(row));
     t
 }
 
@@ -575,29 +605,38 @@ pub fn e9_fairness(quick: bool) -> Table {
         mean_gap: 5,
         ..MobilityConfig::default()
     };
-    let mut r2s = R2Pool::new();
-    for guard in [RingGuard::Plain, RingGuard::Counter, RingGuard::TokenList] {
-        for liar in [None, Some(MhId(0))] {
+    // Fan every (guard, liar) run out as its own task.
+    let tasks: Vec<(RingGuard, Option<MhId>)> =
+        [RingGuard::Plain, RingGuard::Counter, RingGuard::TokenList]
+            .into_iter()
+            .flat_map(|guard| [(guard, None), (guard, Some(MhId(0)))])
+            .collect();
+    let rows = map_indexed_with(
+        tasks,
+        default_jobs(),
+        R2Pool::new,
+        |r2s, _, (guard, liar)| {
             let wl = WorkloadConfig::only(vec![MhId(0)], if quick { 20 } else { 60 })
                 .with_think(10)
                 .with_hold(3);
             let cfg = NetworkConfig::new(m, n)
                 .with_seed(91 + liar.map_or(0, |_| 1))
                 .with_mobility(mobility);
-            let (run, _, _, max) = run_r2_in(&mut r2s, cfg, guard, wl, horizon, liar);
+            let (run, _, _, max) = run_r2_in(r2s, cfg, guard, wl, horizon, liar);
             let name = match guard {
                 RingGuard::Plain => "R2",
                 RingGuard::Counter => "R2'",
                 RingGuard::TokenList => "R2-list",
             };
-            t.push(vec![
+            vec![
                 name.into(),
                 if liar.is_some() { "1 liar" } else { "honest" }.into(),
                 max.to_string(),
                 run.report.completed.to_string(),
-            ]);
-        }
-    }
+            ]
+        },
+    );
+    rows.into_iter().for_each(|row| t.push(row));
     t
 }
 

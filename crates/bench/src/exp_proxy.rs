@@ -1,6 +1,7 @@
 //! Experiment E10: the proxy framework's mobility price (Section 5).
 
 use crate::cache::run_cached;
+use crate::parallel::{default_jobs, map_indexed_with};
 use crate::table::{f2, Table};
 use mobidist_net::prelude::*;
 use mobidist_proxy::prelude::*;
@@ -28,13 +29,23 @@ pub fn e10_proxy(quick: bool) -> Table {
     } else {
         &[4_000, 1_000, 400, 150]
     };
-    let mut pool = SimPool::new();
-    for &dwell in dwells {
-        for policy in [
-            ProxyPolicy::Fixed,
-            ProxyPolicy::LocalMss,
-            ProxyPolicy::Adaptive { radius: 2 },
-        ] {
+    // Fan every (dwell, policy) cell out as its own task.
+    let tasks: Vec<(u64, ProxyPolicy)> = dwells
+        .iter()
+        .flat_map(|&dwell| {
+            [
+                ProxyPolicy::Fixed,
+                ProxyPolicy::LocalMss,
+                ProxyPolicy::Adaptive { radius: 2 },
+            ]
+            .map(|policy| (dwell, policy))
+        })
+        .collect();
+    let rows = map_indexed_with(
+        tasks,
+        default_jobs(),
+        SimPool::new,
+        |pool, _, (dwell, policy)| {
             let cfg = NetworkConfig::new(m, n)
                 .with_seed(70)
                 .with_mobility(MobilityConfig::moving(dwell));
@@ -51,7 +62,7 @@ pub fn e10_proxy(quick: bool) -> Table {
             };
             // Cache the ledger plus the report counters the table reads.
             let (ledger, (loc_updates, handoffs, stale, served, inputs)) = run_cached(
-                &mut pool,
+                pool,
                 "e10_proxy",
                 &cfg,
                 &(
@@ -81,7 +92,7 @@ pub fn e10_proxy(quick: bool) -> Table {
                 },
             );
             let cost = ledger.total_cost() as f64 / served.max(1) as f64;
-            t.push(vec![
+            vec![
                 dwell.to_string(),
                 format!("{policy:?}"),
                 ledger.moves.to_string(),
@@ -90,9 +101,10 @@ pub fn e10_proxy(quick: bool) -> Table {
                 stale.to_string(),
                 format!("{}/{}", served, inputs),
                 f2(cost),
-            ]);
-        }
-    }
+            ]
+        },
+    );
+    rows.into_iter().for_each(|row| t.push(row));
     t
 }
 

@@ -18,9 +18,12 @@
 
 use mobidist_bench::exp_fault::e14_fault;
 use mobidist_bench::exp_group::{
-    e11_exactly_once, e5_group_strategies, run_strategy_in, StrategyPools,
+    e11_exactly_once, e5_group_strategies, e6_locality, run_strategy_in, StrategyPools,
 };
-use mobidist_bench::exp_mutex::{e1_lamport, e2_ring};
+use mobidist_bench::exp_mutex::{
+    e1_lamport, e2_ring, e3_energy, e4_search_ratio, e7_disconnection, e8_doze, e9_fairness,
+};
+use mobidist_bench::exp_proxy::e10_proxy;
 use mobidist_bench::exp_scale::{e12_scale_curve, SHARDS_ENV};
 use mobidist_bench::exp_serve::e13_serving;
 use mobidist_bench::obs::{merge_worker_files, TRACE_ENV};
@@ -71,7 +74,21 @@ const AXES: &[Axis] = &[
         env: "MOBIDIST_JOBS",
         baseline: Some("1"),
         variants: &["4"],
-        experiments: &[e1_lamport, e5_group_strategies, e13_serving, e14_fault],
+        experiments: &[
+            e1_lamport,
+            e2_ring,
+            e3_energy,
+            e4_search_ratio,
+            e5_group_strategies,
+            e6_locality,
+            e7_disconnection,
+            e8_doze,
+            e9_fairness,
+            e10_proxy,
+            e11_exactly_once,
+            e13_serving,
+            e14_fault,
+        ],
         steps: None,
     },
     // The classic experiments never run on the sharded kernel, so its

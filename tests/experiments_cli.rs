@@ -89,6 +89,28 @@ fn happy_path_prints_the_table() {
 }
 
 #[test]
+fn fanned_out_tables_do_not_depend_on_the_worker_count() {
+    // The tables whose runs left their sequential loops for the sweep
+    // fan-out: three workers (the caller plus two threads) must print what
+    // one does, as text and as CSV.
+    let quick_tables = ["e3", "e4", "e6", "e7", "e8", "e9", "e10", "--quick"];
+    for csv in [&[][..], &["--csv"]] {
+        let stdout_at = |jobs| {
+            let args = [&quick_tables[..], csv, &["--jobs", jobs]].concat();
+            let out = experiments(&args, &[]);
+            assert!(out.status.success(), "experiments {args:?} failed");
+            out.stdout
+        };
+        let one = stdout_at("1");
+        assert!(!one.is_empty());
+        assert!(
+            one == stdout_at("3"),
+            "--jobs 3 differs from --jobs 1 ({csv:?})"
+        );
+    }
+}
+
+#[test]
 fn closed_stdout_ends_the_run_quietly() {
     // `experiments all | head`: the reader goes away mid-run. That used to
     // be a panic with a backtrace.
