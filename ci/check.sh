@@ -162,10 +162,12 @@ if [[ $fast -eq 0 ]]; then
   # trace/ledger reconciliation identities hold with coalescing on. E12 and
   # E14 ride along so every line kind the JSONL encoder writes — sharded
   # part files, shard_sync/shard_recv, fault events, run_end fault counters
-  # — goes through parse_line end to end.
+  # — goes through parse_line end to end; E1 and E7 so every algorithm that
+  # keeps Lamport's request queue (L1 included, and L2 under disconnection)
+  # is reconciled too.
   echo "==> trace-soundness gate"
-  ./target/release/experiments e2 e12 e13 e14 --quick --trace "$cachedir/del_trace.jsonl" \
-    > /dev/null
+  ./target/release/experiments e1 e2 e7 e12 e13 e14 --quick \
+    --trace "$cachedir/del_trace.jsonl" > /dev/null
   ./target/release/tracereport --check "$cachedir/del_trace.jsonl"
 
   # Sweep fan-out gate: every table that fans its runs out through

@@ -1,8 +1,9 @@
 //! # mobidist-clock — Lamport logical clocks
 //!
-//! Lamport's logical clocks and the totally-ordered timestamps his mutual
-//! exclusion algorithm is built on (*Time, clocks and the ordering of events
-//! in a distributed system*, CACM 1978 — reference 11 of the paper).
+//! Lamport's logical clocks, the totally-ordered timestamps his mutual
+//! exclusion algorithm is built on, and the request queue it keeps in
+//! timestamp order (*Time, clocks and the ordering of events in a
+//! distributed system*, CACM 1978 — reference 11 of the paper).
 //!
 //! In algorithm **L2**, only messages exchanged *between MSSs* follow the
 //! timestamping rules; messages between an MH and an MSS are not
@@ -24,6 +25,7 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::collections::VecDeque;
 use std::fmt;
 
 /// A totally-ordered Lamport timestamp: `(counter, process id)`.
@@ -112,6 +114,103 @@ impl LamportClock {
     }
 }
 
+/// Lamport's request queue: a set of distinct entries kept in ascending
+/// order, read smallest first.
+///
+/// The entries sit sorted in a ring buffer rather than a tree because
+/// Lamport order makes both ends the common case: a new request carries a
+/// fresh timestamp, larger than any its stamping process has seen, so it
+/// lands at or near the tail, and the entry that leaves is usually the
+/// granted head. [`insert`](Self::insert) above the tail is a `push_back`
+/// and [`remove`](Self::remove) of the head a `pop_front`; any other
+/// position is found by binary search and the shorter side of the buffer
+/// shifts.
+///
+/// # Examples
+///
+/// ```
+/// use mobidist_clock::{RequestQueue, Timestamp};
+///
+/// let mut q = RequestQueue::new();
+/// assert!(q.insert(Timestamp::new(2, 0)));
+/// assert!(q.insert(Timestamp::new(1, 1)));
+/// assert!(!q.insert(Timestamp::new(2, 0)), "entries are distinct");
+/// assert_eq!(q.first(), Some(&Timestamp::new(1, 1)));
+/// assert!(q.remove(&Timestamp::new(1, 1)));
+/// assert_eq!(q.len(), 1);
+/// ```
+#[derive(Debug)]
+pub struct RequestQueue<E> {
+    /// Strictly ascending.
+    entries: VecDeque<E>,
+}
+
+impl<E> Default for RequestQueue<E> {
+    fn default() -> Self {
+        RequestQueue {
+            entries: VecDeque::new(),
+        }
+    }
+}
+
+impl<E: Ord> RequestQueue<E> {
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Adds `entry`; returns `false`, leaving the queue unchanged, when an
+    /// equal entry is already queued.
+    pub fn insert(&mut self, entry: E) -> bool {
+        if self.entries.back().is_none_or(|last| *last < entry) {
+            self.entries.push_back(entry);
+            return true;
+        }
+        match self.entries.binary_search(&entry) {
+            Ok(_) => false,
+            Err(at) => {
+                self.entries.insert(at, entry);
+                true
+            }
+        }
+    }
+
+    /// Removes `entry`; returns `false` when it is not queued.
+    pub fn remove(&mut self, entry: &E) -> bool {
+        if self.entries.front() == Some(entry) {
+            self.entries.pop_front();
+            return true;
+        }
+        match self.entries.binary_search(entry) {
+            Ok(at) => {
+                self.entries.remove(at);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+
+    /// The smallest entry — the head of Lamport's queue.
+    pub fn first(&self) -> Option<&E> {
+        self.entries.front()
+    }
+
+    /// Number of queued entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when nothing is queued.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Keeps only the entries for which `keep` returns `true`.
+    pub fn retain(&mut self, keep: impl FnMut(&E) -> bool) {
+        self.entries.retain(keep);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,5 +296,99 @@ mod tests {
             let consistent = (x < y) as u8 + (y < x) as u8 + (x == y) as u8;
             assert_eq!(consistent, 1);
         }
+    }
+
+    #[test]
+    fn request_queue_matches_a_btreeset() {
+        use std::collections::BTreeSet;
+        // Seeded operation mixes against the tree the queue replaced. Inserts
+        // use processes 0..4 and absent removes 4..8, so "absent" is exact.
+        let (mut below_tail, mut new_head, mut dups) = (0, 0, 0);
+        let (mut mid_removes, mut absent, mut retained_away) = (0, 0, 0);
+        for seed in 1..=8u64 {
+            let mut s = seed;
+            let mut q = RequestQueue::new();
+            let mut oracle = BTreeSet::new();
+            let mut clock = 0u64;
+            for _ in 0..5_000 {
+                let op = lcg(&mut s) % 64;
+                let process = (lcg(&mut s) % 4) as u32;
+                let nth = |s: &mut u64, set: &BTreeSet<Timestamp>| {
+                    let i = lcg(s) as usize % set.len().max(1);
+                    set.iter().nth(i).copied()
+                };
+                let tail = oracle.last().copied();
+                let (got, want) = match op {
+                    // Lamport's common case: a fresh timestamp at the tail.
+                    0..=19 => {
+                        clock += 1 + lcg(&mut s) % 3;
+                        let t = Timestamp::new(clock, process);
+                        (q.insert(t), oracle.insert(t))
+                    }
+                    20..=27 => {
+                        let t = Timestamp::new(lcg(&mut s) % (clock + 1), process);
+                        below_tail +=
+                            u32::from(tail.is_some_and(|l| t < l) && !oracle.contains(&t));
+                        (q.insert(t), oracle.insert(t))
+                    }
+                    28..=31 => {
+                        let head = oracle.first().map_or(0, |h| h.counter);
+                        let t = Timestamp::new(head.saturating_sub(1), 0);
+                        new_head += u32::from(oracle.first().is_some_and(|h| t < *h));
+                        (q.insert(t), oracle.insert(t))
+                    }
+                    32..=35 => match nth(&mut s, &oracle) {
+                        Some(t) => {
+                            dups += 1;
+                            (q.insert(t), oracle.insert(t))
+                        }
+                        None => (false, false),
+                    },
+                    36..=45 => match oracle.first().copied() {
+                        Some(t) => (q.remove(&t), oracle.remove(&t)),
+                        None => (q.remove(&Timestamp::new(0, 0)), false),
+                    },
+                    46..=53 => match nth(&mut s, &oracle) {
+                        Some(t) => {
+                            mid_removes += u32::from(oracle.first() != Some(&t));
+                            (q.remove(&t), oracle.remove(&t))
+                        }
+                        None => (false, false),
+                    },
+                    54..=61 => {
+                        let t = Timestamp::new(lcg(&mut s) % (clock + 1), 4 + process);
+                        absent += 1;
+                        (q.remove(&t), oracle.remove(&t))
+                    }
+                    _ => {
+                        let before = oracle.len();
+                        q.retain(|t| t.process != process);
+                        oracle.retain(|t| t.process != process);
+                        retained_away += before - oracle.len();
+                        (true, true)
+                    }
+                };
+                assert_eq!(got, want, "seed {seed}, op {op}");
+                assert_eq!(q.first(), oracle.first(), "seed {seed}, op {op}");
+                assert_eq!(q.len(), oracle.len(), "seed {seed}, op {op}");
+                assert_eq!(q.is_empty(), oracle.is_empty());
+            }
+            while let Some(head) = oracle.pop_first() {
+                assert_eq!(q.first(), Some(&head), "seed {seed}: drain order");
+                assert!(q.remove(&head));
+            }
+            assert!(q.is_empty(), "seed {seed}: queue outlived its oracle");
+        }
+        // Every path the mix is meant to reach was reached.
+        for (what, n) in [
+            ("inserts below the tail", below_tail),
+            ("inserts at the head", new_head),
+            ("duplicate inserts", dups),
+            ("mid-queue removes", mid_removes),
+            ("absent removes", absent),
+        ] {
+            assert!(n > 100, "only {n} {what}");
+        }
+        assert!(retained_away > 100, "retain removed {retained_away}");
     }
 }

@@ -14,10 +14,9 @@
 //! disconnection (the run simply stalls).
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_clock::{LamportClock, Timestamp};
+use mobidist_clock::{LamportClock, RequestQueue, Timestamp};
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::BTreeSet;
 
 /// L1 protocol messages (all MH→MH).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -44,7 +43,7 @@ impl L1Msg {
 struct Participant {
     clock: LamportClock,
     /// The replicated request queue: totally ordered by timestamp.
-    queue: BTreeSet<(Timestamp, MhId)>,
+    queue: RequestQueue<(Timestamp, MhId)>,
     /// Largest timestamp seen from each other participant.
     last_seen: IdMap<MhId, Timestamp>,
     /// Own outstanding request, if any.
@@ -77,7 +76,7 @@ impl L1 {
                     *mh,
                     Participant {
                         clock: LamportClock::new(mh.0),
-                        queue: BTreeSet::new(),
+                        queue: RequestQueue::new(),
                         last_seen: IdMap::new(),
                         own: None,
                         granted: false,

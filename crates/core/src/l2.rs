@@ -21,10 +21,9 @@
 //! `release-resource`, which this implementation does on the reconnect hook.
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_clock::{LamportClock, Timestamp};
+use mobidist_clock::{LamportClock, RequestQueue, Timestamp};
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::BTreeSet;
 
 /// A queue entry: a request timestamped at its proxy on behalf of an MH.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -72,7 +71,7 @@ pub enum L2Msg {
 struct Station {
     clock: LamportClock,
     /// The replicated Lamport request queue: its order *is* the algorithm.
-    queue: BTreeSet<Entry>,
+    queue: RequestQueue<Entry>,
     last_seen: IdMap<MssId, Timestamp>,
     /// Requests this MSS proxies, by MH, with grant status.
     owned: IdMap<MhId, (Entry, bool)>,
@@ -101,7 +100,7 @@ impl L2 {
                     MssId(i),
                     Station {
                         clock: LamportClock::new(i),
-                        queue: BTreeSet::new(),
+                        queue: RequestQueue::new(),
                         last_seen: IdMap::new(),
                         owned: IdMap::new(),
                     },

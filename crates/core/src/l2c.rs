@@ -47,11 +47,11 @@
 //! recorded in the ledger and otherwise harmless.
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_clock::{LamportClock, Timestamp};
+use mobidist_clock::{LamportClock, RequestQueue, Timestamp};
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::obs::TraceEvent;
 use mobidist_net::proto::Src;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// A *combined* queue entry: one Lamport request standing for every
 /// operation its proxy collected before the grant.
@@ -99,7 +99,7 @@ struct Batch {
 struct Station {
     clock: LamportClock,
     /// The replicated Lamport request queue: its order *is* the algorithm.
-    queue: BTreeSet<CEntry>,
+    queue: RequestQueue<CEntry>,
     last_seen: IdMap<MssId, Timestamp>,
     /// Operations collected but not yet drained into a batch.
     pending: VecDeque<MhId>,
@@ -107,6 +107,9 @@ struct Station {
     mine: Option<CEntry>,
     /// The batch currently being served, if any.
     batch: Option<Batch>,
+    /// The last finished batch's emptied `members` / `done` buffers, handed
+    /// to the next batch so a busy combiner stops reaching the allocator.
+    spare: (VecDeque<MhId>, Vec<MhId>),
 }
 
 /// Flat-combining L2 at the MSS proxies. See the module docs.
@@ -142,11 +145,12 @@ impl L2c {
                     MssId(i),
                     Station {
                         clock: LamportClock::new(i),
-                        queue: BTreeSet::new(),
+                        queue: RequestQueue::new(),
                         last_seen: IdMap::new(),
                         pending: VecDeque::new(),
                         mine: None,
                         batch: None,
+                        spare: Default::default(),
                     },
                 )
             })
@@ -225,18 +229,15 @@ impl L2c {
             // the entry queued — up to the batch cap — is served under this
             // one acquisition. Capped leftovers stay pending and reopen a
             // fresh request when the batch finishes.
-            let members = match cap {
-                Some(cap) if s.pending.len() > cap as usize => {
-                    s.pending.drain(..cap as usize).collect()
-                }
-                _ => std::mem::take(&mut s.pending),
-            };
+            let (mut members, done) = std::mem::take(&mut s.spare);
+            let take = cap.map_or(s.pending.len(), |cap| s.pending.len().min(cap as usize));
+            members.extend(s.pending.drain(..take));
             debug_assert!(!members.is_empty(), "a combined request covers >= 1 op");
             s.mine = None;
             s.batch = Some(Batch {
                 entry: head,
                 members,
-                done: Vec::new(),
+                done,
                 serving: None,
                 served: 0,
             });
@@ -268,7 +269,7 @@ impl L2c {
     /// Closes the served batch: one result broadcast for the cell plus a
     /// searched forward per moved member, then the `release` broadcast.
     fn finish_batch(&mut self, ctx: &mut AlgoCtx<'_, '_, L2cMsg, ()>, me: MssId) {
-        let batch = self.station(me).batch.take().expect("batch in service");
+        let mut batch = self.station(me).batch.take().expect("batch in service");
         ctx.emit(TraceEvent::CombineBatch {
             mss: me,
             size: batch.served,
@@ -290,6 +291,8 @@ impl L2c {
         }
         let s = self.station(me);
         s.queue.remove(&batch.entry);
+        batch.done.clear();
+        s.spare = (batch.members, batch.done);
         let ts = s.clock.tick();
         ctx.broadcast_fixed(me, L2cMsg::Release(ts, batch.entry));
         if !s.pending.is_empty() {

@@ -207,21 +207,22 @@ impl R2 {
         if self.guard == RingGuard::TokenList {
             self.token.list.retain(|(m, _)| *m != at);
         }
-        // Move admissible requests to the grant queue.
-        let admissible: Vec<(MhId, u64)> = {
-            let st = &mut self.stations[at.index()];
-            st.has_token = true;
-            let pending: Vec<(MhId, u64)> = st.request_q.drain(..).collect();
-            let (adm, keep): (Vec<_>, Vec<_>) =
-                pending.into_iter().partition(|(mh, ac)| match self.guard {
-                    RingGuard::Plain => true,
-                    RingGuard::Counter => *ac < self.token.val,
-                    RingGuard::TokenList => !self.token.list.iter().any(|(_, h)| h == mh),
-                });
-            st.request_q.extend(keep);
-            adm
-        };
-        self.stations[at.index()].grant_q.extend(admissible);
+        // Move admissible requests to the grant queue, in arrival order.
+        let (guard, token) = (self.guard, &self.token);
+        let st = &mut self.stations[at.index()];
+        st.has_token = true;
+        let grant_q = &mut st.grant_q;
+        st.request_q.retain(|&(mh, ac)| {
+            let admit = match guard {
+                RingGuard::Plain => true,
+                RingGuard::Counter => ac < token.val,
+                RingGuard::TokenList => !token.list.iter().any(|(_, h)| *h == mh),
+            };
+            if admit {
+                grant_q.push_back((mh, ac));
+            }
+            !admit
+        });
         self.serve_next(ctx, at);
     }
 
@@ -403,16 +404,21 @@ impl MutexAlgorithm for R2 {
             return;
         };
         // Transfer any unadmitted pending request with the handoff.
-        let moved: Vec<(MhId, u64)> = {
-            let old = &mut self.stations[p.index()];
-            let (mine, keep): (Vec<_>, Vec<_>) =
-                old.request_q.drain(..).partition(|(h, _)| *h == mh);
-            old.request_q.extend(keep);
-            mine
-        };
-        if !moved.is_empty() {
+        let [old, new] = self
+            .stations
+            .get_disjoint_mut([p.index(), mss.index()])
+            .expect("a handoff joins two distinct cells");
+        let mut moved = false;
+        old.request_q.retain(|&req| {
+            let mine = req.0 == mh;
+            if mine {
+                new.request_q.push_back(req);
+                moved = true;
+            }
+            !mine
+        });
+        if moved {
             ctx.bump("r2_request_handoffs");
-            self.stations[mss.index()].request_q.extend(moved);
         }
     }
 }

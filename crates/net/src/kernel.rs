@@ -644,8 +644,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// stored per same-arrival-tick run of recipients and cloned only at
     /// delivery. Returns the number of recipients.
     pub fn broadcast_cell(&mut self, mss: MssId, msg: M) -> usize {
-        // Reuse the kernel-owned scratch buffer: BTreeSet iteration is
-        // sorted (deterministic) and the Vec's capacity survives the call.
+        // Reuse the kernel-owned scratch buffer: the cell's `HostSet` bitmap
+        // iterates in ascending id order (deterministic) and the Vec's
+        // capacity survives the call.
         let mut locals = std::mem::take(&mut self.scratch_locals);
         locals.clear();
         locals.extend(self.msss[mss.index()].local.iter());

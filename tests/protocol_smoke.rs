@@ -7,7 +7,8 @@
 //! tables they all stand on break, by asserting the same invariants those
 //! suites assert: a clean, live report for every mutex algorithm, and for
 //! every group strategy no duplicate delivery plus the delivery ratio its
-//! crate tests hold it to.
+//! crate tests hold it to. The Lamport-queue algorithms' runs are also
+//! pinned exactly, by hash.
 
 use mobidist::prelude::*;
 
@@ -78,6 +79,60 @@ fn smoke_r2_every_guard() {
     for guard in [RingGuard::Plain, RingGuard::Counter, RingGuard::TokenList] {
         mutex_smoke(R2::new(M, guard), 105);
     }
+}
+
+/// Runs `algo` to the smoke horizon on `cfg` and returns the FNV-1a hash of
+/// its episode sequence `(mh, granted_at, key)` followed by its ledger.
+fn replay_hash<A: MutexAlgorithm>(algo: A, cfg: NetworkConfig) -> u64 {
+    let wl = WorkloadConfig::all_mhs(N, 3).with_think(200);
+    let mut sim = Simulation::new(cfg, MutexHarness::new(algo, wl));
+    sim.run_until(SimTime::from_ticks(HORIZON));
+    let mut text = String::new();
+    for ep in sim.protocol().checker().episodes() {
+        text += &format!("{} {} {:?}\n", ep.mh.0, ep.granted_at.ticks(), ep.key);
+    }
+    text += &format!("{:?}", sim.ledger());
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn lamport_queue_runs_replay_exactly() {
+    // The three algorithms that keep Lamport's request queue, replayed
+    // against constants recorded with the queue as a `BTreeSet`: any change
+    // to the head, a grant or a message moves a hash. E7-style disconnection
+    // (static cells, downtime a quarter of uptime) makes L2 withdraw three
+    // requests whose grant search failed and L2C lose one result forward;
+    // L1 has no answer to disconnection, so it only roams.
+    let disconnecting = |seed| {
+        NetworkConfig::new(M, N)
+            .with_seed(seed)
+            .with_disconnect(DisconnectConfig {
+                enabled: true,
+                mean_uptime: 1_000,
+                mean_downtime: 250,
+                p_supply_prev: 1.0,
+            })
+    };
+    let got = [
+        replay_hash(L1::new(members()), roaming(101)),
+        replay_hash(L2::new(M), roaming(102)),
+        replay_hash(L2c::new(M), roaming(103)),
+        replay_hash(L2::new(M), disconnecting(102)),
+        replay_hash(L2c::new(M), disconnecting(103)),
+    ];
+    let want: [u64; 5] = [
+        0x7e64de839e7fab3f,
+        0x0215bb218f45808b,
+        0x1656595e723e3d0d,
+        0x9756488a76ff04ed,
+        0x77e04c0be409fc61,
+    ];
+    assert_eq!(
+        got, want,
+        "runs moved (L1, L2, L2C, then L2 and L2C disconnecting): {got:#018x?}"
+    );
 }
 
 #[test]
