@@ -25,13 +25,16 @@ benchcheck:
 quick:
 	cargo run --release --bin experiments -- all --quick
 
-# Capture quick E2 + E12 + E13 + E14 traces, validate the schema, and diff
-# the trace-derived message counts against the cost ledger — including the
-# combining identity on E13's L2C cells and the sharded-kernel sync/recv
-# identities on E12's part files (see OBSERVABILITY.md).
+# Capture quick traces, validate the schema, and diff the trace-derived
+# message counts against the cost ledger (see OBSERVABILITY.md); ci/check.sh's
+# trace gate is this target. E13 brings the combining identity on its L2C
+# cells; E12 and E14 every line kind the JSONL encoder writes — sharded part
+# files, shard_sync/shard_recv, fault events, run_end fault counters; E1 and
+# E7 every algorithm that keeps Lamport's request queue (L1 included, and L2
+# under disconnection).
 tracecheck:
 	cargo build --release --bin experiments --bin tracereport
-	./target/release/experiments e2 e12 e13 e14 --quick --trace target/tracecheck.jsonl > /dev/null
+	./target/release/experiments e1 e2 e7 e12 e13 e14 --quick --trace target/tracecheck.jsonl > /dev/null
 	./target/release/tracereport --check target/tracecheck.jsonl
 
 # Run the full sweep set twice against one cache directory and diff the

@@ -159,16 +159,11 @@ if [[ $fast -eq 0 ]]; then
   one_ms=$(( ($(date +%s%N) - t0) / 1000000 ))
 
   # Trace-soundness gate: tracereport --check on a traced run, so the
-  # trace/ledger reconciliation identities hold with coalescing on. E12 and
-  # E14 ride along so every line kind the JSONL encoder writes — sharded
-  # part files, shard_sync/shard_recv, fault events, run_end fault counters
-  # — goes through parse_line end to end; E1 and E7 so every algorithm that
-  # keeps Lamport's request queue (L1 included, and L2 under disconnection)
-  # is reconciled too.
+  # trace/ledger reconciliation identities hold with coalescing on. The
+  # experiment list lives in the Makefile's tracecheck target, so the
+  # canned check and this gate cannot drift apart.
   echo "==> trace-soundness gate"
-  ./target/release/experiments e1 e2 e7 e12 e13 e14 --quick \
-    --trace "$cachedir/del_trace.jsonl" > /dev/null
-  ./target/release/tracereport --check "$cachedir/del_trace.jsonl"
+  make --no-print-directory tracecheck
 
   # Sweep fan-out gate: every table that fans its runs out through
   # map_indexed_with (E12 shards inside one run and has its own gate; E13 is

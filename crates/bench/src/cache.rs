@@ -3,7 +3,7 @@
 //! Every run in this crate goes through `run_cached`: given the canonical
 //! descriptor of a run (site label + [`NetworkConfig`] + the
 //! workload/tuning extras) it either replays a stored outcome or executes
-//! the run on a pooled simulation, stores the outcome and returns it.
+//! the run on a freshly built simulation, stores the outcome and returns it.
 //! Because runs are deterministic and the fingerprint covers everything the
 //! outcome depends on, a warm cache is **byte-indistinguishable** from cold
 //! execution in every emitted table (pinned by the `cache` axis of the
@@ -16,7 +16,7 @@
 //! Labels name the *construction site*, not just the algorithm: two call
 //! sites that build their harness differently must not share a label, or
 //! identical `(cfg, extras)` could alias different computations. Helpers
-//! (`run_l1_in`, `run_strategy_in`, …) use the algorithm name; direct
+//! (`run_l1`, `run_strategy`, …) use the algorithm name; direct
 //! construction sites in E3/E7/E10 use site-specific labels (`"e3_l1"`,
 //! `"e10_proxy"`, …). The label doubles as the run's name in a trace.
 
@@ -27,7 +27,7 @@ use mobidist_net::config::NetworkConfig;
 use mobidist_net::fingerprint::{CanonHash, Fingerprint};
 use mobidist_net::ledger::CostLedger;
 use mobidist_net::proto::Protocol;
-use mobidist_net::sim::{SimPool, Simulation};
+use mobidist_net::sim::Simulation;
 use mobidist_runcache::codec::{Codec, Reader};
 use mobidist_runcache::{cache_dir, store};
 
@@ -95,9 +95,9 @@ outcome_tuple!(B, C, D);
 
 /// Runs one deterministic, memoized, optionally traced simulation.
 ///
-/// The run itself: a simulation recycled from `pool` is reset to
-/// `(cfg, build())`, gets a trace sink when tracing is enabled
-/// ([`crate::obs`]), and `reduce` drives it and extracts the outcome.
+/// The run itself: a simulation built from `(cfg, build())` gets a trace
+/// sink when tracing is enabled ([`crate::obs`]), and `reduce` drives it
+/// and extracts the outcome.
 ///
 /// When the cache is inactive that is all. When active, a hit decodes the
 /// stored outcome instead — and, if tracing is enabled, emits a synthetic
@@ -110,7 +110,6 @@ outcome_tuple!(B, C, D);
 /// err on the side of including too much: a spurious distinction only
 /// costs a recompute.
 pub(crate) fn run_cached<P: Protocol, T: Outcome>(
-    pool: &mut SimPool<P>,
     label: &str,
     cfg: &NetworkConfig,
     extra: &impl CanonHash,
@@ -118,13 +117,12 @@ pub(crate) fn run_cached<P: Protocol, T: Outcome>(
     reduce: impl FnOnce(&mut Simulation<P>) -> T,
 ) -> T {
     let run = || {
-        pool.run(cfg.clone(), build(), |sim| {
-            crate::obs::install(sim, label);
-            let out = reduce(sim);
-            // Writes `run_end` with the final ledger; no-op when untraced.
-            let _ = sim.finish_trace();
-            out
-        })
+        let mut sim = Simulation::new(cfg.clone(), build());
+        crate::obs::install(&mut sim, label);
+        let out = reduce(&mut sim);
+        // Writes `run_end` with the final ledger; no-op when untraced.
+        let _ = sim.finish_trace();
+        out
     };
     let Some(dir) = cache_dir() else {
         return run();
@@ -132,8 +130,7 @@ pub(crate) fn run_cached<P: Protocol, T: Outcome>(
     let fp = Fingerprint::of(&(label, cfg, extra));
     let cache = store::global();
     if let Some(bytes) = cache.get(Some(&dir), fp) {
-        let mut r = Reader::new(&bytes);
-        if let Some(out) = T::decode(&mut r).filter(|_| r.is_empty()) {
+        if let Some(out) = decode_exact::<T>(&bytes) {
             crate::obs::trace_cached_run(label, cfg, fp, out.ledger());
             return out;
         }
@@ -146,4 +143,85 @@ pub(crate) fn run_cached<P: Protocol, T: Outcome>(
     out.encode(&mut bytes);
     cache.put(Some(&dir), fp, bytes);
     out
+}
+
+/// Decodes a stored record as exactly one `T`: a record with bytes left
+/// over is refused like one that does not decode at all.
+fn decode_exact<T: Codec>(bytes: &[u8]) -> Option<T> {
+    let mut r = Reader::new(bytes);
+    T::decode(&mut r).filter(|_| r.is_empty())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exp_group::run_strategy;
+    use crate::exp_mutex::{run_l2, run_r1, run_r2};
+    use crate::exp_serve::{run_serve, ServeAlgo};
+    use mobidist_core::prelude::*;
+    use mobidist_group::prelude::*;
+    use mobidist_net::prelude::*;
+    use mobidist_net::rng::SimRng;
+
+    /// Encodes `value` and checks what a damaged record can do to it: every
+    /// truncation fails to decode, every single-byte flip (a seeded nonzero
+    /// mask per position) decodes to `None` or to some value without
+    /// panicking, and one trailing byte makes `run_cached`'s exact decode
+    /// refuse the record.
+    fn damage<T: Outcome>(value: &T, rng: &mut SimRng) {
+        let mut bytes = Vec::new();
+        value.encode(&mut bytes);
+        let back = decode_exact::<T>(&bytes).expect("an intact record decodes");
+        let mut again = Vec::new();
+        back.encode(&mut again);
+        assert_eq!(again, bytes, "round trip changed the record");
+        for len in 0..bytes.len() {
+            let cut = T::decode(&mut Reader::new(&bytes[..len]));
+            assert!(cut.is_none(), "a {len}-byte truncation decoded");
+        }
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 1 + rng.below(255) as u8;
+            let _ = decode_exact::<T>(&flipped);
+        }
+        bytes.push(0);
+        assert!(
+            decode_exact::<T>(&bytes).is_none(),
+            "trailing byte accepted"
+        );
+    }
+
+    #[test]
+    fn damaged_records_of_every_stored_shape_never_panic() {
+        let mut rng = SimRng::seed_from(0xC0DEC);
+        let roaming = |seed| {
+            NetworkConfig::new(4, 6)
+                .with_seed(seed)
+                .with_mobility(MobilityConfig::moving(500))
+        };
+        let wl = || WorkloadConfig::all_mhs(6, 2).with_think(200);
+        let l2 = run_l2(roaming(1), 2, 60_000);
+        damage(&l2, &mut rng);
+        // E10's shape: a ledger plus the proxy report's five counters.
+        damage(
+            &(l2.ledger.clone(), (1u64, 2u64, 3u64, 4u64, 5u64)),
+            &mut rng,
+        );
+        damage(&run_r1(roaming(2), wl(), 60_000), &mut rng);
+        let liar = Some(MhId(0));
+        damage(
+            &run_r2(roaming(3), RingGuard::Counter, wl(), 60_000, liar),
+            &mut rng,
+        );
+        let members: Vec<MhId> = (0..6).map(MhId).collect();
+        for which in ["pure-search", "location-view"] {
+            let gwl = GroupWorkload::new(members.clone(), 6, 300);
+            let run = run_strategy(roaming(4), which, members.clone(), gwl, 40_000);
+            damage(&run, &mut rng);
+        }
+        let serve_wl = WorkloadConfig::all_mhs(6, 2).with_think(200).with_hold(10);
+        let served = run_serve(ServeAlgo::L2c, "e13_l2c", roaming(5), serve_wl);
+        assert!(served.batches > 0, "L2C combined nothing");
+        damage(&served, &mut rng);
+    }
 }

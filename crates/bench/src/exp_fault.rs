@@ -24,7 +24,7 @@
 //! `MOBIDIST_SHARDS`: E14 runs on the generic kernel, which never consults
 //! the shard knob).
 
-use crate::exp_serve::{run_serve_labeled, ServeAlgo, ServePools, ServeRun};
+use crate::exp_serve::{run_serve, ServeAlgo, ServeRun};
 use crate::parallel::{default_jobs, map_indexed_with};
 use crate::table::{f2, Table};
 use mobidist_core::prelude::*;
@@ -242,8 +242,8 @@ pub fn e14_fault(quick: bool) -> Table {
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        ServePools::new,
-        |pools, _, (algo, cfg, wl)| run_serve_labeled(pools, algo, label_of(algo), cfg, wl),
+        || (),
+        |(), _, (algo, cfg, wl)| run_serve(algo, label_of(algo), cfg, wl),
     );
     for ((mob_name, fault_name, algo), r) in meta.into_iter().zip(&runs) {
         check_fault_accounting(fault_name, r);

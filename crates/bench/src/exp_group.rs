@@ -30,41 +30,17 @@ impl GroupRun {
     }
 }
 
-/// Per-worker simulation pools, one per strategy type, recycled across the
-/// points a sweep worker processes.
-#[derive(Debug, Default)]
-pub struct StrategyPools {
-    /// Pure-search simulations.
-    pub ps: SimPool<GroupHarness<PureSearch>>,
-    /// Always-inform simulations.
-    pub ai: SimPool<GroupHarness<AlwaysInform>>,
-    /// Location-view simulations.
-    pub lv: SimPool<GroupHarness<LocationView>>,
-    /// Exactly-once simulations (E11).
-    pub eo: SimPool<GroupHarness<ExactlyOnce>>,
-}
-
-impl StrategyPools {
-    /// Creates empty pools.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Runs one strategy under the given network/workload, recycling pooled
-/// simulations.
-pub fn run_strategy_in(
-    pools: &mut StrategyPools,
+/// Runs one strategy under the given network/workload.
+pub(crate) fn run_strategy(
     cfg: NetworkConfig,
     which: &str,
     members: Vec<MhId>,
     wl: GroupWorkload,
     horizon: u64,
 ) -> GroupRun {
-    /// One run on the pool of its strategy's simulation type; `lv` reads
-    /// the location-view statistics off the finished strategy.
+    /// One run of one strategy's simulation type; `lv` reads the
+    /// location-view statistics off the finished strategy.
     fn run<S: LocationStrategy>(
-        pool: &mut SimPool<GroupHarness<S>>,
         which: &str,
         cfg: &NetworkConfig,
         extra: (&Vec<MhId>, &GroupWorkload, u64),
@@ -73,7 +49,6 @@ pub fn run_strategy_in(
     ) -> GroupRun {
         let (_, wl, horizon) = extra;
         run_cached(
-            pool,
             which,
             cfg,
             &extra,
@@ -91,31 +66,17 @@ pub fn run_strategy_in(
     let extra = (&members, &wl, horizon);
     let m = || members.clone();
     match which {
-        "pure-search" => run(
-            &mut pools.ps,
-            which,
-            &cfg,
-            extra,
-            PureSearch::new(m()),
-            |_| None,
-        ),
-        "always-inform" => run(
-            &mut pools.ai,
-            which,
-            &cfg,
-            extra,
-            AlwaysInform::new(m()),
-            |_| None,
-        ),
+        "pure-search" => run(which, &cfg, extra, PureSearch::new(m()), |_| None),
+        "always-inform" => run(which, &cfg, extra, AlwaysInform::new(m()), |_| None),
         "location-view" => {
             let s = LocationView::new(m(), MssId(0));
-            run(&mut pools.lv, which, &cfg, extra, s, |s| {
+            run(which, &cfg, extra, s, |s| {
                 Some((s.max_view_size(), s.significant_fraction()))
             })
         }
         "exactly-once" => {
             let s = ExactlyOnce::new(m(), MssId(0));
-            run(&mut pools.eo, which, &cfg, extra, s, |_| None)
+            run(which, &cfg, extra, s, |_| None)
         }
         other => panic!("unknown strategy {other}"),
     }
@@ -158,8 +119,8 @@ pub fn e5_group_strategies(quick: bool) -> Table {
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        StrategyPools::new,
-        |pools, _, (dwell, which)| {
+        || (),
+        |(), _, (dwell, which)| {
             let mut cfg = NetworkConfig::new(m, g)
                 .with_seed(50)
                 .with_placement(Placement::Clustered { cells: 3 });
@@ -176,7 +137,7 @@ pub fn e5_group_strategies(quick: bool) -> Table {
             }
             let horizon = (msgs as u64) * interval * 4;
             let wl = GroupWorkload::new(members.clone(), msgs, interval);
-            run_strategy_in(pools, cfg, which, members.clone(), wl, horizon)
+            run_strategy(cfg, which, members.clone(), wl, horizon)
         },
     );
     for (i, _dwell) in dwells.iter().enumerate() {
@@ -236,8 +197,8 @@ pub fn e6_locality(quick: bool) -> Table {
     let rows = map_indexed_with(
         ps.to_vec(),
         default_jobs(),
-        StrategyPools::new,
-        |pools, _, p_local| {
+        || (),
+        |(), _, p_local| {
             let cfg = NetworkConfig::new(m, g)
                 .with_seed(60)
                 .with_placement(Placement::Clustered { cells: 3 })
@@ -252,7 +213,7 @@ pub fn e6_locality(quick: bool) -> Table {
                 });
             let msgs = if quick { 8 } else { 25 };
             let wl = GroupWorkload::new(members.clone(), msgs, 300);
-            let run = run_strategy_in(pools, cfg, "location-view", members.clone(), wl, 1_000_000);
+            let run = run_strategy(cfg, "location-view", members.clone(), wl, 1_000_000);
             let (lv_max, f) = run.lv.expect("LV stats");
             vec![
                 f2(p_local),
@@ -320,8 +281,8 @@ pub fn e11_exactly_once(quick: bool) -> Table {
     let samples = map_indexed_with(
         tasks,
         default_jobs(),
-        StrategyPools::new,
-        |pools, _, (dwell, which, seed)| {
+        || (),
+        |(), _, (dwell, which, seed)| {
             let cfg = NetworkConfig::new(m, g)
                 .with_seed(seed)
                 .with_mobility(MobilityConfig {
@@ -332,7 +293,7 @@ pub fn e11_exactly_once(quick: bool) -> Table {
                 });
             let wl = GroupWorkload::new(members.clone(), msgs, 60);
             let horizon = 60 * msgs as u64 + 20_000;
-            let run = run_strategy_in(pools, cfg, which, members.clone(), wl, horizon);
+            let run = run_strategy(cfg, which, members.clone(), wl, horizon);
             (
                 run.report.delivery_ratio(),
                 run.report.missed as f64,

@@ -49,21 +49,15 @@ fn finish<A: MutexAlgorithm>(sim: &mut Simulation<MutexHarness<A>>, horizon: u64
     }
 }
 
-/// Recycling pool of L1 simulations.
-pub type L1Pool = SimPool<MutexHarness<L1>>;
-/// Recycling pool of L2 simulations.
+/// Worker state of the benchmark package's seed sweep, which passes
+/// `L2Pool::new` to `map_indexed_with`. It holds nothing; kept only because
+/// that package compiles against it.
 pub type L2Pool = SimPool<MutexHarness<L2>>;
-/// Recycling pool of R1 simulations.
-pub type R1Pool = SimPool<MutexHarness<R1>>;
-/// Recycling pool of R2 simulations.
-pub type R2Pool = SimPool<MutexHarness<R2>>;
 
-/// Runs L1 with every MH issuing `reqs` requests, recycling a pooled
-/// simulation.
-pub fn run_l1_in(pool: &mut L1Pool, cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
+/// Runs L1 with every MH issuing `reqs` requests.
+fn run_l1(cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
     let wl = WorkloadConfig::all_mhs(cfg.num_mh, reqs).with_think(200);
     run_cached(
-        pool,
         "l1",
         &cfg,
         &(&wl, horizon),
@@ -72,12 +66,10 @@ pub fn run_l1_in(pool: &mut L1Pool, cfg: NetworkConfig, reqs: usize, horizon: u6
     )
 }
 
-/// Runs L2 with every MH issuing `reqs` requests, recycling a pooled
-/// simulation.
-pub fn run_l2_in(pool: &mut L2Pool, cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
+/// Runs L2 with every MH issuing `reqs` requests.
+pub(crate) fn run_l2(cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
     let wl = WorkloadConfig::all_mhs(cfg.num_mh, reqs).with_think(200);
     run_cached(
-        pool,
         "l2",
         &cfg,
         &(&wl, horizon),
@@ -86,15 +78,16 @@ pub fn run_l2_in(pool: &mut L2Pool, cfg: NetworkConfig, reqs: usize, horizon: u6
     )
 }
 
-/// Runs R1 on a pooled simulation; also returns `(traversals, hops)`.
-pub fn run_r1_in(
-    pool: &mut R1Pool,
-    cfg: NetworkConfig,
-    wl: WorkloadConfig,
-    horizon: u64,
-) -> (MutexRun, u64, u64) {
+/// Runs L2 with every MH issuing `reqs` requests; the same run E1 and E4
+/// make. The unused pool parameter is kept only because the benchmark
+/// package's seed sweep compiles against this signature.
+pub fn run_l2_in(_: &mut L2Pool, cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
+    run_l2(cfg, reqs, horizon)
+}
+
+/// Runs R1; also returns `(traversals, hops)`.
+pub(crate) fn run_r1(cfg: NetworkConfig, wl: WorkloadConfig, horizon: u64) -> (MutexRun, u64, u64) {
     run_cached(
-        pool,
         "r1",
         &cfg,
         &(&wl, horizon),
@@ -110,10 +103,9 @@ pub fn run_r1_in(
     )
 }
 
-/// Runs an R2 variant on a pooled simulation; also returns `(traversals,
-/// token_passes, max_services_per_traversal)`.
-pub fn run_r2_in(
-    pool: &mut R2Pool,
+/// Runs an R2 variant; also returns `(traversals, token_passes,
+/// max_services_per_traversal)`.
+pub(crate) fn run_r2(
     cfg: NetworkConfig,
     guard: RingGuard,
     wl: WorkloadConfig,
@@ -126,7 +118,6 @@ pub fn run_r2_in(
         RingGuard::TokenList => 2,
     };
     run_cached(
-        pool,
         "r2",
         &cfg,
         &(&wl, horizon, guard_tag, liar),
@@ -150,13 +141,12 @@ pub fn run_r2_in(
     )
 }
 
-/// E1's and E4's sweep unit: one request per MH on L1 or L2, on the
-/// worker's pool of that algorithm.
-fn run_lamport(pools: &mut (L1Pool, L2Pool), cfg: NetworkConfig, is_l2: bool) -> MutexRun {
+/// E1's and E4's sweep unit: one request per MH on L1 or L2.
+fn run_lamport(cfg: NetworkConfig, is_l2: bool) -> MutexRun {
     if is_l2 {
-        run_l2_in(&mut pools.1, cfg, 1, 50_000_000)
+        run_l2(cfg, 1, 50_000_000)
     } else {
-        run_l1_in(&mut pools.0, cfg, 1, 50_000_000)
+        run_l1(cfg, 1, 50_000_000)
     }
 }
 
@@ -181,20 +171,13 @@ pub fn e1_lamport(quick: bool) -> Table {
     );
     // Fan every (N, algorithm) run out as its own task: runs are seeded and
     // independent, and rows are assembled by index, so the table is
-    // byte-identical at any worker count. Each worker recycles one L1 and
-    // one L2 simulation across the points it processes.
+    // byte-identical at any worker count.
     let tasks: Vec<(usize, bool)> = ns.iter().flat_map(|&n| [(n, false), (n, true)]).collect();
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        Default::default,
-        |pools, _, (n, is_l2)| {
-            run_lamport(
-                pools,
-                NetworkConfig::new(m, n).with_seed(100 + n as u64),
-                is_l2,
-            )
-        },
+        || (),
+        |(), _, (n, is_l2)| run_lamport(NetworkConfig::new(m, n).with_seed(100 + n as u64), is_l2),
     );
     for (i, &n) in ns.iter().enumerate() {
         let (l1, l2) = (&runs[2 * i], &runs[2 * i + 1]);
@@ -243,8 +226,8 @@ pub fn e2_ring(quick: bool) -> Table {
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        || (R1Pool::new(), R2Pool::new()),
-        |(r1s, r2s), _, (think, is_r2)| {
+        || (),
+        |(), _, (think, is_r2)| {
             let cfg = NetworkConfig::new(m, n).with_seed(7);
             let wl = WorkloadConfig::all_mhs(n, usize::MAX / 2)
                 .with_think(think)
@@ -257,10 +240,10 @@ pub fn e2_ring(quick: bool) -> Table {
             };
             // Either ring as `(run, traversals, hops or token passes)`.
             if is_r2 {
-                let (r2, tr2, passes, _) = run_r2_in(r2s, cfg, RingGuard::Plain, wl, horizon, None);
+                let (r2, tr2, passes, _) = run_r2(cfg, RingGuard::Plain, wl, horizon, None);
                 (r2, tr2, passes)
             } else {
-                run_r1_in(r1s, cfg, wl, horizon)
+                run_r1(cfg, wl, horizon)
             }
         },
     );
@@ -311,18 +294,17 @@ pub fn e3_energy(quick: bool) -> Table {
         ],
     );
     let cfg = || NetworkConfig::new(m, n).with_seed(31);
-    // Each row is one independent run: fan the four out, each worker
-    // recycling one simulation per algorithm, and push them in task order.
+    // Each row is one independent run: fan the four out and push them in
+    // task order.
     let rows = map_indexed_with(
         vec!["L1", "L2", "R1 (per traversal)", "R2' (per request)"],
         default_jobs(),
-        <(L1Pool, L2Pool, R1Pool, R2Pool)>::default,
-        |(l1s, l2s, r1s, r2s), _, row| match row {
+        || (),
+        |(), _, row| match row {
             // L1: single execution by mh0.
             "L1" => {
                 let wl = WorkloadConfig::only(vec![MhId(0)], 1);
                 let run = run_cached(
-                    l1s,
                     "e3_l1",
                     &cfg(),
                     &(&wl, 50_000_000u64),
@@ -341,7 +323,6 @@ pub fn e3_energy(quick: bool) -> Table {
             "L2" => {
                 let wl = WorkloadConfig::only(vec![MhId(0)], 1);
                 let run = run_cached(
-                    l2s,
                     "e3_l2",
                     &cfg(),
                     &(&wl, 50_000_000u64),
@@ -359,7 +340,7 @@ pub fn e3_energy(quick: bool) -> Table {
             // R1: per traversal (nobody requests; pure relay cost).
             "R1 (per traversal)" => {
                 let wl = WorkloadConfig::only(vec![], 0);
-                let (run, traversals, _) = run_r1_in(r1s, cfg(), wl, 60_000);
+                let (run, traversals, _) = run_r1(cfg(), wl, 60_000);
                 let per = run.ledger.total_energy() as f64 / traversals.max(1) as f64;
                 vec![
                     row.into(),
@@ -372,7 +353,7 @@ pub fn e3_energy(quick: bool) -> Table {
             // R2': per served request.
             _ => {
                 let wl = WorkloadConfig::only(vec![MhId(0)], 4).with_think(50);
-                let (run, _, _, _) = run_r2_in(r2s, cfg(), RingGuard::Counter, wl, 300_000, None);
+                let (run, _, _, _) = run_r2(cfg(), RingGuard::Counter, wl, 300_000, None);
                 let per = run.ledger.total_energy() as f64 / run.report.completed.max(1) as f64;
                 vec![
                     row.into(),
@@ -449,8 +430,8 @@ pub fn e4_search_ratio(quick: bool) -> Table {
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        Default::default,
-        |pools, _, (cfg, is_l2)| run_lamport(pools, cfg.clone(), is_l2),
+        || (),
+        |(), _, (cfg, is_l2)| run_lamport(cfg.clone(), is_l2),
     );
     for (i, (label, policy, cfg)) in rows.into_iter().enumerate() {
         let (l1, l2) = (&runs[2 * i], &runs[2 * i + 1]);
@@ -505,8 +486,8 @@ pub fn e7_disconnection(quick: bool) -> Table {
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        <(L1Pool, L2Pool, R1Pool, R2Pool)>::default,
-        |(l1s, l2s, r1s, r2s), _, (up, seed)| {
+        || (),
+        |(), _, (up, seed)| {
             let mut cfg = NetworkConfig::new(m, n).with_seed(seed);
             if let Some(u) = up {
                 cfg = cfg.with_disconnect(DisconnectConfig {
@@ -518,7 +499,6 @@ pub fn e7_disconnection(quick: bool) -> Table {
             }
             match seed {
                 1 => run_cached(
-                    l1s,
                     "e7_l1",
                     &cfg,
                     &(&wl(), horizon),
@@ -526,15 +506,14 @@ pub fn e7_disconnection(quick: bool) -> Table {
                     |sim| finish(sim, horizon),
                 ),
                 2 => run_cached(
-                    l2s,
                     "e7_l2",
                     &cfg,
                     &(&wl(), horizon),
                     || MutexHarness::new(L2::new(m), wl()),
                     |sim| finish(sim, horizon),
                 ),
-                3 => run_r1_in(r1s, cfg, wl(), horizon).0,
-                _ => run_r2_in(r2s, cfg, RingGuard::Plain, wl(), horizon, None).0,
+                3 => run_r1(cfg, wl(), horizon).0,
+                _ => run_r2(cfg, RingGuard::Plain, wl(), horizon, None).0,
             }
         },
     );
@@ -571,11 +550,11 @@ pub fn e8_doze(quick: bool) -> Table {
     let rows = map_indexed_with(
         vec!["R1", "R2'"],
         default_jobs(),
-        <(R1Pool, R2Pool)>::default,
-        |(r1s, r2s), _, ring| {
+        || (),
+        |(), _, ring| {
             let run = match ring {
-                "R1" => run_r1_in(r1s, cfg(), wl(), horizon).0,
-                _ => run_r2_in(r2s, cfg(), RingGuard::Counter, wl(), horizon, None).0,
+                "R1" => run_r1(cfg(), wl(), horizon).0,
+                _ => run_r2(cfg(), RingGuard::Counter, wl(), horizon, None).0,
             };
             vec![
                 ring.into(),
@@ -614,15 +593,15 @@ pub fn e9_fairness(quick: bool) -> Table {
     let rows = map_indexed_with(
         tasks,
         default_jobs(),
-        R2Pool::new,
-        |r2s, _, (guard, liar)| {
+        || (),
+        |(), _, (guard, liar)| {
             let wl = WorkloadConfig::only(vec![MhId(0)], if quick { 20 } else { 60 })
                 .with_think(10)
                 .with_hold(3);
             let cfg = NetworkConfig::new(m, n)
                 .with_seed(91 + liar.map_or(0, |_| 1))
                 .with_mobility(mobility);
-            let (run, _, _, max) = run_r2_in(r2s, cfg, guard, wl, horizon, liar);
+            let (run, _, _, max) = run_r2(cfg, guard, wl, horizon, liar);
             let name = match guard {
                 RingGuard::Plain => "R2",
                 RingGuard::Counter => "R2'",

@@ -44,8 +44,8 @@ pub fn e10_proxy(quick: bool) -> Table {
     let rows = map_indexed_with(
         tasks,
         default_jobs(),
-        SimPool::new,
-        |pool, _, (dwell, policy)| {
+        || (),
+        |(), _, (dwell, policy)| {
             let cfg = NetworkConfig::new(m, n)
                 .with_seed(70)
                 .with_mobility(MobilityConfig::moving(dwell));
@@ -62,7 +62,6 @@ pub fn e10_proxy(quick: bool) -> Table {
             };
             // Cache the ledger plus the report counters the table reads.
             let (ledger, (loc_updates, handoffs, stale, served, inputs)) = run_cached(
-                pool,
                 "e10_proxy",
                 &cfg,
                 &(

@@ -38,27 +38,6 @@ const CHUNK: u64 = 100_000;
 /// its completion assertion instead of spinning.
 const HORIZON: u64 = 500_000_000;
 
-/// Recycling pool of L2C simulations.
-pub type L2cPool = SimPool<MutexHarness<L2c>>;
-
-/// One pool per algorithm, threaded through the sweep workers so each
-/// worker recycles its simulations across the cells it processes.
-#[derive(Debug, Default)]
-pub struct ServePools {
-    l1: crate::exp_mutex::L1Pool,
-    l2: crate::exp_mutex::L2Pool,
-    l2c: L2cPool,
-    r1: crate::exp_mutex::R1Pool,
-    r2: crate::exp_mutex::R2Pool,
-}
-
-impl ServePools {
-    /// Creates empty pools.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The algorithms the serving benchmark compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServeAlgo {
@@ -213,30 +192,18 @@ fn finish_serving<A: MutexAlgorithm>(
     }
 }
 
-/// Runs one serving cell for `algo`, memoized in the run cache.
-pub fn run_serve_in(
-    pools: &mut ServePools,
-    algo: ServeAlgo,
-    cfg: NetworkConfig,
-    wl: WorkloadConfig,
-) -> ServeRun {
-    run_serve_labeled(pools, algo, algo.label(), cfg, wl)
-}
-
-/// [`run_serve_in`] under an explicit run-cache site label. Other
-/// experiments reusing the serving machinery (E14's robustness grid) pass
-/// their own site labels here so cache records stay per-construction-site
-/// (see [`crate::cache`] on why labels name sites).
-pub fn run_serve_labeled(
-    pools: &mut ServePools,
+/// Runs one serving cell for `algo`, memoized in the run cache under site
+/// `label`. E13 passes [`ServeAlgo::label`]; E14's robustness grid reuses
+/// the serving machinery under its own labels so cache records stay
+/// per-construction-site (see [`crate::cache`] on why labels name sites).
+pub(crate) fn run_serve(
     algo: ServeAlgo,
     label: &'static str,
     cfg: NetworkConfig,
     wl: WorkloadConfig,
 ) -> ServeRun {
-    /// One cell on the pool of its algorithm's simulation type.
+    /// One cell of one algorithm's simulation type.
     fn serve<A: MutexAlgorithm>(
-        pool: &mut SimPool<MutexHarness<A>>,
         label: &str,
         cfg: &NetworkConfig,
         wl: &WorkloadConfig,
@@ -244,7 +211,6 @@ pub fn run_serve_labeled(
     ) -> ServeRun {
         let target = (wl.requesters.len() * wl.requests_per_mh) as u64;
         run_cached(
-            pool,
             label,
             cfg,
             &(wl, HORIZON, CHUNK),
@@ -254,21 +220,14 @@ pub fn run_serve_labeled(
     }
     let (cfg, wl, m) = (&cfg, &wl, cfg.num_mss);
     match algo {
-        ServeAlgo::L1 => serve(
-            &mut pools.l1,
-            label,
-            cfg,
-            wl,
-            L1::new(wl.requesters.clone()),
-        ),
-        ServeAlgo::L2 => serve(&mut pools.l2, label, cfg, wl, L2::new(m)),
-        ServeAlgo::L2c => serve(&mut pools.l2c, label, cfg, wl, L2c::new(m)),
+        ServeAlgo::L1 => serve(label, cfg, wl, L1::new(wl.requesters.clone())),
+        ServeAlgo::L2 => serve(label, cfg, wl, L2::new(m)),
+        ServeAlgo::L2c => serve(label, cfg, wl, L2c::new(m)),
         ServeAlgo::R1 => {
             let ring: Vec<MhId> = (0..cfg.num_mh as u32).map(MhId).collect();
-            let algo = R1::new(ring, R1DisconnectPolicy::Stall);
-            serve(&mut pools.r1, label, cfg, wl, algo)
+            serve(label, cfg, wl, R1::new(ring, R1DisconnectPolicy::Stall))
         }
-        ServeAlgo::R2 => serve(&mut pools.r2, label, cfg, wl, R2::new(m, RingGuard::Plain)),
+        ServeAlgo::R2 => serve(label, cfg, wl, R2::new(m, RingGuard::Plain)),
     }
 }
 
@@ -402,8 +361,8 @@ pub fn e13_serving(quick: bool) -> Table {
     let runs = map_indexed_with(
         tasks,
         default_jobs(),
-        ServePools::new,
-        |pools, _, (algo, cfg, wl)| run_serve_in(pools, algo, cfg, wl),
+        || (),
+        |(), _, (algo, cfg, wl)| run_serve(algo, algo.label(), cfg, wl),
     );
     let mut next = 0usize;
     for row in &rows {

@@ -66,8 +66,8 @@ fn open_run(base: &Path, part: Option<u64>, label: &str, cfg: &NetworkConfig) ->
 }
 
 /// Attaches a JSONL sink for one labelled run when tracing is enabled
-/// (no-op otherwise). Call after the simulation is initialised/reset and
-/// before it runs; `Simulation::finish_trace` ends the run's envelope.
+/// (no-op otherwise). Call after the simulation is built and before it
+/// runs; `Simulation::finish_trace` ends the run's envelope.
 pub fn install<P: Protocol>(sim: &mut Simulation<P>, label: &str) {
     let Some(base) = trace_base() else { return };
     if let Some(sink) = open_run(&base, None, label, sim.kernel().config()) {

@@ -51,12 +51,10 @@ pub fn oversubscribed(jobs: usize) -> bool {
 /// an item propagates with its own payload, whichever worker ran it.
 ///
 /// Each worker builds one `W` with `make_state` and threads it through every
-/// item it processes. Sweeps pass a
-/// [`SimPool`](mobidist_net::prelude::SimPool) here so consecutive points on
-/// the same worker recycle one simulation's allocations instead of
-/// rebuilding them. `W` must not influence results (a pool doesn't: a reset
-/// simulation replays byte-identically) — which worker processes which item
-/// is scheduling-dependent.
+/// item it processes — a scratch buffer, say. `W` must not influence
+/// results: which worker processes which item is scheduling-dependent. The
+/// experiment sweeps pass `|| ()`, since every point builds its own
+/// simulation.
 ///
 /// # Examples
 ///

@@ -17,9 +17,7 @@
 //! never touch the environment stand on their own.
 
 use mobidist_bench::exp_fault::e14_fault;
-use mobidist_bench::exp_group::{
-    e11_exactly_once, e5_group_strategies, e6_locality, run_strategy_in, StrategyPools,
-};
+use mobidist_bench::exp_group::{e11_exactly_once, e5_group_strategies, e6_locality};
 use mobidist_bench::exp_mutex::{
     e1_lamport, e2_ring, e3_energy, e4_search_ratio, e7_disconnection, e8_doze, e9_fairness,
 };
@@ -29,7 +27,6 @@ use mobidist_bench::exp_serve::e13_serving;
 use mobidist_bench::obs::{merge_worker_files, TRACE_ENV};
 use mobidist_bench::table::Table;
 use mobidist_core::prelude::*;
-use mobidist_group::prelude::*;
 use mobidist_net::metrics::Metrics;
 use mobidist_net::obs::{parse_line, Line, RingSink, RunMeta, TraceEvent};
 use mobidist_net::prelude::*;
@@ -150,7 +147,6 @@ fn render(exps: &[Exp]) -> Vec<String> {
 
 #[test]
 fn no_knob_changes_a_table() {
-    pooled_group_strategies_match_fresh_runs();
     for axis in AXES {
         let tmp = std::env::temp_dir().join(format!(
             "mobidist-differential-{}-{}",
@@ -330,7 +326,7 @@ fn trace_steps(_step: &str, trace: &Path, render: &mut dyn FnMut()) {
     let _ = fs::remove_file(trace);
 }
 
-// ----- seed and reuse determinism --------------------------------------------
+// ----- seed determinism ------------------------------------------------------
 
 /// The last 2¹⁶ events of a run (their `seq` pins the length of the whole
 /// stream) plus its final ledger.
@@ -373,58 +369,4 @@ fn same_seed_runs_produce_identical_event_streams() {
     // A different seed must change the execution — otherwise the equality
     // above proves nothing.
     assert_ne!(run(21).0, run(22).0, "distinct seeds should diverge");
-}
-
-/// `SimPool` recycling is only sound if a recycled simulation — whatever
-/// it ran before, at whatever topology — replays a freshly built one.
-#[test]
-fn recycled_simulation_replays_a_fresh_one() {
-    // A pool that has already run a *different* shape — larger topology,
-    // different seed, a sink left installed — so the recycled simulation
-    // arrives dirty in every dimension reset must clean.
-    let mut pool: SimPool<MutexHarness<L2>> = SimPool::new();
-    pool.run(
-        NetworkConfig::new(8, 40)
-            .with_seed(7)
-            .with_mobility(MobilityConfig::moving(150)),
-        MutexHarness::new(L2::new(8), WorkloadConfig::all_mhs(40, 1)),
-        |sim| {
-            sim.set_trace_sink(Box::new(RingSink::new(1 << 16)));
-            sim.run_until(SimTime::from_ticks(100_000));
-        },
-    );
-    let reused = pool.run(mutex_cfg(21), mutex_proto(), mutex_outcome);
-    assert_eq!(pool.idle(), 1, "the same simulation served both points");
-    let fresh = mutex_outcome(&mut Simulation::new(mutex_cfg(21), mutex_proto()));
-    assert_same_run(&fresh, &reused);
-}
-
-/// The experiment-facing surface of the same claim: `run_strategy_in` on
-/// pools reused across strategies renders what throwaway simulations do.
-/// Called from the table's test because it goes through the run helper,
-/// which reads the cache and trace variables.
-fn pooled_group_strategies_match_fresh_runs() {
-    let g = 6;
-    let members: Vec<MhId> = (0..g as u32).map(MhId).collect();
-    let mut pools = StrategyPools::new();
-    for which in [
-        "pure-search",
-        "always-inform",
-        "location-view",
-        "exactly-once",
-    ] {
-        let run = |pools: &mut StrategyPools| {
-            let cfg = NetworkConfig::new(4, g)
-                .with_seed(50)
-                .with_mobility(MobilityConfig::moving(400));
-            let wl = GroupWorkload::new(members.clone(), 6, 300);
-            let r = run_strategy_in(pools, cfg, which, members.clone(), wl, 40_000);
-            (r.ledger, r.report.delivered, r.lv)
-        };
-        // Two pooled passes: the second recycles the first's simulation.
-        let first = run(&mut pools);
-        assert_eq!(first, run(&mut pools), "{which}: recycled != first pass");
-        let fresh = run(&mut StrategyPools::new());
-        assert_eq!(first, fresh, "{which}: pooled != fresh");
-    }
 }

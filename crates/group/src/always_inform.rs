@@ -12,24 +12,13 @@
 //!
 //! When a recorded location is stale (the target moved after the last
 //! update reached us), the paper's accounting footnote "disregards" the
-//! in-transit case; this implementation exposes the choice: fall back to a
-//! (counted) search, or drop the copy.
+//! in-transit case; this implementation falls back to a search from the
+//! stale MSS, counted in `ai_stale_fallbacks`.
 
 use crate::strategy::{GroupCtx, LocationStrategy};
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
 use std::collections::BTreeMap;
-
-/// What to do when a directory entry turns out to be stale on delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StalePolicy {
-    /// Fall back to a search from the stale MSS (counted in
-    /// `ai_stale_fallbacks`).
-    #[default]
-    Search,
-    /// Drop the copy (shows up as a missed delivery in the audit).
-    Drop,
-}
 
 /// Always-inform protocol messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -80,30 +69,19 @@ pub struct AlwaysInform {
     members: Vec<MhId>,
     /// Per-member location directory: `ld[h]` is h's copy of LD(G).
     ld: IdMap<MhId, IdMap<MhId, MssId>>,
-    stale: StalePolicy,
 }
 
 impl AlwaysInform {
-    /// Creates the strategy with the default (search) stale policy.
+    /// Creates the strategy.
     ///
     /// # Panics
     ///
     /// Panics if `members` is empty.
     pub fn new(members: Vec<MhId>) -> Self {
-        Self::with_stale_policy(members, StalePolicy::default())
-    }
-
-    /// Creates the strategy with an explicit stale-entry policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is empty.
-    pub fn with_stale_policy(members: Vec<MhId>, stale: StalePolicy) -> Self {
         assert!(!members.is_empty(), "a group needs members");
         AlwaysInform {
             members,
             ld: IdMap::new(),
-            stale,
         }
     }
 
@@ -220,16 +198,9 @@ impl LocationStrategy for AlwaysInform {
                 if ctx.is_local(at, dest) {
                     let _ = ctx.send_wireless_down(at, dest, AiMsg::Deliver { inner });
                 } else {
-                    // Stale directory entry.
-                    match self.stale {
-                        StalePolicy::Search => {
-                            ctx.bump("ai_stale_fallbacks");
-                            ctx.search_send(at, dest, AiMsg::Deliver { inner });
-                        }
-                        StalePolicy::Drop => {
-                            ctx.bump("ai_stale_drops");
-                        }
-                    }
+                    // Stale directory entry: search from here.
+                    ctx.bump("ai_stale_fallbacks");
+                    ctx.search_send(at, dest, AiMsg::Deliver { inner });
                 }
             }
             AiMsg::Deliver { .. } => unreachable!("deliveries terminate at MHs"),

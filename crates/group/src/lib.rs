@@ -43,7 +43,7 @@ pub mod strategy;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::always_inform::{AiMsg, AiPayload, AlwaysInform, StalePolicy};
+    pub use crate::always_inform::{AiMsg, AiPayload, AlwaysInform};
     pub use crate::exactly_once::{EoMsg, ExactlyOnce};
     pub use crate::location_view::{LocationView, LvMsg};
     pub use crate::pure_search::{PsMsg, PureSearch};

@@ -170,12 +170,7 @@ fn always_inform_stale_entries_fall_back_to_search() {
         .with_seed(9)
         .with_mobility(MobilityConfig::moving(200));
     let wl = GroupWorkload::new(g.clone(), 25, 60);
-    let (r, sim) = run(
-        cfg,
-        AlwaysInform::with_stale_policy(g, StalePolicy::Search),
-        wl,
-        2_000_000,
-    );
+    let (r, sim) = run(cfg, AlwaysInform::new(g), wl, 2_000_000);
     // With the search fallback, misses should stay rare (only mid-move
     // races), and any stale hit is visible in the counter.
     assert!(

@@ -70,28 +70,13 @@ impl FifoChains {
     /// Creates chains for a topology of `num_mss` stations and `num_mh`
     /// hosts, all without history.
     pub fn new(num_mss: usize, num_mh: usize) -> Self {
-        let mut f = FifoChains {
-            num_mss: 0,
-            fixed: Vec::new(),
-            down: Vec::new(),
-            up: Vec::new(),
+        FifoChains {
+            num_mss,
+            fixed: vec![SimTime::ZERO; num_mss * num_mss],
+            down: vec![SimTime::ZERO; num_mh],
+            up: vec![SimTime::ZERO; num_mh],
             recorded: 0,
-        };
-        f.reset_topology(num_mss, num_mh);
-        f
-    }
-
-    /// Clears all history and re-sizes for a (possibly different) topology,
-    /// retaining the allocations when they already fit.
-    pub fn reset_topology(&mut self, num_mss: usize, num_mh: usize) {
-        self.num_mss = num_mss;
-        self.fixed.clear();
-        self.fixed.resize(num_mss * num_mss, SimTime::ZERO);
-        self.down.clear();
-        self.down.resize(num_mh, SimTime::ZERO);
-        self.up.clear();
-        self.up.resize(num_mh, SimTime::ZERO);
-        self.recorded = 0;
+        }
     }
 
     #[inline]
@@ -264,14 +249,6 @@ impl<M> ReorderBuffers<M> {
     pub fn held(&self) -> usize {
         self.currently_held
     }
-
-    /// Forgets all sequencing state and statistics, retaining the map
-    /// allocations for reuse.
-    pub fn clear(&mut self) {
-        self.tx_seq.clear();
-        self.rx.clear();
-        self.currently_held = 0;
-    }
 }
 
 #[cfg(test)]
@@ -305,41 +282,6 @@ mod tests {
         f.schedule(k, SimTime::from_ticks(50));
         f.reset(k);
         assert_eq!(f.schedule(k, SimTime::from_ticks(2)).ticks(), 2);
-    }
-
-    #[test]
-    fn reset_topology_clears_history() {
-        let mut f = FifoChains::new(2, 2);
-        f.schedule(ChainKey::Up(MhId(1), MssId(0)), SimTime::from_ticks(9));
-        f.schedule(ChainKey::Fixed(MssId(1), MssId(0)), SimTime::from_ticks(9));
-        assert_eq!(f.len(), 2);
-        f.reset_topology(4, 8);
-        assert!(f.is_empty());
-        // Larger topology is addressable after the reset.
-        assert_eq!(
-            f.schedule(ChainKey::Fixed(MssId(3), MssId(2)), SimTime::from_ticks(1))
-                .ticks(),
-            1
-        );
-        assert_eq!(
-            f.schedule(ChainKey::Down(MssId(0), MhId(7)), SimTime::from_ticks(1))
-                .ticks(),
-            1
-        );
-    }
-
-    #[test]
-    fn reorder_clear_forgets_everything() {
-        let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
-        let (a, z) = (MhId(0), MhId(1));
-        let s0 = b.next_seq(a, z);
-        let s1 = b.next_seq(a, z);
-        assert!(b.accept(a, z, s1, 1).is_empty());
-        b.clear();
-        assert_eq!(b.held(), 0);
-        // Sequence numbers restart, as on a fresh buffer.
-        assert_eq!(b.next_seq(a, z), 0);
-        assert_eq!(b.accept(a, z, s0, 0), vec![0]);
     }
 
     #[test]

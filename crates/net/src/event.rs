@@ -355,24 +355,6 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
-    /// Empties the queue while retaining every allocation (the arena, with
-    /// all its chunks back on the free list, and the overflow heap) and
-    /// rewinds the cursor and sequence counter, so a reused queue reproduces
-    /// the exact pop order of a fresh one. Walks only the occupied slots, so
-    /// the cost follows what was pending, not the arena's size.
-    pub fn clear(&mut self) {
-        for w in 0..self.occupied.len() {
-            while self.occupied[w] != 0 {
-                let si = w * 64 + self.occupied[w].trailing_zeros() as usize;
-                self.drain_slot(si, |_, _| {});
-            }
-        }
-        self.overflow.clear();
-        self.cursor = 0;
-        self.len = 0;
-        self.wheel_len = 0;
-    }
-
     /// Lowest occupied slot index `>= start` on `level`, scanning the bitmap.
     #[inline]
     fn first_occupied_from(&self, level: usize, start: usize) -> Option<usize> {
@@ -666,13 +648,6 @@ impl<E> EventHeap<E> {
         self.heap.is_empty()
     }
 
-    /// Empties the heap retaining its allocation and rewinding the sequence
-    /// counter.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.seq = 0;
-    }
-
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
         while i > 0 {
@@ -925,28 +900,6 @@ mod tests {
             std::iter::from_fn(|| q.pop().map(|(t, e)| (t.ticks(), e))).collect();
         // Late entries pop first (at the cursor) with their original times.
         assert_eq!(got, vec![(5, 'a'), (1000, 'b'), (2000, 'c')]);
-    }
-
-    #[test]
-    fn clear_retains_determinism() {
-        let run = |q: &mut EventQueue<u64>| -> Vec<(u64, u64)> {
-            let mut x = 0x9E3779B97F4A7C15u64;
-            for i in 0..300u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                q.push(SimTime::from_ticks(x % 100_000_000), i);
-            }
-            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.ticks(), e))).collect()
-        };
-        let mut fresh = EventQueue::new();
-        let expect = run(&mut fresh);
-        let mut reused = EventQueue::new();
-        reused.push(SimTime::from_ticks(123_456_789), 0);
-        let _ = reused.pop();
-        reused.push(SimTime::from_ticks(1), 0);
-        reused.clear();
-        assert_eq!(run(&mut reused), expect);
     }
 
     #[test]

@@ -265,12 +265,6 @@ impl MssState {
     pub fn has_local(&self, mh: MhId) -> bool {
         self.local.contains(&mh)
     }
-
-    /// Empties both sets, retaining allocations.
-    pub fn clear(&mut self) {
-        self.local.clear();
-        self.disconnected_here.clear();
-    }
 }
 
 #[cfg(test)]

@@ -165,7 +165,7 @@ pub struct Kernel<M, T> {
     pending: VecDeque<ProtoEvent<M, T>>,
     /// Structured event sink and per-run emission counter; no sink (the
     /// default) costs one branch per emission site and never constructs the
-    /// event. Rewound with the kernel.
+    /// event.
     trace: Tracer,
     /// Reusable buffer for cell-broadcast recipient lists, so the hot path
     /// never allocates per call.
@@ -179,10 +179,10 @@ pub struct Kernel<M, T> {
     /// still in order, without re-charging — when the blocking condition
     /// clears. Always empty on fault-free runs.
     blocked: Vec<(MssId, MssId, M)>,
-    /// Logical events processed since reset. Batch and fan-out members are
-    /// counted individually, so the batched engine and the per-event
-    /// reference report identical totals for the same run (pinned by
-    /// `tests/delivery_equivalence.rs`).
+    /// Logical events processed since construction. Batch and fan-out
+    /// members are counted individually, so the batched engine and the
+    /// per-event reference report identical totals for the same run (pinned
+    /// by `tests/delivery_equivalence.rs`).
     events_processed: u64,
     /// Recycled backing store for the single in-flight coalesced MSS batch
     /// (the driver drains every batch before the next advance, so one slot
@@ -199,96 +199,62 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// Builds a kernel: places MHs into cells and primes the autonomous
     /// mobility/disconnection processes.
     pub fn new(cfg: NetworkConfig) -> Self {
-        let mut k = Kernel {
-            cfg: cfg.clone(),
-            now: SimTime::ZERO,
-            queue: EventQueue::new(),
-            rng: SimRng::seed_from(cfg.seed),
-            proto_rng: SimRng::seed_from(cfg.seed),
-            msss: Vec::new(),
-            mhs: Vec::new(),
-            fifo: FifoChains::new(cfg.num_mss, cfg.num_mh),
-            reorder: ReorderBuffers::default(),
-            ledger: CostLedger::new(cfg.num_mh),
-            pending: VecDeque::new(),
-            trace: Tracer::new(None),
-            scratch_locals: Vec::new(),
-            down: Vec::new(),
-            partition_cut: None,
-            blocked: Vec::new(),
-            events_processed: 0,
-            batch_slot: Vec::new(),
-            mss_pool: Vec::new(),
-            down_pool: Vec::new(),
-        };
-        k.reset(cfg);
-        k
-    }
-
-    /// Rewinds the kernel to the fresh-`new(cfg)` state while retaining
-    /// every allocation (event-wheel slots, FIFO chain arrays, reorder maps,
-    /// the per-MH table, ledger vectors, scratch buffers).
-    ///
-    /// Observable behaviour is bit-identical to a freshly built kernel: the
-    /// RNG streams are reseeded and forked in the same order, MH placement
-    /// draws the same values, and the event queue's insertion-sequence
-    /// counter restarts at zero, so a reused kernel replays the exact event
-    /// order of a fresh one (pinned by the bench crate's `differential`
-    /// test).
-    pub(crate) fn reset(&mut self, cfg: NetworkConfig) {
-        // Same RNG derivation order as the original construction path:
-        // seed, fork the protocol stream, fork the placement stream, then
-        // draw mobility/disconnect delays from the root stream.
-        self.rng = SimRng::seed_from(cfg.seed);
-        self.proto_rng = self.rng.fork(0xA11C);
-        let mut place_rng = self.rng.fork(0xB0B1);
-        let m = cfg.num_mss;
-        let n = cfg.num_mh;
-        self.now = SimTime::ZERO;
-        self.queue.clear();
-        self.msss.truncate(m);
-        for s in &mut self.msss {
-            s.clear();
-        }
-        self.msss.resize_with(m, MssState::default);
-        self.mhs.clear();
-        for i in 0..n {
-            let cell = cfg.placement.initial_cell(i, m, &mut place_rng);
-            self.mhs.push(MhState::new(cell, cell));
-            self.msss[cell.index()].local.insert(MhId(i as u32));
-        }
-        self.fifo.reset_topology(m, n);
-        self.reorder.clear();
-        self.ledger.reset(n);
-        self.pending.clear();
-        self.trace.rewind();
-        self.cfg = cfg;
-        if self.cfg.mobility.enabled {
+        // RNG derivation order: seed, fork the protocol stream, fork the
+        // placement stream, then draw mobility/disconnect delays from the
+        // root stream.
+        let mut rng = SimRng::seed_from(cfg.seed);
+        let proto_rng = rng.fork(0xA11C);
+        let mut place_rng = rng.fork(0xB0B1);
+        let (m, n) = (cfg.num_mss, cfg.num_mh);
+        let mut msss = vec![MssState::default(); m];
+        let mhs = (0..n)
+            .map(|i| {
+                let cell = cfg.placement.initial_cell(i, m, &mut place_rng);
+                msss[cell.index()].local.insert(MhId(i as u32));
+                MhState::new(cell, cell)
+            })
+            .collect();
+        let mut queue = EventQueue::new();
+        if cfg.mobility.enabled {
             for i in 0..n {
-                let d = self.rng.exp_delay(self.cfg.mobility.mean_dwell);
-                self.queue
-                    .push(self.now + d, Ev::AutoLeave { mh: MhId(i as u32) });
+                let d = rng.exp_delay(cfg.mobility.mean_dwell);
+                queue.push(SimTime::ZERO + d, Ev::AutoLeave { mh: MhId(i as u32) });
             }
         }
-        if self.cfg.disconnect.enabled {
+        if cfg.disconnect.enabled {
             for i in 0..n {
-                let d = self.rng.exp_delay(self.cfg.disconnect.mean_uptime);
-                self.queue
-                    .push(self.now + d, Ev::AutoDisconnect { mh: MhId(i as u32) });
+                let d = rng.exp_delay(cfg.disconnect.mean_uptime);
+                queue.push(SimTime::ZERO + d, Ev::AutoDisconnect { mh: MhId(i as u32) });
             }
         }
         // Fault plane: scheduling consumes NO rng draws, so a fault-free
         // config replays bit-identically to one built before the fault plane
         // existed. Events sharing a tick fire in schedule order (insertion
         // sequence breaks the tie).
-        self.down.clear();
-        self.down.resize(m, false);
-        self.partition_cut = None;
-        self.blocked.clear();
-        self.events_processed = 0;
-        self.batch_slot.clear();
-        for (idx, fe) in self.cfg.fault.events.iter().enumerate() {
-            self.queue.push(self.now + fe.at.max(1), Ev::Fault { idx });
+        for (idx, fe) in cfg.fault.events.iter().enumerate() {
+            queue.push(SimTime::ZERO + fe.at.max(1), Ev::Fault { idx });
+        }
+        Kernel {
+            now: SimTime::ZERO,
+            queue,
+            rng,
+            proto_rng,
+            msss,
+            mhs,
+            fifo: FifoChains::new(m, n),
+            reorder: ReorderBuffers::default(),
+            ledger: CostLedger::new(n),
+            pending: VecDeque::new(),
+            trace: Tracer::new(None),
+            scratch_locals: Vec::new(),
+            down: vec![false; m],
+            partition_cut: None,
+            blocked: Vec::new(),
+            events_processed: 0,
+            batch_slot: Vec::new(),
+            mss_pool: Vec::new(),
+            down_pool: Vec::new(),
+            cfg,
         }
     }
 
@@ -396,7 +362,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.pending.pop_front()
     }
 
-    /// Logical events processed since construction/reset. Coalesced batch
+    /// Logical events processed since construction. Coalesced batch
     /// members and fused fan-out recipients count individually, so the
     /// total equals the per-`advance` step count of the
     /// one-event-per-message reference ([`DeliveryMode::Unbatched`]).
@@ -471,7 +437,8 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         // without touching the batch buffer. Unicast-heavy workloads (ring
         // topologies, search traffic) take this branch almost always, and
         // it is exactly the per-event reference path plus one O(1) slot
-        // peek.
+        // peek. It pays on `serve_lamport`, not on the rings (DESIGN.md
+        // §7a).
         if !self.queue.next_same_tick_matches(|e| {
             matches!(e, Ev::FixedDeliver { to, .. } if *to == at)
                 || matches!(e, Ev::UpDeliver { mss, .. } if *mss == at)

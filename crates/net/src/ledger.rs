@@ -167,55 +167,6 @@ impl CostLedger {
         self.custom.get(name).copied().unwrap_or(0)
     }
 
-    /// Zeroes every counter for a population of `num_mh` hosts, retaining
-    /// the per-MH vector and custom-map allocations for reuse.
-    ///
-    /// Destructures `self` so adding a ledger field without updating this
-    /// reset is a compile error.
-    pub fn reset(&mut self, num_mh: usize) {
-        let CostLedger {
-            fixed_msgs,
-            wireless_msgs,
-            searches,
-            re_searches,
-            search_failures,
-            fixed_cost,
-            wireless_cost,
-            search_cost,
-            mh_tx,
-            mh_rx,
-            mh_energy,
-            doze_interruptions,
-            moves,
-            handoffs,
-            disconnects,
-            reconnects,
-            wireless_losses,
-            custom,
-        } = self;
-        *fixed_msgs = 0;
-        *wireless_msgs = 0;
-        *searches = 0;
-        *re_searches = 0;
-        *search_failures = 0;
-        *fixed_cost = 0;
-        *wireless_cost = 0;
-        *search_cost = 0;
-        mh_tx.clear();
-        mh_tx.resize(num_mh, 0);
-        mh_rx.clear();
-        mh_rx.resize(num_mh, 0);
-        mh_energy.clear();
-        mh_energy.resize(num_mh, 0);
-        *doze_interruptions = 0;
-        *moves = 0;
-        *handoffs = 0;
-        *disconnects = 0;
-        *reconnects = 0;
-        *wireless_losses = 0;
-        custom.clear();
-    }
-
     /// Adds every counter of `other` into `self` (per-shard ledgers of a
     /// space-sharded run merge into the global ledger this way; all counters
     /// are commutative sums, so the merge order never matters).
@@ -422,19 +373,6 @@ mod tests {
         l.bump_by("x", 4);
         assert_eq!(l.custom("x"), 5);
         assert_eq!(l.custom("y"), 0);
-    }
-
-    #[test]
-    fn reset_matches_new() {
-        let c = model();
-        let mut l = CostLedger::new(2);
-        l.charge_fixed(&c);
-        l.charge_wireless_tx(&c, MhId(1), 7);
-        l.bump("updates");
-        l.reset(3);
-        assert_eq!(l, CostLedger::new(3));
-        l.reset(1);
-        assert_eq!(l, CostLedger::new(1));
     }
 
     #[test]

@@ -188,11 +188,6 @@ impl SpanTracker {
     pub fn end(&mut self, key: u32, at: SimTime) -> Option<u64> {
         self.open.remove(&key).map(|b| at.saturating_since(b))
     }
-
-    /// Drops all open spans.
-    pub fn clear(&mut self) {
-        self.open.clear();
-    }
 }
 
 /// Aggregated metrics over a stream of [`TraceEvent`]s.
@@ -286,11 +281,6 @@ impl Metrics {
             _ => {}
         }
     }
-
-    /// Forgets everything, including open spans.
-    pub fn clear(&mut self) {
-        *self = Metrics::default();
-    }
 }
 
 /// A [`TraceSink`] that aggregates [`Metrics`] live, for in-process
@@ -319,10 +309,6 @@ impl MetricsSink {
 impl TraceSink for MetricsSink {
     fn record(&mut self, at: SimTime, _seq: u64, ev: &TraceEvent) {
         self.metrics.observe(at, ev);
-    }
-
-    fn rewind(&mut self) {
-        self.metrics.clear();
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -457,12 +443,9 @@ mod tests {
     }
 
     #[test]
-    fn metrics_sink_rewinds_clean() {
+    fn metrics_sink_aggregates_live() {
         let mut s = MetricsSink::default();
         s.record(SimTime::ZERO, 0, &TraceEvent::CsRequest { mh: MhId(0) });
         assert_eq!(s.metrics().events, 1);
-        s.rewind();
-        assert_eq!(s.metrics().events, 0);
-        assert_eq!(s.metrics().cs_queue_depth.count(), 0);
     }
 }

@@ -576,10 +576,9 @@ pub trait TraceSink: Send + std::fmt::Debug {
     /// seq)` is strictly increasing lexicographically within a run.
     fn record(&mut self, at: SimTime, seq: u64, ev: &TraceEvent);
 
-    /// Called when the owning kernel is rewound
-    /// ([`Simulation::reset`](crate::sim::Simulation::reset) / pool reuse):
-    /// drop any per-run state so the previous run cannot leak into the next.
-    /// Append-only sinks should flush instead.
+    /// Never called: kernels are built fresh for every run and are not
+    /// rewound. Kept as a no-op only because the benchmark package's
+    /// `TimedSink` implements it.
     fn rewind(&mut self) {}
 
     /// Called at the end of a measured run with the final ledger, before
@@ -619,14 +618,6 @@ impl Tracer {
         if let Some(s) = self.sink.as_deref_mut() {
             s.record(at, self.seq, &f());
             self.seq += 1;
-        }
-    }
-
-    /// Restarts the counter and rewinds the sink for the owner's next run.
-    pub(crate) fn rewind(&mut self) {
-        self.seq = 0;
-        if let Some(s) = self.sink.as_deref_mut() {
-            s.rewind();
         }
     }
 
@@ -706,10 +697,6 @@ impl TraceSink for RingSink {
             self.entries.pop_front();
         }
         self.entries.push_back((at, seq, *ev));
-    }
-
-    fn rewind(&mut self) {
-        self.entries.clear();
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -930,7 +917,7 @@ impl RunSummary {
 ///
 /// Writes one `run_begin` line at construction, one line per observed
 /// event, and one `run_end` ledger summary from [`TraceSink::finish`]. The
-/// writer is flushed on `finish`, `rewind` and drop, so a sink that is
+/// writer is flushed on `finish` and on drop, so a sink that is
 /// simply dropped still leaves a complete file.
 ///
 /// Each line is one `write_all` into the supplied writer (wrap files in a
@@ -1063,12 +1050,6 @@ impl<W: Write + Send + std::fmt::Debug + 'static> TraceSink for JsonlSink<W> {
             let _ = out.write_all(buf);
         }
         self.events += 1;
-    }
-
-    fn rewind(&mut self) {
-        if let Some(out) = self.out.as_mut() {
-            let _ = out.flush();
-        }
     }
 
     fn finish(&mut self, ledger: &CostLedger) {
@@ -1307,7 +1288,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_sink_bounds_and_rewinds() {
+    fn ring_sink_is_bounded() {
         let mut r = RingSink::new(3);
         for i in 0..5u64 {
             r.record(
@@ -1319,8 +1300,6 @@ mod tests {
         assert_eq!(r.len(), 3);
         assert_eq!(r.iter().next().unwrap().1, 2);
         assert_eq!(r.count_kind("cs_exit"), 3);
-        r.rewind();
-        assert!(r.is_empty());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::kernel::Kernel;
 use crate::ledger::CostLedger;
 use crate::proto::{Ctx, ProtoEvent, Protocol};
 use crate::time::SimTime;
+use std::marker::PhantomData;
 
 /// A running simulation: the two-tier network plus one protocol instance.
 ///
@@ -55,20 +56,6 @@ impl<P: Protocol> Simulation<P> {
             proto,
             started: false,
         }
-    }
-
-    /// Rewinds this simulation to the state `Simulation::new(cfg, proto)`
-    /// would produce, recycling the kernel's allocations (event-wheel slots,
-    /// FIFO chains, reorder buffers, the per-MH table, ledger vectors) instead of
-    /// rebuilding them.
-    ///
-    /// A reset simulation replays byte-identical traces and cost tables for
-    /// the same `(cfg, proto)` — sweeps reuse simulations through
-    /// [`SimPool`] on the strength of this.
-    pub fn reset(&mut self, cfg: NetworkConfig, proto: P) {
-        self.kernel.reset(cfg);
-        self.proto = proto;
-        self.started = false;
     }
 
     /// Current simulated time.
@@ -211,17 +198,12 @@ impl<P: Protocol> Simulation<P> {
     }
 }
 
-/// A recycling pool of [`Simulation`]s for one protocol type.
+/// Runs each point of a sweep on a freshly built [`Simulation`].
 ///
-/// Sweeps run thousands of short `(config, seed)` points; building each
-/// `Simulation` from scratch spends more time allocating (wheel slots, chain
-/// arrays, ledger vectors, reorder maps) than simulating. A pool hands each
-/// point a recycled simulation via [`Simulation::reset`], which clears state
-/// but keeps every allocation warm. Determinism is unaffected: a reset
-/// simulation replays byte-identical results (see `Simulation::reset`).
-///
-/// Pools are per-worker state — each sweep worker owns its own (see
-/// `map_indexed_with` in the bench crate), so no synchronisation is needed.
+/// Holds no state: [`run`](Self::run) builds `Simulation::new(cfg, proto)`
+/// and hands it to the closure. Kept only because the benchmark package
+/// compiles against it (its `net.sim.reset_us` row times `run`); the sweeps
+/// themselves call `Simulation::new` directly.
 ///
 /// # Examples
 ///
@@ -243,42 +225,27 @@ impl<P: Protocol> Simulation<P> {
 ///     let quiesced = pool.run(cfg, Nop, |sim| sim.run_to_quiescence(10_000));
 ///     assert!(quiesced);
 /// }
-/// assert_eq!(pool.idle(), 1); // one simulation served all three points
 /// ```
 pub struct SimPool<P: Protocol> {
-    free: Vec<Simulation<P>>,
+    _proto: PhantomData<fn() -> P>,
 }
 
 impl<P: Protocol> SimPool<P> {
-    /// Creates an empty pool.
+    /// Creates a pool.
     pub fn new() -> Self {
-        SimPool { free: Vec::new() }
+        SimPool {
+            _proto: PhantomData,
+        }
     }
 
-    /// Number of idle simulations held for reuse.
-    pub fn idle(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Runs `f` on a simulation initialised to `(cfg, proto)` — recycled
-    /// when one is idle, freshly built otherwise — and returns the
-    /// simulation to the pool afterwards.
+    /// Runs `f` on a simulation freshly built from `(cfg, proto)`.
     pub fn run<R>(
         &mut self,
         cfg: NetworkConfig,
         proto: P,
         f: impl FnOnce(&mut Simulation<P>) -> R,
     ) -> R {
-        let mut sim = match self.free.pop() {
-            Some(mut sim) => {
-                sim.reset(cfg, proto);
-                sim
-            }
-            None => Simulation::new(cfg, proto),
-        };
-        let out = f(&mut sim);
-        self.free.push(sim);
-        out
+        f(&mut Simulation::new(cfg, proto))
     }
 }
 
@@ -290,8 +257,6 @@ impl<P: Protocol> Default for SimPool<P> {
 
 impl<P: Protocol> std::fmt::Debug for SimPool<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimPool")
-            .field("idle", &self.free.len())
-            .finish()
+        f.debug_struct("SimPool").finish()
     }
 }

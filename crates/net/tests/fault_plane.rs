@@ -188,25 +188,6 @@ fn fault_free_configs_are_unchanged_by_the_fault_plane() {
 }
 
 #[test]
-fn reset_clears_fault_state() {
-    // A pooled simulation recycled from a faulty run must replay a
-    // fault-free config byte-for-byte like a fresh simulation.
-    let faulty = crash_cfg(4, 8, 1, 10, 1_000_000);
-    let clean = NetworkConfig::new(4, 8)
-        .with_seed(21)
-        .with_mobility(MobilityConfig::moving(150));
-    let mut recycled = Simulation::new(faulty, Recorder::default());
-    recycled.run_until(SimTime::from_ticks(2_000));
-    assert!(recycled.kernel().mss_down(MssId(1)));
-    recycled.reset(clean.clone(), Recorder::default());
-    let mut fresh = Simulation::new(clean, Recorder::default());
-    recycled.run_until(SimTime::from_ticks(5_000));
-    fresh.run_until(SimTime::from_ticks(5_000));
-    assert!(!recycled.kernel().mss_down(MssId(1)));
-    assert_eq!(recycled.ledger(), fresh.ledger());
-}
-
-#[test]
 fn zoo_patterns_drive_the_kernel_deterministically() {
     // Each zoo pattern runs the full kernel loop and replays identically;
     // patterns produce different trajectories from the same seed.

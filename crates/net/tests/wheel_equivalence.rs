@@ -167,7 +167,7 @@ fn bimodal_near_far_mixture() {
 // A wheel slot is a chain of fixed-size chunks. The chunk capacity is private
 // and derived from the item size, but it never exceeds 256 items, so `MANY`
 // entries in one slot always span at least four chunks — every case below
-// crosses chunk boundaries on push, pop, cascade and clear.
+// crosses chunk boundaries on push, pop and cascade.
 
 const MANY: u64 = 3 * 256 + 17;
 
@@ -281,35 +281,4 @@ fn overflow_drains_more_than_a_chunk() {
     }
     q.push(2);
     q.drain();
-}
-
-#[test]
-fn clear_after_a_multi_chunk_state_replays_like_fresh() {
-    let script = |q: &mut Both| {
-        for i in 0..MANY {
-            q.push(9);
-            q.push(400 + i % 64);
-            q.push(80_000 + i);
-            q.push((1 << 28) + i % 3);
-        }
-        for _ in 0..MANY {
-            q.pop().unwrap();
-        }
-    };
-    // Leave every level and the overflow populated, mid-consumption.
-    let mut reused = Both::default();
-    script(&mut reused);
-    reused.wheel.clear();
-    reused.heap.clear();
-    (reused.pushed, reused.popped) = (0, 0);
-    let mut fresh = Both::default();
-    script(&mut reused);
-    script(&mut fresh);
-    loop {
-        let (a, b) = (reused.pop(), fresh.pop());
-        assert_eq!(a, b);
-        if a.is_none() {
-            break;
-        }
-    }
 }

@@ -111,6 +111,24 @@ fn fanned_out_tables_do_not_depend_on_the_worker_count() {
 }
 
 #[test]
+fn pooled_tables_print_the_recorded_bytes() {
+    // The tables whose sweeps once recycled simulations through per-worker
+    // pools, against the FNV-1a hash of their stdout recorded while they
+    // still did: building every point fresh must not move a byte.
+    let out = experiments(
+        &[
+            "e1", "e2", "e5", "e10", "e11", "e13", "e14", "--quick", "--jobs", "2",
+        ],
+        &[],
+    );
+    assert!(out.status.success(), "stderr: {:?}", out.stderr);
+    let hash = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(hash, 0x8030_6b7c_ec42_6ffd, "tables moved: {hash:#018x}");
+}
+
+#[test]
 fn closed_stdout_ends_the_run_quietly() {
     // `experiments all | head`: the reader goes away mid-run. That used to
     // be a panic with a backtrace.
