@@ -31,10 +31,11 @@ quick:
 # cells; E12 and E14 every line kind the JSONL encoder writes — sharded part
 # files, shard_sync/shard_recv, fault events, run_end fault counters; E1 and
 # E7 every algorithm that keeps Lamport's request queue (L1 included, and L2
-# under disconnection).
+# under disconnection); E5 the group strategies (location-view updates), E11
+# exactly-once group delivery, E10 the proxy runtime (proxy forwards).
 tracecheck:
 	cargo build --release --bin experiments --bin tracereport
-	./target/release/experiments e1 e2 e7 e12 e13 e14 --quick --trace target/tracecheck.jsonl > /dev/null
+	./target/release/experiments e1 e2 e7 e12 e13 e14 e5 e10 e11 --quick --trace target/tracecheck.jsonl > /dev/null
 	./target/release/tracereport --check target/tracecheck.jsonl
 
 # Run the full sweep set twice against one cache directory and diff the

@@ -307,7 +307,7 @@ fn trace_steps(_step: &str, trace: &Path, render: &mut dyn FnMut()) {
                 assert_eq!(derived, ledger, "{at}: trace-derived counters != ledger");
                 // Combining identity (E13's L2C cells): every grant is
                 // announced in exactly one batch.
-                if kind("combine_batch") > 0 && kind("cs_enter") > 0 {
+                if kind("combine_batch") > 0 {
                     assert_eq!(d.combined, kind("cs_enter"), "{at}: batch sizes != entries");
                     combining = true;
                 }

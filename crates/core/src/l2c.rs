@@ -118,9 +118,6 @@ pub struct L2c {
     stations: IdMap<MssId, Station>,
     /// MH currently inside the critical section → its combiner.
     server_of: IdMap<MhId, MssId>,
-    /// Largest batch one grant may serve (`None` = unbounded). See
-    /// [`Self::with_batch_cap`].
-    batch_cap: Option<u32>,
 }
 
 /// Grant-order key: the batch's Lamport pair in the high bits, the serve
@@ -158,23 +155,7 @@ impl L2c {
         L2c {
             stations,
             server_of: IdMap::new(),
-            batch_cap: None,
         }
-    }
-
-    /// Caps how many collected operations one grant may serve (clamped to
-    /// at least 1). An uncapped combiner maximises amortisation but lets a
-    /// saturated cell monopolise the lock for its whole backlog, starving
-    /// remote requesters; with a cap the leftover operations reopen a fresh
-    /// combined request that requeues behind other proxies' entries in
-    /// Lamport order. The trade is per-execution message cost (amortisation
-    /// shrinks) against a bound on per-grant lock-holding time —
-    /// EXPERIMENTS.md records the measured Jain-index change at N=64
-    /// (slightly *negative*: split-off leftovers wait out an extra token
-    /// rotation, so the cap buys bounded batches, not a better index).
-    pub fn with_batch_cap(mut self, cap: u32) -> Self {
-        self.batch_cap = Some(cap.max(1));
-        self
     }
 
     /// Number of combined entries currently queued at `mss` (for tests).
@@ -206,7 +187,6 @@ impl L2c {
     /// the collected operations become the batch and service starts.
     fn try_grant(&mut self, ctx: &mut AlgoCtx<'_, '_, L2cMsg, ()>, me: MssId) {
         let m = ctx.num_mss();
-        let cap = self.batch_cap;
         {
             let s = self.station(me);
             if s.batch.is_some() {
@@ -226,12 +206,9 @@ impl L2c {
                 return;
             }
             // The combining window closes here: everything collected while
-            // the entry queued — up to the batch cap — is served under this
-            // one acquisition. Capped leftovers stay pending and reopen a
-            // fresh request when the batch finishes.
+            // the entry queued is served under this one acquisition.
             let (mut members, done) = std::mem::take(&mut s.spare);
-            let take = cap.map_or(s.pending.len(), |cap| s.pending.len().min(cap as usize));
-            members.extend(s.pending.drain(..take));
+            members.extend(s.pending.drain(..));
             debug_assert!(!members.is_empty(), "a combined request covers >= 1 op");
             s.mine = None;
             s.batch = Some(Batch {

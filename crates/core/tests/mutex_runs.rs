@@ -348,35 +348,6 @@ fn l2c_serves_members_that_disconnect_while_waiting() {
 }
 
 #[test]
-fn l2c_batch_cap_bounds_batches_and_stays_live() {
-    // Same saturated workload as the uncapped contention test: every batch
-    // must respect the cap, every operation must still be served, and the
-    // capped run must close more (smaller) batches than the uncapped one.
-    let n = 24;
-    let wl = WorkloadConfig::all_mhs(n, 4).with_think(5).with_hold(8);
-    let (rc, simc) = run(
-        net(4, n, 17),
-        L2c::new(4).with_batch_cap(3),
-        wl.clone(),
-        10_000_000,
-    );
-    assert!(rc.is_clean_and_live(), "{rc:?}");
-    assert_eq!(rc.completed, 96);
-    let capped_batches = simc.ledger().custom("combine_batches");
-    assert!(
-        capped_batches * 3 >= rc.completed,
-        "no batch may exceed the cap of 3: {capped_batches} batches for {} ops",
-        rc.completed
-    );
-    let (ru, simu) = run(net(4, n, 17), L2c::new(4), wl, 10_000_000);
-    assert_eq!(ru.completed, 96);
-    assert!(
-        capped_batches > simu.ledger().custom("combine_batches"),
-        "capping splits the backlog into more acquisitions"
-    );
-}
-
-#[test]
 fn l2c_mixed_hold_profile_is_safe_and_live() {
     // The fairness workload: alternating short/long critical sections.
     let n = 8;

@@ -107,12 +107,6 @@ pub struct LocationView {
     significant: u64,
     /// All member moves seen.
     moves: u64,
-    /// Deliver with one cell-wide broadcast per view cell instead of one
-    /// downlink per member (ablation; non-members overhear and discard).
-    cell_broadcast: bool,
-    /// Sender of each group message (so broadcast receivers can discard
-    /// their own copies and bystanders theirs).
-    sender_of: BTreeMap<u64, MhId>,
 }
 
 impl LocationView {
@@ -132,17 +126,7 @@ impl LocationView {
             max_view: 0,
             significant: 0,
             moves: 0,
-            cell_broadcast: false,
-            sender_of: BTreeMap::new(),
         }
-    }
-
-    /// Delivers with one cell-wide wireless broadcast per view cell instead
-    /// of per-member downlinks: the wireless cost per group message drops
-    /// from `|G|·C_wireless` to `(|LV|+1)·C_wireless`.
-    pub fn with_cell_broadcast(mut self) -> Self {
-        self.cell_broadcast = true;
-        self
     }
 
     /// Current master view (coordinator's copy).
@@ -197,12 +181,6 @@ impl LocationView {
         msg_id: u64,
         sender: MhId,
     ) {
-        if self.cell_broadcast {
-            // One transmission for the whole cell; the sender and any
-            // non-member bystanders simply discard it on reception.
-            ctx.broadcast_cell(at, LvMsg::GroupDeliver { msg_id });
-            return;
-        }
         for mh in self.local_members.get(&at).into_iter().flatten() {
             if mh != sender {
                 let _ = ctx.send_wireless_down(at, mh, LvMsg::GroupDeliver { msg_id });
@@ -353,7 +331,6 @@ impl LocationStrategy for LocationView {
         from: MhId,
         msg_id: u64,
     ) {
-        self.sender_of.insert(msg_id, from);
         let _ = ctx.send_wireless_up(from, LvMsg::GroupSend { msg_id });
     }
 
@@ -447,11 +424,8 @@ impl LocationStrategy for LocationView {
         let LvMsg::GroupDeliver { msg_id } = msg else {
             unreachable!("MHs only receive deliveries");
         };
-        // Under cell broadcast, bystanders and the sender itself overhear
-        // the transmission and discard it.
-        if !self.members.contains(&at) || self.sender_of.get(&msg_id) == Some(&at) {
-            return;
-        }
+        // Downlinks go to local members other than the sender only.
+        debug_assert!(self.members.contains(&at), "{at:?} is not a member");
         ctx.deliver(at, msg_id);
     }
 

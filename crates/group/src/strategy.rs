@@ -99,12 +99,6 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> GroupCtx<'a, 'k, M,
         self.net.send_wireless_up(mh, msg)
     }
 
-    /// Cell-wide wireless broadcast (one `C_wireless` charge for all local
-    /// MHs). Returns the recipient count.
-    pub fn broadcast_cell(&mut self, mss: MssId, msg: M) -> usize {
-        self.net.broadcast_cell(mss, msg)
-    }
-
     /// Locate-and-forward (`C_search + C_wireless`).
     pub fn search_send(&mut self, origin: MssId, mh: MhId, msg: M) {
         self.net.search_send(origin, mh, msg);

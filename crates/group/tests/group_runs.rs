@@ -409,40 +409,23 @@ fn deterministic_replay_group_runs() {
 }
 
 #[test]
-fn cell_broadcast_cuts_wireless_cost_without_losing_messages() {
-    // Members packed into 2 cells: per-member downlinks cost |G|−1 wireless
-    // sends per message; a cell broadcast costs |LV| (plus the uplink).
-    let g = members(8);
-    let cfg = || {
-        NetworkConfig::new(4, 8)
-            .with_seed(21)
-            .with_placement(Placement::Clustered { cells: 2 })
-    };
-    let wl = GroupWorkload::new(g.clone(), 10, 50);
-
-    let (r_uni, sim_uni) = run(
-        cfg(),
-        LocationView::new(g.clone(), MssId(0)),
-        wl.clone(),
-        1_000_000,
-    );
-    let (r_bc, sim_bc) = run(
-        cfg(),
-        LocationView::new(g, MssId(0)).with_cell_broadcast(),
-        wl,
-        1_000_000,
-    );
-
-    assert_eq!(r_uni.missed, 0);
-    assert_eq!(r_bc.missed, 0, "{r_bc:?}");
-    assert_eq!(r_bc.duplicates, 0, "{r_bc:?}");
-    assert_eq!(r_bc.delivered, r_uni.delivered);
-    // 10 msgs × (1 uplink + 2 cells) = 30 transmissions vs 10 × (1 + 7) = 80.
-    assert_eq!(sim_bc.ledger().wireless_msgs, 30);
-    assert_eq!(sim_uni.ledger().wireless_msgs, 80);
-    // Receivers still pay reception energy either way.
-    assert_eq!(
-        sim_bc.ledger().total_energy(),
-        sim_uni.ledger().total_energy() + 10, // + sender overhears its own bcast
-    );
+fn location_view_delivers_to_members_only() {
+    // Members 0..6 and bystanders 6..12 start packed into the same two
+    // cells, and everyone keeps moving. Downlinks go only to local members
+    // other than the sender: a bystander never receives a wireless message,
+    // and nobody gets a copy it was not owed — the sender's own included,
+    // since the sender is never an expected recipient.
+    let g = members(6);
+    let cfg = NetworkConfig::new(4, 12)
+        .with_seed(1)
+        .with_placement(Placement::Clustered { cells: 2 })
+        .with_mobility(MobilityConfig::moving(600));
+    let wl = GroupWorkload::new(g.clone(), 12, 150);
+    let (r, sim) = run(cfg, LocationView::new(g, MssId(0)), wl, 20_000);
+    assert!(r.member_moves > 0, "{r:?}");
+    assert_eq!(r.sent, 12);
+    assert_eq!((r.missed, r.duplicates, r.unexpected), (0, 0, 0), "{r:?}");
+    for mh in 6..12 {
+        assert_eq!(sim.ledger().mh_rx[mh], 0, "bystander mh{mh} received");
+    }
 }

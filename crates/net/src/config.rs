@@ -122,9 +122,6 @@ pub struct NetworkConfig {
     /// Delivery dispatch strategy. Always [`DeliveryMode::Batched`] outside
     /// the equivalence tests that diff it against the per-event reference.
     pub delivery: DeliveryMode,
-    /// Whether a `join()` carries the id of the previous MSS (required by the
-    /// location-view protocol of Section 4; part of the handoff).
-    pub supply_prev_on_join: bool,
     /// Root seed; fully determines the run.
     pub seed: u64,
 }
@@ -150,7 +147,6 @@ impl NetworkConfig {
             fault: FaultConfig::default(),
             placement: Placement::default(),
             delivery: DeliveryMode::Batched,
-            supply_prev_on_join: true,
             seed: 0,
         }
     }
@@ -224,7 +220,6 @@ mod tests {
         assert_eq!(cfg.seed, 9);
         assert_eq!(cfg.search, SearchPolicy::Flood);
         assert_eq!(cfg.placement, Placement::Clustered { cells: 2 });
-        assert!(cfg.supply_prev_on_join);
     }
 
     #[test]

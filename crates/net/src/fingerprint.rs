@@ -457,7 +457,6 @@ impl CanonHash for NetworkConfig {
             fault,
             placement,
             delivery,
-            supply_prev_on_join,
             seed,
         } = self;
         h.write_u64(*num_mss as u64);
@@ -471,7 +470,6 @@ impl CanonHash for NetworkConfig {
         fault.canon_hash(h);
         placement.canon_hash(h);
         delivery.canon_hash(h);
-        supply_prev_on_join.canon_hash(h);
         h.write_u64(*seed);
     }
 }

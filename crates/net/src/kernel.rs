@@ -1318,27 +1318,14 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             self.ledger.bump("ha_registrations");
             self.ledger.bump("control_fixed");
         }
-        let supplied = if self.cfg.supply_prev_on_join {
-            prev
-        } else {
-            None
-        };
-        if let Some(p) = supplied {
+        if let Some(p) = prev {
             if p != mss {
                 self.ledger.handoffs += 1;
                 self.ledger.bump("control_fixed"); // handoff state request
             }
         }
-        self.emit(|| TraceEvent::HandoffEnd {
-            mh,
-            to: mss,
-            prev: supplied,
-        });
-        self.pending.push_back(ProtoEvent::Joined {
-            mh,
-            mss,
-            prev: supplied,
-        });
+        self.emit(|| TraceEvent::HandoffEnd { mh, to: mss, prev });
+        self.pending.push_back(ProtoEvent::Joined { mh, mss, prev });
         self.flush_outbox(mh, mss);
         if self.cfg.mobility.enabled {
             let d = self.rng.exp_delay(self.cfg.mobility.mean_dwell);

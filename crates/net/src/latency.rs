@@ -47,16 +47,6 @@ impl LatencyModel {
         }
     }
 
-    /// A deterministic upper bound where one exists (used by flood-search
-    /// timeout reasoning).
-    pub fn upper_bound(&self) -> Option<u64> {
-        match *self {
-            LatencyModel::Fixed(v) => Some(v.max(1)),
-            LatencyModel::Uniform { hi, .. } => Some(hi.max(1)),
-            LatencyModel::Exp { .. } => None,
-        }
-    }
-
     /// The smallest latency [`sample`](Self::sample) can ever return — the
     /// conservative lookahead of the channel class. Every model delivers in
     /// at least one tick, so this is always ≥ 1; a sharded simulation may
@@ -107,16 +97,6 @@ mod tests {
         for _ in 0..100 {
             assert!(m.sample(&mut rng) >= 1);
         }
-    }
-
-    #[test]
-    fn upper_bounds() {
-        assert_eq!(LatencyModel::Fixed(5).upper_bound(), Some(5));
-        assert_eq!(
-            LatencyModel::Uniform { lo: 1, hi: 8 }.upper_bound(),
-            Some(8)
-        );
-        assert_eq!(LatencyModel::Exp { mean: 5 }.upper_bound(), None);
     }
 
     #[test]

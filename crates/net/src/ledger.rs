@@ -94,11 +94,6 @@ impl CostLedger {
         self.mh_energy.iter().sum()
     }
 
-    /// Total wireless operations (tx + rx) at a given MH.
-    pub fn mh_wireless_ops(&self, mh: MhId) -> u64 {
-        self.mh_tx[mh.index()] + self.mh_rx[mh.index()]
-    }
-
     /// Charges one fixed-network message.
     pub fn charge_fixed(&mut self, cost: &CostModel) {
         self.fixed_msgs += 1;
@@ -337,7 +332,6 @@ mod tests {
         assert_eq!(l.mh_rx[1], 1);
         assert_eq!(l.mh_energy, vec![2, 3]);
         assert_eq!(l.total_energy(), 5);
-        assert_eq!(l.mh_wireless_ops(MhId(0)), 1);
     }
 
     #[test]

@@ -137,11 +137,6 @@ impl Histogram {
                 (lo, hi, c)
             })
     }
-
-    /// Forgets every sample.
-    pub fn clear(&mut self) {
-        *self = Histogram::default();
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -354,9 +349,7 @@ mod tests {
         assert_eq!(h.iter_buckets().map(|(_, _, c)| c).sum::<u64>(), 100);
         let rendered = h.to_string();
         assert!(rendered.contains('#'));
-        h.clear();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), 0);
+        assert_eq!(Histogram::default().quantile(0.5), 0);
     }
 
     #[test]

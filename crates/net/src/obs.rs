@@ -381,9 +381,8 @@ trace_schema! {
         mh: MhId,
         /// The new cell.
         to: MssId,
-        /// The previous MSS, when the configuration supplies it with the
-        /// join. A ledger `handoff` is counted iff `prev` is present and
-        /// differs from `to`.
+        /// The previous MSS, which every join names. A ledger `handoff` is
+        /// counted iff `prev` is present and differs from `to`.
         prev: Option<MssId>,
     }
     /// An MH voluntarily disconnected.
@@ -479,13 +478,12 @@ trace_schema! {
     }
     /// A combining proxy served `size` client operations in one batch.
     ///
-    /// The proxy is the L2C mutex variant or a combining `ProxyRuntime`
-    /// delivery; the batch went out under a single logical-clock exchange /
-    /// cell broadcast. Emitted by the algorithm layer, not the kernel, so it
-    /// carries no message charge of its own — the charged operations it
-    /// amortizes appear as their own events. For L2C runs the sum of `size`
-    /// over all `combine_batch` events equals the run's `cs_enter` count
-    /// (`tracereport --check` validates that identity).
+    /// The proxy is the L2C mutex variant; the batch went out under a single
+    /// logical-clock exchange / cell broadcast. Emitted by the algorithm
+    /// layer, not the kernel, so it carries no message charge of its own —
+    /// the charged operations it amortizes appear as their own events. The
+    /// sum of `size` over all `combine_batch` events equals the run's
+    /// `cs_enter` count (`tracereport --check` validates that identity).
     CombineBatch = "combine_batch" {
         /// The combining MSS.
         mss: MssId,

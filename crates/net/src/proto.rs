@@ -82,14 +82,15 @@ pub enum ProtoEvent<M, T> {
     },
     /// A protocol timer fired.
     Timer(T),
-    /// An MH joined a cell (`join()`); `prev` carries the previous MSS id
-    /// when the configuration supplies it (handoff support).
+    /// An MH joined a cell (`join(mh, prev)`); `prev` names the MSS it left,
+    /// which the new MSS contacts for the handoff.
     Joined {
         /// The joining MH.
         mh: MhId,
         /// The new local MSS.
         mss: MssId,
-        /// The previous cell, if supplied with the join.
+        /// The previous cell. Every join follows a `leave()`, so the kernel
+        /// always supplies it.
         prev: Option<MssId>,
     },
     /// An MH left its cell (`leave(r)`).
@@ -212,7 +213,8 @@ pub trait Protocol: Sized + 'static {
         let _ = (ctx, timer);
     }
 
-    /// An MH completed a `join()` into a new cell.
+    /// An MH completed a `join()` into a new cell. `prev` is the cell it
+    /// left; the kernel always supplies it (§2's handoff).
     fn on_mh_joined(
         &mut self,
         ctx: &mut Ctx<'_, Self::Msg, Self::Timer>,

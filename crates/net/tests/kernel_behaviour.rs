@@ -285,16 +285,6 @@ fn join_supplies_previous_mss() {
 }
 
 #[test]
-fn join_without_prev_supply_when_disabled() {
-    let mut cfg = NetworkConfig::new(4, 4).with_seed(9);
-    cfg.supply_prev_on_join = false;
-    let mut s = Simulation::new(cfg, Recorder::default());
-    s.with_ctx(|ctx, _| ctx.initiate_move(MhId(0), Some(MssId(1))));
-    s.run_to_quiescence(50_000);
-    assert_eq!(s.protocol().joined, vec![(MhId(0), MssId(1), None)]);
-}
-
-#[test]
 fn prefix_delivery_drops_in_flight_downlink_on_leave() {
     let mut s = sim(2, 2);
     // Send a local downlink and immediately have the MH leave the cell.

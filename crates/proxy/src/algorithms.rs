@@ -125,46 +125,6 @@ impl StaticAlgorithm for CentralCounter {
     }
 }
 
-/// Publish–subscribe fan-out: every input is published to *every* client in
-/// one step. No inter-process traffic — all n outputs of a publication are
-/// emitted together, which is the ideal case for the runtime's combining
-/// delivery (one cell broadcast covers every subscriber in a cell).
-#[derive(Debug, Default)]
-pub struct Fanout {
-    published: u64,
-}
-
-impl Fanout {
-    /// Creates the service.
-    pub fn new() -> Self {
-        Fanout::default()
-    }
-
-    /// Publications handled so far.
-    pub fn published(&self) -> u64 {
-        self.published
-    }
-}
-
-impl StaticAlgorithm for Fanout {
-    type Msg = ();
-
-    fn name(&self) -> &'static str {
-        "fanout"
-    }
-
-    fn on_input(&mut self, ctx: &mut StaticCtx<()>, _proc: ProcId, input: u64) {
-        self.published += 1;
-        for p in 0..ctx.num_procs() as u32 {
-            ctx.output(ProcId(p), input);
-        }
-    }
-
-    fn on_msg(&mut self, _: &mut StaticCtx<()>, _: ProcId, _: ProcId, _msg: ()) {
-        unreachable!("the fan-out service sends no inter-process messages");
-    }
-}
-
 /// Messages of the [`Barrier`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BarrierMsg {

@@ -21,7 +21,7 @@
 //! from the algorithm, at a measurable price the experiments quantify.
 
 use mobidist_net::host::MhStatus;
-use mobidist_net::ids::{IdMap, MhId, MssId};
+use mobidist_net::ids::{MhId, MssId};
 use mobidist_net::proto::{Ctx, Protocol, Src};
 use std::fmt::Debug;
 
@@ -152,13 +152,6 @@ pub enum PrxMsg<AM> {
         /// The output value.
         value: u64,
     },
-    /// One cell broadcast carrying every output headed to local clients of
-    /// the cell — a single `C_wireless` charge regardless of batch size.
-    /// Clients pick out their own items; other listeners ignore it.
-    OutputBatch {
-        /// `(process, value)` per combined output.
-        items: Vec<(ProcId, u64)>,
-    },
     /// Uplink + fixed: the client tells its fixed proxy where it now is.
     LocUpdate {
         /// The moving process.
@@ -225,9 +218,6 @@ pub struct ProxyRuntime<A: StaticAlgorithm> {
     last_known: Vec<MssId>,
     wl: ProxyWorkload,
     remaining: Vec<usize>,
-    /// When set, outputs produced by one algorithm step are combined per
-    /// destination cell into a single broadcast (see [`Self::with_combining`]).
-    combine: bool,
     report: ProxyReport,
 }
 
@@ -255,7 +245,6 @@ impl<A: StaticAlgorithm> ProxyRuntime<A> {
             last_known: vec![MssId(0); n],
             wl,
             remaining: vec![0; n],
-            combine: false,
             report: ProxyReport {
                 inputs_sent: 0,
                 outputs_delivered: 0,
@@ -266,20 +255,6 @@ impl<A: StaticAlgorithm> ProxyRuntime<A> {
                 proxy_recoveries: 0,
             },
         }
-    }
-
-    /// Enables combining output delivery: outputs produced by one static
-    /// algorithm step and headed to clients that are currently *local* to
-    /// their own proxy's cell are folded, per cell, into one
-    /// [`PrxMsg::OutputBatch`] broadcast — one wireless charge for the whole
-    /// batch, recorded as a `combine_batch` trace event. Outputs that need a
-    /// relay or a search take the ordinary per-output path, and a member
-    /// that leaves the cell while the broadcast is on the air is recovered
-    /// with an individual searched forward, so delivery counts are
-    /// identical to the non-combining runtime.
-    pub fn with_combining(mut self) -> Self {
-        self.combine = true;
-        self
     }
 
     /// The final report.
@@ -315,46 +290,8 @@ impl<A: StaticAlgorithm> ProxyRuntime<A> {
             let dst_mss = self.proxy_of[to.index()];
             ctx.send_fixed(src_mss, dst_mss, PrxMsg::Algo { from, to, msg });
         }
-        if self.combine {
-            self.flush_outputs_combined(ctx, sctx.outputs);
-        } else {
-            for (proc, value) in sctx.outputs {
-                self.route_output(ctx, proc, value);
-            }
-        }
-    }
-
-    /// Combining delivery: one broadcast per destination cell for the
-    /// outputs whose clients are local to their proxy right now; everything
-    /// else falls back to [`Self::route_output`].
-    fn flush_outputs_combined(
-        &mut self,
-        ctx: &mut Ctx<'_, PrxMsg<A::Msg>, PrxTimer>,
-        outputs: Vec<(ProcId, u64)>,
-    ) {
-        let mut cells: IdMap<MssId, Vec<(ProcId, u64)>> = IdMap::new();
-        for (proc, value) in outputs {
-            let proxy = self.proxy_of[proc.index()];
-            let mh = self.clients[proc.index()];
-            let believed = match self.policy {
-                ProxyPolicy::Fixed | ProxyPolicy::Adaptive { .. } => self.last_known[proc.index()],
-                ProxyPolicy::LocalMss => proxy,
-            };
-            if believed == proxy && ctx.is_local(proxy, mh) {
-                cells
-                    .get_or_insert_with(proxy, Vec::new)
-                    .push((proc, value));
-            } else {
-                self.route_output(ctx, proc, value);
-            }
-        }
-        for (mss, items) in cells {
-            ctx.emit(mobidist_net::obs::TraceEvent::CombineBatch {
-                mss,
-                size: items.len() as u32,
-            });
-            ctx.bump("combine_batches");
-            ctx.broadcast_cell(mss, PrxMsg::OutputBatch { items });
+        for (proc, value) in sctx.outputs {
+            self.route_output(ctx, proc, value);
         }
     }
 
@@ -491,9 +428,6 @@ impl<A: StaticAlgorithm> Protocol for ProxyRuntime<A> {
                 let mh = self.clients[proc.index()];
                 self.deliver_output(ctx, at, proc, mh, value);
             }
-            PrxMsg::OutputBatch { .. } => {
-                unreachable!("output batches are broadcast to cells, not relayed");
-            }
             PrxMsg::LocUpdate { proc, now_at } => {
                 debug_assert_ne!(self.policy, ProxyPolicy::LocalMss);
                 let proxy = self.proxy_of[proc.index()];
@@ -516,22 +450,13 @@ impl<A: StaticAlgorithm> Protocol for ProxyRuntime<A> {
     fn on_mh_msg(
         &mut self,
         _ctx: &mut Ctx<'_, Self::Msg, Self::Timer>,
-        at: MhId,
+        _at: MhId,
         _src: Src,
         msg: Self::Msg,
     ) {
         match msg {
             PrxMsg::Output { .. } => {
                 self.report.outputs_delivered += 1;
-            }
-            PrxMsg::OutputBatch { items } => {
-                // The broadcast reaches every MH in the cell; each client
-                // claims only its own items, other listeners find none.
-                let mine = items
-                    .iter()
-                    .filter(|(p, _)| self.clients[p.index()] == at)
-                    .count();
-                self.report.outputs_delivered += mine as u64;
             }
             other => unreachable!("unexpected message at a client: {other:?}"),
         }
@@ -544,27 +469,13 @@ impl<A: StaticAlgorithm> Protocol for ProxyRuntime<A> {
         mh: MhId,
         msg: Self::Msg,
     ) {
-        match msg {
-            PrxMsg::Output { proc, value } => {
-                // The client left the cell while its output was on the air
-                // (prefix-delivery semantics). The serving MSS recovers with
-                // a search — part of the proxy's obligations.
-                self.report.stale_outputs += 1;
-                ctx.emit(mobidist_net::obs::TraceEvent::ProxyForward { mss, mh });
-                ctx.search_send(mss, mh, PrxMsg::Output { proc, value });
-            }
-            PrxMsg::OutputBatch { items } => {
-                // Only this MH missed the broadcast; recover its own items
-                // with individual searched forwards.
-                for (proc, value) in items {
-                    if self.clients[proc.index()] == mh {
-                        self.report.stale_outputs += 1;
-                        ctx.emit(mobidist_net::obs::TraceEvent::ProxyForward { mss, mh });
-                        ctx.search_send(mss, mh, PrxMsg::Output { proc, value });
-                    }
-                }
-            }
-            _ => {}
+        if let PrxMsg::Output { proc, value } = msg {
+            // The client left the cell while its output was on the air
+            // (prefix-delivery semantics). The serving MSS recovers with
+            // a search — part of the proxy's obligations.
+            self.report.stale_outputs += 1;
+            ctx.emit(mobidist_net::obs::TraceEvent::ProxyForward { mss, mh });
+            ctx.search_send(mss, mh, PrxMsg::Output { proc, value });
         }
     }
 

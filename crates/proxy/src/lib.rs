@@ -38,9 +38,7 @@ pub mod framework;
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::algorithms::{
-        Barrier, BarrierMsg, CentralCounter, CounterMsg, EchoService, Fanout,
-    };
+    pub use crate::algorithms::{Barrier, BarrierMsg, CentralCounter, CounterMsg, EchoService};
     pub use crate::framework::{
         ProcId, ProxyPolicy, ProxyReport, ProxyRuntime, ProxyWorkload, PrxMsg, PrxTimer,
         StaticAlgorithm, StaticCtx,

@@ -212,67 +212,6 @@ fn adaptive_radius_controls_the_trade() {
 }
 
 #[test]
-fn combining_delivers_identically_with_fewer_wireless_messages() {
-    // Fan-out publishes to every client in one algorithm step — the ideal
-    // combining case: per publication, one broadcast per occupied cell
-    // instead of one downlink per subscriber.
-    let go = |combine: bool| {
-        let cfg = NetworkConfig::new(4, 8).with_seed(21);
-        let wl = ProxyWorkload {
-            inputs_per_client: 3,
-            mean_interval: 100,
-        };
-        let mut rt = ProxyRuntime::new(Fanout::new(), clients(8), ProxyPolicy::LocalMss, wl);
-        if combine {
-            rt = rt.with_combining();
-        }
-        let mut sim = Simulation::new(cfg, rt);
-        sim.run_until(SimTime::from_ticks(1_000_000));
-        (
-            sim.protocol().report(),
-            sim.protocol().algorithm().published(),
-            sim.ledger().clone(),
-        )
-    };
-    let (plain, pubs_p, ledger_p) = go(false);
-    let (comb, pubs_c, ledger_c) = go(true);
-    assert_eq!(pubs_p, 3 * 8);
-    assert_eq!(pubs_c, 3 * 8);
-    assert_eq!(plain.outputs_delivered, 3 * 8 * 8);
-    assert_eq!(
-        comb.outputs_delivered, plain.outputs_delivered,
-        "combining must not change what is delivered"
-    );
-    assert!(ledger_c.custom("combine_batches") > 0, "batches formed");
-    assert!(
-        ledger_c.wireless_msgs < ledger_p.wireless_msgs,
-        "combining spends fewer wireless messages: {} vs {}",
-        ledger_c.wireless_msgs,
-        ledger_p.wireless_msgs
-    );
-}
-
-#[test]
-fn combining_under_mobility_recovers_missed_members() {
-    // Moving clients fall off the batch broadcast's cell; the runtime must
-    // recover them with searched forwards so nothing is lost.
-    let cfg = NetworkConfig::new(4, 6)
-        .with_seed(22)
-        .with_mobility(MobilityConfig::moving(300));
-    let wl = ProxyWorkload {
-        inputs_per_client: 3,
-        mean_interval: 100,
-    };
-    let rt =
-        ProxyRuntime::new(Fanout::new(), clients(6), ProxyPolicy::LocalMss, wl).with_combining();
-    let mut sim = Simulation::new(cfg, rt);
-    sim.run_until(SimTime::from_ticks(2_000_000));
-    let r = sim.protocol().report();
-    assert_eq!(sim.protocol().algorithm().published(), 3 * 6);
-    assert_eq!(r.outputs_delivered, 3 * 6 * 6, "{r:?}");
-}
-
-#[test]
 fn service_rides_out_an_mss_crash() {
     // An MSS hosting proxies crashes mid-run. Fail-stop with stable state:
     // deferred traffic flushes at recovery, so every input is still served

@@ -55,10 +55,8 @@ count identities checked by --check (trace-derived == ledger):
   (section `run_end`) tabulates which kinds move which counter.
   Fault events charge no messages, so the message identities are unchanged
   by fault injection.
-  Combining runs (label `l2c`): when a run has both kinds, the combine_batch
-  sizes must sum to the cs_enter count — every grant is delivered in exactly
-  one batch. Runs with only one of the two (e.g. proxy fan-out traces) skip
-  this identity.
+  Combining runs (label `l2c`): the combine_batch sizes must sum to the
+  cs_enter count — every grant is delivered in exactly one batch.
   Runs containing a cache_hit event were replayed from the run cache: their
   trace is a stub envelope (run_begin, cache_hit, run_end with the cached
   ledger), so they are exempt from the count identities. The envelope
@@ -95,7 +93,7 @@ struct RunAcc {
     summary: Option<(RunSummary, u64)>,
     next_seq: u64,
     last: (SimTime, u64),
-    /// Sum of `combine_batch` sizes: grants/outputs delivered in batches.
+    /// Sum of `combine_batch` sizes: grants delivered in batches.
     combined_outputs: u64,
     last_fixed_send: Option<SimTime>,
     last_wireless_send: Option<SimTime>,
@@ -173,13 +171,11 @@ impl RunAcc {
                 ));
             }
         }
-        // Combining identity: in a mutual-exclusion run every grant is
-        // delivered in exactly one batch, so the batch sizes sum to the
-        // number of CS entries. Applies only when the run has both kinds —
-        // proxy fan-out runs batch outputs without any critical section.
-        let batches = m.kind_count("combine_batch");
+        // Combining identity: only L2C emits `combine_batch`, and it
+        // delivers every grant in exactly one batch, so the batch sizes sum
+        // to the number of CS entries.
         let entries = m.kind_count("cs_enter");
-        if batches > 0 && entries > 0 && self.combined_outputs != entries {
+        if m.kind_count("combine_batch") > 0 && self.combined_outputs != entries {
             self.errors.push(format!(
                 "combine_batch sizes sum to {} but the run has {entries} cs_enter events",
                 self.combined_outputs

@@ -1,14 +1,14 @@
 //! Negative coverage for `tracereport --check`: the ledger reconciliation
 //! must actually *fail* on an incomplete trace, not just pass on complete
-//! ones. The test produces a real E14 trace through the CLI, verifies it
-//! checks green, then surgically drops one `fault_recover` event —
-//! renumbering the sequence numbers and the `run_end` event count so the
-//! tamper is invisible to the density checks — and asserts the fault
-//! identity (`fault_recover` events == ledger `fault_recovers`) is the
-//! check that catches it.
+//! ones. One real E14 trace is produced through the CLI and verified to
+//! check green; each test then surgically drops one event line from a copy
+//! — renumbering the sequence numbers and the `run_end` event count so the
+//! tamper is invisible to the density checks — and asserts that the identity
+//! covering that event is the check that catches it.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::OnceLock;
 
 /// Extracts the u64 value of `"key":N` from a trace line.
 fn field(line: &str, key: &str) -> Option<u64> {
@@ -26,6 +26,10 @@ fn set_field(line: &str, key: &str, old: u64, new: u64) -> String {
     line.replacen(&format!("\"{key}\":{old}"), &format!("\"{key}\":{new}"), 1)
 }
 
+fn temp_path(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("mobidist-tamper-{}-{name}", std::process::id()))
+}
+
 fn check(trace: &Path) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_tracereport"))
         .arg("--check")
@@ -34,37 +38,41 @@ fn check(trace: &Path) -> std::process::Output {
         .expect("run tracereport")
 }
 
-#[test]
-fn check_rejects_a_trace_missing_one_fault_event() {
-    let dir = std::env::temp_dir().join(format!("mobidist-tamper-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let trace = dir.join("e14.jsonl");
+/// The `experiments --quick e14` trace, recorded once per test process and
+/// verified to check green before any test tampers with a copy of it.
+fn e14_trace() -> &'static str {
+    static TRACE: OnceLock<String> = OnceLock::new();
+    TRACE.get_or_init(|| {
+        let path = temp_path("e14.jsonl");
+        let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
+            .args(["--quick", "--trace"])
+            .arg(&path)
+            .arg("e14")
+            .stdout(std::process::Stdio::null())
+            .status()
+            .expect("run experiments");
+        assert!(status.success(), "experiments --quick --trace e14 failed");
+        let clean = check(&path);
+        assert!(
+            clean.status.success(),
+            "untampered trace must check green: {}",
+            String::from_utf8_lossy(&clean.stderr)
+        );
+        let text = std::fs::read_to_string(&path).expect("read trace");
+        let _ = std::fs::remove_file(&path);
+        text
+    })
+}
 
-    let status = Command::new(env!("CARGO_BIN_EXE_experiments"))
-        .args(["--quick", "--trace"])
-        .arg(&trace)
-        .arg("e14")
-        .stdout(std::process::Stdio::null())
-        .status()
-        .expect("run experiments");
-    assert!(status.success(), "experiments --quick --trace e14 failed");
-
-    let clean = check(&trace);
-    assert!(
-        clean.status.success(),
-        "untampered trace must check green: {}",
-        String::from_utf8_lossy(&clean.stderr)
-    );
-
-    // Drop the first fault_recover event; keep seq density and the
-    // run_end event count consistent so only the fault identity can
-    // catch the omission.
-    let text = std::fs::read_to_string(&trace).expect("read trace");
+/// Drops the first `"ev":"<kind>"` line of the E14 trace, keeping seq
+/// density and the run's `run_end` event count consistent, and asserts that
+/// `--check` fails with `needle` on stderr.
+fn assert_dropping_first_is_caught(kind: &str, needle: &str) {
+    let text = e14_trace();
     let victim = text
         .lines()
-        .find(|l| l.contains("\"ev\":\"fault_recover\""))
-        .expect("an E14 crash cell must emit fault_recover");
+        .find(|l| l.contains(&format!("\"ev\":\"{kind}\"")))
+        .unwrap_or_else(|| panic!("the E14 trace must emit {kind}"));
     let run = field(victim, "run").expect("victim run id");
     let victim_seq = field(victim, "seq").expect("victim seq");
     let mut tampered = String::with_capacity(text.len());
@@ -91,18 +99,31 @@ fn check_rejects_a_trace_missing_one_fault_event() {
         tampered.push('\n');
     }
     assert!(dropped, "victim line not found on rewrite");
-    std::fs::write(&trace, tampered).expect("write tampered trace");
 
-    let bad = check(&trace);
+    let path = temp_path(&format!("no-{kind}.jsonl"));
+    std::fs::write(&path, tampered).expect("write tampered trace");
+    let bad = check(&path);
+    let _ = std::fs::remove_file(&path);
     let stderr = String::from_utf8_lossy(&bad.stderr);
     assert!(
         !bad.status.success(),
-        "tampered trace must fail --check, got: {stderr}"
+        "trace without one {kind} must fail --check, got: {stderr}"
     );
     assert!(
-        stderr.contains("fault_recovers"),
-        "failure must name the fault identity, got: {stderr}"
+        stderr.contains(needle),
+        "failure must name the {needle:?} identity, got: {stderr}"
     );
+}
 
-    let _ = std::fs::remove_dir_all(&dir);
+#[test]
+fn check_rejects_a_trace_missing_one_fault_event() {
+    // `fault_recover` events == ledger `fault_recovers`.
+    assert_dropping_first_is_caught("fault_recover", "fault_recovers");
+}
+
+#[test]
+fn check_rejects_a_trace_missing_one_combine_batch() {
+    // E14's L2C cells are the only source of `combine_batch`: its sizes
+    // must sum to the run's `cs_enter` count.
+    assert_dropping_first_is_caught("combine_batch", "combine_batch sizes sum to");
 }
