@@ -57,6 +57,13 @@ impl DownMode {
     }
 }
 
+/// True when `e` is a unicast delivery to fixed host `at` — a member of a
+/// coalescing run there.
+fn delivers_to<M, T>(e: &Ev<M, T>, at: MssId) -> bool {
+    matches!(e, Ev::FixedDeliver { to, .. } if *to == at)
+        || matches!(e, Ev::UpDeliver { mss, .. } if *mss == at)
+}
+
 /// Internal timed events.
 #[derive(Debug)]
 enum Ev<M, T> {
@@ -162,6 +169,12 @@ pub struct Kernel<M, T> {
     fifo: FifoChains,
     reorder: ReorderBuffers<M>,
     ledger: CostLedger,
+    /// Protocol callbacks waiting for the driver, in order: every output of
+    /// an event that yields several (fan-outs, MH→MH releases, the fault
+    /// plane), and those of `initiate_move`/`initiate_disconnect` calls made
+    /// inside callbacks. An event's lone callback skips it: `advance`
+    /// hands it to the driver's `deliver` directly. The driver drains the
+    /// queue after every event, so it is empty when the next one pops.
     pending: VecDeque<ProtoEvent<M, T>>,
     /// Structured event sink and per-run emission counter; no sink (the
     /// default) costs one branch per emission site and never constructs the
@@ -377,51 +390,78 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.batch_slot = msgs;
     }
 
-    pub(crate) fn advance(&mut self) -> bool {
-        let Some((t, ev)) = self.queue.pop() else {
-            return false;
-        };
-        debug_assert!(t >= self.now, "event time regressed");
-        self.now = t;
-        self.dispatch(ev);
-        true
-    }
-
-    /// Like [`advance`](Self::advance), but only consumes an event due at or
-    /// before `limit`. Fuses the peek/pop pair the run loops would otherwise
-    /// perform — one heap-root access per event instead of two.
-    pub(crate) fn advance_up_to(&mut self, limit: SimTime) -> bool {
+    /// Pops the next event due at or before `limit` (`SimTime::MAX` for
+    /// the next event at all) and does all of its kernel work: RNG draws,
+    /// follow-on pushes, fault-plane deferral. `false` when nothing is due.
+    ///
+    /// When the event yields exactly one protocol callback, `deliver` runs
+    /// it straight away — the direct hop, which skips the round trip
+    /// through `pending`. Every other output waits in `pending` for the
+    /// driver. The order is the one a queue-only kernel gives: `pending` is
+    /// empty when an event pops, so a lone output is the first callback
+    /// either way, and either way it runs after the event's kernel work
+    /// (DESIGN.md §7).
+    #[inline]
+    pub(crate) fn advance(
+        &mut self,
+        limit: SimTime,
+        deliver: impl FnOnce(&mut Self, ProtoEvent<M, T>),
+    ) -> bool {
         let Some((t, ev)) = self.queue.pop_if_at_or_before(limit) else {
             return false;
         };
         debug_assert!(t >= self.now, "event time regressed");
         self.now = t;
-        self.dispatch(ev);
+        // Callbacks queued outside any callback (an `initiate_*` through
+        // `Simulation::kernel_mut`) keep their place ahead of this event's.
+        let behind = !self.pending.is_empty();
+        if let Some(pe) = self.dispatch(ev) {
+            if behind {
+                self.pending.push_back(pe);
+            } else {
+                debug_assert!(
+                    self.pending.is_empty(),
+                    "the direct path fires only when pending is empty"
+                );
+                deliver(self, pe);
+            }
+        }
         true
     }
 
-    /// Routes a popped event: a unicast delivery to a fixed host opens a
-    /// coalescing run over the current tick; everything else (and everything
-    /// under the per-event test reference) processes one event at a time.
+    /// Routes a popped event: a unicast delivery to a fixed host with a
+    /// same-tick follower to the same host opens a coalescing run over the
+    /// current tick; everything else (and everything under the per-event
+    /// test reference) processes one event at a time. Returns the event's
+    /// callback when it has exactly one.
     #[inline]
-    fn dispatch(&mut self, ev: Ev<M, T>) {
+    fn dispatch(&mut self, ev: Ev<M, T>) -> Option<ProtoEvent<M, T>> {
         if self.cfg.delivery == DeliveryMode::Batched {
             let at = match &ev {
                 Ev::FixedDeliver { to, .. } => Some(*to),
                 Ev::UpDeliver { mss, .. } => Some(*mss),
                 _ => None,
             };
+            // Singleton fast path: with no same-tick follower to this
+            // destination no run can form, so the delivery takes the plain
+            // per-event path without touching the batch buffer. Unicast-heavy
+            // workloads (ring topologies, search traffic) take this branch
+            // almost always, and it is exactly the per-event reference path
+            // plus one O(1) slot peek. It pays on `serve_lamport`, not on the
+            // rings (DESIGN.md §7a).
             if let Some(at) = at {
-                self.coalesce_at(at, ev);
-                return;
+                if self.queue.next_same_tick_matches(|e| delivers_to(e, at)) {
+                    return self.coalesce_at(at, ev);
+                }
             }
         }
-        self.process(ev);
+        self.process(ev)
     }
 
     /// Coalesces the maximal run of consecutive same-tick unicast deliveries
-    /// to fixed host `at` — starting with the already-popped `first` — into
-    /// one batch, dispatched through a single `MssBatch` protocol event.
+    /// to fixed host `at` — starting with the already-popped `first`, whose
+    /// follower `dispatch` has seen — into one batch, dispatched through a
+    /// single `MssBatch` protocol event, the run's one callback.
     ///
     /// Determinism: the run is contiguous in `(time, seq)` pop order (the
     /// O(1) [`EventQueue::pop_same_tick_if`] only claims the true next
@@ -431,54 +471,36 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// reorder, admit into, or evict from the run. The batch's callbacks
     /// then run in exactly the order the per-event path would have produced
     /// (see DESIGN.md §7 for the full argument).
-    fn coalesce_at(&mut self, at: MssId, first: Ev<M, T>) {
-        // Singleton fast path: no same-tick follower to this destination,
-        // so no run can form — dispatch through the plain per-event path
-        // without touching the batch buffer. Unicast-heavy workloads (ring
-        // topologies, search traffic) take this branch almost always, and
-        // it is exactly the per-event reference path plus one O(1) slot
-        // peek. It pays on `serve_lamport`, not on the rings (DESIGN.md
-        // §7a).
-        if !self.queue.next_same_tick_matches(|e| {
-            matches!(e, Ev::FixedDeliver { to, .. } if *to == at)
-                || matches!(e, Ev::UpDeliver { mss, .. } if *mss == at)
-        }) {
-            self.process(first);
-            return;
-        }
+    fn coalesce_at(&mut self, at: MssId, first: Ev<M, T>) -> Option<ProtoEvent<M, T>> {
         let mut batch = std::mem::take(&mut self.batch_slot);
         debug_assert!(batch.is_empty());
         self.append_mss_delivery(at, first, &mut batch);
-        while let Some((_, ev)) = self.queue.pop_same_tick_if(|e| {
-            matches!(e, Ev::FixedDeliver { to, .. } if *to == at)
-                || matches!(e, Ev::UpDeliver { mss, .. } if *mss == at)
-        }) {
+        while let Some((_, ev)) = self.queue.pop_same_tick_if(|e| delivers_to(e, at)) {
             self.append_mss_delivery(at, ev, &mut batch);
         }
-        match batch.len() {
+        let out = match batch.len() {
             // Every member was deferred by the fault plane: no callback.
-            0 => {}
+            0 => None,
             // Singletons dispatch as a plain message — batches are always
             // two or more, so `on_mss_batch` overrides only see real runs.
             1 => {
                 let (src, msg) = batch.pop().expect("len checked");
-                self.pending.push_back(ProtoEvent::MssMsg { at, src, msg });
+                Some(ProtoEvent::MssMsg { at, src, msg })
             }
             len => {
                 let len = len as u32;
                 self.emit(|| TraceEvent::DeliverBatch { at, len });
-                self.pending
-                    .push_back(ProtoEvent::MssBatch { at, msgs: batch });
                 // The driver recycles the vector after dispatch.
-                return;
+                return Some(ProtoEvent::MssBatch { at, msgs: batch });
             }
-        }
+        };
         self.batch_slot = batch;
+        out
     }
 
     /// Processes one coalesced-run member: fault-plane deferral and receive
     /// tracing exactly as the per-event path, with the delivery itself
-    /// appended to `batch` instead of `pending`.
+    /// appended to `batch`.
     fn append_mss_delivery(&mut self, at: MssId, ev: Ev<M, T>, batch: &mut Vec<(Src, M)>) {
         self.events_processed += 1;
         match ev {
@@ -778,15 +800,15 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// Forces `mh` to leave now and join `dest` (or a pattern-chosen cell)
     /// after the configured gap. No-op when not connected.
     pub fn initiate_move(&mut self, mh: MhId, dest: Option<MssId>) {
-        if self.mhs[mh.index()].status == MhStatus::Connected {
-            self.do_leave(mh, dest);
+        if let Some(left) = self.do_leave(mh, dest) {
+            self.pending.push_back(left);
         }
     }
 
     /// Forces `mh` to disconnect now. No-op when not connected.
     pub fn initiate_disconnect(&mut self, mh: MhId) {
-        if self.mhs[mh.index()].status == MhStatus::Connected {
-            self.do_disconnect(mh, false);
+        if let Some(gone) = self.do_disconnect(mh, false) {
+            self.pending.push_back(gone);
         }
     }
 
@@ -927,7 +949,17 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         );
     }
 
-    fn deliver_down(&mut self, mss: MssId, mh: MhId, epoch: u64, mode: DownMode, msg: M) {
+    /// Delivers or loses one downlink arrival. Returns its callback when it
+    /// has exactly one (a plain or searched delivery, a plain loss); MH→MH
+    /// releases, however many, go to `pending`.
+    fn deliver_down(
+        &mut self,
+        mss: MssId,
+        mh: MhId,
+        epoch: u64,
+        mode: DownMode,
+        msg: M,
+    ) -> Option<ProtoEvent<M, T>> {
         let h = &mut self.mhs[mh.index()];
         let fresh = h.status == MhStatus::Connected && h.cell == Some(mss) && h.epoch == epoch;
         if fresh {
@@ -942,13 +974,11 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             self.ledger.mh_rx[mh.index()] += 1;
             self.ledger.mh_energy[mh.index()] += energy;
             match mode {
-                DownMode::Local | DownMode::Searched { .. } => {
-                    self.pending.push_back(ProtoEvent::MhMsg {
-                        at: mh,
-                        src: mode.src_for(mss),
-                        msg,
-                    });
-                }
+                DownMode::Local | DownMode::Searched { .. } => Some(ProtoEvent::MhMsg {
+                    at: mh,
+                    src: mode.src_for(mss),
+                    msg,
+                }),
                 DownMode::FromMh { src, seq, .. } => {
                     for m in self.reorder.accept(src, mh, seq, msg) {
                         self.pending.push_back(ProtoEvent::MhMsg {
@@ -957,6 +987,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                             msg: m,
                         });
                     }
+                    None
                 }
             }
         } else {
@@ -964,18 +995,19 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             self.ledger.wireless_losses += 1;
             self.emit(|| TraceEvent::DownLost { mss, mh });
             match mode {
-                DownMode::Local => {
-                    self.pending
-                        .push_back(ProtoEvent::WirelessLost { mss, mh, msg });
-                }
+                DownMode::Local => Some(ProtoEvent::WirelessLost { mss, mh, msg }),
                 DownMode::Searched { .. } | DownMode::FromMh { .. } => {
                     self.begin_search(mh, mode, msg, true);
+                    None
                 }
             }
         }
     }
 
-    fn process(&mut self, ev: Ev<M, T>) {
+    /// Does one event's kernel work. Returns its callback when it has
+    /// exactly one; fan-outs, MH→MH releases and the fault plane queue
+    /// theirs in `pending` and return `None`.
+    fn process(&mut self, ev: Ev<M, T>) -> Option<ProtoEvent<M, T>> {
         self.events_processed += match &ev {
             // Fused fan-outs carry one logical message per receiver.
             Ev::FixedFanout { dsts, .. } => dsts.len() as u64,
@@ -984,21 +1016,20 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         };
         match ev {
             Ev::FixedDeliver { from, to, msg } => {
-                if let Some(msg) = self.admit_wired(from, to, msg) {
-                    self.pending.push_back(ProtoEvent::MssMsg {
+                self.admit_wired(from, to, msg)
+                    .map(|msg| ProtoEvent::MssMsg {
                         at: to,
                         src: Src::Mss(from),
                         msg,
-                    });
-                }
+                    })
             }
             Ev::UpDeliver { mh, mss, msg } => {
                 self.emit(|| TraceEvent::UpRecv { mss, mh });
-                self.pending.push_back(ProtoEvent::MssMsg {
+                Some(ProtoEvent::MssMsg {
                     at: mss,
                     src: Src::Mh(mh),
                     msg,
-                });
+                })
             }
             Ev::RelayMhMh {
                 at,
@@ -1018,6 +1049,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                     msg,
                     false,
                 );
+                None
             }
             Ev::DownDeliver {
                 mss,
@@ -1052,6 +1084,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                     }
                 }
                 self.mss_pool.push(dsts);
+                None
             }
             Ev::DownFanout {
                 mss,
@@ -1066,9 +1099,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                     } else {
                         msg.as_ref().expect("payload present until last").clone()
                     };
-                    self.deliver_down(mss, mh, epoch, DownMode::Local, payload);
+                    if let Some(pe) = self.deliver_down(mss, mh, epoch, DownMode::Local, payload) {
+                        self.pending.push_back(pe);
+                    }
                 }
                 self.down_pool.push(recipients);
+                None
             }
             Ev::SearchArrive {
                 target,
@@ -1086,39 +1122,43 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                     // The MH moved on: re-search from here.
                     self.begin_search(target, mode, msg, true);
                 }
+                None
             }
             Ev::SearchFail {
                 origin,
                 target,
                 msg,
-            } => {
-                self.pending.push_back(ProtoEvent::SearchFailed {
-                    origin,
-                    target,
-                    msg,
-                });
-            }
-            Ev::AutoLeave { mh } => {
-                // Leave only if still connected; moving/disconnected MHs get
-                // a fresh dwell scheduled when they next join/reconnect.
-                if self.mhs[mh.index()].status == MhStatus::Connected {
-                    self.do_leave(mh, None);
-                }
-            }
-            Ev::DoJoin { mh, mss } => self.do_join(mh, mss),
+            } => Some(ProtoEvent::SearchFailed {
+                origin,
+                target,
+                msg,
+            }),
+            // Leave only if still connected; moving/disconnected MHs get a
+            // fresh dwell scheduled when they next join/reconnect.
+            Ev::AutoLeave { mh } => self.do_leave(mh, None),
+            Ev::DoJoin { mh, mss } => Some(self.do_join(mh, mss)),
             Ev::AutoDisconnect { mh } => {
-                if self.mhs[mh.index()].status == MhStatus::Connected {
-                    self.do_disconnect(mh, true);
-                } else {
+                let gone = self.do_disconnect(mh, true);
+                if gone.is_none() {
                     let d = self.rng.exp_delay(self.cfg.disconnect.mean_uptime);
                     self.queue.push(self.now + d, Ev::AutoDisconnect { mh });
                 }
+                gone
             }
             Ev::DoReconnect { mh, mss } => self.do_reconnect(mh, mss),
-            Ev::Timer { t } => self.pending.push_back(ProtoEvent::Timer(t)),
-            Ev::Fault { idx } => self.apply_fault(idx),
-            Ev::MssRecover { mss } => self.apply_recover(mss),
-            Ev::PartitionHeal => self.apply_heal(),
+            Ev::Timer { t } => Some(ProtoEvent::Timer(t)),
+            Ev::Fault { idx } => {
+                self.apply_fault(idx);
+                None
+            }
+            Ev::MssRecover { mss } => {
+                self.apply_recover(mss);
+                None
+            }
+            Ev::PartitionHeal => {
+                self.apply_heal();
+                None
+            }
         }
     }
 
@@ -1199,7 +1239,8 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                 locals.clear();
                 locals.extend(self.msss[mss.index()].local.iter());
                 for mh in locals.drain(..) {
-                    self.do_leave(mh, None);
+                    let left = self.do_leave(mh, None).expect("residents are connected");
+                    self.pending.push_back(left);
                 }
                 self.scratch_locals = locals;
                 self.queue
@@ -1222,9 +1263,8 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                     if moved >= count {
                         break;
                     }
-                    let mh = MhId(i as u32);
-                    if self.mhs[mh.index()].status == MhStatus::Connected {
-                        self.do_leave(mh, None);
+                    if let Some(left) = self.do_leave(MhId(i as u32), None) {
+                        self.pending.push_back(left);
                         moved += 1;
                     }
                 }
@@ -1282,8 +1322,14 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.cfg.mobility.pattern.next_cell(&mut self.rng, ctx)
     }
 
-    fn do_leave(&mut self, mh: MhId, dest: Option<MssId>) {
+    /// Takes `mh` out of its cell and schedules its join, when it is
+    /// connected; returns the `Left` callback for the caller to run or
+    /// queue.
+    fn do_leave(&mut self, mh: MhId, dest: Option<MssId>) -> Option<ProtoEvent<M, T>> {
         let h = &mut self.mhs[mh.index()];
+        if h.status != MhStatus::Connected {
+            return None;
+        }
         let mss = h.cell.take().expect("connected MH has a cell");
         h.status = MhStatus::BetweenCells;
         h.prev_cell = Some(mss);
@@ -1294,14 +1340,14 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.fifo.reset(ChainKey::Up(mh, mss));
         self.ledger.bump("control_wireless"); // leave(r)
         self.emit(|| TraceEvent::HandoffBegin { mh, from: mss });
-        self.pending.push_back(ProtoEvent::Left { mh, mss });
         let gap = self.rng.exp_delay(self.cfg.mobility.mean_gap.max(1));
         let dest = dest.unwrap_or_else(|| self.next_cell(mh, mss));
         self.queue
             .push(self.now + gap, Ev::DoJoin { mh, mss: dest });
+        Some(ProtoEvent::Left { mh, mss })
     }
 
-    fn do_join(&mut self, mh: MhId, mss: MssId) {
+    fn do_join(&mut self, mh: MhId, mss: MssId) -> ProtoEvent<M, T> {
         // Fault plane: a join aimed at a crashed cell lands at the next
         // live one instead (no MSS to run the join choreography).
         let mss = self.live_cell(mss);
@@ -1325,16 +1371,25 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             }
         }
         self.emit(|| TraceEvent::HandoffEnd { mh, to: mss, prev });
-        self.pending.push_back(ProtoEvent::Joined { mh, mss, prev });
         self.flush_outbox(mh, mss);
         if self.cfg.mobility.enabled {
             let d = self.rng.exp_delay(self.cfg.mobility.mean_dwell);
             self.queue.push(self.now + d, Ev::AutoLeave { mh });
         }
+        ProtoEvent::Joined { mh, mss, prev }
     }
 
-    fn do_disconnect(&mut self, mh: MhId, schedule_auto_reconnect: bool) {
+    /// Disconnects `mh` when it is connected; returns the `Disconnected`
+    /// callback for the caller to run or queue.
+    fn do_disconnect(
+        &mut self,
+        mh: MhId,
+        schedule_auto_reconnect: bool,
+    ) -> Option<ProtoEvent<M, T>> {
         let h = &mut self.mhs[mh.index()];
+        if h.status != MhStatus::Connected {
+            return None;
+        }
         let mss = h.cell.take().expect("connected MH has a cell");
         h.status = MhStatus::Disconnected;
         h.prev_cell = Some(mss);
@@ -1347,18 +1402,18 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.ledger.disconnects += 1;
         self.ledger.bump("control_wireless"); // disconnect(r)
         self.emit(|| TraceEvent::Disconnect { mh, mss });
-        self.pending.push_back(ProtoEvent::Disconnected { mh, mss });
         if schedule_auto_reconnect {
             let down = self.rng.exp_delay(self.cfg.disconnect.mean_downtime.max(1));
             let dest = self.next_cell(mh, mss);
             self.queue
                 .push(self.now + down, Ev::DoReconnect { mh, mss: dest });
         }
+        Some(ProtoEvent::Disconnected { mh, mss })
     }
 
-    fn do_reconnect(&mut self, mh: MhId, mss: MssId) {
+    fn do_reconnect(&mut self, mh: MhId, mss: MssId) -> Option<ProtoEvent<M, T>> {
         if self.mhs[mh.index()].status != MhStatus::Disconnected {
-            return;
+            return None;
         }
         let mss = self.live_cell(mss);
         let old = self.mhs[mh.index()].disconnected_at;
@@ -1386,16 +1441,8 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             self.ledger.bump("ha_registrations");
             self.ledger.bump("control_fixed");
         }
-        self.emit(|| TraceEvent::Reconnect {
-            mh,
-            mss,
-            prev: if supplies_prev { old } else { None },
-        });
-        self.pending.push_back(ProtoEvent::Reconnected {
-            mh,
-            mss,
-            prev: if supplies_prev { old } else { None },
-        });
+        let prev = if supplies_prev { old } else { None };
+        self.emit(|| TraceEvent::Reconnect { mh, mss, prev });
         self.flush_outbox(mh, mss);
         if self.cfg.mobility.enabled {
             let d = self.rng.exp_delay(self.cfg.mobility.mean_dwell);
@@ -1405,6 +1452,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             let d = self.rng.exp_delay(self.cfg.disconnect.mean_uptime);
             self.queue.push(self.now + d, Ev::AutoDisconnect { mh });
         }
+        Some(ProtoEvent::Reconnected { mh, mss, prev })
     }
 
     fn flush_outbox(&mut self, mh: MhId, mss: MssId) {

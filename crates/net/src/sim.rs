@@ -115,22 +115,25 @@ impl<P: Protocol> Simulation<P> {
 
     /// Processes one timed event (and all protocol events it triggers).
     /// Returns `false` when the event queue is exhausted.
+    ///
+    /// Runs exactly the callbacks, in exactly the order, that
+    /// [`run_until`](Self::run_until) runs for the same event: both go
+    /// through one advance path.
     pub fn step(&mut self) -> bool {
         self.start();
-        if !self.kernel.advance() {
-            return false;
-        }
-        self.drain_pending();
-        true
+        self.advance(SimTime::MAX)
     }
 
     /// Runs until simulated time passes `until` or the queue empties.
+    ///
+    /// Per event: the kernel pops it (one fused peek-and-pop) and does its
+    /// kernel work; an event with a single protocol callback then runs it
+    /// straight off the pop, and every other callback — later outputs of
+    /// the event and anything queued from inside a callback — follows in
+    /// order before the next pop.
     pub fn run_until(&mut self, until: SimTime) {
         self.start();
-        // Fused pop: one heap-root access per event instead of peek + pop.
-        while self.kernel.advance_up_to(until) {
-            self.drain_pending();
-        }
+        while self.advance(until) {}
     }
 
     /// Runs until no events remain or simulated time exceeds `max_ticks`.
@@ -138,9 +141,7 @@ impl<P: Protocol> Simulation<P> {
     pub fn run_to_quiescence(&mut self, max_ticks: u64) -> bool {
         let deadline = SimTime::from_ticks(max_ticks);
         self.start();
-        while self.kernel.advance_up_to(deadline) {
-            self.drain_pending();
-        }
+        while self.advance(deadline) {}
         self.kernel.next_event_time().is_none()
     }
 
@@ -161,39 +162,61 @@ impl<P: Protocol> Simulation<P> {
         r
     }
 
+    /// Pops the next event due at or before `limit` and runs every
+    /// callback it yields: its lone callback directly, then whatever waits
+    /// in the kernel's queue. `false` when nothing was due.
+    fn advance(&mut self, limit: SimTime) -> bool {
+        let proto = &mut self.proto;
+        if !self
+            .kernel
+            .advance(limit, |k, pe| Self::deliver(proto, k, pe))
+        {
+            return false;
+        }
+        self.drain_pending();
+        true
+    }
+
     fn drain_pending(&mut self) {
         while let Some(pe) = self.kernel.take_pending() {
-            let ctx = &mut Ctx {
-                k: &mut self.kernel,
-            };
-            match pe {
-                ProtoEvent::MssMsg { at, src, msg } => self.proto.on_mss_msg(ctx, at, src, msg),
-                ProtoEvent::MhMsg { at, src, msg } => self.proto.on_mh_msg(ctx, at, src, msg),
-                ProtoEvent::MssBatch { at, mut msgs } => {
-                    // Drain by value: dropping the iterator clears leftovers,
-                    // and the emptied vector's capacity goes back to the
-                    // kernel for the next batch.
-                    self.proto.on_mss_batch(ctx, at, msgs.drain(..));
-                    self.kernel.recycle_batch(msgs);
-                }
-                ProtoEvent::Timer(t) => self.proto.on_timer(ctx, t),
-                ProtoEvent::Joined { mh, mss, prev } => self.proto.on_mh_joined(ctx, mh, mss, prev),
-                ProtoEvent::Left { mh, mss } => self.proto.on_mh_left(ctx, mh, mss),
-                ProtoEvent::Disconnected { mh, mss } => self.proto.on_mh_disconnected(ctx, mh, mss),
-                ProtoEvent::Reconnected { mh, mss, prev } => {
-                    self.proto.on_mh_reconnected(ctx, mh, mss, prev)
-                }
-                ProtoEvent::SearchFailed {
-                    origin,
-                    target,
-                    msg,
-                } => self.proto.on_search_failed(ctx, origin, target, msg),
-                ProtoEvent::WirelessLost { mss, mh, msg } => {
-                    self.proto.on_wireless_lost(ctx, mss, mh, msg)
-                }
-                ProtoEvent::MssCrashed { mss } => self.proto.on_mss_crashed(ctx, mss),
-                ProtoEvent::MssRecovered { mss } => self.proto.on_mss_recovered(ctx, mss),
+            Self::deliver(&mut self.proto, &mut self.kernel, pe);
+        }
+    }
+
+    /// Runs the protocol callback for one kernel output.
+    // Inlined into the direct hop as well as the drain: out of line, the
+    // direct hop copies the event `process` has just written into the
+    // argument slot, and that 16-byte reload of fresh narrower stores stalls
+    // store forwarding (about 4 % of an untraced `ring_unicast`; DESIGN.md
+    // §7).
+    #[inline(always)]
+    fn deliver(proto: &mut P, k: &mut Kernel<P::Msg, P::Timer>, pe: ProtoEvent<P::Msg, P::Timer>) {
+        let ctx = &mut Ctx { k };
+        match pe {
+            ProtoEvent::MssMsg { at, src, msg } => proto.on_mss_msg(ctx, at, src, msg),
+            ProtoEvent::MhMsg { at, src, msg } => proto.on_mh_msg(ctx, at, src, msg),
+            ProtoEvent::MssBatch { at, mut msgs } => {
+                // Drain by value: dropping the iterator clears leftovers,
+                // and the emptied vector's capacity goes back to the
+                // kernel for the next batch.
+                proto.on_mss_batch(ctx, at, msgs.drain(..));
+                ctx.k.recycle_batch(msgs);
             }
+            ProtoEvent::Timer(t) => proto.on_timer(ctx, t),
+            ProtoEvent::Joined { mh, mss, prev } => proto.on_mh_joined(ctx, mh, mss, prev),
+            ProtoEvent::Left { mh, mss } => proto.on_mh_left(ctx, mh, mss),
+            ProtoEvent::Disconnected { mh, mss } => proto.on_mh_disconnected(ctx, mh, mss),
+            ProtoEvent::Reconnected { mh, mss, prev } => {
+                proto.on_mh_reconnected(ctx, mh, mss, prev)
+            }
+            ProtoEvent::SearchFailed {
+                origin,
+                target,
+                msg,
+            } => proto.on_search_failed(ctx, origin, target, msg),
+            ProtoEvent::WirelessLost { mss, mh, msg } => proto.on_wireless_lost(ctx, mss, mh, msg),
+            ProtoEvent::MssCrashed { mss } => proto.on_mss_crashed(ctx, mss),
+            ProtoEvent::MssRecovered { mss } => proto.on_mss_recovered(ctx, mss),
         }
     }
 }

@@ -95,7 +95,7 @@ fn run_interleaving(seed: u64, ops: usize, spread: impl Fn(&mut SimRng, u64) -> 
             }
             6..=8 => q.pop(),
             // A bound at, below, or above the next event: the kernel's
-            // `advance_up_to` path. A refused pop must not change anything
+            // `advance` path. A refused pop must not change anything
             // (checked by `check` next iteration).
             _ => q.pop_if_at_or_before(now + rng.below(2_000)),
         };
