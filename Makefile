@@ -33,9 +33,13 @@ quick:
 # E7 every algorithm that keeps Lamport's request queue (L1 included, and L2
 # under disconnection); E5 the group strategies (location-view updates), E11
 # exactly-once group delivery, E10 the proxy runtime (proxy forwards).
+# MOBIDIST_SHARDS=3 fixes E12's partition whatever the runner's CPU count
+# (the default is one shard per CPU): always a multi-shard part-file set, and
+# an uneven one. Only E12 reads the variable; ci/check.sh's shard gate pins
+# that E14's generic kernel ignores it (its table at --shards 4 = at 1).
 tracecheck:
 	cargo build --release --bin experiments --bin tracereport
-	./target/release/experiments e1 e2 e7 e12 e13 e14 e5 e10 e11 --quick --trace target/tracecheck.jsonl > /dev/null
+	MOBIDIST_SHARDS=3 ./target/release/experiments e1 e2 e7 e12 e13 e14 e5 e10 e11 --quick --trace target/tracecheck.jsonl > /dev/null
 	./target/release/tracereport --check target/tracecheck.jsonl
 
 # Run the full sweep set twice against one cache directory and diff the

@@ -29,8 +29,9 @@
 //! 1. **drain** — swap out the buffer every producer filled in round
 //!    `r - 1` (the lane's epoch check proves nobody is still writing it)
 //!    and push the transfers into the local queue in
-//!    `(arrival, src_cell, send order)` order, found by sorting one vector
-//!    of 16-byte integer keys rather than the records themselves;
+//!    `(src_cell, send order)` order — one stable counting sort by source
+//!    cell, linear in transfers plus cells — leaving the order of arrival
+//!    times to the queue itself;
 //! 2. **process** — pop all events `< (k+1)W`, appending outgoing transfers
 //!    to the round-`r` side of each lane (no lock: one producer per lane);
 //! 3. **publish + barrier** — release the round on every outgoing lane,
@@ -61,12 +62,20 @@
 //! * every worker seeds its own queue by replaying the whole placement in
 //!   host order and keeping the hosts whose cell it owns, so per-queue
 //!   insertion order is host order at every `S`;
-//! * lane drains commit in `(arrival, source cell, index in lane)` order.
-//!   A lane has one producer, so index order *is* send order; producers own
-//!   disjoint cells, so the source cell names the lane. The key is
-//!   therefore unique and the order total — the commit order at a
-//!   destination never depends on thread timing *or* on which lane carried
-//!   the transfer;
+//! * lane drains commit in `(source cell, index in lane)` order. A lane has
+//!   one producer, so index order *is* send order; producers own disjoint
+//!   cells, so all of a cell's transfers share one lane. The order is
+//!   therefore total — the commit order at a destination never depends on
+//!   thread timing *or* on which lane carried the transfer — and the pops
+//!   it yields follow `(arrival, source cell, send order)`, as a commit
+//!   sorted by that key would: (1) the queue orders two different ticks by
+//!   time, never by insertion; (2) every drained transfer arrives at
+//!   `≥ (k+1)W` for the window `k` it was sent in, past the cursor (the
+//!   last popped tick, `< (k+1)W`), so none is placed late at the cursor
+//!   slot; (3) transfers sharing a tick land FIFO in that tick's slot (past
+//!   2²⁴ ticks, in the overflow heap under its own insertion counter) in
+//!   `(source cell, send order)`, behind entries already queued at that
+//!   tick and ahead of entries pushed later;
 //! * the fast-forward jump is a pure function of the global minimum pending
 //!   tick, which is partition-independent (the union of queue contents and
 //!   in-flight transfers does not depend on who owns what), so every worker
@@ -105,7 +114,8 @@
 //! the live entries, and the rest is the final-state rows, the lanes and the
 //! process itself (`scalecheck` prints both figures; DESIGN.md §6 has the
 //! census). The only allocations on the hot path are the amortised growth
-//! of the queues, the lane buffers and the commit-key scratch. Lane buffers
+//! of the queues, the lane buffers and the commit-order scratch (8 B per
+//! transfer; its `M + 1` cell offsets are allocated once). Lane buffers
 //! circulate between each lane and its consumer's drain scratch
 //! (`mem::swap`, never a fresh `Vec`), which a debug assertion pins: a
 //! drained buffer's capacity never shrinks across rounds, as it would if
@@ -571,15 +581,19 @@ fn digest_state(n: usize, parts: &[&[HostRow]], wires: &[(u64, u32, u32)]) -> Fi
 }
 
 /// A worker's inbound side: its `S` lanes, one pooled drain scratch per
-/// lane, and the commit-key scratch.
+/// lane, and the commit-order scratch.
 struct Inbox<'a> {
     /// `lanes[src]` carries what worker `src` sends to this worker.
     lanes: Vec<&'a Lane<Transfer>>,
     /// Swapped with the lane buffer each round (`mem::swap`, never a fresh
     /// `Vec`), so the steady state allocates nothing.
     bufs: Vec<Vec<Transfer>>,
-    /// One `(arrival, src_cell, index-in-lane)` key per inbound transfer.
-    keys: Vec<u128>,
+    /// Counting-sort offsets, `M + 1` entries: per-cell transfer counts,
+    /// then (prefix-summed) each source cell's first position in `order`.
+    starts: Vec<u32>,
+    /// `(lane, index-in-lane)` of every inbound transfer, grouped by source
+    /// cell in cell-id order, send order within a cell.
+    order: Vec<(u32, u32)>,
     /// Each lane's two buffers and its drain scratch rotate positions in a
     /// 3-cycle (one swap per drain), so the same allocation comes back every
     /// third drain — and a `Vec`'s capacity never shrinks. Watermarking
@@ -590,10 +604,12 @@ struct Inbox<'a> {
 }
 
 impl<'a> Inbox<'a> {
-    fn new(lanes: Vec<&'a Lane<Transfer>>) -> Self {
+    /// An inbox over `lanes` for transfers sent from `cells` source cells.
+    fn new(lanes: Vec<&'a Lane<Transfer>>, cells: usize) -> Self {
         Inbox {
             bufs: lanes.iter().map(|_| Vec::new()).collect(),
-            keys: Vec::new(),
+            starts: vec![0; cells + 1],
+            order: Vec::new(),
             #[cfg(debug_assertions)]
             caps: vec![0; 3 * lanes.len()],
             lanes,
@@ -601,15 +617,20 @@ impl<'a> Inbox<'a> {
     }
 
     /// Takes everything the producers published in `round` and hands it to
-    /// `commit` in `(arrival, src_cell, send order)` order.
+    /// `commit` in `(src_cell, send order)` order — a stable counting sort
+    /// by source cell, linear in transfers plus cells. Arrival times are
+    /// left to the caller's queue, which pops in `(time, insertion)` order,
+    /// so the commit only has to fix the order of transfers that share an
+    /// arrival tick (see the module docs, "Determinism").
     ///
-    /// Only 16-byte integer keys are sorted, never the records. A lane has
-    /// one producer, so a transfer's index in its lane is its send order;
-    /// producers own disjoint cells, so `owner[src_cell]` names the lane a
-    /// key came from. The order is therefore total and independent of which
-    /// lane carried what — i.e. of the partition.
+    /// A lane has one producer, so a transfer's index in its lane is its
+    /// send order; producers own disjoint cells, so all of one cell's
+    /// transfers sit in its owner's lane, and scanning the lanes in order
+    /// keeps them in send order. The order is therefore total and
+    /// independent of which lane carried what — i.e. of the partition.
     fn drain(&mut self, round: u64, owner: &[u32], mut commit: impl FnMut(u64, SEv)) {
-        self.keys.clear();
+        self.starts.fill(0);
+        let mut total = 0;
         for (src, (lane, buf)) in self.lanes.iter().zip(&mut self.bufs).enumerate() {
             lane.take(round, buf);
             #[cfg(debug_assertions)]
@@ -621,16 +642,26 @@ impl<'a> Inbox<'a> {
                 );
                 self.caps[slot] = buf.capacity();
             }
-            assert!(buf.len() <= u32::MAX as usize, "lane outgrew its key");
-            self.keys.extend(buf.iter().enumerate().map(|(i, tr)| {
+            for tr in buf.iter() {
                 debug_assert_eq!(owner[tr.src_cell as usize] as usize, src);
-                (tr.arrival as u128) << 64 | (tr.src_cell as u128) << 32 | i as u128
-            }));
+                self.starts[tr.src_cell as usize + 1] += 1;
+            }
+            total += buf.len();
         }
-        self.keys.sort_unstable();
-        for &key in &self.keys {
-            let (src_cell, i) = ((key >> 32) as u32, key as u32);
-            let tr = &self.bufs[owner[src_cell as usize] as usize][i as usize];
+        assert!(total <= u32::MAX as usize, "inbox outgrew its offsets");
+        for c in 1..self.starts.len() {
+            self.starts[c] += self.starts[c - 1];
+        }
+        self.order.resize(total, (0, 0));
+        for (src, buf) in self.bufs.iter().enumerate() {
+            for (i, tr) in buf.iter().enumerate() {
+                let at = &mut self.starts[tr.src_cell as usize];
+                self.order[*at as usize] = (src as u32, i as u32);
+                *at += 1;
+            }
+        }
+        for &(src, i) in &self.order {
+            let tr = &self.bufs[src as usize][i as usize];
             commit(tr.arrival, tr.ev);
         }
         self.bufs.iter_mut().for_each(Vec::clear);
@@ -661,6 +692,7 @@ fn run_shard(
         (0..shards)
             .map(|src| &lanes[src * shards + shard])
             .collect(),
+        m,
     );
 
     // Seed the hosts whose cell this worker owns. Every worker replays the
@@ -996,18 +1028,41 @@ mod tests {
     }
 
     #[test]
-    fn drain_commits_in_arrival_cell_send_order() {
-        // Oracle: the rule the k-way merge this replaced implemented — one
-        // sort of `(arrival, src_cell, send index)` over the concatenated
-        // lanes. Cell `c` belongs to worker `c % shards`.
+    fn drain_commits_in_cell_send_order_and_pops_in_arrival_cell_send_order() {
+        // (a) The drain commits in `(src_cell, send order)` order. (b) Fed
+        // into an event queue that already holds entries at some of the
+        // same ticks, with more pushed after, the pops follow the rule the
+        // key sort this replaced committed in — one sort of `(arrival,
+        // src_cell, send index)` — behind what was queued before the drain
+        // and ahead of what comes after. Cell `c` belongs to worker
+        // `c % shards`.
         let m = 7;
         for shards in [1, 2, 4] {
             let owner: Vec<u32> = (0..m).map(|c| (c % shards) as u32).collect();
             let lanes: Vec<Lane<Transfer>> = (0..shards).map(|_| Lane::new()).collect();
-            let mut inbox = Inbox::new(lanes.iter().collect());
+            let mut inbox = Inbox::new(lanes.iter().collect(), m);
+            let mut queue = EventQueue::new();
             let mut rng = SimRng::seed_from(0xD8A1 + shards as u64);
             let mut tag = 0;
             for round in 0..6 {
+                // A handful of arrivals, so ties abound across and within
+                // cells — some of them 2^32 and 2^40 ticks apart, past the
+                // wheel's 2^24-tick region (the overflow heap). Each round
+                // starts past the last one's pops, as every drained transfer
+                // lies past the cursor.
+                let base = round << 42;
+                let arrival = |rng: &mut SimRng| {
+                    base + 5 + rng.below(3) + (rng.below(3) << 32) + (rng.below(2) << 40)
+                };
+                // `(arrival, phase, src_cell, index, tag)`: phase 0 was
+                // queued before the drain, 1 drained, 2 pushed after.
+                let mut want = Vec::new();
+                for i in 0..8 {
+                    let at = arrival(&mut rng);
+                    queue.push(SimTime::from_ticks(at), tag);
+                    want.push((at, 0, 0, i, tag));
+                    tag += 1;
+                }
                 let mut sent = Vec::new();
                 for (src, lane) in lanes.iter().enumerate() {
                     // The last lane sits every other round out (at one
@@ -1017,33 +1072,43 @@ mod tests {
                     for i in 0..len {
                         let owned = (m - src).div_ceil(shards) as u64;
                         let src_cell = (src + shards * rng.below(owned) as usize) as u32;
-                        // A handful of arrivals, so ties abound across and
-                        // within cells — some of them 2^32 and 2^40 ticks
-                        // apart, which a narrower key would alias.
-                        let arrival =
-                            5 + rng.below(3) + (rng.below(3) << 32) + (rng.below(2) << 40);
+                        let at = arrival(&mut rng);
                         let ev = SEv::Wired(src_cell, tag);
-                        lane.push(
-                            round,
-                            Transfer {
-                                arrival,
-                                src_cell,
-                                ev,
-                            },
-                        );
-                        sent.push((arrival, src_cell, i, tag));
+                        let tr = Transfer {
+                            arrival: at,
+                            src_cell,
+                            ev,
+                        };
+                        lane.push(round, tr);
+                        sent.push((src_cell, i, at, tag));
+                        want.push((at, 1, src_cell, i, tag));
                         tag += 1;
                     }
                     lane.publish(round);
                 }
                 sent.sort_unstable();
-                let want: Vec<(u64, u32)> = sent.iter().map(|&(at, _, _, tag)| (at, tag)).collect();
+                let committed: Vec<(u64, u32)> =
+                    sent.iter().map(|&(_, _, at, tag)| (at, tag)).collect();
                 let mut got = Vec::new();
                 inbox.drain(round, &owner, |at, ev| match ev {
-                    SEv::Wired(_, tag) => got.push((at, tag)),
+                    SEv::Wired(_, tag) => {
+                        got.push((at, tag));
+                        queue.push(SimTime::from_ticks(at), tag);
+                    }
                     other => panic!("unexpected {other:?}"),
                 });
-                assert_eq!(got, want, "round {round} at {shards} shards");
+                assert_eq!(got, committed, "round {round} at {shards} shards");
+                for i in 0..8 {
+                    let at = arrival(&mut rng);
+                    queue.push(SimTime::from_ticks(at), tag);
+                    want.push((at, 2, 0, i, tag));
+                    tag += 1;
+                }
+                want.sort_unstable();
+                let want: Vec<(u64, u32)> = want.iter().map(|w| (w.0, w.4)).collect();
+                let popped: Vec<(u64, u32)> =
+                    std::iter::from_fn(|| queue.pop().map(|(t, tag)| (t.ticks(), tag))).collect();
+                assert_eq!(popped, want, "round {round} at {shards} shards");
             }
         }
     }

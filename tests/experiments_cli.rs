@@ -37,6 +37,13 @@ fn tracereport(args: &[&str]) -> Output {
     run(TRACEREPORT, args, &[])
 }
 
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Asserts a usage error: failure status, silent stdout, `needle` on stderr.
 fn assert_rejected(out: &Output, needle: &str) {
     let (stdout, stderr) = (
@@ -122,10 +129,34 @@ fn pooled_tables_print_the_recorded_bytes() {
         &[],
     );
     assert!(out.status.success(), "stderr: {:?}", out.stderr);
-    let hash = out.stdout.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
+    let hash = fnv1a(&out.stdout);
     assert_eq!(hash, 0x8030_6b7c_ec42_6ffd, "tables moved: {hash:#018x}");
+}
+
+#[test]
+fn sharded_trace_order_is_pinned() {
+    // E12's tables and digests are blind to the order of same-tick ties: a
+    // host's trajectory is a pure function of (seed, id, decision counter)
+    // and the digest hashes end state, so a commit that reordered ties the
+    // same way at every shard count would still print the recorded tables.
+    // The trace records every event in pop order, so its bytes pin that
+    // order — at one worker and at an uneven three-way partition — against
+    // FNV-1a hashes recorded before the lane commit stopped sorting.
+    let dir = std::env::temp_dir().join(format!("mobidist-cli-e12-order-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    for (shards, want) in [
+        ("1", 0xe696_3e21_fdd6_4f80u64),
+        ("3", 0xb131_ad5f_277c_88f6),
+    ] {
+        let trace = dir.join(format!("s{shards}.jsonl"));
+        let trace = trace.to_str().expect("utf-8 temp path");
+        let args = ["e12", "--quick", "--jobs", "1", "--trace", trace];
+        let out = experiments(&args, &[("MOBIDIST_SHARDS", shards)]);
+        assert!(out.status.success(), "stderr: {:?}", out.stderr);
+        let hash = fnv1a(&std::fs::read(trace).expect("read trace"));
+        assert_eq!(hash, want, "trace moved at {shards} shards: {hash:#018x}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
