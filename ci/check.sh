@@ -146,13 +146,6 @@ if [[ $fast -eq 0 ]]; then
     cmp "$cachedir/shard1.txt" "$cachedir/shard$s.txt" || {
       echo "shard gate: $s-shard table differs from the 1-shard run" >&2; exit 1; }
   done
-  # E14 runs on the classic kernel, so the shard knob must be inert for it
-  # even with the fault plane and the mobility zoo in play (its runs are
-  # cache-bypassing here: no --cache directory is passed).
-  ./target/release/experiments e14 --quick --shards 1 > "$cachedir/e14shard1.txt"
-  ./target/release/experiments e14 --quick --shards 4 > "$cachedir/e14shard4.txt"
-  cmp "$cachedir/e14shard1.txt" "$cachedir/e14shard4.txt" || {
-    echo "shard gate: E14 table changed under --shards 4" >&2; exit 1; }
   ./target/release/scalecheck --shards 4
   t0=$(date +%s%N)
   ./target/release/scalecheck --shards 1

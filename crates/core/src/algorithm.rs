@@ -8,14 +8,9 @@
 //! apples-to-apples: identical workload, identical mobility, identical
 //! invariant checks.
 
-use mobidist_net::config::NetworkConfig;
-use mobidist_net::cost::CostModel;
 use mobidist_net::error::NetError;
-use mobidist_net::host::MhStatus;
 use mobidist_net::ids::{MhId, MssId};
 use mobidist_net::proto::{Ctx, Src};
-use mobidist_net::rng::SimRng;
-use mobidist_net::time::SimTime;
 use std::fmt::Debug;
 
 /// Timer payload of the harness: workload ticks plus algorithm timers.
@@ -84,39 +79,9 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> AlgoCtx<'a, 'k, M, 
         self.effects.push(Effect::Aborted { mh });
     }
 
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        self.net.config()
-    }
-
-    /// The cost model in force.
-    pub fn cost_model(&self) -> CostModel {
-        self.net.cost_model()
-    }
-
     /// Number of MSSs.
     pub fn num_mss(&self) -> usize {
         self.net.num_mss()
-    }
-
-    /// Number of MHs.
-    pub fn num_mh(&self) -> usize {
-        self.net.num_mh()
-    }
-
-    /// All MSS ids.
-    pub fn mss_ids(&self) -> impl Iterator<Item = MssId> {
-        self.net.mss_ids()
-    }
-
-    /// All MH ids.
-    pub fn mh_ids(&self) -> impl Iterator<Item = MhId> {
-        self.net.mh_ids()
     }
 
     /// Point-to-point fixed-network send (`C_fixed`).
@@ -129,15 +94,6 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> AlgoCtx<'a, 'k, M, 
     /// the batched fan-out path).
     pub fn broadcast_fixed(&mut self, from: MssId, msg: M) {
         self.net.broadcast_fixed(from, msg);
-    }
-
-    /// Wireless downlink to a local MH (`C_wireless`).
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::NotLocal`] when the MH is not local to `mss`.
-    pub fn send_wireless_down(&mut self, mss: MssId, mh: MhId, msg: M) -> Result<(), NetError> {
-        self.net.send_wireless_down(mss, mh, msg)
     }
 
     /// Wireless uplink to the current local MSS (`C_wireless`).
@@ -181,11 +137,6 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> AlgoCtx<'a, 'k, M, 
         self.net.set_timer(delay, HarnessTimer::Algo(t));
     }
 
-    /// Connectivity status of an MH.
-    pub fn mh_status(&self, mh: MhId) -> MhStatus {
-        self.net.mh_status(mh)
-    }
-
     /// True when `mh` is local to `mss`.
     pub fn is_local(&self, mss: MssId, mh: MhId) -> bool {
         self.net.is_local(mss, mh)
@@ -194,11 +145,6 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> AlgoCtx<'a, 'k, M, 
     /// Increments a named ledger counter.
     pub fn bump(&mut self, name: &str) {
         self.net.bump(name);
-    }
-
-    /// Protocol random stream.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.net.rng()
     }
 }
 

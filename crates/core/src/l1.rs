@@ -14,7 +14,8 @@
 //! disconnection (the run simply stalls).
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_clock::{LamportClock, RequestQueue, Timestamp};
+use crate::lamport::{order_key, Replica};
+use mobidist_clock::Timestamp;
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
 
@@ -41,11 +42,7 @@ impl L1Msg {
 /// paper's objection).
 #[derive(Debug)]
 struct Participant {
-    clock: LamportClock,
-    /// The replicated request queue: totally ordered by timestamp.
-    queue: RequestQueue<(Timestamp, MhId)>,
-    /// Largest timestamp seen from each other participant.
-    last_seen: IdMap<MhId, Timestamp>,
+    lamport: Replica<MhId, (Timestamp, MhId)>,
     /// Own outstanding request, if any.
     own: Option<Timestamp>,
     granted: bool,
@@ -75,9 +72,7 @@ impl L1 {
                 (
                     *mh,
                     Participant {
-                        clock: LamportClock::new(mh.0),
-                        queue: RequestQueue::new(),
-                        last_seen: IdMap::new(),
+                        lamport: Replica::new(mh.0),
                         own: None,
                         granted: false,
                     },
@@ -95,43 +90,21 @@ impl L1 {
         &self.participants
     }
 
-    fn others(&self, me: MhId) -> Vec<MhId> {
-        self.participants
-            .iter()
-            .copied()
-            .filter(|p| *p != me)
-            .collect()
-    }
-
     /// Lamport's grant condition: own request heads the queue and a message
     /// with a larger timestamp has arrived from every other participant.
     fn try_grant(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, me: MhId) {
-        let others = self.others(me);
         let p = self.state.get_mut(&me).expect("known participant");
         let Some(own_ts) = p.own else { return };
         if p.granted {
             return;
         }
-        if p.queue.first() != Some(&(own_ts, me)) {
+        if p.lamport.queue.first() != Some(&(own_ts, me)) {
             return;
         }
-        let all_later = others
-            .iter()
-            .all(|o| p.last_seen.get(o).is_some_and(|t| *t > own_ts));
-        if all_later {
+        let others = self.participants.iter().copied().filter(|o| *o != me);
+        if p.lamport.heard_after(own_ts, others) {
             p.granted = true;
-            let key = own_ts.counter << 16 | u64::from(own_ts.process & 0xFFFF);
-            ctx.grant_with_key(me, key);
-        }
-    }
-}
-
-impl Participant {
-    /// Records `ts` as seen from `from` when it is the largest so far.
-    fn note_seen(&mut self, from: MhId, ts: Timestamp) {
-        let e = self.last_seen.get_or_insert_with(from, || ts);
-        if ts > *e {
-            *e = ts;
+            ctx.grant_with_key(me, order_key(own_ts));
         }
     }
 }
@@ -145,14 +118,13 @@ impl MutexAlgorithm for L1 {
     }
 
     fn request(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, mh: MhId) {
-        let others = self.others(mh);
         let p = self.state.get_mut(&mh).expect("requester is a participant");
         debug_assert!(p.own.is_none(), "one outstanding request per MH");
-        let ts = p.clock.tick();
+        let ts = p.lamport.clock.tick();
         p.own = Some(ts);
         p.granted = false;
-        p.queue.insert((ts, mh));
-        for o in others {
+        p.lamport.queue.insert((ts, mh));
+        for o in self.participants.iter().copied().filter(|o| *o != mh) {
             // Each request is an MH→MH message: 2·C_wireless + C_search.
             let _ = ctx.mh_send_to_mh(mh, o, L1Msg::Request(ts));
         }
@@ -160,13 +132,12 @@ impl MutexAlgorithm for L1 {
     }
 
     fn release(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, mh: MhId) {
-        let others = self.others(mh);
         let p = self.state.get_mut(&mh).expect("known participant");
         let Some(own_ts) = p.own.take() else { return };
         p.granted = false;
-        p.queue.remove(&(own_ts, mh));
-        let ts = p.clock.tick();
-        for o in others {
+        p.lamport.queue.remove(&(own_ts, mh));
+        let ts = p.lamport.clock.tick();
+        for o in self.participants.iter().copied().filter(|o| *o != mh) {
             let _ = ctx.mh_send_to_mh(mh, o, L1Msg::Release(ts));
         }
     }
@@ -178,19 +149,17 @@ impl MutexAlgorithm for L1 {
     fn on_mh_msg(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, at: MhId, src: Src, msg: L1Msg) {
         let from = src.as_mh().expect("L1 peers are MHs");
         let ts = msg.timestamp();
-        let p = self.state.get_mut(&at).expect("known participant");
-        p.note_seen(from, ts);
-        p.clock.witness(ts);
+        let r = &mut self.state.get_mut(&at).expect("known participant").lamport;
         match msg {
-            L1Msg::Request(req_ts) => {
-                p.queue.insert((req_ts, from));
-                let reply_ts = p.clock.tick();
+            L1Msg::Request(_) => {
+                let reply_ts = r.request(from, ts, (ts, from));
                 let _ = ctx.mh_send_to_mh(at, from, L1Msg::Reply(reply_ts));
             }
-            L1Msg::Reply(_) => {}
+            L1Msg::Reply(_) => r.receive(from, ts),
             L1Msg::Release(_) => {
+                r.receive(from, ts);
                 // Remove the releaser's (unique) queued request.
-                p.queue.retain(|(_, who)| *who != from);
+                r.queue.retain(|(_, who)| *who != from);
             }
         }
         self.try_grant(ctx, at);
@@ -205,7 +174,6 @@ mod tests {
     fn participants_are_recorded() {
         let l1 = L1::new(vec![MhId(2), MhId(5), MhId(7)]);
         assert_eq!(l1.participants(), &[MhId(2), MhId(5), MhId(7)]);
-        assert_eq!(l1.others(MhId(5)), vec![MhId(2), MhId(7)]);
         assert_eq!(l1.name(), "L1");
     }
 

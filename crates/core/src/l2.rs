@@ -21,7 +21,8 @@
 //! `release-resource`, which this implementation does on the reconnect hook.
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_clock::{LamportClock, RequestQueue, Timestamp};
+use crate::lamport::{order_key, Replica};
+use mobidist_clock::Timestamp;
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
 
@@ -69,10 +70,7 @@ pub enum L2Msg {
 /// Per-MSS Lamport state.
 #[derive(Debug)]
 struct Station {
-    clock: LamportClock,
-    /// The replicated Lamport request queue: its order *is* the algorithm.
-    queue: RequestQueue<Entry>,
-    last_seen: IdMap<MssId, Timestamp>,
+    lamport: Replica<MssId, Entry>,
     /// Requests this MSS proxies, by MH, with grant status.
     owned: IdMap<MhId, (Entry, bool)>,
 }
@@ -99,9 +97,7 @@ impl L2 {
                 (
                     MssId(i),
                     Station {
-                        clock: LamportClock::new(i),
-                        queue: RequestQueue::new(),
-                        last_seen: IdMap::new(),
+                        lamport: Replica::new(i),
                         owned: IdMap::new(),
                     },
                 )
@@ -115,7 +111,7 @@ impl L2 {
 
     /// Number of requests currently queued at `mss` (for tests).
     pub fn queue_len(&self, mss: MssId) -> usize {
-        self.stations[&mss].queue.len()
+        self.stations[&mss].lamport.queue.len()
     }
 
     fn station(&mut self, me: MssId) -> &mut Station {
@@ -135,7 +131,7 @@ impl L2 {
     fn try_grant(&mut self, ctx: &mut AlgoCtx<'_, '_, L2Msg, ()>, me: MssId) {
         let m = ctx.num_mss();
         let s = self.station(me);
-        let Some(head) = s.queue.first().copied() else {
+        let Some(head) = s.lamport.queue.first().copied() else {
             return;
         };
         if head.proxy != me {
@@ -147,11 +143,8 @@ impl L2 {
         if granted || entry != head {
             return;
         }
-        let all_later = (0..m as u32)
-            .map(MssId)
-            .filter(|o| *o != me)
-            .all(|o| s.last_seen.get(&o).is_some_and(|t| *t > entry.ts));
-        if !all_later {
+        let others = (0..m as u32).map(MssId).filter(|o| *o != me);
+        if !s.lamport.heard_after(entry.ts, others) {
             return;
         }
         s.owned.insert(head.mh, (entry, true));
@@ -165,25 +158,17 @@ impl L2 {
         let Some((entry, _)) = s.owned.remove(&mh) else {
             return;
         };
-        s.queue.remove(&entry);
-        let ts = s.clock.tick();
+        s.lamport.queue.remove(&entry);
+        let ts = s.lamport.clock.tick();
         ctx.broadcast_fixed(proxy, L2Msg::Release(ts, entry));
         self.try_grant(ctx, proxy);
     }
 }
 
 impl Station {
-    /// Records `ts` as seen from `from` when it is the largest so far.
-    fn note_seen(&mut self, from: MssId, ts: Timestamp) {
-        let e = self.last_seen.get_or_insert_with(from, || ts);
-        if ts > *e {
-            *e = ts;
-        }
-    }
-
     /// Removes `entry` from the queue, and from `owned` when `me` proxies it.
     fn drop_entry(&mut self, me: MssId, entry: Entry) {
-        self.queue.remove(&entry);
+        self.lamport.queue.remove(&entry);
         if entry.proxy == me {
             self.owned.remove(&entry.mh);
         }
@@ -229,34 +214,27 @@ impl MutexAlgorithm for L2 {
                 let mh = src.as_mh().expect("init arrives on the uplink");
                 // Timestamp the request on behalf of the MH.
                 let s = self.station(at);
-                let ts = s.clock.tick();
+                let ts = s.lamport.clock.tick();
                 let entry = Entry { ts, proxy: at, mh };
-                s.queue.insert(entry);
+                s.lamport.queue.insert(entry);
                 s.owned.insert(mh, (entry, false));
                 ctx.broadcast_fixed(at, L2Msg::Request(entry));
                 self.try_grant(ctx, at);
             }
             L2Msg::Request(entry) => {
                 let from = src.as_mss().expect("requests travel MSS to MSS");
-                let s = self.station(at);
-                s.note_seen(from, entry.ts);
-                s.clock.witness(entry.ts);
-                s.queue.insert(entry);
-                let reply_ts = s.clock.tick();
+                let reply_ts = self.station(at).lamport.request(from, entry.ts, entry);
                 ctx.send_fixed(at, from, L2Msg::Reply(reply_ts));
             }
             L2Msg::Reply(ts) => {
                 let from = src.as_mss().expect("replies travel MSS to MSS");
-                let s = self.station(at);
-                s.note_seen(from, ts);
-                s.clock.witness(ts);
+                self.station(at).lamport.receive(from, ts);
                 self.try_grant(ctx, at);
             }
             L2Msg::Release(ts, entry) => {
                 let from = src.as_mss().expect("releases travel MSS to MSS");
                 let s = self.station(at);
-                s.note_seen(from, ts);
-                s.clock.witness(ts);
+                s.lamport.receive(from, ts);
                 s.drop_entry(at, entry);
                 self.try_grant(ctx, at);
             }
@@ -285,8 +263,7 @@ impl MutexAlgorithm for L2 {
                     .get(&at)
                     .map(|(e, _)| *e)
                     .expect("grant implies an owned entry");
-                let key = entry.ts.counter << 16 | u64::from(entry.ts.process & 0xFFFF);
-                ctx.grant_with_key(at, key);
+                ctx.grant_with_key(at, order_key(entry.ts));
             }
             other => unreachable!("unexpected message at an MH: {other:?}"),
         }

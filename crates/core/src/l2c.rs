@@ -47,7 +47,8 @@
 //! recorded in the ledger and otherwise harmless.
 
 use crate::algorithm::{AlgoCtx, MutexAlgorithm};
-use mobidist_clock::{LamportClock, RequestQueue, Timestamp};
+use crate::lamport::{order_key, Replica};
+use mobidist_clock::Timestamp;
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::obs::TraceEvent;
 use mobidist_net::proto::Src;
@@ -97,10 +98,7 @@ struct Batch {
 /// Per-MSS combiner state.
 #[derive(Debug)]
 struct Station {
-    clock: LamportClock,
-    /// The replicated Lamport request queue: its order *is* the algorithm.
-    queue: RequestQueue<CEntry>,
-    last_seen: IdMap<MssId, Timestamp>,
+    lamport: Replica<MssId, CEntry>,
     /// Operations collected but not yet drained into a batch.
     pending: VecDeque<MhId>,
     /// My outstanding combined request, if any (at most one).
@@ -124,8 +122,7 @@ pub struct L2c {
 /// index (saturating at 4095) in the low 12 — nondecreasing across batches
 /// by Lamport's order and within a batch by construction.
 fn grant_key(ts: Timestamp, served: u32) -> u64 {
-    let base = (ts.counter << 16) | u64::from(ts.process & 0xFFFF);
-    (base << 12) | u64::from(served.min(0xFFF))
+    (order_key(ts) << 12) | u64::from(served.min(0xFFF))
 }
 
 impl L2c {
@@ -141,9 +138,7 @@ impl L2c {
                 (
                     MssId(i),
                     Station {
-                        clock: LamportClock::new(i),
-                        queue: RequestQueue::new(),
-                        last_seen: IdMap::new(),
+                        lamport: Replica::new(i),
                         pending: VecDeque::new(),
                         mine: None,
                         batch: None,
@@ -160,7 +155,7 @@ impl L2c {
 
     /// Number of combined entries currently queued at `mss` (for tests).
     pub fn queue_len(&self, mss: MssId) -> usize {
-        self.stations[&mss].queue.len()
+        self.stations[&mss].lamport.queue.len()
     }
 
     /// Number of collected-but-unbatched operations at `mss` (for tests).
@@ -176,9 +171,9 @@ impl L2c {
     fn open_request(&mut self, ctx: &mut AlgoCtx<'_, '_, L2cMsg, ()>, me: MssId) {
         let s = self.station(me);
         debug_assert!(s.mine.is_none() && s.batch.is_none());
-        let ts = s.clock.tick();
+        let ts = s.lamport.clock.tick();
         let entry = CEntry { ts, proxy: me };
-        s.queue.insert(entry);
+        s.lamport.queue.insert(entry);
         s.mine = Some(entry);
         ctx.broadcast_fixed(me, L2cMsg::Request(entry));
     }
@@ -192,17 +187,14 @@ impl L2c {
             if s.batch.is_some() {
                 return;
             }
-            let Some(head) = s.queue.first().copied() else {
+            let Some(head) = s.lamport.queue.first().copied() else {
                 return;
             };
             if head.proxy != me || s.mine != Some(head) {
                 return;
             }
-            let all_later = (0..m as u32)
-                .map(MssId)
-                .filter(|o| *o != me)
-                .all(|o| s.last_seen.get(&o).is_some_and(|t| *t > head.ts));
-            if !all_later {
+            let others = (0..m as u32).map(MssId).filter(|o| *o != me);
+            if !s.lamport.heard_after(head.ts, others) {
                 return;
             }
             // The combining window closes here: everything collected while
@@ -267,25 +259,15 @@ impl L2c {
             ctx.broadcast_cell(me, L2cMsg::BatchDone);
         }
         let s = self.station(me);
-        s.queue.remove(&batch.entry);
+        s.lamport.queue.remove(&batch.entry);
         batch.done.clear();
         s.spare = (batch.members, batch.done);
-        let ts = s.clock.tick();
+        let ts = s.lamport.clock.tick();
         ctx.broadcast_fixed(me, L2cMsg::Release(ts, batch.entry));
         if !s.pending.is_empty() {
             self.open_request(ctx, me);
         }
         self.try_grant(ctx, me);
-    }
-}
-
-impl Station {
-    /// Records `ts` as seen from `from` when it is the largest so far.
-    fn note_seen(&mut self, from: MssId, ts: Timestamp) {
-        let e = self.last_seen.get_or_insert_with(from, || ts);
-        if ts > *e {
-            *e = ts;
-        }
     }
 }
 
@@ -337,26 +319,19 @@ impl MutexAlgorithm for L2c {
             }
             L2cMsg::Request(entry) => {
                 let from = src.as_mss().expect("requests travel MSS to MSS");
-                let s = self.station(at);
-                s.note_seen(from, entry.ts);
-                s.clock.witness(entry.ts);
-                s.queue.insert(entry);
-                let reply_ts = s.clock.tick();
+                let reply_ts = self.station(at).lamport.request(from, entry.ts, entry);
                 ctx.send_fixed(at, from, L2cMsg::Reply(reply_ts));
             }
             L2cMsg::Reply(ts) => {
                 let from = src.as_mss().expect("replies travel MSS to MSS");
-                let s = self.station(at);
-                s.note_seen(from, ts);
-                s.clock.witness(ts);
+                self.station(at).lamport.receive(from, ts);
                 self.try_grant(ctx, at);
             }
             L2cMsg::Release(ts, entry) => {
                 let from = src.as_mss().expect("releases travel MSS to MSS");
-                let s = self.station(at);
-                s.note_seen(from, ts);
-                s.clock.witness(ts);
-                s.queue.remove(&entry);
+                let r = &mut self.station(at).lamport;
+                r.receive(from, ts);
+                r.queue.remove(&entry);
                 self.try_grant(ctx, at);
             }
             L2cMsg::BatchDone | L2cMsg::Result => {

@@ -42,6 +42,7 @@ pub mod harness;
 pub mod l1;
 pub mod l2;
 pub mod l2c;
+mod lamport;
 pub mod r1;
 pub mod r2;
 

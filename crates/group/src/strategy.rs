@@ -7,13 +7,10 @@
 //! while the kernel's mobility process generates moves, and audits delivery
 //! (who got each message, misses, duplicates) and cost.
 
-use mobidist_net::config::NetworkConfig;
 use mobidist_net::error::NetError;
 use mobidist_net::host::{HostSet, MhStatus};
 use mobidist_net::ids::{GroupId, IdMap, MhId, MssId};
 use mobidist_net::proto::{Ctx, Protocol, Src};
-use mobidist_net::rng::SimRng;
-use mobidist_net::time::SimTime;
 use std::collections::BTreeMap;
 use std::fmt::Debug;
 
@@ -54,21 +51,6 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> GroupCtx<'a, 'k, M,
     /// Reports that member `to` received group message `msg_id`.
     pub fn deliver(&mut self, to: MhId, msg_id: u64) {
         self.deliveries.push(Delivery { to, msg_id });
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        self.net.config()
-    }
-
-    /// Number of MSSs.
-    pub fn num_mss(&self) -> usize {
-        self.net.num_mss()
     }
 
     /// All MSS ids.
@@ -123,24 +105,9 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> GroupCtx<'a, 'k, M,
         self.net.is_local(mss, mh)
     }
 
-    /// Connectivity status of `mh`.
-    pub fn mh_status(&self, mh: MhId) -> MhStatus {
-        self.net.mh_status(mh)
-    }
-
     /// Increments a named ledger counter.
     pub fn bump(&mut self, name: &str) {
         self.net.bump(name);
-    }
-
-    /// Adds to a named ledger counter.
-    pub fn bump_by(&mut self, name: &str, by: u64) {
-        self.net.bump_by(name, by);
-    }
-
-    /// Protocol random stream.
-    pub fn rng(&mut self) -> &mut SimRng {
-        self.net.rng()
     }
 
     /// Emits a strategy-level event (e.g.

@@ -1,6 +1,6 @@
 //! Simulation configuration.
 
-use crate::cost::{CostModel, EnergyModel};
+use crate::cost::CostModel;
 use crate::fault::FaultConfig;
 use crate::ids::MssId;
 use crate::latency::LatencyModel;
@@ -104,8 +104,6 @@ pub struct NetworkConfig {
     pub num_mh: usize,
     /// The paper's message-cost parameters.
     pub cost: CostModel,
-    /// Battery-energy parameters at MHs.
-    pub energy: EnergyModel,
     /// Latency distributions per channel class.
     pub latency: LatencyConfig,
     /// How MHs are located (`C_search` abstraction or flooding).
@@ -139,7 +137,6 @@ impl NetworkConfig {
             num_mss: m,
             num_mh: n,
             cost: CostModel::default(),
-            energy: EnergyModel::default(),
             latency: LatencyConfig::default(),
             search: SearchPolicy::default(),
             mobility: MobilityConfig::default(),

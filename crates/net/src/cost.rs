@@ -13,9 +13,10 @@
 //! `2·C_wireless + C_search`; an MSS→non-local-MH message costs
 //! `C_search + C_wireless`.
 //!
-//! Battery consumption at MHs is modelled separately by [`EnergyModel`]: the
-//! paper argues energy use is proportional to the number of wireless
-//! transmissions and receptions at the MH.
+//! Battery consumption is charged separately, at MHs only (fixed hosts are
+//! mains-powered): one energy unit per wireless transmission and one per
+//! reception, since the paper argues energy use is proportional to their
+//! number.
 
 /// Per-message-class cost parameters (`C_fixed`, `C_wireless`, `C_search`).
 ///
@@ -86,37 +87,6 @@ impl Default for CostModel {
     }
 }
 
-/// Battery-energy parameters for mobile hosts.
-///
-/// Energy is charged per wireless operation *at the MH only* — fixed hosts
-/// are mains-powered in the paper's model. The paper treats transmit and
-/// receive as equally expensive ("transmission and reception of messages on
-/// the wireless link consumes power"); distinct weights are provided because
-/// real radios differ.
-///
-/// # Examples
-///
-/// ```
-/// use mobidist_net::cost::EnergyModel;
-/// let e = EnergyModel::default();
-/// assert!(e.tx > 0 && e.rx > 0);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EnergyModel {
-    /// Energy units consumed by one wireless transmission at an MH.
-    pub tx: u64,
-    /// Energy units consumed by one wireless reception at an MH.
-    pub rx: u64,
-}
-
-impl Default for EnergyModel {
-    /// One unit per operation in either direction, matching the paper's
-    /// proportional accounting.
-    fn default() -> Self {
-        EnergyModel { tx: 1, rx: 1 }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,10 +109,5 @@ mod tests {
     #[should_panic(expected = "C_search >= C_fixed")]
     fn rejects_cheap_search() {
         let _ = CostModel::new(10, 1, 5);
-    }
-
-    #[test]
-    fn energy_default() {
-        assert_eq!(EnergyModel::default(), EnergyModel { tx: 1, rx: 1 });
     }
 }

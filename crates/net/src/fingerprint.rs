@@ -55,7 +55,7 @@
 //! ```
 
 use crate::config::{DeliveryMode, LatencyConfig, NetworkConfig, Placement};
-use crate::cost::{CostModel, EnergyModel};
+use crate::cost::CostModel;
 use crate::ids::{GroupId, MhId, MssId};
 use crate::latency::LatencyModel;
 use crate::mobility::{DisconnectConfig, MobilityConfig, MovePattern};
@@ -307,14 +307,6 @@ impl CanonHash for CostModel {
     }
 }
 
-impl CanonHash for EnergyModel {
-    fn canon_hash(&self, h: &mut CanonHasher) {
-        let EnergyModel { tx, rx } = *self;
-        h.write_u64(tx);
-        h.write_u64(rx);
-    }
-}
-
 impl CanonHash for LatencyModel {
     fn canon_hash(&self, h: &mut CanonHasher) {
         match *self {
@@ -449,7 +441,6 @@ impl CanonHash for NetworkConfig {
             num_mss,
             num_mh,
             cost,
-            energy,
             latency,
             search,
             mobility,
@@ -462,7 +453,6 @@ impl CanonHash for NetworkConfig {
         h.write_u64(*num_mss as u64);
         h.write_u64(*num_mh as u64);
         cost.canon_hash(h);
-        energy.canon_hash(h);
         latency.canon_hash(h);
         search.canon_hash(h);
         mobility.canon_hash(h);

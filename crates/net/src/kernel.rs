@@ -313,12 +313,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.trace.sink.take()
     }
 
-    /// Borrows the installed trace sink for inspection (downcast through
-    /// [`TraceSink::as_any`] to reach a concrete sink's accessors).
-    pub fn trace_sink(&self) -> Option<&dyn TraceSink> {
-        self.trace.sink.as_deref()
-    }
-
     /// Ends the traced run: calls [`TraceSink::finish`] with the final
     /// ledger (the JSONL sink writes its `run_end` summary line here) and
     /// detaches the sink.
@@ -829,8 +823,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
 
     /// Charges and schedules one uplink transmission (plain or MH→MH relay).
     fn push_uplink(&mut self, mh: MhId, mss: MssId, out: OutMsg<M>) {
-        let energy = self.cfg.energy.tx;
-        self.ledger.charge_wireless_tx(&self.cfg.cost, mh, energy);
+        self.ledger.charge_wireless_tx(&self.cfg.cost, mh, 1);
         self.emit(|| TraceEvent::UpSend { mh, mss });
         let lat = self.cfg.latency.wireless.sample(&mut self.rng);
         let at = self.fifo.schedule(ChainKey::Up(mh, mss), self.now + lat);
@@ -970,9 +963,8 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                 self.ledger.doze_interruptions += 1;
                 self.emit(|| TraceEvent::DozeInterrupt { mh });
             }
-            let energy = self.cfg.energy.rx;
             self.ledger.mh_rx[mh.index()] += 1;
-            self.ledger.mh_energy[mh.index()] += energy;
+            self.ledger.mh_energy[mh.index()] += 1;
             match mode {
                 DownMode::Local | DownMode::Searched { .. } => Some(ProtoEvent::MhMsg {
                     at: mh,

@@ -76,7 +76,7 @@ pub mod time;
 /// Convenient glob import for protocol authors.
 pub mod prelude {
     pub use crate::config::{DeliveryMode, LatencyConfig, NetworkConfig, Placement};
-    pub use crate::cost::{CostModel, EnergyModel};
+    pub use crate::cost::CostModel;
     pub use crate::error::NetError;
     pub use crate::fault::{FaultConfig, FaultEvent, FaultKind};
     pub use crate::host::MhStatus;
