@@ -27,19 +27,22 @@ quick:
 
 # Capture quick traces, validate the schema, and diff the trace-derived
 # message counts against the cost ledger (see OBSERVABILITY.md); ci/check.sh's
-# trace gate is this target. E13 brings the combining identity on its L2C
+# trace gate is this target. It traces every table that runs a simulation
+# (all but E0, a closed form). E13 brings the combining identity on its L2C
 # cells; E12 and E14 every line kind the JSONL encoder writes — sharded part
 # files, shard_sync/shard_recv, fault events, run_end fault counters; E1 and
 # E7 every algorithm that keeps Lamport's request queue (L1 included, and L2
-# under disconnection); E5 the group strategies (location-view updates), E11
-# exactly-once group delivery, E10 the proxy runtime (proxy forwards).
+# under disconnection); E4 flood and home-agent search charging; E8 doze
+# interruptions; E3 the energy legs, E9 the fairness guards; E5 and E6 the
+# group strategies (location-view updates), E11 exactly-once group delivery,
+# E10 the proxy runtime (proxy forwards).
 # MOBIDIST_SHARDS=3 fixes E12's partition whatever the runner's CPU count
 # (the default is one shard per CPU): always a multi-shard part-file set, and
 # an uneven one. Only E12 reads the variable; ci/check.sh's shard gate pins
 # that E14's generic kernel ignores it (its table at --shards 4 = at 1).
 tracecheck:
 	cargo build --release --bin experiments --bin tracereport
-	MOBIDIST_SHARDS=3 ./target/release/experiments e1 e2 e7 e12 e13 e14 e5 e10 e11 --quick --trace target/tracecheck.jsonl > /dev/null
+	MOBIDIST_SHARDS=3 ./target/release/experiments e1 e2 e3 e4 e6 e7 e8 e9 e12 e13 e14 e5 e10 e11 --quick --trace target/tracecheck.jsonl > /dev/null
 	./target/release/tracereport --check target/tracecheck.jsonl
 
 # Run the full sweep set twice against one cache directory and diff the

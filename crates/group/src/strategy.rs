@@ -9,7 +9,7 @@
 
 use mobidist_net::error::NetError;
 use mobidist_net::host::{HostSet, MhStatus};
-use mobidist_net::ids::{GroupId, IdMap, MhId, MssId};
+use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::{Ctx, Protocol, Src};
 use std::collections::BTreeMap;
 use std::fmt::Debug;
@@ -228,8 +228,6 @@ pub trait LocationStrategy: Sized + 'static {
 /// Group-message workload parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GroupWorkload {
-    /// The group being exercised.
-    pub group: GroupId,
     /// Members of the group.
     pub members: Vec<MhId>,
     /// Total group messages to send (`MSG`).
@@ -243,12 +241,10 @@ impl mobidist_net::fingerprint::CanonHash for GroupWorkload {
         // Destructured so a new workload knob cannot silently escape the
         // run-cache fingerprint.
         let GroupWorkload {
-            group,
             members,
             messages,
             mean_interval,
         } = self;
-        group.canon_hash(h);
         members.canon_hash(h);
         messages.canon_hash(h);
         mean_interval.canon_hash(h);
@@ -259,7 +255,6 @@ impl GroupWorkload {
     /// A workload over the given members.
     pub fn new(members: Vec<MhId>, messages: usize, mean_interval: u64) -> Self {
         GroupWorkload {
-            group: GroupId(0),
             members,
             messages,
             mean_interval,

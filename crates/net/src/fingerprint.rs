@@ -56,7 +56,7 @@
 
 use crate::config::{DeliveryMode, LatencyConfig, NetworkConfig, Placement};
 use crate::cost::CostModel;
-use crate::ids::{GroupId, MhId, MssId};
+use crate::ids::{MhId, MssId};
 use crate::latency::LatencyModel;
 use crate::mobility::{DisconnectConfig, MobilityConfig, MovePattern};
 use crate::search::SearchPolicy;
@@ -288,12 +288,6 @@ impl CanonHash for MssId {
     }
 }
 
-impl CanonHash for GroupId {
-    fn canon_hash(&self, h: &mut CanonHasher) {
-        h.write_u64(self.0 as u64);
-    }
-}
-
 impl CanonHash for CostModel {
     fn canon_hash(&self, h: &mut CanonHasher) {
         let CostModel {
@@ -318,10 +312,6 @@ impl CanonHash for LatencyModel {
                 h.write_u64(1);
                 h.write_u64(lo);
                 h.write_u64(hi);
-            }
-            LatencyModel::Exp { mean } => {
-                h.write_u64(2);
-                h.write_u64(mean);
             }
         }
     }
@@ -531,7 +521,7 @@ mod tests {
                 .with_placement(Placement::Clustered { cells: 2 }),
             base.clone().with_placement(Placement::Random),
             base.clone().with_latency(LatencyConfig {
-                fixed: LatencyModel::Exp { mean: 5 },
+                fixed: LatencyModel::Uniform { lo: 1, hi: 5 },
                 ..LatencyConfig::default()
             }),
             base.clone().with_delivery(match base.delivery {

@@ -11,7 +11,7 @@ use std::marker::PhantomData;
 
 /// An uplink message buffered while its sender is between cells.
 #[derive(Debug, Clone)]
-pub enum OutMsg<M> {
+pub(crate) enum OutMsg<M> {
     /// A plain uplink payload for the (next) local MSS.
     Plain(M),
     /// An MH→MH payload that the local MSS must search-forward, carrying its
@@ -39,7 +39,7 @@ pub enum MhStatus {
 
 /// Per-MH kernel state.
 #[derive(Debug, Clone)]
-pub struct MhState<M> {
+pub(crate) struct MhState<M> {
     /// Current cell, when connected.
     pub cell: Option<MssId>,
     /// Connectivity status.
@@ -60,11 +60,6 @@ pub struct MhState<M> {
     pub disconnected_at: Option<MssId>,
     /// Uplink messages issued while between cells, flushed on join.
     pub outbox: VecDeque<OutMsg<M>>,
-    /// Messages received on the current cell's downlink (the `r` of
-    /// `leave(r)`).
-    pub down_received: u64,
-    /// Messages sent on the current cell's downlink.
-    pub down_sent: u64,
 }
 
 impl<M> MhState<M> {
@@ -79,16 +74,7 @@ impl<M> MhState<M> {
             home,
             disconnected_at: None,
             outbox: VecDeque::new(),
-            down_received: 0,
-            down_sent: 0,
         }
-    }
-
-    /// Zeroes the per-dwell downlink counters (on every leave/join: the `r`
-    /// of `leave(r)` restarts per cell).
-    pub(crate) fn reset_down_counts(&mut self) {
-        self.down_received = 0;
-        self.down_sent = 0;
     }
 }
 
@@ -252,7 +238,7 @@ impl<K: DenseId> Iterator for HostSetIter<'_, K> {
 
 /// Per-MSS kernel state.
 #[derive(Debug, Clone, Default)]
-pub struct MssState {
+pub(crate) struct MssState {
     /// MHs that have identified themselves with this MSS (the paper's list
     /// of local MH ids).
     pub local: HostSet,

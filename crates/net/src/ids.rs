@@ -292,80 +292,6 @@ impl<K: DenseId + fmt::Debug, V: fmt::Debug> fmt::Debug for IdMap<K, V> {
     }
 }
 
-/// Identifier of a process group of mobile hosts (Section 4 of the paper).
-///
-/// # Examples
-///
-/// ```
-/// use mobidist_net::ids::GroupId;
-/// assert_eq!(GroupId(1).to_string(), "grp1");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct GroupId(pub u32);
-
-impl fmt::Display for GroupId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "grp{}", self.0)
-    }
-}
-
-/// Either kind of host — the source or destination of a message.
-///
-/// # Examples
-///
-/// ```
-/// use mobidist_net::ids::{Endpoint, MhId, MssId};
-/// let e = Endpoint::Mh(MhId(2));
-/// assert!(e.as_mh().is_some());
-/// assert!(Endpoint::Mss(MssId(0)).as_mss().is_some());
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Endpoint {
-    /// A fixed host / mobile support station.
-    Mss(MssId),
-    /// A mobile host.
-    Mh(MhId),
-}
-
-impl Endpoint {
-    /// Returns the MSS id if this endpoint is a fixed host.
-    pub fn as_mss(self) -> Option<MssId> {
-        match self {
-            Endpoint::Mss(m) => Some(m),
-            Endpoint::Mh(_) => None,
-        }
-    }
-
-    /// Returns the MH id if this endpoint is a mobile host.
-    pub fn as_mh(self) -> Option<MhId> {
-        match self {
-            Endpoint::Mh(h) => Some(h),
-            Endpoint::Mss(_) => None,
-        }
-    }
-}
-
-impl fmt::Display for Endpoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Endpoint::Mss(m) => m.fmt(f),
-            Endpoint::Mh(h) => h.fmt(f),
-        }
-    }
-}
-
-impl From<MssId> for Endpoint {
-    fn from(m: MssId) -> Self {
-        Endpoint::Mss(m)
-    }
-}
-
-impl From<MhId> for Endpoint {
-    fn from(h: MhId) -> Self {
-        Endpoint::Mh(h)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,9 +301,6 @@ mod tests {
     fn display_forms() {
         assert_eq!(MssId(0).to_string(), "mss0");
         assert_eq!(MhId(41).to_string(), "mh41");
-        assert_eq!(GroupId(7).to_string(), "grp7");
-        assert_eq!(Endpoint::Mh(MhId(1)).to_string(), "mh1");
-        assert_eq!(Endpoint::Mss(MssId(2)).to_string(), "mss2");
     }
 
     #[test]
@@ -386,16 +309,6 @@ mod tests {
         assert_eq!(MhId(123).index(), 123);
         assert_eq!(MssId::from(4u32), MssId(4));
         assert_eq!(MhId::from(4u32), MhId(4));
-    }
-
-    #[test]
-    fn endpoint_projections() {
-        assert_eq!(Endpoint::Mss(MssId(1)).as_mss(), Some(MssId(1)));
-        assert_eq!(Endpoint::Mss(MssId(1)).as_mh(), None);
-        assert_eq!(Endpoint::Mh(MhId(2)).as_mh(), Some(MhId(2)));
-        assert_eq!(Endpoint::Mh(MhId(2)).as_mss(), None);
-        assert_eq!(Endpoint::from(MssId(3)), Endpoint::Mss(MssId(3)));
-        assert_eq!(Endpoint::from(MhId(3)), Endpoint::Mh(MhId(3)));
     }
 
     #[test]

@@ -155,8 +155,9 @@ enum Ev<M, T> {
     PartitionHeal,
 }
 
-/// Simulation kernel state. Owned by [`Simulation`](crate::sim::Simulation);
-/// protocols access it through [`Ctx`](crate::proto::Ctx).
+/// Simulation kernel state. Owned by [`Simulation`](crate::sim::Simulation),
+/// which lends it out read-only ([`Simulation::kernel`](crate::sim::Simulation::kernel));
+/// every change to a running kernel goes through [`Ctx`](crate::proto::Ctx).
 #[derive(Debug)]
 pub struct Kernel<M, T> {
     cfg: NetworkConfig,
@@ -171,10 +172,11 @@ pub struct Kernel<M, T> {
     ledger: CostLedger,
     /// Protocol callbacks waiting for the driver, in order: every output of
     /// an event that yields several (fan-outs, MH→MH releases, the fault
-    /// plane), and those of `initiate_move`/`initiate_disconnect` calls made
-    /// inside callbacks. An event's lone callback skips it: `advance`
-    /// hands it to the driver's `deliver` directly. The driver drains the
-    /// queue after every event, so it is empty when the next one pops.
+    /// plane), and those of `initiate_move`/`initiate_disconnect` calls
+    /// (made only through a `Ctx`). An event's lone callback skips it:
+    /// `advance` hands it to the driver's `deliver` directly. The driver
+    /// drains the queue after every event and after every `with_ctx`, so it
+    /// is empty when the next one pops.
     pending: VecDeque<ProtoEvent<M, T>>,
     /// Structured event sink and per-run emission counter; no sink (the
     /// default) costs one branch per emission site and never constructs the
@@ -211,7 +213,7 @@ pub struct Kernel<M, T> {
 impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// Builds a kernel: places MHs into cells and primes the autonomous
     /// mobility/disconnection processes.
-    pub fn new(cfg: NetworkConfig) -> Self {
+    pub(crate) fn new(cfg: NetworkConfig) -> Self {
         // RNG derivation order: seed, fork the protocol stream, fork the
         // placement stream, then draw mobility/disconnect delays from the
         // root stream.
@@ -287,36 +289,22 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// Mutable access to the cost ledger (custom counters).
-    pub fn ledger_mut(&mut self) -> &mut CostLedger {
+    pub(crate) fn ledger_mut(&mut self) -> &mut CostLedger {
         &mut self.ledger
     }
 
     /// The protocol-visible random stream.
-    pub fn proto_rng(&mut self) -> &mut SimRng {
+    pub(crate) fn proto_rng(&mut self) -> &mut SimRng {
         &mut self.proto_rng
     }
 
-    /// Installs a structured trace sink; it observes every subsequent typed
-    /// emission. Replaces any previously installed sink.
-    ///
-    /// Sinks only observe: installing one never changes simulation results
-    /// (no RNG draws, no scheduling — pinned byte-for-byte by the `trace`
-    /// axis of the bench crate's `differential` test).
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
+    /// Installs a structured trace sink, replacing any previous one.
+    pub(crate) fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
         self.trace.sink = Some(sink);
     }
 
-    /// Detaches and returns the installed trace sink, if any, without
-    /// notifying it (see [`finish_trace`](Self::finish_trace) for the
-    /// end-of-run path).
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.sink.take()
-    }
-
-    /// Ends the traced run: calls [`TraceSink::finish`] with the final
-    /// ledger (the JSONL sink writes its `run_end` summary line here) and
-    /// detaches the sink.
-    pub fn finish_trace(&mut self) -> Option<Box<dyn TraceSink>> {
+    /// Ends the traced run: the sink sees the final ledger and is detached.
+    pub(crate) fn finish_trace(&mut self) -> Option<Box<dyn TraceSink>> {
         self.trace.finish(&self.ledger)
     }
 
@@ -356,7 +344,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// Sets doze mode for `mh`.
-    pub fn set_doze(&mut self, mh: MhId, dozing: bool) {
+    pub(crate) fn set_doze(&mut self, mh: MhId, dozing: bool) {
         self.mhs[mh.index()].dozing = dozing;
     }
 
@@ -405,20 +393,10 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             return false;
         };
         debug_assert!(t >= self.now, "event time regressed");
+        debug_assert!(self.pending.is_empty(), "pending is empty at every pop");
         self.now = t;
-        // Callbacks queued outside any callback (an `initiate_*` through
-        // `Simulation::kernel_mut`) keep their place ahead of this event's.
-        let behind = !self.pending.is_empty();
         if let Some(pe) = self.dispatch(ev) {
-            if behind {
-                self.pending.push_back(pe);
-            } else {
-                debug_assert!(
-                    self.pending.is_empty(),
-                    "the direct path fires only when pending is empty"
-                );
-                deliver(self, pe);
-            }
+            deliver(self, pe);
         }
         true
     }
@@ -517,7 +495,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
 
     /// Point-to-point fixed-network send. Self-sends are free and take one
     /// tick — they are not messages in the model.
-    pub fn send_fixed(&mut self, from: MssId, to: MssId, msg: M) {
+    pub(crate) fn send_fixed(&mut self, from: MssId, to: MssId, msg: M) {
         if from == to {
             self.queue
                 .push(self.now + 1, Ev::FixedDeliver { from, to, msg });
@@ -532,13 +510,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.queue.push(at, Ev::FixedDeliver { from, to, msg });
     }
 
-    /// Sends `msg` to every other MSS over the fixed network (cost
-    /// `(M − 1)·C_fixed`). Charges, trace emissions, latency draws and FIFO
-    /// clamping are per destination, identical to a loop of
+    /// Fixed-network broadcast to every other MSS. Trace emissions, latency
+    /// draws and FIFO clamping are per destination, identical to a loop of
     /// [`send_fixed`](Self::send_fixed); in batched delivery mode one
     /// payload is stored per same-arrival-tick run of destinations and the
     /// ledger charge is fused across the fan-out.
-    pub fn broadcast_fixed(&mut self, from: MssId, msg: M) {
+    pub(crate) fn broadcast_fixed(&mut self, from: MssId, msg: M) {
         let m = self.cfg.num_mss as u32;
         if m <= 1 {
             return;
@@ -608,11 +585,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// Wireless downlink send to a local MH.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::NotLocal`] when `mh` is not currently local to `mss`.
-    pub fn send_wireless_down(&mut self, mss: MssId, mh: MhId, msg: M) -> Result<(), NetError> {
+    pub(crate) fn send_wireless_down(
+        &mut self,
+        mss: MssId,
+        mh: MhId,
+        msg: M,
+    ) -> Result<(), NetError> {
         if !self.is_local(mss, mh) {
             return Err(NetError::NotLocal { mss, mh });
         }
@@ -621,12 +599,10 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         Ok(())
     }
 
-    /// Broadcasts over the cell's wireless channel: **one** transmission
-    /// (one `C_wireless` charge) reaches every MH currently local to `mss`;
-    /// each listener still pays its own reception energy. One payload is
-    /// stored per same-arrival-tick run of recipients and cloned only at
-    /// delivery. Returns the number of recipients.
-    pub fn broadcast_cell(&mut self, mss: MssId, msg: M) -> usize {
+    /// Broadcasts over the cell's wireless channel: one transmission
+    /// reaches every local MH. One payload is stored per same-arrival-tick
+    /// run of recipients and cloned only at delivery.
+    pub(crate) fn broadcast_cell(&mut self, mss: MssId, msg: M) -> usize {
         // Reuse the kernel-owned scratch buffer: the cell's `HostSet` bitmap
         // iterates in ascending id order (deterministic) and the Vec's
         // capacity survives the call.
@@ -647,9 +623,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         let mut msg = Some(msg);
         if self.cfg.delivery == DeliveryMode::Unbatched {
             for (i, mh) in locals.iter().enumerate() {
-                let h = &mut self.mhs[mh.index()];
-                let epoch = h.epoch;
-                h.down_sent += 1;
+                let epoch = self.mhs[mh.index()].epoch;
                 let at = self.fifo.schedule(ChainKey::Down(mss, *mh), self.now + lat);
                 let payload = if i == n - 1 {
                     msg.take().expect("payload present until last")
@@ -676,9 +650,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             debug_assert!(group.is_empty());
             let mut group_at = SimTime::ZERO;
             for mh in &locals {
-                let h = &mut self.mhs[mh.index()];
-                let epoch = h.epoch;
-                h.down_sent += 1;
+                let epoch = self.mhs[mh.index()].epoch;
                 let at = self.fifo.schedule(ChainKey::Down(mss, *mh), self.now + lat);
                 if !group.is_empty() && at != group_at {
                     let payload = msg.as_ref().expect("payload present until last").clone();
@@ -735,11 +707,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
 
     /// Wireless uplink send from an MH to its current local MSS; buffered
     /// while between cells and flushed on the next join.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Disconnected`] when `mh` has disconnected.
-    pub fn send_wireless_up(&mut self, mh: MhId, msg: M) -> Result<(), NetError> {
+    pub(crate) fn send_wireless_up(&mut self, mh: MhId, msg: M) -> Result<(), NetError> {
         match self.mhs[mh.index()].status {
             MhStatus::Disconnected => Err(NetError::Disconnected { mh }),
             MhStatus::BetweenCells => {
@@ -755,16 +723,12 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// Locate-and-forward from `origin` to `mh` (the model's search).
-    pub fn search_send(&mut self, origin: MssId, mh: MhId, msg: M) {
+    pub(crate) fn search_send(&mut self, origin: MssId, mh: MhId, msg: M) {
         self.begin_search(mh, DownMode::Searched { origin }, msg, false);
     }
 
     /// MH→MH transport with logical FIFO per ordered sender/receiver pair.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Disconnected`] when the *sender* has disconnected.
-    pub fn mh_send_to_mh(&mut self, src: MhId, dst: MhId, msg: M) -> Result<(), NetError> {
+    pub(crate) fn mh_send_to_mh(&mut self, src: MhId, dst: MhId, msg: M) -> Result<(), NetError> {
         if self.mhs[src.index()].status == MhStatus::Disconnected {
             return Err(NetError::Disconnected { mh: src });
         }
@@ -785,30 +749,28 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// Schedules a protocol timer (minimum delay of one tick).
-    pub fn set_timer(&mut self, delay: u64, t: T) {
+    pub(crate) fn set_timer(&mut self, delay: u64, t: T) {
         self.queue.push(self.now + delay.max(1), Ev::Timer { t });
     }
 
     // ----- mobility control --------------------------------------------------
 
-    /// Forces `mh` to leave now and join `dest` (or a pattern-chosen cell)
-    /// after the configured gap. No-op when not connected.
-    pub fn initiate_move(&mut self, mh: MhId, dest: Option<MssId>) {
+    /// Forces `mh` to leave now; no-op when not connected.
+    pub(crate) fn initiate_move(&mut self, mh: MhId, dest: Option<MssId>) {
         if let Some(left) = self.do_leave(mh, dest) {
             self.pending.push_back(left);
         }
     }
 
-    /// Forces `mh` to disconnect now. No-op when not connected.
-    pub fn initiate_disconnect(&mut self, mh: MhId) {
+    /// Forces `mh` to disconnect now; no-op when not connected.
+    pub(crate) fn initiate_disconnect(&mut self, mh: MhId) {
         if let Some(gone) = self.do_disconnect(mh, false) {
             self.pending.push_back(gone);
         }
     }
 
-    /// Forces a disconnected `mh` to reconnect at `at` (or its previous
-    /// cell) after `delay` ticks. No-op when not disconnected.
-    pub fn initiate_reconnect(&mut self, mh: MhId, at: Option<MssId>, delay: u64) {
+    /// Schedules a disconnected `mh`'s reconnect; no-op otherwise.
+    pub(crate) fn initiate_reconnect(&mut self, mh: MhId, at: Option<MssId>, delay: u64) {
         if self.mhs[mh.index()].status != MhStatus::Disconnected {
             return;
         }
@@ -847,7 +809,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.ledger.wireless_msgs += 1;
         self.ledger.wireless_cost += self.cfg.cost.c_wireless;
         self.emit(|| TraceEvent::DownSend { mss, mh });
-        self.mhs[mh.index()].down_sent += 1;
         let lat = self.cfg.latency.wireless.sample(&mut self.rng);
         let at = self.fifo.schedule(ChainKey::Down(mss, mh), self.now + lat);
         self.queue.push(
@@ -953,10 +914,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         mode: DownMode,
         msg: M,
     ) -> Option<ProtoEvent<M, T>> {
-        let h = &mut self.mhs[mh.index()];
+        let h = &self.mhs[mh.index()];
         let fresh = h.status == MhStatus::Connected && h.cell == Some(mss) && h.epoch == epoch;
         if fresh {
-            h.down_received += 1;
             let dozing = h.dozing;
             self.emit(|| TraceEvent::DownRecv { mh, mss });
             if dozing {
@@ -1326,7 +1286,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         h.status = MhStatus::BetweenCells;
         h.prev_cell = Some(mss);
         h.epoch += 1;
-        h.reset_down_counts();
         self.msss[mss.index()].local.remove(&mh);
         self.fifo.reset(ChainKey::Down(mss, mh));
         self.fifo.reset(ChainKey::Up(mh, mss));
@@ -1347,7 +1306,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         let prev = h.prev_cell;
         h.cell = Some(mss);
         h.status = MhStatus::Connected;
-        h.reset_down_counts();
         self.msss[mss.index()].local.insert(mh);
         self.ledger.moves += 1;
         self.ledger.bump("control_wireless"); // join(mh-id)
@@ -1425,7 +1383,6 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         h.cell = Some(mss);
         h.disconnected_at = None;
         h.prev_cell = old;
-        h.reset_down_counts();
         self.msss[mss.index()].local.insert(mh);
         self.ledger.reconnects += 1;
         self.ledger.bump("control_wireless"); // reconnect(mh, prev)

@@ -30,11 +30,6 @@ pub enum LatencyModel {
         /// Upper bound (inclusive).
         hi: u64,
     },
-    /// Exponential-like latency with the given mean (minimum 1 tick).
-    Exp {
-        /// Mean latency in ticks.
-        mean: u64,
-    },
 }
 
 impl LatencyModel {
@@ -43,7 +38,6 @@ impl LatencyModel {
         match *self {
             LatencyModel::Fixed(v) => v.max(1),
             LatencyModel::Uniform { lo, hi } => rng.between(lo.max(1), hi.max(lo).max(1)),
-            LatencyModel::Exp { mean } => rng.exp_delay(mean),
         }
     }
 
@@ -56,7 +50,6 @@ impl LatencyModel {
         match *self {
             LatencyModel::Fixed(v) => v.max(1),
             LatencyModel::Uniform { lo, .. } => lo.max(1),
-            LatencyModel::Exp { .. } => 1,
         }
     }
 }
@@ -91,21 +84,11 @@ mod tests {
     }
 
     #[test]
-    fn exp_is_positive() {
-        let mut rng = SimRng::seed_from(4);
-        let m = LatencyModel::Exp { mean: 6 };
-        for _ in 0..100 {
-            assert!(m.sample(&mut rng) >= 1);
-        }
-    }
-
-    #[test]
     fn lower_bounds() {
         assert_eq!(LatencyModel::Fixed(5).lower_bound(), 5);
         assert_eq!(LatencyModel::Fixed(0).lower_bound(), 1);
         assert_eq!(LatencyModel::Uniform { lo: 3, hi: 8 }.lower_bound(), 3);
         assert_eq!(LatencyModel::Uniform { lo: 0, hi: 8 }.lower_bound(), 1);
-        assert_eq!(LatencyModel::Exp { mean: 5 }.lower_bound(), 1);
     }
 
     #[test]
@@ -114,7 +97,6 @@ mod tests {
         for m in [
             LatencyModel::Fixed(4),
             LatencyModel::Uniform { lo: 2, hi: 9 },
-            LatencyModel::Exp { mean: 3 },
         ] {
             let lb = m.lower_bound();
             for _ in 0..200 {

@@ -80,7 +80,7 @@ pub mod prelude {
     pub use crate::error::NetError;
     pub use crate::fault::{FaultConfig, FaultEvent, FaultKind};
     pub use crate::host::MhStatus;
-    pub use crate::ids::{Endpoint, GroupId, MhId, MssId};
+    pub use crate::ids::{MhId, MssId};
     pub use crate::latency::LatencyModel;
     pub use crate::ledger::CostLedger;
     pub use crate::metrics::{Histogram, Metrics, MetricsSink};

@@ -43,9 +43,9 @@
 //! }
 //!
 //! let mut sim = Simulation::new(NetworkConfig::new(2, 2), Ping);
-//! sim.kernel_mut().set_trace_sink(Box::new(RingSink::new(64)));
+//! sim.set_trace_sink(Box::new(RingSink::new(64)));
 //! sim.run_to_quiescence(10_000);
-//! let ring = sim.kernel_mut().take_trace_sink().unwrap();
+//! let ring = sim.finish_trace().unwrap();
 //! let ring = ring.as_any().downcast_ref::<RingSink>().unwrap();
 //! assert!(ring.iter().any(|(_, _, e)| matches!(e, TraceEvent::UpSend { .. })));
 //! ```
@@ -563,8 +563,8 @@ impl TraceEvent {
 
 /// Receiver of the kernel's typed event stream.
 ///
-/// A sink is installed on a kernel with
-/// [`Kernel::set_trace_sink`](crate::kernel::Kernel::set_trace_sink) and
+/// A sink is installed on a simulation with
+/// [`Simulation::set_trace_sink`](crate::sim::Simulation::set_trace_sink) and
 /// from then on observes every emission in event order. Sinks must never
 /// influence the simulation: they get read-only views and the kernel calls
 /// them *after* all state changes and ledger charges for the operation.
@@ -587,7 +587,7 @@ pub trait TraceSink: Send + std::fmt::Debug {
     }
 
     /// Upcast for read access to a concrete sink after
-    /// [`take_trace_sink`](crate::kernel::Kernel::take_trace_sink).
+    /// [`finish_trace`](crate::sim::Simulation::finish_trace).
     fn as_any(&self) -> &dyn Any;
 
     /// Upcast for mutable access to a concrete sink.

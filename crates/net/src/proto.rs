@@ -8,8 +8,6 @@
 //! way for an algorithm to send directly to a non-local MH without paying the
 //! search cost.
 
-use crate::config::NetworkConfig;
-use crate::cost::CostModel;
 use crate::error::NetError;
 use crate::host::MhStatus;
 use crate::ids::{MhId, MssId};
@@ -288,7 +286,9 @@ pub trait Protocol: Sized + 'static {
     }
 }
 
-/// Handle through which a protocol interacts with the kernel.
+/// Handle through which a protocol interacts with the kernel — the only
+/// mutable one: a driver outside any callback gets one from
+/// [`Simulation::with_ctx`](crate::sim::Simulation::with_ctx).
 ///
 /// Wraps the kernel mutably for the duration of one callback.
 #[derive(Debug)]
@@ -300,16 +300,6 @@ impl<'a, M: Debug + Clone + 'static, T: Debug + 'static> Ctx<'a, M, T> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.k.now()
-    }
-
-    /// The network configuration.
-    pub fn config(&self) -> &NetworkConfig {
-        self.k.config()
-    }
-
-    /// The cost model in force.
-    pub fn cost_model(&self) -> CostModel {
-        self.k.config().cost
     }
 
     /// Number of fixed hosts, `M`.
@@ -402,27 +392,9 @@ impl<'a, M: Debug + Clone + 'static, T: Debug + 'static> Ctx<'a, M, T> {
         self.k.is_local(mss, mh)
     }
 
-    /// MHs currently local to `mss`, in ascending id order (allocation-free;
-    /// `.collect()` when a `Vec` is genuinely needed).
-    pub fn local_mhs(&self, mss: MssId) -> impl Iterator<Item = MhId> + '_ {
-        self.k.local_mhs(mss)
-    }
-
     /// Connectivity status of `mh`.
     pub fn mh_status(&self, mh: MhId) -> MhStatus {
         self.k.mh_status(mh)
-    }
-
-    /// True when the "disconnected" flag for `mh` is set at `mss`.
-    pub fn mh_disconnected_here(&self, mss: MssId, mh: MhId) -> bool {
-        self.k.mh_disconnected_here(mss, mh)
-    }
-
-    /// True when the fault plane currently has `mss` crashed (wired traffic
-    /// to and from it is being deferred). Always `false` on fault-free
-    /// configurations.
-    pub fn mss_down(&self, mss: MssId) -> bool {
-        self.k.mss_down(mss)
     }
 
     /// Oracle view of the MH's current cell. Intended for harnesses,
@@ -464,11 +436,6 @@ impl<'a, M: Debug + Clone + 'static, T: Debug + 'static> Ctx<'a, M, T> {
     /// Increments a protocol-defined named ledger counter.
     pub fn bump(&mut self, name: &str) {
         self.k.ledger_mut().bump(name);
-    }
-
-    /// Adds to a protocol-defined named ledger counter.
-    pub fn bump_by(&mut self, name: &str, by: u64) {
-        self.k.ledger_mut().bump_by(name, by);
     }
 
     /// Protocol-visible random stream (deterministic per seed).

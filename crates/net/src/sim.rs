@@ -74,14 +74,11 @@ impl<P: Protocol> Simulation<P> {
         &mut self.proto
     }
 
-    /// The kernel (topology queries, trace sink, ledger).
+    /// The kernel, read-only (topology queries, configuration, ledger).
+    /// Drivers change a running simulation through
+    /// [`with_ctx`](Self::with_ctx) and the trace methods below.
     pub fn kernel(&self) -> &Kernel<P::Msg, P::Timer> {
         &self.kernel
-    }
-
-    /// Mutable kernel access (trace sinks, custom counters).
-    pub fn kernel_mut(&mut self) -> &mut Kernel<P::Msg, P::Timer> {
-        &mut self.kernel
     }
 
     /// The cost ledger.
@@ -89,14 +86,19 @@ impl<P: Protocol> Simulation<P> {
         self.kernel.ledger()
     }
 
-    /// Installs a structured trace sink on the kernel (see
-    /// [`Kernel::set_trace_sink`]).
+    /// Installs a structured trace sink on the kernel; it observes every
+    /// subsequent typed emission. Replaces any previously installed sink.
+    ///
+    /// Sinks only observe: installing one never changes simulation results
+    /// (no RNG draws, no scheduling — pinned byte-for-byte by the `trace`
+    /// axis of the bench crate's `differential` test).
     pub fn set_trace_sink(&mut self, sink: Box<dyn crate::obs::TraceSink>) {
         self.kernel.set_trace_sink(sink);
     }
 
-    /// Ends the traced run — the sink sees the final ledger and is
-    /// detached and returned (see [`Kernel::finish_trace`]).
+    /// Ends the traced run: calls [`TraceSink::finish`](crate::obs::TraceSink::finish)
+    /// with the final ledger (the JSONL sink writes its `run_end` summary
+    /// line here), then detaches and returns the sink.
     pub fn finish_trace(&mut self) -> Option<Box<dyn crate::obs::TraceSink>> {
         self.kernel.finish_trace()
     }
@@ -146,7 +148,10 @@ impl<P: Protocol> Simulation<P> {
     }
 
     /// Allows a test or workload driver to act on the protocol directly with
-    /// a kernel context, outside any event.
+    /// a kernel context, outside any event — the one way to change a running
+    /// simulation besides the trace methods. Every callback the closure
+    /// queues (a `Left` from `initiate_move`, say) runs before this returns,
+    /// so the next event pops with nothing waiting.
     pub fn with_ctx<R>(
         &mut self,
         f: impl FnOnce(&mut Ctx<'_, P::Msg, P::Timer>, &mut P) -> R,

@@ -118,9 +118,11 @@ fn positive(v: &str) -> Result<(), String> {
     }
 }
 
+/// Blank means unset to the library layers (`mobidist_bench::obs::trace_base`
+/// trims), so a blank path is refused here rather than silently ignored.
 fn path(v: &str) -> Result<(), String> {
-    if v.is_empty() {
-        return Err("expects a non-empty path".into());
+    if v.trim().is_empty() {
+        return Err(format!("expects a non-blank path, got '{v}'"));
     }
     Ok(())
 }

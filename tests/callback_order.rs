@@ -628,13 +628,14 @@ impl Protocol for Names {
     }
 }
 
-/// A move initiated through the kernel outside any callback is queued
-/// before the next event pops; that event's lone callback runs after it.
+/// A move initiated outside any callback, through `with_ctx`, delivers its
+/// `left` before the next event pops; that event's lone callback runs after
+/// it.
 #[test]
 fn callbacks_queued_outside_a_callback_run_first() {
     let mut sim = Simulation::new(NetworkConfig::new(2, 2), Names::default());
-    sim.start();
-    sim.kernel_mut().initiate_move(MhId(0), Some(MssId(1)));
+    sim.with_ctx(|ctx, _| ctx.initiate_move(MhId(0), Some(MssId(1))));
+    assert_eq!(sim.protocol().0, ["left"]);
     assert!(sim.step());
     assert_eq!(sim.protocol().0, ["left", "timer"]);
 }

@@ -77,6 +77,27 @@ fn exported_knobs_are_validated_like_their_flags() {
     // The flag wins over the variable, so a good flag rescues a bad export.
     let rescued = experiments(&["e0", "--jobs=1"], &[("MOBIDIST_JOBS", "abc")]);
     assert!(rescued.status.success());
+    // The library layers read a blank trace path as unset, so flag and
+    // variable refuse one rather than trace nothing into a file named "  ".
+    assert_blank_trace_refused(&["e0", "--trace", "  "], &[], "--trace");
+    assert_blank_trace_refused(&["e0"], &[("MOBIDIST_TRACE", "  ")], "MOBIDIST_TRACE");
+}
+
+/// Runs `experiments` in an empty scratch directory, asserts a usage error
+/// naming `origin`, and that the directory is still empty afterwards.
+fn assert_blank_trace_refused(args: &[&str], env: &[(&str, &str)], origin: &str) {
+    let dir = std::env::temp_dir().join(format!("mobidist-cli-blank-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let out = command(EXPERIMENTS)
+        .args(args)
+        .envs(env.iter().copied())
+        .current_dir(&dir)
+        .output()
+        .expect("run the binary");
+    let left = std::fs::read_dir(&dir).expect("read scratch dir").count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_rejected(&out, origin);
+    assert_eq!(left, 0, "{origin}: a blank path created a file");
 }
 
 #[test]
