@@ -35,11 +35,9 @@ done
 # Every MOBIDIST_* knob the docs, Makefile, CI or skills name must be read
 # somewhere in the source (CHANGES.md and ROADMAP.md are history, ISSUE.md
 # and REVIEW.md are per-PR task files, benchmark/ has its own gate).
+# tests/doc_gates.rs checks that, and that every knob read is documented;
+# the list below feeds the retired-variable check further down.
 knob_docs=$(ls ./*.md | grep -v -e '/CHANGES\.md$' -e '/ROADMAP\.md$' -e '/ISSUE\.md$' -e '/REVIEW\.md$')
-for knob in $(grep -rhoE 'MOBIDIST_[A-Z_]+' $knob_docs Makefile ci .claude/skills | sort -u); do
-  grep -rqw "$knob" crates src || {
-    echo "doc gate: $knob is documented but nothing in crates/ or src/ reads it" >&2; exit 1; }
-done
 # Every `make` target and `--bin` that README.md, DESIGN.md or the verify
 # skill tells the reader to run must exist.
 cmd_docs="README.md DESIGN.md .claude/skills/verify/SKILL.md"

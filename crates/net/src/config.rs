@@ -5,7 +5,6 @@ use crate::fault::FaultConfig;
 use crate::ids::MssId;
 use crate::latency::LatencyModel;
 use crate::mobility::{DisconnectConfig, MobilityConfig};
-use crate::rng::SimRng;
 use crate::search::SearchPolicy;
 
 /// Per-channel-class latency distributions.
@@ -60,8 +59,6 @@ pub enum Placement {
     /// MH `i` starts in cell `i mod M`.
     #[default]
     RoundRobin,
-    /// Uniformly random initial cell.
-    Random,
     /// All MHs packed into the first `cells` cells (localised groups).
     Clustered {
         /// Number of initial cells used.
@@ -70,14 +67,10 @@ pub enum Placement {
 }
 
 impl Placement {
-    /// The cell host number `host` of a world of `m` cells starts in. `rng`
-    /// is the caller's placement stream, drawn from only by
-    /// [`Random`](Self::Random); calling in host order is what makes a
-    /// placement reproducible.
-    pub(crate) fn initial_cell(self, host: usize, m: usize, rng: &mut SimRng) -> MssId {
+    /// The cell host number `host` of a world of `m` cells starts in.
+    pub(crate) fn initial_cell(self, host: usize, m: usize) -> MssId {
         MssId(match self {
             Placement::RoundRobin => (host % m) as u32,
-            Placement::Random => rng.below(m as u64) as u32,
             Placement::Clustered { cells } => (host % cells.clamp(1, m)) as u32,
         })
     }

@@ -30,17 +30,6 @@ pub enum NetError {
         /// The disconnected MH.
         mh: MhId,
     },
-    /// An operation referenced an id outside the configured population.
-    UnknownHost {
-        /// Rendered id of the unknown host.
-        id: String,
-    },
-    /// A wireless uplink send was attempted while the MH is between cells and
-    /// outbox buffering is disabled.
-    BetweenCells {
-        /// The MH with no current cell.
-        mh: MhId,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -50,10 +39,6 @@ impl fmt::Display for NetError {
                 write!(f, "{mh} is not local to {mss}")
             }
             NetError::Disconnected { mh } => write!(f, "{mh} is disconnected"),
-            NetError::UnknownHost { id } => write!(f, "unknown host {id}"),
-            NetError::BetweenCells { mh } => {
-                write!(f, "{mh} is between cells and cannot use a wireless channel")
-            }
         }
     }
 }
@@ -75,13 +60,6 @@ mod tests {
             NetError::Disconnected { mh: MhId(5) }.to_string(),
             "mh5 is disconnected"
         );
-        assert_eq!(
-            NetError::BetweenCells { mh: MhId(5) }.to_string(),
-            "mh5 is between cells and cannot use a wireless channel"
-        );
-        assert!(NetError::UnknownHost { id: "x9".into() }
-            .to_string()
-            .contains("x9"));
     }
 
     #[test]

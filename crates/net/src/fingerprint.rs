@@ -399,8 +399,9 @@ impl CanonHash for DisconnectConfig {
 impl CanonHash for Placement {
     fn canon_hash(&self, h: &mut CanonHasher) {
         match *self {
+            // Stored cache keys were hashed with these tags, so they never
+            // change; 1 is unused.
             Placement::RoundRobin => h.write_u64(0),
-            Placement::Random => h.write_u64(1),
             Placement::Clustered { cells } => {
                 h.write_u64(2);
                 h.write_u64(cells as u64);
@@ -519,7 +520,6 @@ mod tests {
             }),
             base.clone()
                 .with_placement(Placement::Clustered { cells: 2 }),
-            base.clone().with_placement(Placement::Random),
             base.clone().with_latency(LatencyConfig {
                 fixed: LatencyModel::Uniform { lo: 1, hi: 5 },
                 ..LatencyConfig::default()

@@ -216,15 +216,16 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     pub(crate) fn new(cfg: NetworkConfig) -> Self {
         // RNG derivation order: seed, fork the protocol stream, fork the
         // placement stream, then draw mobility/disconnect delays from the
-        // root stream.
+        // root stream. No placement draws from its stream; the fork is kept
+        // as a bare draw because the root stream's later draws depend on it.
         let mut rng = SimRng::seed_from(cfg.seed);
         let proto_rng = rng.fork(0xA11C);
-        let mut place_rng = rng.fork(0xB0B1);
+        let _ = rng.fork(0xB0B1);
         let (m, n) = (cfg.num_mss, cfg.num_mh);
         let mut msss = vec![MssState::default(); m];
         let mhs = (0..n)
             .map(|i| {
-                let cell = cfg.placement.initial_cell(i, m, &mut place_rng);
+                let cell = cfg.placement.initial_cell(i, m);
                 msss[cell.index()].local.insert(MhId(i as u32));
                 MhState::new(cell, cell)
             })

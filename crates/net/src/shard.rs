@@ -11,10 +11,9 @@
 //!
 //! # Lookahead and windows
 //!
-//! The wired plane gives the sync protocol its lookahead: no influence can
-//! cross a cell boundary in less than
-//! [`LatencyModel::lower_bound`](crate::latency::LatencyModel::lower_bound)
-//! ticks (`W`). Simulated time is cut into windows `[kW, (k+1)W)`. Within a
+//! The wired plane gives the sync protocol its lookahead: its latency is a
+//! constant 5 ticks, and no influence can cross a cell boundary in less than
+//! that (`W`). Simulated time is cut into windows `[kW, (k+1)W)`. Within a
 //! window every worker runs its own event queue independently — any event it
 //! pops was already enqueued locally, and nothing a *remote* worker does in
 //! the same window can affect it, because every cross-cell transfer sent in
@@ -133,27 +132,29 @@
 //! assert_eq!(a.ledger, b.ledger);
 //! ```
 
-use crate::config::Placement;
 use crate::cost::CostModel;
 use crate::event::EventQueue;
-use crate::fingerprint::{CanonHash, CanonHasher, Fingerprint};
+use crate::fingerprint::{CanonHasher, Fingerprint};
 use crate::ids::{MhId, MssId};
 use crate::lanes::{EpochBarrier, Lane};
-use crate::latency::LatencyModel;
 use crate::ledger::CostLedger;
-use crate::mobility::MovePattern;
+use crate::mobility::{MoveCtx, MovePattern};
 use crate::obs::{TraceEvent, TraceSink, Tracer};
 use crate::rng::SimRng;
 use crate::time::SimTime;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Canonical description of one scale-curve run (experiment E12).
+/// The fixed wired MSS↔MSS latency in ticks. No cross-cell influence travels
+/// faster, so it is also the conservative lookahead `W`.
+const W: u64 = 5;
+
+/// Canonical description of one scale-curve run (experiment E12): the
+/// mobility-churn parameters a run varies. Every leaving MH picks its next
+/// cell uniformly ([`MovePattern::UniformRandom`]), host `h` starts in cell
+/// `h mod M`, and the ledger charges with [`CostModel::default`].
 ///
 /// The worker count is deliberately **not** part of the spec: results are
-/// independent of it, so two runs of the same spec at different shard
-/// counts share one fingerprint (and one run-cache identity, were the scale
-/// experiment cached — it is not, precisely so the CI shard-soundness gate
-/// re-executes both legs).
+/// independent of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaleSpec {
     /// Number of MSS cells, `M`.
@@ -164,18 +165,8 @@ pub struct ScaleSpec {
     pub mean_dwell: u64,
     /// Mean ticks an MH spends between cells (clamped to the lookahead).
     pub mean_gap: u64,
-    /// Fixed wired MSS↔MSS latency; its lower bound is the sync lookahead.
-    pub wired_latency: u64,
-    /// How a leaving MH picks its next cell.
-    pub pattern: MovePattern,
-    /// How hosts are placed into cells at t = 0. The partition planner
-    /// weighs cells by this initial occupancy, so a skewed placement does
-    /// not pile hot cells onto one worker.
-    pub placement: Placement,
     /// Simulated horizon in ticks; events at or after it never execute.
     pub horizon: u64,
-    /// Message-cost parameters for the ledger.
-    pub cost: CostModel,
     /// Root seed; together with the other fields it fully determines the
     /// run at every shard count.
     pub seed: u64,
@@ -183,7 +174,7 @@ pub struct ScaleSpec {
 
 impl ScaleSpec {
     /// A mobility-churn spec over `m` cells and `n` hosts with the default
-    /// dwell/gap/latency parameters used by the scale curve.
+    /// dwell/gap/horizon used by the scale curve.
     ///
     /// # Panics
     ///
@@ -196,11 +187,7 @@ impl ScaleSpec {
             num_mh: n,
             mean_dwell: 500,
             mean_gap: 20,
-            wired_latency: 5,
-            pattern: MovePattern::UniformRandom,
-            placement: Placement::RoundRobin,
             horizon: 2_000,
-            cost: CostModel::default(),
             seed: 0,
         }
     }
@@ -224,24 +211,6 @@ impl ScaleSpec {
         self
     }
 
-    /// Replaces the move pattern.
-    pub fn with_pattern(mut self, pattern: MovePattern) -> Self {
-        self.pattern = pattern;
-        self
-    }
-
-    /// Replaces the initial placement.
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// The conservative lookahead `W`: the wired plane's minimum latency,
-    /// below which no cross-cell influence can travel.
-    pub fn lookahead(&self) -> u64 {
-        LatencyModel::Fixed(self.wired_latency).lower_bound()
-    }
-
     /// Closed-form expected move count: each host completes one move per
     /// `mean_dwell + mean_gap` ticks on average. E12 reports measured
     /// moves against this prediction as a model-fidelity check.
@@ -249,47 +218,11 @@ impl ScaleSpec {
         self.num_mh as u64 * self.horizon / (self.mean_dwell + self.mean_gap).max(1)
     }
 
-    /// Calls `f` with each host's initial cell, in host order. One
-    /// deterministic definition shared by the seeding loop and the
-    /// partition planner, so both always agree on where every host starts.
-    fn place_hosts(&self, mut f: impl FnMut(u32)) {
-        // Domain-separated stream for `Placement::Random`: the classic
-        // kernel forks its placement stream off the root one instead.
-        let mut place_rng = SimRng::seed_from(self.seed ^ 0x706C_6163_656D_656E); // "placemen"
-        for h in 0..self.num_mh {
-            let cell = self.placement.initial_cell(h, self.num_mss, &mut place_rng);
-            f(cell.0);
-        }
-    }
-}
-
-impl CanonHash for ScaleSpec {
-    fn canon_hash(&self, h: &mut CanonHasher) {
-        // Destructured so a new spec field without a hash update is a
-        // compile error (the shard count is intentionally absent — it is a
-        // run parameter, not part of the spec).
-        let ScaleSpec {
-            num_mss,
-            num_mh,
-            mean_dwell,
-            mean_gap,
-            wired_latency,
-            pattern,
-            placement,
-            horizon,
-            cost,
-            seed,
-        } = self;
-        h.write_u64(*num_mss as u64);
-        h.write_u64(*num_mh as u64);
-        h.write_u64(*mean_dwell);
-        h.write_u64(*mean_gap);
-        h.write_u64(*wired_latency);
-        pattern.canon_hash(h);
-        placement.canon_hash(h);
-        h.write_u64(*horizon);
-        cost.canon_hash(h);
-        h.write_u64(*seed);
+    /// Host `h`'s initial cell, `h mod M`: the one definition the seeding
+    /// loop and the partition planner share, so both always agree on where
+    /// every host starts.
+    fn initial_cell(&self, h: usize) -> u32 {
+        (h % self.num_mss) as u32
     }
 }
 
@@ -319,8 +252,6 @@ pub struct ScaleReport {
     /// curve divides this by `N`; it is *not* the process's resident size
     /// (see the module docs, "Memory").
     pub state_bytes: u64,
-    /// Lookahead `W` the run synchronised on.
-    pub lookahead: u64,
     /// Worker count actually used (requested count clamped to `[1, M]`).
     pub shards: usize,
 }
@@ -375,20 +306,21 @@ pub struct PartitionPlan {
 /// initial occupancy.
 ///
 /// Cells are taken heaviest-first (ties by cell id) and each is assigned to
-/// the currently lightest worker (ties by worker id), so a placement or
-/// mobility pattern that packs hosts into a few hot cells spreads those
-/// cells across workers instead of piling them onto whichever worker owns
-/// the hot block. With uniform occupancy this degenerates to a round-robin
-/// scatter, which is just as balanced as the old contiguous block partition
-/// — and since **all** transfers travel through lanes, ownership locality
-/// buys nothing a contiguous layout would miss.
+/// the currently lightest worker (ties by worker id), so every worker's
+/// initial load stays within one cell's weight of every other worker's,
+/// even when the workers do not divide the cells evenly. On the round-robin
+/// placement this is a scatter of cells over workers — and since **all**
+/// transfers travel through lanes, ownership locality buys nothing a
+/// contiguous layout would miss.
 ///
 /// `shards` is clamped to `[1, M]` exactly as [`run_scale`] clamps it.
 pub fn plan_partition(spec: &ScaleSpec, shards: usize) -> PartitionPlan {
     let m = spec.num_mss;
     let shards = shards.clamp(1, m);
     let mut weight = vec![0u64; m];
-    spec.place_hosts(|cell| weight[cell as usize] += 1);
+    for h in 0..spec.num_mh {
+        weight[spec.initial_cell(h) as usize] += 1;
+    }
     let mut order: Vec<u32> = (0..m as u32).collect();
     order.sort_unstable_by_key(|&c| (std::cmp::Reverse(weight[c as usize]), c));
     let mut owner = vec![0u32; m];
@@ -459,8 +391,7 @@ pub fn run_scale_traced(
         "expected 0 or {shards} trace sinks, got {}",
         sinks.len()
     );
-    let w = spec.lookahead();
-    let windows = spec.horizon.div_ceil(w);
+    let windows = spec.horizon.div_ceil(W);
     let plan = plan_partition(spec, shards);
 
     // One SPSC lane per ordered worker pair, a single fused barrier, and a
@@ -489,7 +420,7 @@ pub fn run_scale_traced(
             .map(|(shard, sink)| {
                 scope.spawn(move || {
                     run_shard(
-                        spec, shard, shards, w, windows, owner, lanes, barrier, mins, sink,
+                        spec, shard, shards, windows, owner, lanes, barrier, mins, sink,
                     )
                 })
             })
@@ -532,7 +463,6 @@ pub fn run_scale_traced(
         skipped_windows,
         digest,
         state_bytes: n as u64 * entry as u64,
-        lookahead: w,
         shards,
     };
     (report, done_sinks)
@@ -675,7 +605,6 @@ fn run_shard(
     spec: &ScaleSpec,
     shard: usize,
     shards: usize,
-    w: u64,
     windows: u64,
     owner: &[u32],
     lanes: &[Lane<Transfer>],
@@ -684,6 +613,7 @@ fn run_shard(
     sink: Option<Box<dyn TraceSink>>,
 ) -> ShardOut {
     let m = spec.num_mss;
+    let cost = CostModel::default();
     let mut ledger = CostLedger::new(0);
     let mut events = 0u64;
     let mut tracer = Tracer::new(sink);
@@ -702,12 +632,13 @@ fn run_shard(
     // Host h dwells in its placement cell, then leaves; decision 0 is the
     // initial dwell draw.
     let mut queue = EventQueue::new();
-    let mut h: u32 = 0;
-    spec.place_hosts(|cell| {
+    for h in 0..spec.num_mh {
+        let cell = spec.initial_cell(h);
         if owner[cell as usize] as usize == shard {
-            let dwell = decision_rng(spec.seed, h, 0).exp_delay(spec.mean_dwell);
+            let id = h as u32;
+            let dwell = decision_rng(spec.seed, id, 0).exp_delay(spec.mean_dwell);
             let rec = HostRec {
-                id: h,
+                id,
                 home: cell,
                 cell,
                 ctr: 1,
@@ -715,8 +646,7 @@ fn run_shard(
             };
             queue.push(SimTime::from_ticks(dwell), SEv::Leave(rec));
         }
-        h += 1;
-    });
+    }
 
     // `round` counts barrier rounds (= processed windows) and selects lane
     // buffer parity; `k` is the simulation window the round processes —
@@ -733,7 +663,7 @@ fn run_shard(
                 queue.push(SimTime::from_ticks(arrival), ev)
             });
         }
-        let end = ((k + 1) * w).min(spec.horizon);
+        let end = ((k + 1) * W).min(spec.horizon);
         let limit = SimTime::from_ticks(end - 1);
         // Earliest arrival among this round's sends, for the fast-forward.
         let mut sent_min = u64::MAX;
@@ -760,12 +690,10 @@ fn run_shard(
                         from: MssId(rec.cell),
                     });
                     let mut rng = decision_rng(spec.seed, rec.id, rec.ctr);
-                    // The era is `rec.ctr` — bumped on every leave/join pair —
-                    // so waypoint/heading derivations replay identically no
-                    // matter which worker processes the decision.
-                    let next = spec.pattern.next_cell(
+                    // The era is `rec.ctr`, the host's decision counter.
+                    let next = MovePattern::UniformRandom.next_cell(
                         &mut rng,
-                        crate::mobility::MoveCtx {
+                        MoveCtx {
                             mh: MhId(rec.id),
                             from: MssId(rec.cell),
                             m,
@@ -777,7 +705,7 @@ fn run_shard(
                     // The gap clamp *is* the conservative-sync contract: a
                     // join sent in window k may not execute before window
                     // k+1, so no cross-cell delay may undercut W.
-                    let gap = rng.exp_delay(spec.mean_gap).max(w);
+                    let gap = rng.exp_delay(spec.mean_gap).max(W);
                     let prev = rec.cell;
                     let moved = HostRec {
                         cell: next.0,
@@ -799,7 +727,7 @@ fn run_shard(
                         // previous one over the wired plane; charged at
                         // delivery by the receiving worker.
                         ledger.handoffs += 1;
-                        send!(prev, t.ticks() + w, rec.cell, SEv::Wired(rec.cell, prev));
+                        send!(prev, t.ticks() + W, rec.cell, SEv::Wired(rec.cell, prev));
                     }
                     let mut rng = decision_rng(spec.seed, rec.id, rec.ctr);
                     rec.ctr += 1;
@@ -837,7 +765,7 @@ fn run_shard(
                         });
                         n += 1;
                     }
-                    ledger.charge_fixed_n(&spec.cost, n);
+                    ledger.charge_fixed_n(&cost, n);
                 }
             }
         }
@@ -871,7 +799,7 @@ fn run_shard(
         let target = if global_min == u64::MAX {
             windows - 1
         } else {
-            (global_min / w).min(windows - 1)
+            (global_min / W).min(windows - 1)
         };
         let next_k = target.max(k + 1);
         skipped = next_k - k - 1;
@@ -1151,63 +1079,26 @@ mod tests {
     }
 
     #[test]
-    fn weighted_partition_balances_clustered_placement() {
-        // All hosts packed into 4 of 32 cells: a block partition would give
-        // one worker everything; greedy bin-packing spreads the hot cells.
-        let spec = ScaleSpec::new(32, 4_000)
-            .with_seed(5)
-            .with_placement(Placement::Clustered { cells: 4 });
-        let plan = plan_partition(&spec, 4);
-        assert_eq!(plan.owner.len(), 32);
-        assert_eq!(plan.load.iter().sum::<u64>(), 4_000);
-        let mean = 4_000 / 4;
-        for (s, &l) in plan.load.iter().enumerate() {
-            assert!(l <= 2 * mean, "worker {s} owns {l} hosts, mean {mean}");
+    fn partition_of_round_robin_occupancy_is_balanced_within_one_cell() {
+        // 1000 hosts over 64 cells: 40 cells hold 16 hosts, 24 hold 15, and
+        // neither 3 nor 5 workers divide the cells evenly. Greedy
+        // heaviest-first packing must still keep every worker's initial
+        // load within one cell's weight of every other worker's.
+        let spec = ScaleSpec::new(64, 1_000);
+        let heaviest = 1_000u64.div_ceil(64);
+        for shards in [3, 5] {
+            let plan = plan_partition(&spec, shards);
+            assert_eq!(plan.owner.len(), 64);
+            assert_eq!(plan.load.len(), shards);
+            assert_eq!(plan.load.iter().sum::<u64>(), 1_000);
+            let (lo, hi) = (plan.load.iter().min(), plan.load.iter().max());
+            let spread = hi.unwrap() - lo.unwrap();
+            assert!(
+                spread <= heaviest,
+                "loads {:?} at {shards} shards spread by {spread} > {heaviest}",
+                plan.load
+            );
         }
-        // And the run itself stays bit-identical across shard counts.
-        let base = run_scale(&spec, 1);
-        for s in [2, 4] {
-            assert_eq!(run_scale(&spec, s).digest, base.digest);
-        }
-    }
-
-    #[test]
-    fn random_placement_is_deterministic_and_shard_invariant() {
-        let spec = ScaleSpec::new(16, 200)
-            .with_seed(77)
-            .with_placement(Placement::Random);
-        let a = run_scale(&spec, 1);
-        let b = run_scale(&spec, 4);
-        assert_eq!(a.digest, b.digest);
-        assert_eq!(a, run_scale(&spec, 1));
-        // Placement must actually differ from round-robin.
-        let rr = run_scale(
-            &ScaleSpec {
-                placement: Placement::RoundRobin,
-                ..spec
-            },
-            1,
-        );
-        assert_ne!(a.digest, rr.digest);
-    }
-
-    #[test]
-    fn spec_fingerprint_ignores_nothing_it_should_hash() {
-        let base = Fingerprint::of(&spec());
-        assert_eq!(base, Fingerprint::of(&spec()));
-        assert_ne!(base, Fingerprint::of(&spec().with_seed(43)));
-        assert_ne!(base, Fingerprint::of(&spec().with_horizon(1_600)));
-        assert_ne!(
-            base,
-            Fingerprint::of(&ScaleSpec {
-                wired_latency: 6,
-                ..spec()
-            })
-        );
-        assert_ne!(
-            base,
-            Fingerprint::of(&spec().with_placement(Placement::Clustered { cells: 2 }))
-        );
     }
 
     #[test]

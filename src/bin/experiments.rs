@@ -34,8 +34,9 @@
 //! (`MOBIDIST_JOBS`, `MOBIDIST_SHARDS`, `MOBIDIST_TRACE`, `MOBIDIST_CACHE`);
 //! the flag wins, an empty variable counts as unset, and both obey one rule,
 //! checked before anything runs. Bad input — an unknown flag or experiment,
-//! a missing or malformed value — is a usage error on stderr with a non-zero
-//! exit and nothing on stdout.
+//! a missing or malformed value, a trace path that is a directory or lies in
+//! one that does not exist — is a usage error on stderr with a non-zero exit and nothing on
+//! stdout.
 
 use mobidist_bench::{
     exp_fault, exp_group, exp_model, exp_mutex, exp_proxy, exp_scale, exp_serve, Table,
@@ -120,15 +121,37 @@ fn positive(v: &str) -> Result<(), String> {
 
 /// Blank means unset to the library layers (`mobidist_bench::obs::trace_base`
 /// trims), so a blank path is refused here rather than silently ignored.
-fn path(v: &str) -> Result<(), String> {
+fn non_blank(v: &str) -> Result<(), String> {
     if v.trim().is_empty() {
         return Err(format!("expects a non-blank path, got '{v}'"));
     }
     Ok(())
 }
 
+/// The trace's part files are created next to `v` as runs start and merged
+/// into `v` at exit, so a path in a directory that does not exist, or one
+/// that is itself a directory, is refused here, before any table prints.
+fn path(v: &str) -> Result<(), String> {
+    non_blank(v)?;
+    let path = std::path::Path::new(v);
+    if path.is_dir() {
+        return Err(format!("names a directory, '{v}', not a file"));
+    }
+    let parent = path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or(std::path::Path::new("."));
+    if !parent.is_dir() {
+        return Err(format!(
+            "names a path in '{}', which is not a directory",
+            parent.display()
+        ));
+    }
+    Ok(())
+}
+
 fn dir(v: &str) -> Result<(), String> {
-    path(v)?;
+    non_blank(v)?;
     std::fs::create_dir_all(v).map_err(|e| format!("cannot create '{v}': {e}"))
 }
 

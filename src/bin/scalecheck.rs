@@ -10,19 +10,33 @@
 //! * the churn actually churned (moves and wired deliveries are non-zero).
 //!
 //! Prints one summary line per run plus the throughput, and exits non-zero
-//! on any violation. `MOBIDIST_SHARDS` (or `--shards N`) picks the worker
-//! count; the result is bit-identical at every choice. `--hosts N` runs a
-//! smaller (or larger) population over the same 1024 cells. A malformed,
-//! zero or missing value — flag or variable — is a usage error on stderr
-//! with a non-zero exit before anything runs, as in `experiments`.
+//! on any violation, or when stdout closes early. `--shards N` (else
+//! `MOBIDIST_SHARDS`, else `MOBIDIST_JOBS`, else the machine's parallelism)
+//! picks the worker count; the result is bit-identical at every choice.
+//! `--hosts N` runs a smaller (or larger) population over the same 1024
+//! cells. A malformed, zero or missing value — flag or variable — is a usage
+//! error on stderr with a non-zero exit before anything runs, as in
+//! `experiments`.
 
 use mobidist_bench::exp_scale::{peak_rss_bytes, scale_spec, SHARDS_ENV};
 use mobidist_bench::parallel::default_jobs;
 use mobidist_net::shard::run_scale;
+use std::io::Write;
 use std::process::ExitCode;
+
+/// The sweep worker count's variable, read by `default_jobs`.
+const JOBS_ENV: &str = "MOBIDIST_JOBS";
 
 /// 256 MiB peak-RSS ceiling for the million-host point.
 const RSS_CEILING: u64 = 256 << 20;
+
+/// Writes to stdout; `false` once it is closed (`scalecheck | head -0`).
+fn emit(text: &str) -> bool {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .is_ok()
+}
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("{msg}\nusage: scalecheck [--shards N] [--hosts N]");
@@ -60,15 +74,19 @@ fn main() -> ExitCode {
             Err(e) => return usage_error(&e),
         }
     }
-    // The flag wins over the variable; an empty variable counts as unset.
-    // The variable is parsed here and nowhere else: with neither given the
-    // count is `default_jobs`, which is what `default_shards` falls back to.
-    let exported = std::env::var(SHARDS_ENV).ok().filter(|v| !v.is_empty());
-    if let (None, Some(v)) = (shards, exported) {
+    // The flag wins over its variable; an empty variable counts as unset.
+    // `MOBIDIST_SHARDS` is parsed here and nowhere else. With neither given
+    // the count is `default_jobs`, which is what `default_shards` falls back
+    // to; it reads `MOBIDIST_JOBS` leniently, so that is checked here too.
+    let exported = |var| std::env::var(var).ok().filter(|v| !v.is_empty());
+    if let (None, Some(v)) = (shards, exported(SHARDS_ENV)) {
         match positive(SHARDS_ENV, &v) {
             Ok(n) => shards = Some(n),
             Err(e) => return usage_error(&e),
         }
+    }
+    if let Some(Err(e)) = exported(JOBS_ENV).map(|v| positive(JOBS_ENV, &v)) {
+        return usage_error(&e);
     }
     let shards = shards.unwrap_or_else(default_jobs);
 
@@ -77,9 +95,9 @@ fn main() -> ExitCode {
     let r = run_scale(&spec, shards);
     let secs = start.elapsed().as_secs_f64();
     let rate = r.events as f64 / secs.max(1e-9);
-    println!(
+    let mut out = format!(
         "scalecheck: hosts={} shards={} windows={} skipped={} events={} moves={} wired={} \
-         digest={} {:.2}s ({:.0} events/s)",
+         digest={} {:.2}s ({:.0} events/s)\n",
         hosts,
         r.shards,
         r.windows,
@@ -102,9 +120,9 @@ fn main() -> ExitCode {
             // Resident bytes per host count everything the process holds —
             // the wheel's arena, lanes, the final-state rows — so print them
             // beside the nominal queue-entry size and never confuse the two.
-            println!(
+            out += &format!(
                 "scalecheck: peak RSS {:.0} MiB (ceiling {:.0} MiB), \
-                 {} B/host resident vs {} B/host nominal",
+                 {} B/host resident vs {} B/host nominal\n",
                 rss as f64 / (1u64 << 20) as f64,
                 RSS_CEILING as f64 / (1u64 << 20) as f64,
                 rss / hosts as u64,
@@ -115,10 +133,12 @@ fn main() -> ExitCode {
                 ok = false;
             }
         }
-        None => println!("scalecheck: peak RSS unavailable (non-Linux); ceiling not enforced"),
+        None => out += "scalecheck: peak RSS unavailable (non-Linux); ceiling not enforced\n",
     }
     if ok {
-        println!("scalecheck: OK");
+        out += "scalecheck: OK\n";
+    }
+    if emit(&out) && ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -18,7 +18,8 @@ use mobidist_net::obs::{
     parse_line, Line, RunMeta, RunSummary, TraceEvent, SCHEMA, SCHEMA_VERSION,
 };
 use mobidist_net::time::SimTime;
-use std::io::BufRead;
+use std::fmt::Write as _;
+use std::io::{BufRead, Write as _};
 use std::process::ExitCode;
 
 const HELP_HEAD: &str = "\
@@ -199,11 +200,12 @@ impl RunAcc {
         }
     }
 
-    fn print_report(&self, run: u64, hist: bool) {
+    fn write_report(&self, out: &mut String, run: u64, hist: bool) -> std::fmt::Result {
         let label = self.meta.as_ref().map_or("?", |m| m.label.as_str());
-        println!("run {run} [{label}]");
+        writeln!(out, "run {run} [{label}]")?;
         if let Some(meta) = &self.meta {
-            println!(
+            writeln!(
+                out,
                 "  config: m={} n={} seed={} policy={} (C_fixed={} C_wireless={} C_search={})",
                 meta.m,
                 meta.n,
@@ -212,18 +214,20 @@ impl RunAcc {
                 meta.c_fixed,
                 meta.c_wireless,
                 meta.c_search
-            );
+            )?;
         }
         // `t`: the ledger counters as the events add up to them.
         let (m, t) = (&self.metrics, &self.metrics.tally);
-        println!(
+        writeln!(
+            out,
             "  events: {} ({} kinds); span {}..{}",
             m.events,
             m.by_kind.len(),
             SimTime::ZERO,
             self.last.0
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  messages: fixed={} wireless={} (up={} down={} bcast={}) searches={} (re={} failed={}) lost={}",
             t.fixed_msgs,
             t.wireless_msgs,
@@ -234,94 +238,108 @@ impl RunAcc {
             t.re_searches,
             t.search_failures,
             t.wireless_losses,
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "  mobility: moves={} handoffs={} disconnects={} reconnects={} doze_interrupts={}",
             t.moves, t.handoffs, t.disconnects, t.reconnects, t.doze_interruptions,
-        );
+        )?;
         if let Some((s, _)) = self.summary {
-            println!(
+            writeln!(
+                out,
                 "  ledger: total_cost={} total_energy={}",
                 s.total_cost, s.total_energy
-            );
+            )?;
             let completions = m.kind_count("cs_exit");
             if completions > 0 {
                 let measured = s.total_cost as f64 / completions as f64;
                 let predicted = self
                     .predicted_cost()
                     .map_or("-".to_owned(), |p| p.to_string());
-                println!(
+                writeln!(
+            out,
                     "  cs: requests={} completions={} cost/execution: measured={measured:.2} predicted={predicted}",
                     m.kind_count("cs_request"),
                     completions,
-                );
-                println!(
+                )?;
+                writeln!(
+                    out,
                     "  cs wait: mean={:.1} p95<={} max={}   hold: mean={:.1} max={}",
                     m.cs_wait.mean(),
                     m.cs_wait.quantile(0.95),
                     m.cs_wait.max(),
                     m.cs_hold.mean(),
                     m.cs_hold.max(),
-                );
+                )?;
             }
         }
         if t.fault_crashes + t.fault_partitions + t.fault_heals + t.fault_storms > 0 {
-            println!(
+            writeln!(
+                out,
                 "  faults: crashes={} recovers={} partitions={} heals={} storms={}",
                 t.fault_crashes,
                 t.fault_recovers,
                 t.fault_partitions,
                 t.fault_heals,
                 t.fault_storms,
-            );
+            )?;
         }
         if m.handoff_gap.count() > 0 {
-            println!(
+            writeln!(
+                out,
                 "  handoff gap: mean={:.1} p95<={} max={}",
                 m.handoff_gap.mean(),
                 m.handoff_gap.quantile(0.95),
                 m.handoff_gap.max(),
-            );
+            )?;
         }
         let lv = m.kind_count("lv_update");
         let proxy = m.kind_count("proxy_forward");
         let batches = m.kind_count("combine_batch");
         if lv + proxy + batches > 0 {
-            print!("  algorithm: lv_updates={lv} proxy_forwards={proxy}");
+            write!(out, "  algorithm: lv_updates={lv} proxy_forwards={proxy}")?;
             if batches > 0 {
-                print!(
+                write!(
+                    out,
                     " combine_batches={batches} (mean size {:.2})",
                     self.combined_outputs as f64 / batches as f64
-                );
+                )?;
             }
-            println!();
+            writeln!(out)?;
         }
         if hist {
             if self.wireless_gaps.count() > 0 {
-                println!("  wireless send inter-arrival (ticks):");
-                print!("{}", self.wireless_gaps);
+                writeln!(out, "  wireless send inter-arrival (ticks):")?;
+                write!(out, "{}", self.wireless_gaps)?;
             }
             if self.fixed_gaps.count() > 0 {
-                println!("  fixed send inter-arrival (ticks):");
-                print!("{}", self.fixed_gaps);
+                writeln!(out, "  fixed send inter-arrival (ticks):")?;
+                write!(out, "{}", self.fixed_gaps)?;
             }
             if m.cs_wait.count() > 0 {
-                println!("  cs wait (ticks):");
-                print!("{}", m.cs_wait);
+                writeln!(out, "  cs wait (ticks):")?;
+                write!(out, "{}", m.cs_wait)?;
             }
         }
-        println!();
+        writeln!(out)
     }
+}
+
+/// Writes to stdout; `false` once it is closed (`tracereport F | head`).
+fn emit(text: &str) -> bool {
+    let mut out = std::io::stdout().lock();
+    out.write_all(text.as_bytes())
+        .and_then(|()| out.flush())
+        .is_ok()
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
-        print!("{}", help());
-        return if args.is_empty() {
-            ExitCode::FAILURE
-        } else {
+        return if emit(&help()) && !args.is_empty() {
             ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
         };
     }
     let (flags, files): (Vec<&String>, Vec<&String>) =
@@ -412,17 +430,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         let events: u64 = runs.values().map(|a| a.metrics.events).sum();
-        println!(
-            "tracereport --check: OK — {} lines, {} runs, {events} events, schema v{SCHEMA_VERSION}, all counts match the ledger",
+        let ok = format!(
+            "tracereport --check: OK — {} lines, {} runs, {events} events, schema v{SCHEMA_VERSION}, all counts match the ledger\n",
             total_lines,
             runs.len(),
         );
-        return ExitCode::SUCCESS;
+        return if emit(&ok) {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
     }
 
+    let mut text = String::new();
     for run in order {
         if let Some(acc) = runs.get(&run) {
-            acc.print_report(run, hist);
+            text.clear();
+            // Formatting into a `String` cannot fail.
+            let _ = acc.write_report(&mut text, run, hist);
+            // A closed stdout is the reader saying "enough": stop quietly,
+            // but say so in the exit code.
+            if !emit(&text) {
+                return ExitCode::FAILURE;
+            }
         }
     }
     if parse_errors > 0 {

@@ -4,7 +4,9 @@
 //! takes two of the same knobs and obeys the same contract, and so does
 //! `tracereport`, whose `--check` additionally may not pass on nothing.
 
+use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 const SCALECHECK: &str = env!("CARGO_BIN_EXE_scalecheck");
@@ -35,6 +37,16 @@ fn scalecheck(args: &[&str], env: &[(&str, &str)]) -> Output {
 
 fn tracereport(args: &[&str]) -> Output {
     run(TRACEREPORT, args, &[])
+}
+
+/// A fresh, empty scratch directory: tests run in parallel, so no two calls
+/// may share one.
+fn scratch_dir(tag: &str) -> PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("mobidist-cli-{tag}-{}-{n}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
 }
 
 /// 64-bit FNV-1a of `bytes`.
@@ -79,15 +91,26 @@ fn exported_knobs_are_validated_like_their_flags() {
     assert!(rescued.status.success());
     // The library layers read a blank trace path as unset, so flag and
     // variable refuse one rather than trace nothing into a file named "  ".
-    assert_blank_trace_refused(&["e0", "--trace", "  "], &[], "--trace");
-    assert_blank_trace_refused(&["e0"], &[("MOBIDIST_TRACE", "  ")], "MOBIDIST_TRACE");
+    assert_trace_refused(&["e0", "--trace", "  "], &[], "--trace");
+    assert_trace_refused(&["e0"], &[("MOBIDIST_TRACE", "  ")], "MOBIDIST_TRACE");
+}
+
+#[test]
+fn trace_path_that_cannot_be_written_is_a_usage_error() {
+    // A path in a missing directory used to run the table, print it, warn
+    // once per run that the trace file could not be opened, and only then
+    // fail the merge; a directory as the path left part files beside it.
+    let missing = "no-such-dir/trace.jsonl";
+    assert_trace_refused(&["e1", "--quick", "--trace", missing], &[], "--trace");
+    let env = [("MOBIDIST_TRACE", missing)];
+    assert_trace_refused(&["e1", "--quick"], &env, "MOBIDIST_TRACE");
+    assert_trace_refused(&["e1", "--quick", "--trace", "."], &[], "--trace");
 }
 
 /// Runs `experiments` in an empty scratch directory, asserts a usage error
 /// naming `origin`, and that the directory is still empty afterwards.
-fn assert_blank_trace_refused(args: &[&str], env: &[(&str, &str)], origin: &str) {
-    let dir = std::env::temp_dir().join(format!("mobidist-cli-blank-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+fn assert_trace_refused(args: &[&str], env: &[(&str, &str)], origin: &str) {
+    let dir = scratch_dir("trace");
     let out = command(EXPERIMENTS)
         .args(args)
         .envs(env.iter().copied())
@@ -97,7 +120,7 @@ fn assert_blank_trace_refused(args: &[&str], env: &[(&str, &str)], origin: &str)
     let left = std::fs::read_dir(&dir).expect("read scratch dir").count();
     let _ = std::fs::remove_dir_all(&dir);
     assert_rejected(&out, origin);
-    assert_eq!(left, 0, "{origin}: a blank path created a file");
+    assert_eq!(left, 0, "{origin}: a refused path created a file");
 }
 
 #[test]
@@ -180,21 +203,39 @@ fn sharded_trace_order_is_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Runs `bin` with a stdout whose reader has already gone away, and asserts
+/// a failed exit without a panic.
+fn assert_quiet_on_closed_stdout(bin: &str, args: &[&str]) {
+    // The read end is closed before the child starts, so even a run that
+    // finishes in milliseconds meets a closed pipe on its first write.
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = command(bin)
+        .args(args)
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run the binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        !out.status.success(),
+        "{bin}: a truncated run is not a success"
+    );
+    assert!(
+        !stderr.contains("panicked"),
+        "{bin} must not panic: {stderr}"
+    );
+}
+
 #[test]
 fn closed_stdout_ends_the_run_quietly() {
     // `experiments all | head`: the reader goes away mid-run. That used to
-    // be a panic with a backtrace.
-    let mut child = command(EXPERIMENTS)
-        .args(["e0", "e1", "e2", "--quick"])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn experiments");
-    drop(child.stdout.take());
-    let out = child.wait_with_output().expect("wait for experiments");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!out.status.success(), "a truncated run is not a success");
-    assert!(!stderr.contains("panicked"), "must not panic: {stderr}");
+    // be a panic with a backtrace, and still was for the other two binaries.
+    assert_quiet_on_closed_stdout(EXPERIMENTS, &["e0", "e1", "e2", "--quick"]);
+    assert_quiet_on_closed_stdout(SCALECHECK, &["--hosts", "2000"]);
+    with_trace_of("e1", |trace| {
+        assert_quiet_on_closed_stdout(TRACEREPORT, &[trace])
+    });
 }
 
 #[test]
@@ -213,8 +254,15 @@ fn scalecheck_rejects_what_it_used_to_default() {
     ] {
         assert_rejected(&scalecheck(args, &[]), needle);
     }
-    let exported = scalecheck(&["--hosts", "2000"], &[("MOBIDIST_SHARDS", "two")]);
-    assert_rejected(&exported, "MOBIDIST_SHARDS");
+    for (var, value) in [
+        ("MOBIDIST_SHARDS", "two"),
+        // Once read leniently: `abc` ran at the default, `0` at one shard.
+        ("MOBIDIST_JOBS", "abc"),
+        ("MOBIDIST_JOBS", "0"),
+    ] {
+        let exported = scalecheck(&["--hosts", "2000"], &[(var, value)]);
+        assert_rejected(&exported, var);
+    }
 }
 
 #[test]
@@ -230,8 +278,7 @@ fn scalecheck_happy_path_reports_resident_bytes() {
 /// Runs `experiments <exp> --quick --trace F` and hands `F` (as a string) to
 /// `then`; the scratch directory is removed afterwards.
 fn with_trace_of(exp: &str, then: impl FnOnce(&str)) {
-    let dir = std::env::temp_dir().join(format!("mobidist-cli-{exp}-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    let dir = scratch_dir(exp);
     let trace = dir.join("trace.jsonl");
     let trace = trace.to_str().expect("utf-8 temp path");
     let out = experiments(&[exp, "--quick", "--trace", trace], &[]);
