@@ -40,6 +40,18 @@ impl LatencyModel {
             LatencyModel::Uniform { lo, hi } => rng.between(lo.max(1), hi.max(lo).max(1)),
         }
     }
+
+    /// The smallest latency [`sample`](Self::sample) can ever return — the
+    /// conservative lookahead of the channel class. Every model delivers in
+    /// at least one tick, so this is always ≥ 1; a sharded simulation may
+    /// safely process a whole window of this width before exchanging
+    /// cross-shard traffic.
+    pub fn lower_bound(&self) -> u64 {
+        match *self {
+            LatencyModel::Fixed(v) => v.max(1),
+            LatencyModel::Uniform { lo, .. } => lo.max(1),
+        }
+    }
 }
 
 impl Default for LatencyModel {
@@ -68,6 +80,28 @@ mod tests {
         for _ in 0..100 {
             let v = m.sample(&mut rng);
             assert!((3..=11).contains(&v));
+        }
+    }
+
+    #[test]
+    fn lower_bounds() {
+        assert_eq!(LatencyModel::Fixed(5).lower_bound(), 5);
+        assert_eq!(LatencyModel::Fixed(0).lower_bound(), 1);
+        assert_eq!(LatencyModel::Uniform { lo: 3, hi: 8 }.lower_bound(), 3);
+        assert_eq!(LatencyModel::Uniform { lo: 0, hi: 8 }.lower_bound(), 1);
+    }
+
+    #[test]
+    fn samples_respect_lower_bound() {
+        let mut rng = SimRng::seed_from(8);
+        for m in [
+            LatencyModel::Fixed(4),
+            LatencyModel::Uniform { lo: 2, hi: 9 },
+        ] {
+            let lb = m.lower_bound();
+            for _ in 0..200 {
+                assert!(m.sample(&mut rng) >= lb);
+            }
         }
     }
 }

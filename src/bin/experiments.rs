@@ -137,14 +137,17 @@ fn path(v: &str) -> Result<(), String> {
     if path.is_dir() {
         return Err(format!("names a directory, '{v}', not a file"));
     }
-    let parent = path
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .unwrap_or(std::path::Path::new("."));
-    if !parent.is_dir() {
+    // A part file is `v` with `.wN` appended, so it lands in whatever
+    // precedes `v`'s last separator: `missing/` and `missing/.` put it in
+    // `missing`, though `Path::parent` would say `.` for both.
+    let parent = match v.rfind(std::path::is_separator) {
+        Some(0) => "/",
+        Some(i) => &v[..i],
+        None => ".",
+    };
+    if !std::path::Path::new(parent).is_dir() {
         return Err(format!(
-            "names a path in '{}', which is not a directory",
-            parent.display()
+            "names a path in '{parent}', which is not a directory"
         ));
     }
     Ok(())

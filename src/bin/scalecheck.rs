@@ -30,14 +30,6 @@ const JOBS_ENV: &str = "MOBIDIST_JOBS";
 /// 256 MiB peak-RSS ceiling for the million-host point.
 const RSS_CEILING: u64 = 256 << 20;
 
-/// Writes to stdout; `false` once it is closed (`scalecheck | head -0`).
-fn emit(text: &str) -> bool {
-    let mut out = std::io::stdout().lock();
-    out.write_all(text.as_bytes())
-        .and_then(|()| out.flush())
-        .is_ok()
-}
-
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("{msg}\nusage: scalecheck [--shards N] [--hosts N]");
     ExitCode::FAILURE
@@ -138,7 +130,12 @@ fn main() -> ExitCode {
     if ok {
         out += "scalecheck: OK\n";
     }
-    if emit(&out) && ok {
+    // A closed stdout (`scalecheck | head -0`) fails the run, quietly.
+    let mut stdout = std::io::stdout().lock();
+    let shown = stdout
+        .write_all(out.as_bytes())
+        .and_then(|()| stdout.flush());
+    if shown.is_ok() && ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -18,8 +18,7 @@ use mobidist_net::obs::{
     parse_line, Line, RunMeta, RunSummary, TraceEvent, SCHEMA, SCHEMA_VERSION,
 };
 use mobidist_net::time::SimTime;
-use std::fmt::Write as _;
-use std::io::{BufRead, Write as _};
+use std::io::{BufRead, Write};
 use std::process::ExitCode;
 
 const HELP_HEAD: &str = "\
@@ -200,7 +199,7 @@ impl RunAcc {
         }
     }
 
-    fn write_report(&self, out: &mut String, run: u64, hist: bool) -> std::fmt::Result {
+    fn write_report(&self, out: &mut impl Write, run: u64, hist: bool) -> std::io::Result<()> {
         let label = self.meta.as_ref().map_or("?", |m| m.label.as_str());
         writeln!(out, "run {run} [{label}]")?;
         if let Some(meta) = &self.meta {
@@ -325,18 +324,15 @@ impl RunAcc {
     }
 }
 
-/// Writes to stdout; `false` once it is closed (`tracereport F | head`).
-fn emit(text: &str) -> bool {
-    let mut out = std::io::stdout().lock();
-    out.write_all(text.as_bytes())
-        .and_then(|()| out.flush())
-        .is_ok()
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    // Every write to stdout is checked: a closed stdout (`tracereport F |
+    // head`) is the reader saying "enough", so the run stops quietly, but
+    // says so in the exit code.
+    let mut out = std::io::stdout().lock();
     if args.iter().any(|a| a == "--help" || a == "-h") || args.is_empty() {
-        return if emit(&help()) && !args.is_empty() {
+        let shown = out.write_all(help().as_bytes()).and_then(|()| out.flush());
+        return if shown.is_ok() && !args.is_empty() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
@@ -430,30 +426,29 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         let events: u64 = runs.values().map(|a| a.metrics.events).sum();
-        let ok = format!(
-            "tracereport --check: OK — {} lines, {} runs, {events} events, schema v{SCHEMA_VERSION}, all counts match the ledger\n",
+        let ok = writeln!(
+            out,
+            "tracereport --check: OK — {} lines, {} runs, {events} events, schema v{SCHEMA_VERSION}, all counts match the ledger",
             total_lines,
             runs.len(),
-        );
-        return if emit(&ok) {
+        )
+        .and_then(|()| out.flush());
+        return if ok.is_ok() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
         };
     }
 
-    let mut text = String::new();
     for run in order {
         if let Some(acc) = runs.get(&run) {
-            text.clear();
-            // Formatting into a `String` cannot fail.
-            let _ = acc.write_report(&mut text, run, hist);
-            // A closed stdout is the reader saying "enough": stop quietly,
-            // but say so in the exit code.
-            if !emit(&text) {
+            if acc.write_report(&mut out, run, hist).is_err() {
                 return ExitCode::FAILURE;
             }
         }
+    }
+    if out.flush().is_err() {
+        return ExitCode::FAILURE;
     }
     if parse_errors > 0 {
         eprintln!("tracereport: {parse_errors} malformed lines skipped");

@@ -105,6 +105,9 @@ fn trace_path_that_cannot_be_written_is_a_usage_error() {
     let env = [("MOBIDIST_TRACE", missing)];
     assert_trace_refused(&["e1", "--quick"], &env, "MOBIDIST_TRACE");
     assert_trace_refused(&["e1", "--quick", "--trace", "."], &[], "--trace");
+    for missing in ["no-such-dir/", "no-such-dir/."] {
+        assert_trace_refused(&["e1", "--quick", "--trace", missing], &[], "--trace");
+    }
 }
 
 /// Runs `experiments` in an empty scratch directory, asserts a usage error
