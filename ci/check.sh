@@ -38,17 +38,9 @@ done
 # tests/doc_gates.rs checks that, and that every knob read is documented;
 # the list below feeds the retired-variable check further down.
 knob_docs=$(ls ./*.md | grep -v -e '/CHANGES\.md$' -e '/ROADMAP\.md$' -e '/ISSUE\.md$' -e '/REVIEW\.md$')
-# Every `make` target and `--bin` that README.md, DESIGN.md or the verify
-# skill tells the reader to run must exist.
-cmd_docs="README.md DESIGN.md .claude/skills/verify/SKILL.md"
-for target in $(grep -hoE '(^|`)make [a-z]+' $cmd_docs | sed 's/.*make //' | sort -u); do
-  grep -q "^$target:" Makefile || {
-    echo "doc gate: docs name \`make $target\`, which the Makefile does not define" >&2; exit 1; }
-done
-for bin in $(grep -hoE -e '--bin [a-z_]+' $cmd_docs | sed 's/--bin //' | sort -u); do
-  [[ -f "src/bin/$bin.rs" ]] || {
-    echo "doc gate: docs name \`--bin $bin\`, but src/bin/$bin.rs does not exist" >&2; exit 1; }
-done
+# (Every `make` target and `--bin` that README.md, DESIGN.md or the verify
+# skill tells the reader to run must exist: tests/doc_gates.rs, under
+# `cargo test` below.)
 # `experiments` is the one launcher: the per-experiment bench targets and
 # their quick-mode variable are gone and must not creep back. (The name is
 # spelled in two halves so this file passes its own gate.)

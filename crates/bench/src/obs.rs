@@ -52,7 +52,7 @@ fn part_file(base: &Path, part: u64) -> PathBuf {
     PathBuf::from(os)
 }
 
-type FileSink = JsonlSink<std::io::BufWriter<std::fs::File>>;
+type FileSink = JsonlSink<std::fs::File>;
 
 /// Opens a sink for a new run — the next run id, its `run_begin` line
 /// written — appending to part file `part` (this thread's own when `None`).

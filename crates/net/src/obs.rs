@@ -21,9 +21,9 @@
 //! Two sinks ship with the crate:
 //!
 //! * [`RingSink`] — a bounded in-memory ring for tests and debugging;
-//! * [`JsonlSink`] — a buffered line-oriented JSON writer with the stable,
-//!   versioned schema documented in `OBSERVABILITY.md` and parsed back by
-//!   [`parse_line`].
+//! * [`JsonlSink`] — a block-buffered line-oriented JSON writer with the
+//!   stable, versioned schema documented in `OBSERVABILITY.md` and parsed
+//!   back by [`parse_line`].
 //!
 //! # Example
 //!
@@ -67,39 +67,137 @@ use std::io::Write;
 /// See `OBSERVABILITY.md` for the policy and the full field reference.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Appends `v` in decimal, exactly as `u64::to_string` prints it.
-fn push_u64(buf: &mut Vec<u8>, mut v: u64) {
-    let mut digits = [0u8; 20];
-    let mut at = digits.len();
-    loop {
-        at -= 1;
-        digits[at] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
+/// Bytes a [`JsonlSink`] collects before it hands them to its writer.
+const BLOCK: usize = 8 * 1024;
+
+/// `"00" "01" … "99"`: integers are rendered two digits per division.
+const PAIRS: [u8; 200] = {
+    let mut t = [0; 200];
+    let mut i = 0;
+    while i < 100 {
+        t[2 * i] = b'0' + (i / 10) as u8;
+        t[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    t
+};
+
+/// The widest decimal `u64`.
+const U64_WIDTH: usize = 20;
+
+/// Writes `v` in decimal at the start of `dst`, exactly as `u64::to_string`
+/// prints it, and returns its length.
+#[inline]
+fn put_decimal(dst: &mut [u8; U64_WIDTH], mut v: u64) -> usize {
+    let len = v.checked_ilog10().map_or(1, |l| l as usize + 1);
+    let mut end = len;
+    while v >= 100 {
+        let p = 2 * (v % 100) as usize;
+        v /= 100;
+        end -= 2;
+        dst[end..end + 2].copy_from_slice(&PAIRS[p..p + 2]);
+    }
+    if v >= 10 {
+        let p = 2 * v as usize;
+        dst[..2].copy_from_slice(&PAIRS[p..p + 2]);
+    } else {
+        dst[0] = b'0' + v as u8;
+    }
+    len
+}
+
+/// The larger of `widths`, for sizing buffers in constants.
+const fn widest(widths: &[usize]) -> usize {
+    let (mut max, mut i) = (0, 0);
+    while i < widths.len() {
+        if widths[i] > max {
+            max = widths[i];
+        }
+        i += 1;
+    }
+    max
+}
+
+/// One line being encoded in place, at the end of a [`JsonlSink`]'s block:
+/// a window with room for the widest line, and how far the line reaches into
+/// it. Every store has a size known at compile time; a fixed-width store may
+/// run past the line's end, into bytes the next store overwrites.
+struct LineOut<'a> {
+    win: &'a mut [u8; LINE_ROOM],
+    at: usize,
+}
+
+impl<'a> LineOut<'a> {
+    /// A line that starts at byte `from` of `block`.
+    #[inline]
+    fn new(block: &'a mut [u8; BLOCK + LINE_ROOM], from: usize) -> Self {
+        let win = (&mut block[from..from + LINE_ROOM]).try_into();
+        LineOut {
+            win: win.expect("the window is LINE_ROOM long"),
+            at: 0,
         }
     }
-    buf.extend_from_slice(&digits[at..]);
+
+    #[inline(always)]
+    fn put(&mut self, bytes: &[u8]) {
+        self.win[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
+    }
+
+    /// Stores all of `window` and keeps its first `len` bytes.
+    #[inline(always)]
+    fn window<const N: usize>(&mut self, window: &[u8; N], len: usize) {
+        self.win[self.at..self.at + N].copy_from_slice(window);
+        self.at += len;
+    }
+
+    /// Appends `v` in decimal; ids of up to three digits, what most fields
+    /// carry, take one branch and at most two stores.
+    #[inline(always)]
+    fn u64(&mut self, v: u64) {
+        let at = self.at;
+        if v < 10 {
+            self.win[at] = b'0' + v as u8;
+            self.at += 1;
+        } else if v < 100 {
+            let p = 2 * v as usize;
+            self.win[at..at + 2].copy_from_slice(&PAIRS[p..p + 2]);
+            self.at += 2;
+        } else if v < 1000 {
+            let p = 2 * (v % 100) as usize;
+            self.win[at] = b'0' + (v / 100) as u8;
+            self.win[at + 1..at + 3].copy_from_slice(&PAIRS[p..p + 2]);
+            self.at += 3;
+        } else {
+            let dst = (&mut self.win[at..at + U64_WIDTH]).try_into();
+            self.at += put_decimal(dst.expect("U64_WIDTH long"), v);
+        }
+    }
 }
 
 /// How one field of type `T` travels in a JSONL line. Every field type
 /// carries itself; a row of a schema table names another carrier (`as
 /// Additive`) where the wire form differs from what the type alone implies.
 trait Wire<T = Self> {
+    /// The most digits the value can take on the wire.
+    const WIDTH: usize;
+
     /// Appends `frag` — the field's `,"key":` — and the value. Static
-    /// fragments and [`push_u64`] only: this runs once per traced operation,
-    /// so `core::fmt` and the allocator stay off the path.
-    fn put(v: T, frag: &str, buf: &mut Vec<u8>);
+    /// fragments and [`LineOut::u64`] only: this runs once per traced
+    /// operation, so `core::fmt` and the allocator stay off the path.
+    fn put(v: T, frag: &str, line: &mut LineOut<'_>);
 
     /// Reads the field `key` back out of a scanned line.
     fn get(f: &Fields<'_>, key: &str) -> Result<T, ParseError>;
 }
 
 impl Wire for u64 {
-    #[inline]
-    fn put(v: u64, frag: &str, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(frag.as_bytes());
-        push_u64(buf, v);
+    const WIDTH: usize = U64_WIDTH;
+
+    #[inline(always)]
+    fn put(v: u64, frag: &str, line: &mut LineOut<'_>) {
+        line.put(frag.as_bytes());
+        line.u64(v);
     }
 
     fn get(f: &Fields<'_>, key: &str) -> Result<u64, ParseError> {
@@ -109,9 +207,11 @@ impl Wire for u64 {
 
 /// An id or count the event types hold as `u32`; wider is an error.
 impl Wire for u32 {
-    #[inline]
-    fn put(v: u32, frag: &str, buf: &mut Vec<u8>) {
-        u64::put(u64::from(v), frag, buf);
+    const WIDTH: usize = 10;
+
+    #[inline(always)]
+    fn put(v: u32, frag: &str, line: &mut LineOut<'_>) {
+        u64::put(u64::from(v), frag, line);
     }
 
     fn get(f: &Fields<'_>, key: &str) -> Result<u32, ParseError> {
@@ -122,9 +222,11 @@ impl Wire for u32 {
 
 /// `0` or `1`; any other number is an error.
 impl Wire for bool {
-    #[inline]
-    fn put(v: bool, frag: &str, buf: &mut Vec<u8>) {
-        u64::put(u64::from(v), frag, buf);
+    const WIDTH: usize = 1;
+
+    #[inline(always)]
+    fn put(v: bool, frag: &str, line: &mut LineOut<'_>) {
+        u64::put(u64::from(v), frag, line);
     }
 
     fn get(f: &Fields<'_>, key: &str) -> Result<bool, ParseError> {
@@ -138,9 +240,11 @@ impl Wire for bool {
 macro_rules! wire_id {
     ($($id:ident)*) => {$(
         impl Wire for $id {
-            #[inline]
-            fn put(v: $id, frag: &str, buf: &mut Vec<u8>) {
-                u32::put(v.0, frag, buf);
+            const WIDTH: usize = u32::WIDTH;
+
+            #[inline(always)]
+            fn put(v: $id, frag: &str, line: &mut LineOut<'_>) {
+                u32::put(v.0, frag, line);
             }
 
             fn get(f: &Fields<'_>, key: &str) -> Result<$id, ParseError> {
@@ -153,10 +257,12 @@ wire_id!(MssId MhId);
 
 /// Absent when `None`.
 impl<T: Wire> Wire for Option<T> {
-    #[inline]
-    fn put(v: Option<T>, frag: &str, buf: &mut Vec<u8>) {
+    const WIDTH: usize = T::WIDTH;
+
+    #[inline(always)]
+    fn put(v: Option<T>, frag: &str, line: &mut LineOut<'_>) {
         if let Some(v) = v {
-            T::put(v, frag, buf);
+            T::put(v, frag, line);
         }
     }
 
@@ -171,9 +277,11 @@ impl<T: Wire> Wire for Option<T> {
 struct Additive;
 
 impl Wire<u64> for Additive {
-    #[inline]
-    fn put(v: u64, frag: &str, buf: &mut Vec<u8>) {
-        Option::put((v != 0).then_some(v), frag, buf);
+    const WIDTH: usize = u64::WIDTH;
+
+    #[inline(always)]
+    fn put(v: u64, frag: &str, line: &mut LineOut<'_>) {
+        Option::put((v != 0).then_some(v), frag, line);
     }
 
     fn get(f: &Fields<'_>, key: &str) -> Result<u64, ParseError> {
@@ -252,17 +360,26 @@ macro_rules! trace_schema {
                 )*}
             }
 
+            /// The widest `"ev"` and payload fields [`write_fields`](Self::write_fields)
+            /// appends, over every kind.
+            const FIELDS_WIDTH: usize = widest(&[$(
+                concat!(",\"ev\":\"", $wire, "\"").len()
+                $(+ concat!(",\"", stringify!($field), "\":").len()
+                    + <carrier!($ty $(, $via)?) as Wire<$ty>>::WIDTH)*
+            ),*]);
+
             /// Appends this event's `"ev"` and payload fields (no braces, no
-            /// version/run/seq/time envelope) to `buf` as JSONL fragments,
+            /// version/run/seq/time envelope) to `line` as JSONL fragments,
             /// each with its leading comma.
-            fn write_fields(&self, buf: &mut Vec<u8>) {
+            #[inline(always)]
+            fn write_fields(&self, line: &mut LineOut<'_>) {
                 match *self {$(
                     TraceEvent::$variant { $($field),* } => {
-                        buf.extend_from_slice(concat!(",\"ev\":\"", $wire, "\"").as_bytes());
+                        line.put(concat!(",\"ev\":\"", $wire, "\"").as_bytes());
                         $(<carrier!($ty $(, $via)?) as Wire<$ty>>::put(
                             $field,
                             concat!(",\"", stringify!($field), "\":"),
-                            buf,
+                            line,
                         );)*
                     }
                 )*}
@@ -804,13 +921,19 @@ macro_rules! run_end_schema {
                 [$((stringify!($key), self.$key, $counts)),*].into_iter()
             }
 
+            /// The widest counters [`write_fields`](Self::write_fields) appends.
+            const FIELDS_WIDTH: usize = 0 $(
+                + concat!(",\"", stringify!($key), "\":").len()
+                + <$via as Wire<u64>>::WIDTH
+            )*;
+
             /// Appends the counters to a `run_end` line, each with its
             /// leading comma.
-            fn write_fields(&self, buf: &mut Vec<u8>) {
+            fn write_fields(&self, line: &mut LineOut<'_>) {
                 $(<$via as Wire<u64>>::put(
                     self.$key,
                     concat!(",\"", stringify!($key), "\":"),
-                    buf,
+                    line,
                 );)*
             }
 
@@ -911,17 +1034,94 @@ impl RunSummary {
     }
 }
 
-/// Buffered JSONL writer sink with the stable schema of `OBSERVABILITY.md`.
+/// What an event line's head spells besides its numbers.
+const HEAD_TEXT: &str = "{\"v\":,\"run\":,\"seq\":,\"t\":";
+
+/// The widest event-line head, `{"v":1,"run":R,"seq":S,"t":`.
+const HEAD_WIDTH: usize = HEAD_TEXT.len() + <u32 as Wire>::WIDTH + 2 * U64_WIDTH;
+
+/// What a `run_end` line spells besides its numbers and counters.
+const RUN_END_TEXT: &str = "{\"v\":,\"run\":,\"ev\":\"run_end\",\"events\":}\n";
+
+/// The widest line a sink encodes, event or `run_end`, plus the overrun of
+/// one fixed-width store past its end.
+const LINE_ROOM: usize = widest(&[
+    HEAD_WIDTH + U64_WIDTH + TraceEvent::FIELDS_WIDTH + "}\n".len(),
+    RUN_END_TEXT.len() + <u32 as Wire>::WIDTH + 2 * U64_WIDTH + RunSummary::FIELDS_WIDTH,
+]) + U64_WIDTH;
+
+/// The key that closes an event line's head.
+const T_KEY: &[u8] = b",\"t\":";
+
+/// An event line's `{"v":1,"run":R,"seq":S,"t":`, kept from line to line,
+/// with `S` at `bytes[seq_at..len - T_KEY.len()]`. The kernel's `seq` is
+/// dense, so `S` almost always moves on by an odometer tick.
+#[derive(Debug)]
+struct Head {
+    bytes: [u8; HEAD_WIDTH],
+    len: usize,
+    seq_at: usize,
+    seq: u64,
+}
+
+impl Head {
+    fn new(run: u64) -> Self {
+        let prefix = format!("{{\"v\":{SCHEMA_VERSION},\"run\":{run},\"seq\":");
+        let mut bytes = [0; HEAD_WIDTH];
+        bytes[..prefix.len()].copy_from_slice(prefix.as_bytes());
+        let mut head = Head {
+            bytes,
+            len: 0,
+            seq_at: prefix.len(),
+            seq: 0,
+        };
+        head.render(0);
+        head
+    }
+
+    /// Renders `S` in full.
+    fn render(&mut self, seq: u64) {
+        let at = self.seq_at;
+        let digits = (&mut self.bytes[at..at + U64_WIDTH]).try_into();
+        let end = at + put_decimal(digits.expect("U64_WIDTH long"), seq);
+        self.bytes[end..end + T_KEY.len()].copy_from_slice(T_KEY);
+        self.len = end + T_KEY.len();
+        self.seq = seq;
+    }
+
+    /// Moves `S` to `seq`.
+    #[inline]
+    fn set_seq(&mut self, seq: u64) {
+        if seq == self.seq {
+            return;
+        }
+        if self.seq.checked_add(1) == Some(seq) {
+            // An odometer tick: the last digit short of 9 goes up by one and
+            // the 9s after it roll over to 0. All 9s lengthen `S`: render it.
+            let digits = &mut self.bytes[self.seq_at..self.len - T_KEY.len()];
+            if let Some(i) = digits.iter().rposition(|&d| d != b'9') {
+                digits[i] += 1;
+                digits[i + 1..].fill(b'0');
+                self.seq = seq;
+                return;
+            }
+        }
+        self.render(seq);
+    }
+}
+
+/// JSONL writer sink with the stable schema of `OBSERVABILITY.md`.
 ///
 /// Writes one `run_begin` line at construction, one line per observed
-/// event, and one `run_end` ledger summary from [`TraceSink::finish`]. The
-/// writer is flushed on `finish` and on drop, so a sink that is
-/// simply dropped still leaves a complete file.
+/// event, and one `run_end` ledger summary from [`TraceSink::finish`].
 ///
-/// Each line is one `write_all` into the supplied writer (wrap files in a
-/// `BufWriter`, as [`jsonl_file_sink`] does). An I/O error drops that line
-/// and never aborts the run; `run_end.events` counts lines attempted, so
-/// `tracereport --check` notices the gap.
+/// Lines are encoded straight into a block the sink owns, which goes to the
+/// writer in one `write_all` once it holds 8 KiB, and on `finish`,
+/// [`into_inner`](Self::into_inner) and drop: a sink that is simply dropped
+/// still leaves a complete file, and a file needs no `BufWriter`. An I/O
+/// error drops that block — whole lines — and never aborts the run;
+/// `run_end.events` counts lines attempted, so `tracereport --check` notices
+/// the gap.
 ///
 /// # Examples
 ///
@@ -945,16 +1145,19 @@ impl RunSummary {
 ///     other => panic!("{other:?}"),
 /// }
 /// ```
-#[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     // `Option` so `into_inner` can move the writer out despite `Drop`.
     out: Option<W>,
     run: u64,
-    // Reused line buffer. Its first `prefix` bytes are the run's event-line
-    // envelope `{"v":1,"run":R,"seq":`, rendered once; `record` truncates
-    // back to it instead of formatting it again.
-    buf: Vec<u8>,
-    prefix: usize,
+    // Whole lines not yet written are `block[..len]`, with `len < BLOCK`
+    // between lines and room after it for the widest line.
+    block: Box<[u8; BLOCK + LINE_ROOM]>,
+    len: usize,
+    head: Head,
+    // The last line's `t`, and its digits `t_text[..t_len]`.
+    t: u64,
+    t_text: [u8; U64_WIDTH],
+    t_len: usize,
     events: u64,
 }
 
@@ -965,9 +1168,9 @@ impl<W: Write> JsonlSink<W> {
     ///
     /// Propagates I/O errors from writing the header.
     pub fn new(mut out: W, meta: RunMeta) -> std::io::Result<Self> {
-        let mut buf = Vec::with_capacity(160);
+        let mut header = Vec::with_capacity(160);
         let _ = writeln!(
-            buf,
+            header,
             "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"ev\":\"run_begin\",\"label\":\"{}\",\
              \"m\":{},\"n\":{},\"seed\":{},\"c_fixed\":{},\"c_wireless\":{},\"c_search\":{},\
              \"policy\":\"{}\"}}",
@@ -981,18 +1184,16 @@ impl<W: Write> JsonlSink<W> {
             meta.c_search,
             meta.policy,
         );
-        out.write_all(&buf)?;
-        buf.clear();
-        let _ = write!(
-            buf,
-            "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"seq\":",
-            meta.run
-        );
+        out.write_all(&header)?;
         Ok(JsonlSink {
             out: Some(out),
             run: meta.run,
-            prefix: buf.len(),
-            buf,
+            block: Box::new([0; BLOCK + LINE_ROOM]),
+            len: 0,
+            head: Head::new(meta.run),
+            t: 0,
+            t_text: [b'0'; U64_WIDTH],
+            t_len: 1,
             events: 0,
         })
     }
@@ -1002,19 +1203,54 @@ impl<W: Write> JsonlSink<W> {
         self.events
     }
 
-    /// Flushes and returns the underlying writer.
+    /// Writes what the block holds, flushes, and returns the underlying
+    /// writer.
     ///
     /// # Errors
     ///
-    /// Propagates the flush error.
+    /// Propagates the write or flush error.
     pub fn into_inner(mut self) -> std::io::Result<W> {
+        self.write_block()?;
         let mut out = self.out.take().expect("writer present until into_inner");
         out.flush()?;
         Ok(out)
     }
+
+    /// Takes the `n`-byte line just encoded after `block[..len]` into the
+    /// block, and writes the block once it is full. Trace I/O failures must
+    /// not abort a simulation: a failed write loses the block.
+    #[inline]
+    fn end_line(&mut self, n: usize) {
+        self.len += n;
+        if self.len >= BLOCK {
+            let _ = self.write_block();
+        }
+    }
+
+    /// Hands the block's lines to the writer in one `write_all` and empties
+    /// it, whether or not the write succeeds.
+    fn write_block(&mut self) -> std::io::Result<()> {
+        let len = std::mem::take(&mut self.len);
+        match self.out.as_mut() {
+            Some(out) if len > 0 => out.write_all(&self.block[..len]),
+            _ => Ok(()),
+        }
+    }
 }
 
-/// Opens `path` in append mode and wraps it in a buffered [`JsonlSink`].
+// Not derived: that would print the block byte by byte.
+impl<W: Write + std::fmt::Debug> std::fmt::Debug for JsonlSink<W> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("JsonlSink")
+            .field("out", &self.out)
+            .field("run", &self.run)
+            .field("pending", &self.len)
+            .field("events", &self.events)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Opens `path` in append mode and wraps it in a [`JsonlSink`].
 ///
 /// Append mode lets many consecutive runs (e.g. all runs processed by one
 /// sweep worker) share a single file; each contributes its own
@@ -1026,41 +1262,45 @@ impl<W: Write> JsonlSink<W> {
 pub fn jsonl_file_sink(
     path: &std::path::Path,
     meta: RunMeta,
-) -> std::io::Result<JsonlSink<std::io::BufWriter<std::fs::File>>> {
+) -> std::io::Result<JsonlSink<std::fs::File>> {
     let file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)?;
-    JsonlSink::new(std::io::BufWriter::new(file), meta)
+    JsonlSink::new(file, meta)
 }
 
 impl<W: Write + Send + std::fmt::Debug + 'static> TraceSink for JsonlSink<W> {
     fn record(&mut self, at: SimTime, seq: u64, ev: &TraceEvent) {
-        let buf = &mut self.buf;
-        buf.truncate(self.prefix);
-        push_u64(buf, seq);
-        buf.extend_from_slice(b",\"t\":");
-        push_u64(buf, at.ticks());
-        ev.write_fields(buf);
-        buf.extend_from_slice(b"}\n");
-        if let Some(out) = self.out.as_mut() {
-            // Trace I/O failures must not abort a simulation; drop the line.
-            let _ = out.write_all(buf);
+        self.head.set_seq(seq);
+        let t = at.ticks();
+        if t != self.t {
+            self.t = t;
+            self.t_len = put_decimal(&mut self.t_text, t);
         }
+        let mut line = LineOut::new(&mut self.block, self.len);
+        line.window(&self.head.bytes, self.head.len);
+        line.window(&self.t_text, self.t_len);
+        ev.write_fields(&mut line);
+        line.put(b"}\n");
+        let n = line.at;
+        self.end_line(n);
         self.events += 1;
     }
 
     fn finish(&mut self, ledger: &CostLedger) {
-        let mut line = Vec::with_capacity(400);
-        let _ = write!(
-            line,
-            "{{\"v\":{SCHEMA_VERSION},\"run\":{},\"ev\":\"run_end\",\"events\":{}",
-            self.run, self.events,
-        );
+        let mut line = LineOut::new(&mut self.block, self.len);
+        line.put(b"{\"v\":");
+        line.u64(u64::from(SCHEMA_VERSION));
+        line.put(b",\"run\":");
+        line.u64(self.run);
+        line.put(b",\"ev\":\"run_end\",\"events\":");
+        line.u64(self.events);
         RunSummary::from_ledger(self.run, ledger).write_fields(&mut line);
-        line.extend_from_slice(b"}\n");
+        line.put(b"}\n");
+        self.len += line.at;
+        let _ = self.write_block();
         if let Some(out) = self.out.as_mut() {
-            let _ = out.write_all(&line);
             let _ = out.flush();
         }
     }
@@ -1076,6 +1316,7 @@ impl<W: Write + Send + std::fmt::Debug + 'static> TraceSink for JsonlSink<W> {
 
 impl<W: Write> Drop for JsonlSink<W> {
     fn drop(&mut self) {
+        let _ = self.write_block();
         if let Some(out) = self.out.as_mut() {
             let _ = out.flush();
         }
@@ -1191,7 +1432,11 @@ impl<'a> Fields<'a> {
                     digits += 1;
                 }
                 let (raw, tail) = after_colon.split_at(digits);
-                if digits == 0 || !(tail.is_empty() || tail.starts_with(',')) {
+                // The writer never pads: `03` and `00` are not its numbers.
+                if digits == 0
+                    || (digits > 1 && raw.starts_with('0'))
+                    || !(tail.is_empty() || tail.starts_with(','))
+                {
                     let v = after_colon.split(',').next().unwrap_or_default();
                     return err(format!(
                         "value of {key:?} is not an unsigned integer: {v:?}"
@@ -1208,6 +1453,7 @@ impl<'a> Fields<'a> {
             *slot = (key, value);
             self.len += 1;
             rest = match tail.strip_prefix(',') {
+                Some("") => return err("empty member before '}'"),
                 Some(t) => t,
                 None if tail.is_empty() => tail,
                 None => return err(format!("expected ',' at {tail:?}")),
@@ -1329,6 +1575,10 @@ mod tests {
         let event =
             |fields: &str| parse_line(&format!("{{\"v\":1,\"run\":0,\"seq\":0,\"t\":0,{fields}}}"));
         assert!(event("\"ev\":\"fault_crash\",\"mss\":4294967295").is_ok());
+        assert!(
+            parse_line("{\"v\":1,\"run\":0,\"seq\":0,\"t\":00,\"ev\":\"cs_exit\",\"mh\":0}")
+                .is_err()
+        );
         // An unknown key that merely resembles `mh` is not a duplicate.
         assert!(event("\"ev\":\"cs_exit\",\"mh\":0,\"mx\":1").is_ok());
         for bad in [
@@ -1348,6 +1598,11 @@ mod tests {
             "\"ev\":\"cs_exit\",\"mh\":0,\"mh\":0",
             "\"ev\":\"cs_exit\",\"mh\":0,\"seq\":1",
             "\"ev\":\"cs_exit\",\"mh\":\"0\"",
+            // Leading zeros and a trailing comma are not JSON the writer
+            // emits.
+            "\"ev\":\"cs_request\",\"mh\":03",
+            "\"ev\":\"cs_request\",\"mh\":00",
+            "\"ev\":\"cs_request\",\"mh\":3,",
         ] {
             assert!(event(bad).is_err(), "accepted {bad}");
         }

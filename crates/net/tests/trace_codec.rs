@@ -17,6 +17,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::hint::black_box;
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 const GOLDEN: &str = include_str!("data/trace_v1.jsonl");
 
@@ -566,4 +568,444 @@ fn run_end_round_trips_with_and_without_each_additive_counter() {
     let (line, _) = round_trip(&all);
     let keys = payload_keys(&line);
     assert_eq!(keys[keys.len() - faults.len()..], faults);
+}
+
+// ----- the block writer against a reference encoder ---------------------------
+
+/// `ev`'s field values in `SCHEMA` order, `None` where the line leaves the
+/// field out.
+fn wire_values(ev: &TraceEvent) -> Vec<Option<u64>> {
+    use TraceEvent::*;
+    let id = |v: u32| Some(u64::from(v));
+    let flag = |b: bool| Some(u64::from(b));
+    match *ev {
+        FixedSend { from, to } => vec![id(from.0), id(to.0)],
+        FixedRecv { at, from } => vec![id(at.0), id(from.0)],
+        UpSend { mh, mss }
+        | UpRecv { mh, mss }
+        | DownSend { mh, mss }
+        | DownRecv { mh, mss }
+        | DownLost { mh, mss }
+        | Disconnect { mh, mss }
+        | ProxyForward { mh, mss } => vec![id(mh.0), id(mss.0)],
+        CellBroadcast { mss, listeners } => vec![id(mss.0), id(listeners)],
+        Search { target, re } => vec![id(target.0), flag(re)],
+        SearchFail { origin, target } => vec![id(origin.0), id(target.0)],
+        DozeInterrupt { mh } | CsRequest { mh } | CsEnter { mh } | CsExit { mh } => {
+            vec![id(mh.0)]
+        }
+        HandoffBegin { mh, from } => vec![id(mh.0), id(from.0)],
+        HandoffEnd { mh, to, prev } => vec![id(mh.0), id(to.0), prev.map(|p| p.0.into())],
+        Reconnect { mh, mss, prev } => vec![id(mh.0), id(mss.0), prev.map(|p| p.0.into())],
+        LvUpdate { cell, added } => vec![id(cell.0), flag(added)],
+        CacheHit { fp_hi, fp_lo } => vec![Some(fp_hi), Some(fp_lo)],
+        ShardSync {
+            shard,
+            window,
+            skipped,
+        } => vec![id(shard), Some(window), (skipped != 0).then_some(skipped)],
+        ShardRecv { shard, from, to } => vec![id(shard), id(from.0), id(to.0)],
+        CombineBatch { mss, size } => vec![id(mss.0), id(size)],
+        DeliverBatch { at, len } => vec![id(at.0), id(len)],
+        FaultCrash { mss } | FaultRecover { mss } => vec![id(mss.0)],
+        FaultPartition { cut, healed } => vec![id(cut), flag(healed)],
+        FaultStorm { moved } => vec![id(moved)],
+        other => panic!("no reference encoding for {other:?}"),
+    }
+}
+
+/// The reference encoder: `format!` over `SCHEMA`'s keys.
+fn reference_line(run: u64, at: SimTime, seq: u64, ev: &TraceEvent) -> String {
+    let keys = SCHEMA.iter().find(|row| row.0 == ev.name()).unwrap().1;
+    let values = wire_values(ev);
+    assert_eq!(values.len(), keys.len(), "{ev:?}");
+    let mut line = format!(
+        "{{\"v\":1,\"run\":{run},\"seq\":{seq},\"t\":{},\"ev\":\"{}\"",
+        at.ticks(),
+        ev.name()
+    );
+    for (key, v) in keys.iter().zip(values) {
+        if let Some(v) = v {
+            line += &format!(",\"{key}\":{v}");
+        }
+    }
+    line + "}\n"
+}
+
+fn reference_run_begin(m: &RunMeta) -> String {
+    format!(
+        "{{\"v\":1,\"run\":{},\"ev\":\"run_begin\",\"label\":\"{}\",\"m\":{},\"n\":{},\
+         \"seed\":{},\"c_fixed\":{},\"c_wireless\":{},\"c_search\":{},\"policy\":\"{}\"}}\n",
+        m.run, m.label, m.m, m.n, m.seed, m.c_fixed, m.c_wireless, m.c_search, m.policy
+    )
+}
+
+/// The `run_end` line; the fault counters are written only when non-zero.
+fn reference_run_end(events: u64, s: &RunSummary) -> String {
+    let mut line = format!(
+        "{{\"v\":1,\"run\":{},\"ev\":\"run_end\",\"events\":{events}",
+        s.run
+    );
+    for (key, v) in s.counters() {
+        if v != 0 || !key.starts_with("fault_") {
+            line += &format!(",\"{key}\":{v}");
+        }
+    }
+    line + "}\n"
+}
+
+/// The decimal-length edges `9`, `10`, `99`, `100`, … up to `max`, and `max`.
+fn edges(max: u64) -> Vec<u64> {
+    let mut v = vec![0, max];
+    let mut p = 1u64;
+    while let Some(next) = p.checked_mul(10) {
+        p = next;
+        v.extend([p - 1, p].into_iter().filter(|&x| x <= max));
+    }
+    v
+}
+
+/// A field value: mostly the short ids most lines carry, else a
+/// decimal-length edge or any length at all, never above `max`.
+fn value(rng: &mut SimRng, max: u64) -> u64 {
+    match rng.below(4) {
+        0 | 1 => rng.below(1000),
+        2 => *rng.pick(&edges(max)),
+        _ => {
+            let v = rng.next_u64();
+            (v >> (v % 64)) & max
+        }
+    }
+}
+
+/// A random event of `SCHEMA` row `kind`, optional and additive fields
+/// present about half the time.
+fn random_event(rng: &mut SimRng, kind: &str) -> TraceEvent {
+    use TraceEvent::*;
+    let n = |rng: &mut SimRng| value(rng, u32::MAX.into()) as u32;
+    let (a, b, c) = (n(rng), n(rng), n(rng));
+    let (mss, mh, flag) = (MssId(a), MhId(b), rng.chance(0.5));
+    let maybe = rng.chance(0.5).then_some(MssId(c));
+    let (w1, w2) = (value(rng, u64::MAX), value(rng, u64::MAX));
+    match kind {
+        "fixed_send" => FixedSend {
+            from: mss,
+            to: MssId(c),
+        },
+        "fixed_recv" => FixedRecv {
+            at: mss,
+            from: MssId(c),
+        },
+        "up_send" => UpSend { mh, mss },
+        "up_recv" => UpRecv { mh, mss },
+        "down_send" => DownSend { mh, mss },
+        "down_recv" => DownRecv { mh, mss },
+        "cell_broadcast" => CellBroadcast { mss, listeners: c },
+        "down_lost" => DownLost { mh, mss },
+        "search" => Search {
+            target: mh,
+            re: flag,
+        },
+        "search_fail" => SearchFail {
+            origin: mss,
+            target: mh,
+        },
+        "doze_interrupt" => DozeInterrupt { mh },
+        "handoff_begin" => HandoffBegin { mh, from: mss },
+        "handoff_end" => HandoffEnd {
+            mh,
+            to: mss,
+            prev: maybe,
+        },
+        "disconnect" => Disconnect { mh, mss },
+        "reconnect" => Reconnect {
+            mh,
+            mss,
+            prev: maybe,
+        },
+        "cs_request" => CsRequest { mh },
+        "cs_enter" => CsEnter { mh },
+        "cs_exit" => CsExit { mh },
+        "lv_update" => LvUpdate {
+            cell: mss,
+            added: flag,
+        },
+        "proxy_forward" => ProxyForward { mh, mss },
+        "cache_hit" => CacheHit {
+            fp_hi: w1,
+            fp_lo: w2,
+        },
+        "shard_sync" => ShardSync {
+            shard: a,
+            window: w1,
+            skipped: if flag { w2 } else { 0 },
+        },
+        "shard_recv" => ShardRecv {
+            shard: a,
+            from: MssId(b),
+            to: MssId(c),
+        },
+        "combine_batch" => CombineBatch { mss, size: b },
+        "deliver_batch" => DeliverBatch { at: mss, len: b },
+        "fault_crash" => FaultCrash { mss },
+        "fault_recover" => FaultRecover { mss },
+        "fault_partition" => FaultPartition {
+            cut: a,
+            healed: flag,
+        },
+        "fault_storm" => FaultStorm { moved: a },
+        other => panic!("no generator for SCHEMA row {other:?}"),
+    }
+}
+
+/// `(t, seq)` streams the sink must encode exactly.
+fn streams(rng: &mut SimRng) -> Vec<(&'static str, Vec<(u64, u64)>)> {
+    // The kernel's: dense `seq`, `t` repeated on about half the lines.
+    let mut t = 0;
+    let kernel: Vec<(u64, u64)> = (0..6000)
+        .map(|seq| {
+            t += if rng.chance(0.45) { 0 } else { rng.below(40) };
+            (t, seq)
+        })
+        .collect();
+    // Both counting across every decimal-length edge up to `u64::MAX`,
+    // then `seq` restarting and `t` running backwards.
+    let mut edge = Vec::new();
+    for p in edges(u64::MAX) {
+        for d in 0..4u64 {
+            let x = p.saturating_sub(2).saturating_add(d);
+            edge.extend([(x, x), (x, x)]);
+        }
+    }
+    edge.extend((0..30u64).map(|i| (u64::MAX - 7 * i * i, i)));
+    // Gaps, restarts, repeats and jumps in both.
+    let (mut t, mut seq) = (0u64, 0u64);
+    let jumpy: Vec<(u64, u64)> = (0..6000)
+        .map(|_| {
+            seq = match rng.below(8) {
+                0 => 0,
+                1 => seq.saturating_add(1 + rng.below(3)),
+                2 => value(rng, u64::MAX),
+                3 => seq,
+                _ => seq.wrapping_add(1),
+            };
+            t = match rng.below(6) {
+                0 => value(rng, u64::MAX),
+                1 => t.saturating_sub(rng.below(1000)),
+                2 | 3 => t,
+                _ => t.saturating_add(rng.below(100)),
+            };
+            (t, seq)
+        })
+        .collect();
+    vec![("kernel", kernel), ("edges", edge), ("jumpy", jumpy)]
+}
+
+/// A writer whose bytes outlive the sink: every `write` call's bytes in
+/// order, flagged `false` for the one call, the `fail_at`-th (from 1; 0 =
+/// none), that fails.
+#[derive(Debug, Clone, Default)]
+struct Tap(Arc<Mutex<TapLog>>);
+
+#[derive(Debug, Default)]
+struct TapLog {
+    fail_at: usize,
+    writes: Vec<(bool, Vec<u8>)>,
+}
+
+impl Tap {
+    fn failing_at(k: usize) -> Self {
+        let tap = Tap::default();
+        tap.0.lock().unwrap().fail_at = k;
+        tap
+    }
+
+    /// What reached the writer: the bytes of every call but the failed one.
+    fn written(&self) -> Vec<u8> {
+        let log = self.0.lock().unwrap();
+        let ok = log.writes.iter().filter(|w| w.0);
+        ok.flat_map(|w| w.1.iter().copied()).collect()
+    }
+
+    fn writes(&self) -> Vec<(bool, Vec<u8>)> {
+        self.0.lock().unwrap().writes.clone()
+    }
+}
+
+impl Write for Tap {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let mut log = self.0.lock().unwrap();
+        let ok = log.writes.len() + 1 != log.fail_at;
+        log.writes.push((ok, buf.to_vec()));
+        if ok {
+            Ok(buf.len())
+        } else {
+            Err(std::io::Error::other("the tap failed this write"))
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Seeded random events of every schema row, over `(t, seq)` streams with
+/// gaps, restarts, repeats, decreasing `t` and every decimal-length edge,
+/// under run ids of every width: the sink writes what the reference
+/// encoder does, byte for byte, in whole-line blocks of at least 8 KiB, and
+/// a sink dropped without `finish` loses nothing but its `run_end`.
+#[test]
+fn block_writer_matches_the_reference_encoder() {
+    let mut rng = SimRng::seed_from(0x7ace_b10c);
+    let mut kinds = BTreeSet::new();
+    for (name, stream) in streams(&mut rng) {
+        for run in [0, 7, 123_456, u64::MAX] {
+            for finished in [true, false] {
+                let m = meta(run);
+                let tap = Tap::default();
+                let mut sink = JsonlSink::new(tap.clone(), m.clone()).unwrap();
+                let mut want = reference_run_begin(&m);
+                let mut stream_sum = RunSummary::default();
+                for &(t, seq) in &stream {
+                    let row = rng.pick(SCHEMA);
+                    let ev = random_event(&mut rng, row.0);
+                    kinds.insert(row.0);
+                    stream_sum.tally(&ev);
+                    let at = SimTime::from_ticks(t);
+                    sink.record(at, seq, &ev);
+                    want += &reference_line(run, at, seq, &ev);
+                }
+                if finished {
+                    let mut ledger = CostLedger::new(40);
+                    ledger.fixed_msgs = stream_sum.fixed_msgs;
+                    ledger.wireless_msgs = stream_sum.wireless_msgs;
+                    ledger.bump_by("fault_storms", stream_sum.fault_storms);
+                    sink.finish(&ledger);
+                    let summary = RunSummary::from_ledger(run, &ledger);
+                    want += &reference_run_end(stream.len() as u64, &summary);
+                }
+                drop(sink);
+                let got = String::from_utf8(tap.written()).unwrap();
+                let first_difference = got.lines().zip(want.lines()).position(|(g, w)| g != w);
+                assert!(
+                    got == want,
+                    "stream {name}, run {run}, finished {finished}: line {first_difference:?} differs"
+                );
+                // The header alone, then whole-line blocks of 8 KiB or more
+                // but for the last.
+                let writes = tap.writes();
+                assert_eq!(writes[0].1, reference_run_begin(&m).as_bytes());
+                let blocks = &writes[1..];
+                for (i, (_, block)) in blocks.iter().enumerate() {
+                    assert_eq!(block.last(), Some(&b'\n'), "{name}: block {i}");
+                    assert!(
+                        i + 1 == blocks.len() || block.len() >= 8192,
+                        "{name}: block {i}"
+                    );
+                }
+            }
+        }
+    }
+    let schema: BTreeSet<&str> = SCHEMA.iter().map(|row| row.0).collect();
+    assert_eq!(kinds, schema, "a schema row was never drawn");
+}
+
+/// Relays one wired message around the ring of MSSs `hops` times: a run of
+/// two trace lines per hop.
+struct Relay {
+    hops: u32,
+}
+
+impl Protocol for Relay {
+    type Msg = u32;
+    type Timer = ();
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32, ()>) {
+        ctx.send_fixed(MssId(0), MssId(1), 0);
+    }
+
+    fn on_mss_msg(&mut self, ctx: &mut Ctx<'_, u32, ()>, at: MssId, _: Src, hop: u32) {
+        if hop < self.hops {
+            let next = MssId((at.0 + 1) % ctx.num_mss() as u32);
+            ctx.send_fixed(at, next, hop + 1);
+        }
+    }
+
+    fn on_mh_msg(&mut self, _: &mut Ctx<'_, u32, ()>, _: MhId, _: Src, _: u32) {}
+}
+
+/// One traced relay run into `tap`: the sink's event count and its output.
+fn relay_run(tap: &Tap) -> (u64, Vec<Line>) {
+    let cfg = NetworkConfig::new(4, 4).with_seed(3);
+    let mut sim = Simulation::new(cfg.clone(), Relay { hops: 2000 });
+    let sink = JsonlSink::new(tap.clone(), RunMeta::new(1, "relay", &cfg)).unwrap();
+    sim.set_trace_sink(Box::new(sink));
+    assert!(sim.run_to_quiescence(u64::MAX), "the run completes");
+    let sink = sim.finish_trace().unwrap();
+    let sink = sink.as_any().downcast_ref::<JsonlSink<Tap>>().unwrap();
+    let text = String::from_utf8(tap.written()).unwrap();
+    let lines = text.lines().map(|l| parse_line(l).unwrap()).collect();
+    (sink.events_written(), lines)
+}
+
+/// `(events claimed, events present, the run_end summary, the tally of the
+/// events present)`.
+fn reconcile(lines: &[Line]) -> (u64, u64, RunSummary, RunSummary) {
+    let (mut present, mut tally) = (0, RunSummary::default());
+    let mut end = None;
+    for line in lines {
+        match line {
+            Line::Event { ev, .. } => {
+                present += 1;
+                tally.tally(ev);
+            }
+            Line::RunEnd { summary, events } => end = Some((*events, *summary)),
+            Line::RunBegin(_) => {}
+        }
+    }
+    let (claimed, summary) = end.expect("a run_end line");
+    (claimed, present, summary, tally)
+}
+
+/// A writer that fails one write: the run still completes and the sink
+/// still counts every line; the file is short by that one block — whole
+/// lines — so the `ledger = trace` check flags the run. A failed header
+/// write is `JsonlSink::new`'s error.
+#[test]
+fn a_failed_write_loses_one_block_and_the_check_sees_it() {
+    let healthy = Tap::default();
+    let (events, lines) = relay_run(&healthy);
+    let (claimed, present, summary, tally) = reconcile(&lines);
+    assert_eq!((claimed, present), (events, events));
+    assert!(summary.event_counters().eq(tally.event_counters()));
+    let writes = healthy.writes().len();
+    assert!(writes > 5, "{writes} writes: too few blocks to lose one");
+
+    for k in [2, writes / 2, writes] {
+        let tap = Tap::failing_at(k);
+        let (written, lines) = relay_run(&tap);
+        assert_eq!(written, events, "failing write {k}");
+        let all = tap.writes();
+        let (lost, before) = (&all[k - 1].1, &all[k - 2].1);
+        assert!(!all[k - 1].0 && all.iter().filter(|w| !w.0).count() == 1);
+        assert_eq!(before.last(), Some(&b'\n'), "the lost block starts a line");
+        assert_eq!(lost.last(), Some(&b'\n'), "the lost block ends a line");
+        let mut whole = tap.written();
+        let at: usize = all[..k - 1].iter().map(|w| w.1.len()).sum();
+        whole.splice(at..at, lost.iter().copied());
+        assert_eq!(whole, healthy.written(), "failing write {k}");
+
+        if k == writes {
+            // The last block carried the `run_end` line too.
+            assert!(!lines.iter().any(|l| matches!(l, Line::RunEnd { .. })));
+            continue;
+        }
+        let (claimed, present, summary, tally) = reconcile(&lines);
+        let missing = lost.iter().filter(|&&b| b == b'\n').count() as u64;
+        assert_eq!((claimed, present), (events, events - missing));
+        assert!(!summary.event_counters().eq(tally.event_counters()));
+    }
+
+    let header = JsonlSink::new(Tap::failing_at(1), meta(0));
+    assert_eq!(header.unwrap_err().to_string(), "the tap failed this write");
 }

@@ -91,3 +91,58 @@ fn mobidist_variables_are_read_iff_documented() {
         );
     }
 }
+
+/// The docs that tell a reader what to run.
+const COMMAND_DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
+
+/// Every name the command docs spell right after `lead` — the longest run
+/// of bytes `ok` accepts — mapped to the first doc that spells it. With
+/// `anchored`, `lead` counts only at the start of a line or after a backtick.
+fn named_after(lead: &str, anchored: bool, ok: fn(&u8) -> bool) -> BTreeMap<String, &'static str> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut found = BTreeMap::new();
+    for doc in COMMAND_DOCS {
+        let Ok(text) = std::fs::read_to_string(root.join(doc)) else {
+            continue;
+        };
+        for (at, _) in text.match_indices(lead) {
+            if anchored && at > 0 && !matches!(text.as_bytes()[at - 1], b'\n' | b'`') {
+                continue;
+            }
+            let tail = &text[at + lead.len()..];
+            let len = tail.bytes().take_while(ok).count();
+            if len > 0 {
+                found.entry(tail[..len].to_owned()).or_insert(doc);
+            }
+        }
+    }
+    found
+}
+
+#[test]
+fn make_targets_the_docs_name_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let makefile = std::fs::read_to_string(root.join("Makefile")).expect("read the Makefile");
+    let named = named_after("make ", true, u8::is_ascii_lowercase);
+    assert!(!named.is_empty(), "no doc names a `make` target");
+    for (target, doc) in named {
+        let rule = format!("{target}:");
+        assert!(
+            makefile.lines().any(|l| l.starts_with(&rule)),
+            "{doc} names `make {target}`, which the Makefile does not define"
+        );
+    }
+}
+
+#[test]
+fn bins_the_docs_name_exist() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let named = named_after("--bin ", false, |&b| b.is_ascii_lowercase() || b == b'_');
+    assert!(!named.is_empty(), "no doc names a `--bin`");
+    for (bin, doc) in named {
+        assert!(
+            root.join("src/bin").join(format!("{bin}.rs")).is_file(),
+            "{doc} names `--bin {bin}`, but src/bin/{bin}.rs does not exist"
+        );
+    }
+}
