@@ -31,7 +31,7 @@ use crate::algorithm::{AlgoCtx, MutexAlgorithm};
 use mobidist_net::host::HostSet;
 use mobidist_net::ids::{IdMap, MhId, MssId};
 use mobidist_net::proto::Src;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Admission guard selecting the R2 variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,6 +90,8 @@ struct Station {
     grant_q: VecDeque<(MhId, u64)>,
     has_token: bool,
     serving: Option<MhId>,
+    /// Completed services at this MSS.
+    services: u64,
 }
 
 /// The token ring among the MSSs, in three variants. See the module docs.
@@ -108,10 +110,11 @@ pub struct R2 {
     /// MHs that disconnected while holding; they return the token on
     /// reconnection.
     pending_return: IdMap<MhId, MssId>,
-    /// `(traversal, mh)` for every completed service.
-    grant_log: Vec<(u64, MhId)>,
-    /// `(serving MSS, mh)` for every completed service.
-    service_log: Vec<(MssId, MhId)>,
+    /// Per MH, `(traversal, services in it)` of its latest service. Exact
+    /// as a streak because `token.val` never decreases.
+    streak: IdMap<MhId, (u64, u64)>,
+    /// Largest streak count so far.
+    max_streak: u64,
     /// Section 2's handoff of algorithm-specific data structures: pending
     /// (unadmitted) requests travel with the MH to its new cell.
     request_handoff: bool,
@@ -140,8 +143,8 @@ impl R2 {
             liars: HostSet::new(),
             holding: IdMap::new(),
             pending_return: IdMap::new(),
-            grant_log: Vec::new(),
-            service_log: Vec::new(),
+            streak: IdMap::new(),
+            max_streak: 0,
             request_handoff: false,
             traversals: 0,
             token_passes: 0,
@@ -164,9 +167,9 @@ impl R2 {
         self
     }
 
-    /// `(serving MSS, mh)` for every completed service, in order.
-    pub fn service_log(&self) -> &[(MssId, MhId)] {
-        &self.service_log
+    /// Completed services at `mss`.
+    pub fn services_at(&self, mss: MssId) -> u64 {
+        self.stations[mss.index()].services
     }
 
     /// Completed traversals of the ring.
@@ -179,18 +182,9 @@ impl R2 {
         self.token_passes
     }
 
-    /// `(traversal, mh)` pairs for every completed service, in order.
-    pub fn grant_log(&self) -> &[(u64, MhId)] {
-        &self.grant_log
-    }
-
     /// Maximum number of services a single MH received within one traversal.
     pub fn max_services_per_traversal(&self) -> u64 {
-        let mut counts: BTreeMap<(u64, MhId), u64> = BTreeMap::new();
-        for (t, mh) in &self.grant_log {
-            *counts.entry((*t, *mh)).or_insert(0) += 1;
-        }
-        counts.values().copied().max().unwrap_or(0)
+        self.max_streak
     }
 
     fn successor(&self, of: MssId) -> MssId {
@@ -259,9 +253,13 @@ impl R2 {
         if self.guard == RingGuard::TokenList {
             self.token.list.push((at, mh));
         }
-        self.grant_log.push((self.token.val, mh));
-        self.service_log.push((at, mh));
-        self.stations[at.index()].serving = None;
+        let val = self.token.val;
+        let streak = self.streak.get_or_insert_with(mh, || (0, 0));
+        *streak = (val, if streak.0 == val { streak.1 + 1 } else { 1 });
+        self.max_streak = self.max_streak.max(streak.1);
+        let st = &mut self.stations[at.index()];
+        st.services += 1;
+        st.serving = None;
         self.serve_next(ctx, at);
     }
 
@@ -426,6 +424,10 @@ impl MutexAlgorithm for R2 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::HarnessTimer;
+    use mobidist_net::config::NetworkConfig;
+    use mobidist_net::proto::{Ctx, Protocol};
+    use mobidist_net::sim::Simulation;
 
     #[test]
     fn successor_wraps() {
@@ -441,13 +443,52 @@ mod tests {
         assert_eq!(R2::new(1, RingGuard::TokenList).name(), "R2-list");
     }
 
+    /// A protocol that ignores everything, so a test can hand R2 a live
+    /// kernel context and drive its handlers by hand.
+    struct Idle;
+
+    impl Protocol for Idle {
+        type Msg = R2Msg;
+        type Timer = HarnessTimer<()>;
+        fn on_mss_msg(&mut self, _: &mut Ctx<'_, R2Msg, Self::Timer>, _: MssId, _: Src, _: R2Msg) {}
+        fn on_mh_msg(&mut self, _: &mut Ctx<'_, R2Msg, Self::Timer>, _: MhId, _: Src, _: R2Msg) {}
+    }
+
+    /// One token visit at `at`: `mhs` request there, are granted in order
+    /// and each returns the token before the next grant.
+    fn visit(r: &mut R2, ctx: &mut AlgoCtx<'_, '_, R2Msg, ()>, at: u32, mhs: &[u32]) {
+        let at = MssId(at);
+        let queue = &mut r.stations[at.index()].request_q;
+        queue.extend(mhs.iter().map(|&mh| (MhId(mh), 0)));
+        r.token_arrived(ctx, at);
+        for &mh in mhs {
+            r.token_returned(ctx, at, MhId(mh));
+        }
+    }
+
     #[test]
     fn max_services_counts_per_traversal() {
         let mut r = R2::new(2, RingGuard::Plain);
-        r.grant_log = vec![(1, MhId(0)), (1, MhId(0)), (1, MhId(1)), (2, MhId(0))];
-        assert_eq!(r.max_services_per_traversal(), 2);
-        r.grant_log.clear();
-        assert_eq!(r.max_services_per_traversal(), 0);
+        let mut sim = Simulation::new(NetworkConfig::new(2, 2), Idle);
+        sim.with_ctx(|net, _| {
+            let mut effects = Vec::new();
+            let ctx = &mut AlgoCtx::new(net, &mut effects);
+            assert_eq!(r.max_services_per_traversal(), 0);
+            // Traversal 1: mh0 twice at mss0.
+            visit(&mut r, ctx, 0, &[0, 0, 1]);
+            visit(&mut r, ctx, 1, &[]);
+            assert_eq!(r.max_services_per_traversal(), 2);
+            // Traversal 2: mh0 once at each MSS — two in this traversal,
+            // not four in a row.
+            visit(&mut r, ctx, 0, &[0]);
+            visit(&mut r, ctx, 1, &[0]);
+            assert_eq!(r.max_services_per_traversal(), 2);
+            // Traversal 3: mh1 three times.
+            visit(&mut r, ctx, 0, &[1, 1, 1]);
+            assert_eq!(r.max_services_per_traversal(), 3);
+        });
+        assert_eq!(r.traversals(), 2);
+        assert_eq!((r.services_at(MssId(0)), r.services_at(MssId(1))), (7, 1));
     }
 
     #[test]

@@ -748,7 +748,7 @@ fn r2_request_handoff_serves_the_request_at_the_new_cell() {
     // mh1 requests at mss1 and immediately moves to mss2 while the token is
     // still at mss0. Without the Section-2 handoff the request stays (and
     // is served from) mss1; with it, the request follows the MH to mss2.
-    let serve_site = |handoff: bool| -> MssId {
+    let serve_site = |handoff: bool| -> [u64; 3] {
         let mut algo = R2::new(3, RingGuard::Plain);
         if handoff {
             algo = algo.with_request_handoff();
@@ -765,10 +765,15 @@ fn r2_request_handoff_serves_the_request_at_the_new_cell() {
         sim.run_until(SimTime::from_ticks(sim.now().ticks() + 100_000));
         let r = sim.protocol().report();
         assert_eq!(r.completed, 1, "handoff={handoff}: {r:?}");
-        sim.protocol().algorithm().service_log()[0].0
+        let algo = sim.protocol().algorithm();
+        [0, 1, 2].map(|m| algo.services_at(MssId(m)))
     };
-    assert_eq!(serve_site(false), MssId(1), "request stays at the old cell");
-    assert_eq!(serve_site(true), MssId(2), "request travels with the MH");
+    assert_eq!(
+        serve_site(false),
+        [0, 1, 0],
+        "request stays at the old cell"
+    );
+    assert_eq!(serve_site(true), [0, 0, 1], "request travels with the MH");
 }
 
 #[test]

@@ -277,7 +277,8 @@ pub struct GroupReport {
     pub missed: u64,
     /// Deliveries of a message to a member more than once.
     pub duplicates: u64,
-    /// Deliveries to members that were not expected (e.g. reconnected late).
+    /// Deliveries to members that were not expected (e.g. reconnected
+    /// late), and of message ids never sent.
     pub unexpected: u64,
 }
 
@@ -351,13 +352,17 @@ pub struct GroupHarness<S: LocationStrategy> {
     wl: GroupWorkload,
     member_set: HostSet,
     deliveries: Vec<Delivery>,
-    /// msg_id → expected recipients at send time.
-    expected: BTreeMap<u64, HostSet>,
-    /// msg_id → actual recipients (with duplicate count).
-    received: BTreeMap<u64, IdMap<MhId, u64>>,
+    /// Indexed by message id (ids are dense from 0, so its length is the
+    /// number sent): the members expected at send time, and the members
+    /// that have received the message at least once.
+    audit: Vec<(HostSet, HostSet)>,
+    /// Running tallies behind [`GroupReport`], kept as deliveries arrive.
+    expected_total: u64,
+    delivered: u64,
+    duplicates: u64,
+    unexpected: u64,
     /// Per-member delivery order (first deliveries only).
     sequences: IdMap<MhId, Vec<u64>>,
-    next_msg: u64,
     member_moves: u64,
     sender_cursor: usize,
 }
@@ -371,10 +376,12 @@ impl<S: LocationStrategy> GroupHarness<S> {
             wl,
             member_set,
             deliveries: Vec::new(),
-            expected: BTreeMap::new(),
-            received: BTreeMap::new(),
+            audit: Vec::new(),
+            expected_total: 0,
+            delivered: 0,
+            duplicates: 0,
+            unexpected: 0,
             sequences: IdMap::new(),
-            next_msg: 0,
             member_moves: 0,
             sender_cursor: 0,
         }
@@ -398,54 +405,37 @@ impl<S: LocationStrategy> GroupHarness<S> {
 
     /// Builds the delivery/cost report.
     pub fn report(&self) -> GroupReport {
-        let mut delivered = 0;
-        let mut missed = 0;
-        let mut duplicates = 0;
-        let mut unexpected = 0;
-        let mut expected_total = 0;
-        for (msg, exp) in &self.expected {
-            let got = self.received.get(msg);
-            expected_total += exp.len() as u64;
-            for m in exp {
-                match got.and_then(|g| g.get(&m)) {
-                    None => missed += 1,
-                    Some(n) => {
-                        delivered += 1;
-                        duplicates += n - 1;
-                    }
-                }
-            }
-            if let Some(g) = got {
-                for (m, n) in g.iter() {
-                    if !exp.contains(&m) {
-                        unexpected += n;
-                    }
-                }
-            }
-        }
         GroupReport {
-            sent: self.next_msg,
+            sent: self.audit.len() as u64,
             member_moves: self.member_moves,
-            expected: expected_total,
-            delivered,
-            missed,
-            duplicates,
-            unexpected,
+            expected: self.expected_total,
+            delivered: self.delivered,
+            missed: self.expected_total - self.delivered,
+            duplicates: self.duplicates,
+            unexpected: self.unexpected,
         }
     }
 
+    /// Tallies the deliveries the last callback reported: an expected
+    /// member's first receipt is `delivered`, its repeats `duplicates`;
+    /// every receipt by a member not expected (or of an id never sent) is
+    /// `unexpected`.
     fn apply_deliveries(&mut self) {
         for d in self.deliveries.drain(..) {
-            let count = self
-                .received
-                .entry(d.msg_id)
-                .or_default()
-                .get_or_insert_with(d.to, || 0);
-            *count += 1;
-            if *count == 1 {
+            let Some((expected, seen)) = self.audit.get_mut(d.msg_id as usize) else {
+                self.unexpected += 1;
+                continue;
+            };
+            let first = seen.insert(d.to);
+            if first {
                 self.sequences
                     .get_or_insert_with(d.to, Vec::new)
                     .push(d.msg_id);
+            }
+            match (expected.contains(&d.to), first) {
+                (false, _) => self.unexpected += 1,
+                (true, true) => self.delivered += 1,
+                (true, false) => self.duplicates += 1,
             }
         }
     }
@@ -489,7 +479,7 @@ impl<S: LocationStrategy> Protocol for GroupHarness<S> {
         match timer {
             GroupTimer::Algo(t) => self.with_strategy(ctx, |s, gctx| s.on_timer(gctx, t)),
             GroupTimer::SendNext => {
-                if self.next_msg as usize >= self.wl.messages {
+                if self.audit.len() >= self.wl.messages {
                     return;
                 }
                 // Round-robin through members to find a connected sender.
@@ -508,8 +498,7 @@ impl<S: LocationStrategy> Protocol for GroupHarness<S> {
                     self.schedule_send(ctx);
                     return;
                 };
-                let msg_id = self.next_msg;
-                self.next_msg += 1;
+                let msg_id = self.audit.len() as u64;
                 // Expected recipients: connected members at send time,
                 // excluding the sender (the paper's accounting footnote
                 // disregards in-transit moves; we *count* them as misses).
@@ -520,9 +509,10 @@ impl<S: LocationStrategy> Protocol for GroupHarness<S> {
                     .copied()
                     .filter(|m| *m != sender && ctx.mh_status(*m) == MhStatus::Connected)
                     .collect();
-                self.expected.insert(msg_id, exp);
+                self.expected_total += exp.len() as u64;
+                self.audit.push((exp, HostSet::new()));
                 self.with_strategy(ctx, |s, gctx| s.send_group_message(gctx, sender, msg_id));
-                if (self.next_msg as usize) < self.wl.messages {
+                if self.audit.len() < self.wl.messages {
                     self.schedule_send(ctx);
                 }
             }

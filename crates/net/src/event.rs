@@ -338,11 +338,20 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event. Read-only: unlike `pop`, this
     /// never advances the cursor or cascades slots.
+    ///
+    /// O(1) for a level-0 slot past the cursor's: late entries park only in
+    /// the cursor slot, so any later level-0 slot holds nothing but its own
+    /// tick. The cursor slot and upper-level slots are walked for their
+    /// minimum.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match self.first_slot() {
-            Some((l, s)) => self.slot_min_time(l, s).map(SimTime::from_ticks),
-            None => self.overflow.peek_time(),
-        }
+        let t = match self.first_slot() {
+            Some((0, s)) if s != (self.cursor & SLOT_MASK) as usize => {
+                (self.cursor & !SLOT_MASK) | s as u64
+            }
+            Some((l, s)) => self.slot_min_time(l, s)?,
+            None => return self.overflow.peek_time(),
+        };
+        Some(SimTime::from_ticks(t))
     }
 
     /// Number of pending events.
@@ -525,7 +534,7 @@ impl<E> EventQueue<E> {
 
     /// Minimum original `time` over one occupied slot (entries placed late
     /// keep a `time` below their placement tick, so the front isn't
-    /// necessarily the minimum). `peek_time` is not on the hot path.
+    /// necessarily the minimum; an upper-level slot spans many ticks).
     fn slot_min_time(&self, l: usize, s: usize) -> Option<u64> {
         let next = |&c: &u32| Some(self.chunks[c as usize].next).filter(|&n| n != NIL);
         std::iter::successors(Some(self.slots[l * SLOTS + s].head), next)
@@ -900,6 +909,36 @@ mod tests {
             std::iter::from_fn(|| q.pop().map(|(t, e)| (t.ticks(), e))).collect();
         // Late entries pop first (at the cursor) with their original times.
         assert_eq!(got, vec![(5, 'a'), (1000, 'b'), (2000, 'c')]);
+    }
+
+    #[test]
+    fn peek_time_walks_only_the_cursor_slot_and_upper_levels() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ticks(1000), 'z');
+        assert_eq!(q.pop().unwrap().1, 'z'); // cursor now 1000
+        q.push(SimTime::from_ticks(1000), 'n'); // at the cursor
+        q.push(SimTime::from_ticks(7), 'l'); // late, behind 'n'
+        q.push(SimTime::from_ticks(3), 'm'); // later still, earlier time
+        q.push(SimTime::from_ticks(1005), 'a'); // later level-0 slot
+        q.push(SimTime::from_ticks(1005), 'b');
+        q.push(SimTime::from_ticks(1300), 'u'); // level 1
+
+        // The cursor slot's minimum is its third entry, not its front.
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(3)));
+        for _ in 0..3 {
+            q.pop();
+        }
+        // Cursor slot drained: the later level-0 slot's own tick.
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(1005)));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(1005), 'a'));
+        // 'b' now shares the cursor slot; a late entry joins it.
+        q.push(SimTime::from_ticks(9), 'k');
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(9)));
+        q.pop();
+        q.pop();
+        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(1300)));
+        assert_eq!(q.pop().unwrap().1, 'u');
+        assert_eq!(q.peek_time(), None);
     }
 
     #[test]

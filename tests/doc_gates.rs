@@ -1,7 +1,7 @@
 //! Documentation gates: what the docs tell a reader to set must exist, and
-//! what the code reads must be documented.
+//! what the code reads or defines must be documented.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 /// Every file under `path` (or `path` itself), in sorted order.
@@ -95,6 +95,26 @@ fn mobidist_variables_are_read_iff_documented() {
 /// The docs that tell a reader what to run.
 const COMMAND_DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
 
+/// Each non-empty run of bytes `ok` accepts right after a `lead` in `text`,
+/// with the offset of that `lead`.
+fn spelled_after<'t>(
+    text: &'t str,
+    lead: &'t str,
+    ok: fn(&u8) -> bool,
+) -> impl Iterator<Item = (usize, &'t str)> + 't {
+    text.match_indices(lead).filter_map(move |(at, _)| {
+        let tail = &text[at + lead.len()..];
+        let len = tail.bytes().take_while(ok).count();
+        (len > 0).then(|| (at, &tail[..len]))
+    })
+}
+
+/// A file under the repository root, read to a string.
+fn read(path: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
 /// Every name the command docs spell right after `lead` — the longest run
 /// of bytes `ok` accepts — mapped to the first doc that spells it. With
 /// `anchored`, `lead` counts only at the start of a line or after a backtick.
@@ -105,15 +125,11 @@ fn named_after(lead: &str, anchored: bool, ok: fn(&u8) -> bool) -> BTreeMap<Stri
         let Ok(text) = std::fs::read_to_string(root.join(doc)) else {
             continue;
         };
-        for (at, _) in text.match_indices(lead) {
+        for (at, name) in spelled_after(&text, lead, ok) {
             if anchored && at > 0 && !matches!(text.as_bytes()[at - 1], b'\n' | b'`') {
                 continue;
             }
-            let tail = &text[at + lead.len()..];
-            let len = tail.bytes().take_while(ok).count();
-            if len > 0 {
-                found.entry(tail[..len].to_owned()).or_insert(doc);
-            }
+            found.entry(name.to_owned()).or_insert(doc);
         }
     }
     found
@@ -121,8 +137,7 @@ fn named_after(lead: &str, anchored: bool, ok: fn(&u8) -> bool) -> BTreeMap<Stri
 
 #[test]
 fn make_targets_the_docs_name_exist() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let makefile = std::fs::read_to_string(root.join("Makefile")).expect("read the Makefile");
+    let makefile = read("Makefile");
     let named = named_after("make ", true, u8::is_ascii_lowercase);
     assert!(!named.is_empty(), "no doc names a `make` target");
     for (target, doc) in named {
@@ -144,5 +159,67 @@ fn bins_the_docs_name_exist() {
             root.join("src/bin").join(format!("{bin}.rs")).is_file(),
             "{doc} names `--bin {bin}`, but src/bin/{bin}.rs does not exist"
         );
+    }
+}
+
+#[test]
+fn experiments_have_a_readme_row_and_a_section() {
+    // Ids come from the `fn eN_*` entry points in crates/bench/src/exp_*.rs,
+    // plus e0, whose entry point is `exp_model::run`.
+    let mut ids = BTreeSet::from(["e0".to_owned()]);
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/bench/src");
+    for file in files(&src) {
+        let name = file.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if !(name.starts_with("exp_") && name.ends_with(".rs")) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&file).expect("read an experiment module");
+        for (at, digits) in spelled_after(&text, "fn e", u8::is_ascii_digit) {
+            if text[at + "fn e".len() + digits.len()..].starts_with('_') {
+                ids.insert(format!("e{digits}"));
+            }
+        }
+    }
+    assert!(
+        ids.len() > 1,
+        "no `fn eN_` entry point under {}",
+        src.display()
+    );
+    let readme = read("README.md");
+    let experiments = read("EXPERIMENTS.md");
+    for id in ids {
+        assert!(
+            readme.contains(&format!("| `{id}` |")),
+            "{id} has no row in README.md's experiment table"
+        );
+        // A `## eN` heading, any case, with the id ending at a word boundary.
+        let heading = experiments
+            .lines()
+            .filter_map(|l| l.strip_prefix("## "))
+            .any(|h| {
+                h.get(..id.len())
+                    .is_some_and(|p| p.eq_ignore_ascii_case(&id))
+                    && !h[id.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '_')
+            });
+        assert!(heading, "{id} has no section in EXPERIMENTS.md");
+    }
+}
+
+#[test]
+fn move_patterns_and_fault_kinds_are_in_scenarios() {
+    let scenarios = read("SCENARIOS.md");
+    for (src, lead) in [
+        ("crates/net/src/mobility.rs", "MovePattern::"),
+        ("crates/net/src/fault.rs", "FaultKind::"),
+    ] {
+        let text = read(src);
+        let mut named = spelled_after(&text, lead, u8::is_ascii_alphabetic).peekable();
+        assert!(named.peek().is_some(), "{src} names no `{lead}`");
+        for (_, variant) in named {
+            assert!(
+                scenarios.contains(variant),
+                "{lead}{variant} ({src}) is not documented in SCENARIOS.md"
+            );
+        }
     }
 }
