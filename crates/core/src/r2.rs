@@ -90,8 +90,6 @@ struct Station {
     grant_q: VecDeque<(MhId, u64)>,
     has_token: bool,
     serving: Option<MhId>,
-    /// Completed services at this MSS.
-    services: u64,
 }
 
 /// The token ring among the MSSs, in three variants. See the module docs.
@@ -165,11 +163,6 @@ impl R2 {
     pub fn with_request_handoff(mut self) -> Self {
         self.request_handoff = true;
         self
-    }
-
-    /// Completed services at `mss`.
-    pub fn services_at(&self, mss: MssId) -> u64 {
-        self.stations[mss.index()].services
     }
 
     /// Completed traversals of the ring.
@@ -257,9 +250,7 @@ impl R2 {
         let streak = self.streak.get_or_insert_with(mh, || (0, 0));
         *streak = (val, if streak.0 == val { streak.1 + 1 } else { 1 });
         self.max_streak = self.max_streak.max(streak.1);
-        let st = &mut self.stations[at.index()];
-        st.services += 1;
-        st.serving = None;
+        self.stations[at.index()].serving = None;
         self.serve_next(ctx, at);
     }
 
@@ -488,7 +479,6 @@ mod tests {
             assert_eq!(r.max_services_per_traversal(), 3);
         });
         assert_eq!(r.traversals(), 2);
-        assert_eq!((r.services_at(MssId(0)), r.services_at(MssId(1))), (7, 1));
     }
 
     #[test]

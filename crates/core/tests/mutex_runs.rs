@@ -748,7 +748,10 @@ fn r2_request_handoff_serves_the_request_at_the_new_cell() {
     // mh1 requests at mss1 and immediately moves to mss2 while the token is
     // still at mss0. Without the Section-2 handoff the request stays (and
     // is served from) mss1; with it, the request follows the MH to mss2.
-    let serve_site = |handoff: bool| -> [u64; 3] {
+    // mh1 returns the token at mss2 either way, so the serving cell shows
+    // in the trace as the relay of that return: a fixed send mss2 → mss1,
+    // which no ring hop (0 → 1 → 2 → 0) or search from mss1 makes.
+    let relays = |handoff: bool| -> usize {
         let mut algo = R2::new(3, RingGuard::Plain);
         if handoff {
             algo = algo.with_request_handoff();
@@ -759,21 +762,32 @@ fn r2_request_handoff_serves_the_request_at_the_new_cell() {
         cfg.latency.fixed = LatencyModel::Fixed(200);
         let wl = WorkloadConfig::only(vec![MhId(1)], 1).with_think(1);
         let mut sim = Simulation::new(cfg, MutexHarness::new(algo, wl));
+        sim.set_trace_sink(Box::new(RingSink::new(1 << 12)));
         // Let the request reach mss1, then move mh1 to mss2.
         sim.run_until(SimTime::from_ticks(20));
         sim.with_ctx(|ctx, _| ctx.initiate_move(MhId(1), Some(MssId(2))));
         sim.run_until(SimTime::from_ticks(sim.now().ticks() + 100_000));
         let r = sim.protocol().report();
         assert_eq!(r.completed, 1, "handoff={handoff}: {r:?}");
-        let algo = sim.protocol().algorithm();
-        [0, 1, 2].map(|m| algo.services_at(MssId(m)))
+        let handoffs = sim.ledger().custom("r2_request_handoffs");
+        assert_eq!(handoffs, u64::from(handoff), "handoff={handoff}");
+        let sink = sim.finish_trace().expect("sink installed above");
+        let ring = sink.as_any().downcast_ref::<RingSink>().expect("RingSink");
+        assert!(ring.len() < 1 << 12, "the ring must hold the whole run");
+        ring.iter()
+            .filter(|(_, _, e)| {
+                matches!(
+                    e,
+                    TraceEvent::FixedSend {
+                        from: MssId(2),
+                        to: MssId(1)
+                    }
+                )
+            })
+            .count()
     };
-    assert_eq!(
-        serve_site(false),
-        [0, 1, 0],
-        "request stays at the old cell"
-    );
-    assert_eq!(serve_site(true), [0, 0, 1], "request travels with the MH");
+    assert_eq!(relays(false), 1, "request stays at the old cell");
+    assert_eq!(relays(true), 0, "request travels with the MH");
 }
 
 #[test]

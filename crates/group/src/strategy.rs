@@ -361,7 +361,7 @@ pub struct GroupHarness<S: LocationStrategy> {
     delivered: u64,
     duplicates: u64,
     unexpected: u64,
-    /// Per-member delivery order (first deliveries only).
+    /// Per-member delivery order (first receipts of sent messages only).
     sequences: IdMap<MhId, Vec<u64>>,
     member_moves: u64,
     sender_cursor: usize,
@@ -387,7 +387,8 @@ impl<S: LocationStrategy> GroupHarness<S> {
         }
     }
 
-    /// Per-member delivery sequences (first delivery of each message).
+    /// Per-member delivery sequences (first receipt of each sent message;
+    /// a receipt of an id never sent is only counted `unexpected`).
     pub fn delivery_sequences(&self) -> &IdMap<MhId, Vec<u64>> {
         &self.sequences
     }

@@ -60,7 +60,9 @@ fn report_counts_each_delivery_once_by_kind() {
             unexpected: 4,
         }
     );
-    // First receipts only, expected or not, in arrival order.
+    // First receipts of sent messages, expected or not, in arrival order;
+    // mh2's receipt of the never-sent message 7 is counted `unexpected`
+    // above and is kept out of its sequence.
     let seqs: Vec<(MhId, Vec<u64>)> = h
         .delivery_sequences()
         .iter()

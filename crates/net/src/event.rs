@@ -338,20 +338,11 @@ impl<E> EventQueue<E> {
 
     /// Time of the earliest pending event. Read-only: unlike `pop`, this
     /// never advances the cursor or cascades slots.
-    ///
-    /// O(1) for a level-0 slot past the cursor's: late entries park only in
-    /// the cursor slot, so any later level-0 slot holds nothing but its own
-    /// tick. The cursor slot and upper-level slots are walked for their
-    /// minimum.
     pub fn peek_time(&self) -> Option<SimTime> {
-        let t = match self.first_slot() {
-            Some((0, s)) if s != (self.cursor & SLOT_MASK) as usize => {
-                (self.cursor & !SLOT_MASK) | s as u64
-            }
-            Some((l, s)) => self.slot_min_time(l, s)?,
-            None => return self.overflow.peek_time(),
-        };
-        Some(SimTime::from_ticks(t))
+        match self.first_slot() {
+            Some((l, s)) => self.slot_min_time(l, s).map(SimTime::from_ticks),
+            None => self.overflow.peek_time(),
+        }
     }
 
     /// Number of pending events.
@@ -534,7 +525,7 @@ impl<E> EventQueue<E> {
 
     /// Minimum original `time` over one occupied slot (entries placed late
     /// keep a `time` below their placement tick, so the front isn't
-    /// necessarily the minimum; an upper-level slot spans many ticks).
+    /// necessarily the minimum). `peek_time` is not on the hot path.
     fn slot_min_time(&self, l: usize, s: usize) -> Option<u64> {
         let next = |&c: &u32| Some(self.chunks[c as usize].next).filter(|&n| n != NIL);
         std::iter::successors(Some(self.slots[l * SLOTS + s].head), next)
@@ -912,7 +903,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_walks_only_the_cursor_slot_and_upper_levels() {
+    fn peek_time_sees_late_entries_behind_the_cursor_slot_front() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_ticks(1000), 'z');
         assert_eq!(q.pop().unwrap().1, 'z'); // cursor now 1000

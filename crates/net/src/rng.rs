@@ -25,19 +25,6 @@ pub struct SimRng {
     s: [u64; 4],
 }
 
-/// `d.round() as u64` for every `d >= 0` (`-0.0`, values past 2⁵³ and
-/// past `u64::MAX` included), without the software `round` call `f64::round`
-/// compiles to on baseline x86-64. Below 2⁵³, `d - trunc(d)` is exact;
-/// from there every `d` is an integer, so the difference is 0 up to 2⁶⁴,
-/// and past it both sides saturate to `u64::MAX`. The half-up test is
-/// added, not branched on: for exponential draws it is a coin flip, and a
-/// branch on it mispredicts half the time.
-#[inline]
-fn round_to_u64(d: f64) -> u64 {
-    let t = d as u64;
-    t.saturating_add((d - t as f64 >= 0.5) as u64)
-}
-
 /// SplitMix64 step, used to expand a 64-bit seed into generator state.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -146,7 +133,7 @@ impl SimRng {
             u = f64::MIN_POSITIVE;
         }
         let d = -((1.0 - u).ln()) * mean as f64;
-        round_to_u64(d).clamp(1, mean.saturating_mul(64).max(1))
+        (d.round() as u64).clamp(1, mean.saturating_mul(64).max(1))
     }
 
     /// Chooses a uniformly random element of `items`.
@@ -223,36 +210,6 @@ mod tests {
         let mean = sum as f64 / n as f64;
         assert!(mean > 35.0 && mean < 65.0, "mean {mean} too far from 50");
         assert_eq!(r.exp_delay(0), 1);
-    }
-
-    #[test]
-    fn round_to_u64_matches_f64_round() {
-        let mut r = SimRng::seed_from(17);
-        let draws = (0..20_000).map(|i| {
-            // Exponential-like draws at every scale the delays use, and
-            // beyond.
-            let u = r.unit_f64();
-            -((1.0 - u).ln()) * 2f64.powi(i % 70)
-        });
-        let ties = (0..64).map(|k| k as f64 + 0.5);
-        let edges = [
-            0.0,
-            -0.0,
-            0.49999999999999994,
-            0.5,
-            f64::MIN_POSITIVE,
-            4503599627370495.5,     // 2^52 - 0.5, the largest tie
-            9007199254740991.0,     // 2^53 - 1
-            9007199254740992.0,     // 2^53
-            18446744073709549568.0, // largest f64 below 2^64
-            18446744073709551616.0, // 2^64
-            1e30,
-            f64::MAX,
-            f64::INFINITY,
-        ];
-        for d in draws.chain(ties).chain(edges) {
-            assert_eq!(round_to_u64(d), d.round() as u64, "d = {d:e}");
-        }
     }
 
     #[test]

@@ -19,6 +19,26 @@ fn files(path: &Path) -> Vec<PathBuf> {
     entries.iter().flat_map(|p| files(p)).collect()
 }
 
+/// Each non-empty run of bytes `ok` accepts right after a `lead` in `text`,
+/// with the offset of that `lead`.
+fn spelled_after<'t>(
+    text: &'t str,
+    lead: &'t str,
+    ok: fn(&u8) -> bool,
+) -> impl Iterator<Item = (usize, &'t str)> + 't {
+    text.match_indices(lead).filter_map(move |(at, _)| {
+        let tail = &text[at + lead.len()..];
+        let len = tail.bytes().take_while(ok).count();
+        (len > 0).then(|| (at, &tail[..len]))
+    })
+}
+
+/// A file under the repository root, read to a string.
+fn read(path: &str) -> String {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("read {path}: {e}"))
+}
+
 /// Every `MOBIDIST_[A-Z_]+` name in the text files under `paths` (relative
 /// to the repository root), mapped to the first file that names it.
 fn knobs_in(paths: &[&str]) -> BTreeMap<String, PathBuf> {
@@ -28,16 +48,12 @@ fn knobs_in(paths: &[&str]) -> BTreeMap<String, PathBuf> {
         let Ok(text) = std::fs::read_to_string(&file) else {
             continue;
         };
-        for (at, prefix) in text.match_indices("MOBIDIST_") {
-            let tail = &text[at + prefix.len()..];
-            let len = tail
-                .find(|c: char| !(c.is_ascii_uppercase() || c == '_'))
-                .unwrap_or(tail.len());
-            if len > 0 {
-                let name = text[at..at + prefix.len() + len].to_owned();
-                let shown = file.strip_prefix(root).unwrap_or(&file);
-                found.entry(name).or_insert_with(|| shown.to_owned());
-            }
+        let shown = file.strip_prefix(root).unwrap_or(&file);
+        let knob = |b: &u8| b.is_ascii_uppercase() || *b == b'_';
+        for (_, name) in spelled_after(&text, "MOBIDIST_", knob) {
+            found
+                .entry(format!("MOBIDIST_{name}"))
+                .or_insert_with(|| shown.to_owned());
         }
     }
     found
@@ -95,36 +111,13 @@ fn mobidist_variables_are_read_iff_documented() {
 /// The docs that tell a reader what to run.
 const COMMAND_DOCS: [&str; 3] = ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"];
 
-/// Each non-empty run of bytes `ok` accepts right after a `lead` in `text`,
-/// with the offset of that `lead`.
-fn spelled_after<'t>(
-    text: &'t str,
-    lead: &'t str,
-    ok: fn(&u8) -> bool,
-) -> impl Iterator<Item = (usize, &'t str)> + 't {
-    text.match_indices(lead).filter_map(move |(at, _)| {
-        let tail = &text[at + lead.len()..];
-        let len = tail.bytes().take_while(ok).count();
-        (len > 0).then(|| (at, &tail[..len]))
-    })
-}
-
-/// A file under the repository root, read to a string.
-fn read(path: &str) -> String {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    std::fs::read_to_string(root.join(path)).unwrap_or_else(|e| panic!("read {path}: {e}"))
-}
-
 /// Every name the command docs spell right after `lead` — the longest run
 /// of bytes `ok` accepts — mapped to the first doc that spells it. With
 /// `anchored`, `lead` counts only at the start of a line or after a backtick.
 fn named_after(lead: &str, anchored: bool, ok: fn(&u8) -> bool) -> BTreeMap<String, &'static str> {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut found = BTreeMap::new();
     for doc in COMMAND_DOCS {
-        let Ok(text) = std::fs::read_to_string(root.join(doc)) else {
-            continue;
-        };
+        let text = read(doc);
         for (at, name) in spelled_after(&text, lead, ok) {
             if anchored && at > 0 && !matches!(text.as_bytes()[at - 1], b'\n' | b'`') {
                 continue;
