@@ -43,6 +43,14 @@ impl L1Msg {
 #[derive(Debug)]
 struct Participant {
     lamport: Replica<MhId, (Timestamp, MhId)>,
+    /// Each peer's queued request stamp, so a `Release` removes its entry by
+    /// key instead of sweeping the queue.
+    queued: IdMap<MhId, Timestamp>,
+    /// A peer's `Request` found its previous one still queued: a `Release`
+    /// never arrived here (the transport burnt it while this host was
+    /// disconnected), so that peer may hold two entries, and every later
+    /// `Release` sweeps the queue for the sender as well.
+    lost_release: bool,
     /// Own outstanding request, if any.
     own: Option<Timestamp>,
     granted: bool,
@@ -73,6 +81,8 @@ impl L1 {
                     *mh,
                     Participant {
                         lamport: Replica::new(mh.0),
+                        queued: IdMap::new(),
+                        lost_release: false,
                         own: None,
                         granted: false,
                     },
@@ -149,17 +159,26 @@ impl MutexAlgorithm for L1 {
     fn on_mh_msg(&mut self, ctx: &mut AlgoCtx<'_, '_, L1Msg, ()>, at: MhId, src: Src, msg: L1Msg) {
         let from = src.as_mh().expect("L1 peers are MHs");
         let ts = msg.timestamp();
-        let r = &mut self.state.get_mut(&at).expect("known participant").lamport;
+        let p = self.state.get_mut(&at).expect("known participant");
         match msg {
             L1Msg::Request(_) => {
-                let reply_ts = r.request(from, ts, (ts, from));
+                let reply_ts = p.lamport.request(from, ts, (ts, from));
+                if p.queued.insert(from, ts).is_some() {
+                    p.lost_release = true;
+                }
                 let _ = ctx.mh_send_to_mh(at, from, L1Msg::Reply(reply_ts));
             }
-            L1Msg::Reply(_) => r.receive(from, ts),
+            L1Msg::Reply(_) => p.lamport.receive(from, ts),
             L1Msg::Release(_) => {
-                r.receive(from, ts);
-                // Remove the releaser's (unique) queued request.
-                r.queue.retain(|(_, who)| *who != from);
+                p.lamport.receive(from, ts);
+                // Remove the releaser's queued request: one entry, since a
+                // peer has one outstanding request at a time.
+                if let Some(req) = p.queued.remove(&from) {
+                    p.lamport.queue.remove(&(req, from));
+                }
+                if p.lost_release {
+                    p.lamport.queue.retain(|(_, who)| *who != from);
+                }
             }
         }
         self.try_grant(ctx, at);
@@ -169,6 +188,10 @@ impl MutexAlgorithm for L1 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algorithm::HarnessTimer;
+    use mobidist_net::config::NetworkConfig;
+    use mobidist_net::proto::{Ctx, Protocol};
+    use mobidist_net::sim::Simulation;
 
     #[test]
     fn participants_are_recorded() {
@@ -181,6 +204,52 @@ mod tests {
     #[should_panic(expected = "at least one participant")]
     fn empty_participants_rejected() {
         let _ = L1::new(vec![]);
+    }
+
+    /// A protocol that ignores everything, so a test can hand L1 a live
+    /// kernel context and drive its handlers by hand.
+    struct Idle;
+
+    impl Protocol for Idle {
+        type Msg = L1Msg;
+        type Timer = HarnessTimer<()>;
+        fn on_mss_msg(&mut self, _: &mut Ctx<'_, L1Msg, Self::Timer>, _: MssId, _: Src, _: L1Msg) {}
+        fn on_mh_msg(&mut self, _: &mut Ctx<'_, L1Msg, Self::Timer>, _: MhId, _: Src, _: L1Msg) {}
+    }
+
+    /// How many entries `mh0` has queued, and its head as `(counter, peer)`.
+    fn queue_at_mh0(l1: &L1) -> (usize, Option<(u64, u32)>) {
+        let q = &l1.state[&MhId(0)].lamport.queue;
+        (q.len(), q.first().map(|(ts, mh)| (ts.counter, mh.0)))
+    }
+
+    #[test]
+    fn release_removes_only_the_releasers_entry() {
+        let mut l1 = L1::new((0..4).map(MhId).collect());
+        let mut sim = Simulation::new(NetworkConfig::new(2, 4), Idle);
+        sim.with_ctx(|net, _| {
+            let mut effects = Vec::new();
+            let ctx = &mut AlgoCtx::new(net, &mut effects);
+            let mut at_mh0 = |l1: &mut L1, from: u32, msg: L1Msg| {
+                l1.on_mh_msg(ctx, MhId(0), Src::Mh(MhId(from)), msg);
+            };
+            at_mh0(&mut l1, 1, L1Msg::Request(Timestamp::new(1, 1)));
+            at_mh0(&mut l1, 2, L1Msg::Request(Timestamp::new(1, 2)));
+            at_mh0(&mut l1, 3, L1Msg::Request(Timestamp::new(2, 3)));
+            at_mh0(&mut l1, 2, L1Msg::Release(Timestamp::new(3, 2)));
+            assert_eq!(queue_at_mh0(&l1), (2, Some((1, 1))));
+            at_mh0(&mut l1, 1, L1Msg::Release(Timestamp::new(4, 1)));
+            assert_eq!(queue_at_mh0(&l1), (1, Some((2, 3))));
+            assert!(!l1.state[&MhId(0)].lost_release);
+            // mh1's next two requests with no Release between them: the
+            // second finds the first still queued, and mh1's Release then
+            // clears both while mh3's entry stays.
+            at_mh0(&mut l1, 1, L1Msg::Request(Timestamp::new(5, 1)));
+            at_mh0(&mut l1, 1, L1Msg::Request(Timestamp::new(7, 1)));
+            assert!(l1.state[&MhId(0)].lost_release);
+            at_mh0(&mut l1, 1, L1Msg::Release(Timestamp::new(8, 1)));
+            assert_eq!(queue_at_mh0(&l1), (1, Some((2, 3))));
+        });
     }
 
     #[test]

@@ -17,6 +17,10 @@
 //!   back at `leave` time (their loss is certain under prefix-delivery
 //!   semantics) and retransmitted by the *new* cell from its buffer.
 //!
+//! Every member thus receives messages in sequence order, one global total
+//! order; each delivery reports its sequence number as its order key, and
+//! the harness counts receipts that break it.
+//!
 //! The price is static-network bandwidth: every message costs a full
 //! `(M−1)`-MSS broadcast instead of a location-view fan-out. Experiment
 //! E11 quantifies the trade.
@@ -230,7 +234,7 @@ impl LocationStrategy for ExactlyOnce {
         if let Some(p) = self.pending.get_mut(&at) {
             p.retain(|s| *s != seq);
         }
-        ctx.deliver(at, msg_id);
+        ctx.deliver_in_order(at, msg_id, seq);
     }
 
     fn on_member_left(&mut self, _ctx: &mut GroupCtx<'_, '_, EoMsg, ()>, mh: MhId, _mss: MssId) {

@@ -48,7 +48,7 @@ pub mod prelude {
     pub use crate::location_view::{LocationView, LvMsg};
     pub use crate::pure_search::{PsMsg, PureSearch};
     pub use crate::strategy::{
-        sequences_consistent, Delivery, GroupCtx, GroupHarness, GroupReport, GroupTimer,
-        GroupWorkload, LocationStrategy,
+        Delivery, GroupCtx, GroupHarness, GroupReport, GroupTimer, GroupWorkload, LocationStrategy,
+        SequenceDigest,
     };
 }

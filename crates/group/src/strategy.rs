@@ -5,7 +5,8 @@
 //! delivering *group messages* to a set of mobile hosts: pure search, always
 //! inform, or location view. The [`GroupHarness`] drives a message workload
 //! while the kernel's mobility process generates moves, and audits delivery
-//! (who got each message, misses, duplicates) and cost.
+//! (who got each message, misses, duplicates, and whether a promised global
+//! order held) and cost.
 
 use mobidist_net::error::NetError;
 use mobidist_net::host::{HostSet, MhStatus};
@@ -30,6 +31,9 @@ pub struct Delivery {
     pub to: MhId,
     /// The group message id.
     pub msg_id: u64,
+    /// The message's position in the global order the strategy promises,
+    /// or `None` when it promises none.
+    pub order_key: Option<u64>,
 }
 
 /// Context for strategy callbacks: network operations plus the delivery
@@ -50,7 +54,30 @@ impl<'a, 'k, M: Debug + Clone + 'static, T: Debug + 'static> GroupCtx<'a, 'k, M,
 
     /// Reports that member `to` received group message `msg_id`.
     pub fn deliver(&mut self, to: MhId, msg_id: u64) {
-        self.deliveries.push(Delivery { to, msg_id });
+        self.deliveries.push(Delivery {
+            to,
+            msg_id,
+            order_key: None,
+        });
+    }
+
+    /// Reports that member `to` received group message `msg_id`, which
+    /// holds position `key` in the global order the strategy promises: each
+    /// member's first receipts must come in rising `key` order, and the
+    /// harness counts those that do not
+    /// ([`GroupHarness::order_violations`]). This is the "message ordering"
+    /// semantics of group communication that Section 4 of the paper names.
+    pub fn deliver_in_order(&mut self, to: MhId, msg_id: u64, key: u64) {
+        self.deliveries.push(Delivery {
+            to,
+            msg_id,
+            order_key: Some(key),
+        });
+    }
+
+    /// The deliveries reported so far in this callback, oldest first.
+    pub fn delivered(&self) -> &[Delivery] {
+        self.deliveries
     }
 
     /// All MSS ids.
@@ -300,49 +327,47 @@ impl GroupReport {
     }
 }
 
-/// True when the per-member delivery sequences are mutually consistent
-/// with one global total order: for every pair of messages delivered to
-/// two members, both saw them in the same relative order.
-///
-/// This is the "message ordering" semantics of group communication the
-/// paper names in Section 4. Sequencer-based delivery (the exactly-once
-/// extension) guarantees it; the search- and directory-based strategies do
-/// not.
-///
-/// # Examples
-///
-/// ```
-/// use mobidist_group::strategy::sequences_consistent;
-/// use mobidist_net::ids::{IdMap, MhId};
-///
-/// let mut seqs = IdMap::new();
-/// seqs.insert(MhId(0), vec![1, 2, 3]);
-/// seqs.insert(MhId(1), vec![2, 3]); // a subsequence: fine
-/// assert!(sequences_consistent(&seqs));
-/// seqs.insert(MhId(2), vec![3, 2]); // contradicts the others
-/// assert!(!sequences_consistent(&seqs));
-/// ```
-pub fn sequences_consistent(seqs: &IdMap<MhId, Vec<u64>>) -> bool {
-    // rank[m][msg] = position of msg in m's sequence.
-    let ranks: Vec<BTreeMap<u64, usize>> = seqs
-        .values()
-        .map(|s| s.iter().enumerate().map(|(i, m)| (*m, i)).collect())
-        .collect();
-    for (i, a) in ranks.iter().enumerate() {
-        for b in ranks.iter().skip(i + 1) {
-            let common: Vec<u64> = a.keys().filter(|k| b.contains_key(k)).copied().collect();
-            for (x, xs) in common.iter().enumerate() {
-                for ys in common.iter().skip(x + 1) {
-                    let in_a = a[xs] < a[ys];
-                    let in_b = b[xs] < b[ys];
-                    if in_a != in_b {
-                        return false;
-                    }
-                }
-            }
+/// A member's delivery sequence — its first receipts of sent messages, in
+/// arrival order — folded to a fixed size, together with the largest order
+/// key among them. Equal sequences give equal digests; unequal ones differ
+/// but for a 64-bit hash collision. The harness keeps this, not the
+/// sequence, so its memory does not grow with deliveries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SequenceDigest {
+    /// Length of the sequence.
+    pub len: u64,
+    /// Word-wise FNV-1a fold of the message ids, in order.
+    pub fold: u64,
+    /// The largest order key among the receipts, when the strategy
+    /// promises a global order.
+    pub last_key: Option<u64>,
+}
+
+impl Default for SequenceDigest {
+    fn default() -> Self {
+        SequenceDigest {
+            len: 0,
+            fold: 0xcbf2_9ce4_8422_2325,
+            last_key: None,
         }
     }
-    true
+}
+
+impl SequenceDigest {
+    /// Appends a first receipt of `msg_id`; returns `false` when it carries
+    /// an order key that does not exceed the largest one seen.
+    fn push(&mut self, msg_id: u64, order_key: Option<u64>) -> bool {
+        self.len += 1;
+        self.fold = (self.fold ^ msg_id).wrapping_mul(0x0100_0000_01b3);
+        match (order_key, self.last_key) {
+            (Some(key), Some(last)) if key <= last => false,
+            (Some(key), _) => {
+                self.last_key = Some(key);
+                true
+            }
+            (None, _) => true,
+        }
+    }
 }
 
 /// Workload + audit harness around a [`LocationStrategy`].
@@ -361,8 +386,10 @@ pub struct GroupHarness<S: LocationStrategy> {
     delivered: u64,
     duplicates: u64,
     unexpected: u64,
-    /// Per-member delivery order (first receipts of sent messages only).
-    sequences: IdMap<MhId, Vec<u64>>,
+    /// Per member: its delivery sequence, folded.
+    digests: IdMap<MhId, SequenceDigest>,
+    /// First receipts whose order key did not advance their member's.
+    order_violations: u64,
     member_moves: u64,
     sender_cursor: usize,
 }
@@ -381,22 +408,25 @@ impl<S: LocationStrategy> GroupHarness<S> {
             delivered: 0,
             duplicates: 0,
             unexpected: 0,
-            sequences: IdMap::new(),
+            digests: IdMap::new(),
+            order_violations: 0,
             member_moves: 0,
             sender_cursor: 0,
         }
     }
 
-    /// Per-member delivery sequences (first receipt of each sent message;
-    /// a receipt of an id never sent is only counted `unexpected`).
-    pub fn delivery_sequences(&self) -> &IdMap<MhId, Vec<u64>> {
-        &self.sequences
+    /// Per-member digests of the delivery sequences (first receipt of each
+    /// sent message; a receipt of an id never sent is only counted
+    /// `unexpected`).
+    pub fn delivery_sequences(&self) -> &IdMap<MhId, SequenceDigest> {
+        &self.digests
     }
 
-    /// True when all members saw common messages in the same relative
-    /// order (see [`sequences_consistent`]).
-    pub fn total_order_consistent(&self) -> bool {
-        sequences_consistent(&self.sequences)
+    /// First receipts that broke the global order the strategy promises:
+    /// their order key did not exceed the largest one their member had
+    /// already received. Always 0 under a strategy that promises no order.
+    pub fn order_violations(&self) -> u64 {
+        self.order_violations
     }
 
     /// The wrapped strategy.
@@ -420,7 +450,8 @@ impl<S: LocationStrategy> GroupHarness<S> {
     /// Tallies the deliveries the last callback reported: an expected
     /// member's first receipt is `delivered`, its repeats `duplicates`;
     /// every receipt by a member not expected (or of an id never sent) is
-    /// `unexpected`.
+    /// `unexpected`. Every first receipt is folded into its member's digest
+    /// and checked against the order the strategy claims for it.
     fn apply_deliveries(&mut self) {
         for d in self.deliveries.drain(..) {
             let Some((expected, seen)) = self.audit.get_mut(d.msg_id as usize) else {
@@ -429,9 +460,12 @@ impl<S: LocationStrategy> GroupHarness<S> {
             };
             let first = seen.insert(d.to);
             if first {
-                self.sequences
-                    .get_or_insert_with(d.to, Vec::new)
-                    .push(d.msg_id);
+                let digest = self
+                    .digests
+                    .get_or_insert_with(d.to, SequenceDigest::default);
+                if !digest.push(d.msg_id, d.order_key) {
+                    self.order_violations += 1;
+                }
             }
             match (expected.contains(&d.to), first) {
                 (false, _) => self.unexpected += 1,

@@ -1,14 +1,20 @@
 //! The group harness's delivery audit, pinned field by field against a
 //! scripted strategy whose deliveries are known in advance.
 
+mod support;
+
 use mobidist_group::prelude::*;
 use mobidist_net::prelude::*;
+use support::{digests_agree, Recording};
 
 /// Delivers, on the `k`-th group send, exactly the `(member, msg_id)` pairs
 /// of `script[k]` — no network traffic, so every receipt is the script's.
+/// A message with an entry in `keys` is delivered claiming that position in
+/// a global order.
 #[derive(Debug)]
 struct Scripted {
     script: Vec<Vec<(u32, u64)>>,
+    keys: Vec<u64>,
 }
 
 impl LocationStrategy for Scripted {
@@ -21,7 +27,10 @@ impl LocationStrategy for Scripted {
 
     fn send_group_message(&mut self, ctx: &mut GroupCtx<'_, '_, (), ()>, _: MhId, msg_id: u64) {
         for &(to, id) in &self.script[msg_id as usize] {
-            ctx.deliver(MhId(to), id);
+            match self.keys.get(id as usize) {
+                Some(&key) => ctx.deliver_in_order(MhId(to), id, key),
+                None => ctx.deliver(MhId(to), id),
+            }
         }
     }
 
@@ -43,10 +52,7 @@ fn report_counts_each_delivery_once_by_kind() {
         // nor is anyone a receipt of message 7, which was never sent.
         vec![(0, 1), (2, 1), (3, 1), (3, 1), (1, 1), (2, 7)],
     ];
-    let wl = GroupWorkload::new((0..4).map(MhId).collect(), 2, 10);
-    let cfg = NetworkConfig::new(2, 5).with_seed(1);
-    let mut sim = Simulation::new(cfg, GroupHarness::new(Scripted { script }, wl));
-    sim.run_until(SimTime::from_ticks(100_000));
+    let sim = run(script, vec![]);
     let h = sim.protocol();
     assert_eq!(
         h.report(),
@@ -63,11 +69,6 @@ fn report_counts_each_delivery_once_by_kind() {
     // First receipts of sent messages, expected or not, in arrival order;
     // mh2's receipt of the never-sent message 7 is counted `unexpected`
     // above and is kept out of its sequence.
-    let seqs: Vec<(MhId, Vec<u64>)> = h
-        .delivery_sequences()
-        .iter()
-        .map(|(mh, s)| (mh, s.clone()))
-        .collect();
     let want = [
         (0, vec![1]),
         (1, vec![0, 1]),
@@ -75,5 +76,43 @@ fn report_counts_each_delivery_once_by_kind() {
         (3, vec![1]),
         (4, vec![0]),
     ];
+    let seqs: Vec<_> = h.strategy().sequences().clone().into_iter().collect();
     assert_eq!(seqs, want.map(|(mh, s)| (MhId(mh), s)));
+    assert!(digests_agree(h));
+    assert_eq!(h.order_violations(), 0, "no order was claimed");
+}
+
+#[test]
+fn first_receipts_that_do_not_advance_the_claimed_order_are_counted() {
+    // Message 0 claims position 5 and message 1 position 3, so a member
+    // that receives both in send order breaks the claim once.
+    let script = vec![
+        vec![(1, 0), (2, 0), (3, 0)],
+        // mh0 receives 1 only: no break. mh2 and mh3 break the claim; mh3's
+        // repeat of 0 is a duplicate, not a first receipt, and is not
+        // checked.
+        vec![(0, 1), (2, 1), (3, 1), (3, 0)],
+    ];
+    let sim = run(script, vec![5, 3]);
+    let h = sim.protocol();
+    assert_eq!(h.order_violations(), 2);
+    assert!(digests_agree(h));
+    // mh2 and mh3 saw 0 then 1, mh1 saw only 0: consistent as far as the
+    // pairwise oracle can tell, which is why the claim is checked instead.
+    assert!(h.strategy().total_order_consistent());
+    let last = |mh| h.delivery_sequences()[&MhId(mh)].last_key;
+    assert_eq!((last(0), last(1), last(2)), (Some(3), Some(5), Some(5)));
+}
+
+/// Members mh0..mh3 of five static hosts, two messages scripted as given.
+fn run(
+    script: Vec<Vec<(u32, u64)>>,
+    keys: Vec<u64>,
+) -> Simulation<GroupHarness<Recording<Scripted>>> {
+    let wl = GroupWorkload::new((0..4).map(MhId).collect(), 2, 10);
+    let cfg = NetworkConfig::new(2, 5).with_seed(1);
+    let strategy = Recording::new(Scripted { script, keys });
+    let mut sim = Simulation::new(cfg, GroupHarness::new(strategy, wl));
+    sim.run_until(SimTime::from_ticks(100_000));
+    sim
 }

@@ -3,8 +3,11 @@
 //! duplicate a message, whatever the churn — the property the Section-4
 //! strategies explicitly do not provide.
 
+mod support;
+
 use mobidist_group::prelude::*;
 use mobidist_net::prelude::*;
+use support::{digests_agree, Recording};
 
 fn members(n: usize) -> Vec<MhId> {
     (0..n as u32).map(MhId).collect()
@@ -175,15 +178,21 @@ fn exactly_once_gives_one_global_total_order() {
     cfg.latency.fixed = LatencyModel::Uniform { lo: 1, hi: 40 };
     cfg.latency.wireless = LatencyModel::Uniform { lo: 1, hi: 12 };
     let wl = GroupWorkload::new(g.clone(), 20, 15); // rapid-fire messages
-    let mut sim = Simulation::new(cfg, GroupHarness::new(ExactlyOnce::new(g, MssId(0)), wl));
+    let eo = Recording::new(ExactlyOnce::new(g, MssId(0)));
+    let mut sim = Simulation::new(cfg, GroupHarness::new(eo, wl));
     sim.run_until(SimTime::from_ticks(300_000));
-    let r = sim.protocol().report();
+    let h = sim.protocol();
+    let r = h.report();
     assert_eq!(r.missed, 0, "{r:?}");
+    // The harness's O(1) check against the claimed sequence numbers and
+    // the pairwise oracle over the recorded sequences agree.
+    assert_eq!(h.order_violations(), 0);
     assert!(
-        sim.protocol().total_order_consistent(),
+        h.strategy().total_order_consistent(),
         "sequencer order must be global: {:?}",
-        sim.protocol().delivery_sequences()
+        h.strategy().sequences()
     );
+    assert!(digests_agree(h));
 }
 
 #[test]
@@ -198,9 +207,14 @@ fn unordered_strategies_can_violate_total_order() {
         cfg.latency.search = LatencyModel::Uniform { lo: 1, hi: 60 };
         cfg.latency.wireless = LatencyModel::Uniform { lo: 1, hi: 12 };
         let wl = GroupWorkload::new(g.clone(), 20, 5);
-        let mut sim = Simulation::new(cfg, GroupHarness::new(PureSearch::new(g.clone()), wl));
+        let ps = Recording::new(PureSearch::new(g.clone()));
+        let mut sim = Simulation::new(cfg, GroupHarness::new(ps, wl));
         sim.run_until(SimTime::from_ticks(300_000));
-        if !sim.protocol().total_order_consistent() {
+        let h = sim.protocol();
+        assert!(digests_agree(h));
+        // Pure search claims no order, so the harness has none to check.
+        assert_eq!(h.order_violations(), 0);
+        if !h.strategy().total_order_consistent() {
             violated = true;
             break;
         }
@@ -208,5 +222,28 @@ fn unordered_strategies_can_violate_total_order() {
     assert!(
         violated,
         "pure search provides no ordering; some seed must show a violation"
+    );
+}
+
+#[test]
+fn recording_changes_nothing() {
+    let g = members(6);
+    let cfg = NetworkConfig::new(5, 6)
+        .with_seed(31)
+        .with_mobility(MobilityConfig::moving(300));
+    let wl = GroupWorkload::new(g.clone(), 20, 15);
+    let mut plain = Simulation::new(
+        cfg.clone(),
+        GroupHarness::new(ExactlyOnce::new(g.clone(), MssId(0)), wl.clone()),
+    );
+    let eo = Recording::new(ExactlyOnce::new(g, MssId(0)));
+    let mut recorded = Simulation::new(cfg, GroupHarness::new(eo, wl));
+    plain.run_until(SimTime::from_ticks(300_000));
+    recorded.run_until(SimTime::from_ticks(300_000));
+    assert_eq!(plain.ledger(), recorded.ledger());
+    assert_eq!(plain.protocol().report(), recorded.protocol().report());
+    assert_eq!(
+        plain.protocol().delivery_sequences(),
+        recorded.protocol().delivery_sequences()
     );
 }

@@ -9,8 +9,7 @@
 //! channel. The third is enforced end-to-end by [`ReorderBuffers`], which
 //! releases MH→MH messages to the destination in send order even when
 //! re-searches make them arrive out of order. The paper calls this an
-//! "additional burden on the underlying network protocols" of L1; the buffer
-//! occupancy counter quantifies it.
+//! "additional burden on the underlying network protocols" of L1.
 
 use crate::hash::FxHashMap;
 use crate::ids::{MhId, MssId};
@@ -123,45 +122,65 @@ impl FifoChains {
     }
 }
 
-/// Per-(source MH, destination MH) sequencing state.
+/// What one pair's receiver waits on: arrivals that ran ahead of
+/// `expected`, and sequence numbers the transport aborted (e.g. the
+/// destination was disconnected), skipped rather than waited for.
 #[derive(Debug, Clone)]
-struct PairState<M> {
-    next_expected: u64,
+struct Waiting<M> {
     held: BTreeMap<u64, M>,
-    /// Sequence numbers the transport aborted (e.g. the destination was
-    /// disconnected); skipped rather than waited for.
     cancelled: BTreeSet<u64>,
 }
 
-impl<M> Default for PairState<M> {
+impl<M> Default for Waiting<M> {
     fn default() -> Self {
-        PairState {
-            next_expected: 0,
+        Waiting {
             held: BTreeMap::new(),
             cancelled: BTreeSet::new(),
         }
     }
 }
 
-impl<M> PairState<M> {
-    /// Releases every in-order message, skipping cancelled slots. Returns
-    /// `(released, held_delta)` where `held_delta` is how many held entries
-    /// were drained.
-    fn drain(&mut self) -> (Vec<M>, usize) {
-        let mut out = Vec::new();
-        let mut drained = 0;
+/// One ordered MH pair's sequencing state.
+#[derive(Debug, Clone)]
+struct PairSeq<M> {
+    /// Next sequence number the sender assigns.
+    sent: u64,
+    /// Next sequence number the receiver releases.
+    expected: u64,
+    /// Set only while an arrival is held or a slot is cancelled ahead of
+    /// `expected`, so an in-order arrival on a quiet pair touches no tree.
+    waiting: Option<Box<Waiting<M>>>,
+}
+
+impl<M> Default for PairSeq<M> {
+    fn default() -> Self {
+        PairSeq {
+            sent: 0,
+            expected: 0,
+            waiting: None,
+        }
+    }
+}
+
+impl<M> PairSeq<M> {
+    /// Releases every held message that is now in order, skipping cancelled
+    /// slots and advancing `expected` past both; drops `waiting` once
+    /// nothing in it can matter again.
+    fn drain(&mut self, release: &mut impl FnMut(M)) {
+        let Some(w) = &mut self.waiting else {
+            return;
+        };
         loop {
-            if let Some(m) = self.held.remove(&self.next_expected) {
-                self.next_expected += 1;
-                drained += 1;
-                out.push(m);
-            } else if self.cancelled.remove(&self.next_expected) {
-                self.next_expected += 1;
-            } else {
+            if let Some(m) = w.held.remove(&self.expected) {
+                release(m);
+            } else if !w.cancelled.remove(&self.expected) {
                 break;
             }
+            self.expected += 1;
         }
-        (out, drained)
+        if w.held.is_empty() && w.cancelled.last().is_none_or(|&c| c < self.expected) {
+            self.waiting = None;
+        }
     }
 }
 
@@ -169,8 +188,8 @@ impl<M> PairState<M> {
 /// pairs.
 ///
 /// The sender side assigns a per-pair sequence number with [`next_seq`]; the
-/// receiver side passes arrivals to [`accept`], which returns the messages
-/// now deliverable, in order.
+/// receiver side passes arrivals to [`accept`], which hands the messages now
+/// deliverable, in order, to its `release` callback.
 ///
 /// [`next_seq`]: ReorderBuffers::next_seq
 /// [`accept`]: ReorderBuffers::accept
@@ -185,24 +204,23 @@ impl<M> PairState<M> {
 /// let (a, z) = (MhId(0), MhId(1));
 /// let s0 = b.next_seq(a, z);
 /// let s1 = b.next_seq(a, z);
-/// assert_eq!(b.accept(a, z, s1, "second"), Vec::<&str>::new()); // held back
-/// assert_eq!(b.accept(a, z, s0, "first"), vec!["first", "second"]);
+/// let mut out = Vec::new();
+/// b.accept(a, z, s1, "second", |m| out.push(m)); // held back
+/// assert!(out.is_empty());
+/// b.accept(a, z, s0, "first", |m| out.push(m));
+/// assert_eq!(out, ["first", "second"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReorderBuffers<M> {
-    // Keyed lookups only — never iterated (see FifoChains::last).
-    tx_seq: FxHashMap<(MhId, MhId), u64>,
-    rx: FxHashMap<(MhId, MhId), PairState<M>>,
-    /// Messages held back waiting for a predecessor, over all pairs.
-    currently_held: usize,
+    // Keyed lookups only, never iterated, so the hash order cannot leak
+    // into a run.
+    pairs: FxHashMap<(MhId, MhId), PairSeq<M>>,
 }
 
 impl<M> Default for ReorderBuffers<M> {
     fn default() -> Self {
         ReorderBuffers {
-            tx_seq: FxHashMap::default(),
-            rx: FxHashMap::default(),
-            currently_held: 0,
+            pairs: FxHashMap::default(),
         }
     }
 }
@@ -210,50 +228,76 @@ impl<M> Default for ReorderBuffers<M> {
 impl<M> ReorderBuffers<M> {
     /// Allocates the next sequence number for the `src → dst` pair.
     pub fn next_seq(&mut self, src: MhId, dst: MhId) -> u64 {
-        let c = self.tx_seq.entry((src, dst)).or_insert(0);
-        let s = *c;
-        *c += 1;
-        s
+        let pair = self.pairs.entry((src, dst)).or_default();
+        pair.sent += 1;
+        pair.sent - 1
     }
 
-    /// Accepts an arrival and returns every message now deliverable in send
-    /// order (empty if `seq` is ahead of the next expected message).
+    /// Accepts an arrival and passes every message now deliverable to
+    /// `release`, in send order (none if `seq` is ahead of the next expected
+    /// message). An arrival that is next in order goes straight out; only
+    /// one that runs ahead is held.
     ///
     /// Duplicate or already-delivered sequence numbers are ignored.
-    pub fn accept(&mut self, src: MhId, dst: MhId, seq: u64, msg: M) -> Vec<M> {
-        let st = self.rx.entry((src, dst)).or_default();
-        if seq < st.next_expected || st.held.contains_key(&seq) {
-            return Vec::new(); // duplicate
+    pub fn accept(&mut self, src: MhId, dst: MhId, seq: u64, msg: M, mut release: impl FnMut(M)) {
+        let pair = self.pairs.entry((src, dst)).or_default();
+        if seq > pair.expected {
+            let w = pair.waiting.get_or_insert_with(Box::default);
+            w.held.entry(seq).or_insert(msg);
+        } else if seq == pair.expected {
+            pair.expected += 1;
+            release(msg);
+            pair.drain(&mut release);
         }
-        st.held.insert(seq, msg);
-        self.currently_held += 1;
-        let (out, drained) = st.drain();
-        self.currently_held -= drained;
-        out
     }
 
     /// Marks `seq` as aborted by the transport (its message will never
-    /// arrive) and returns any successors that become deliverable.
-    pub fn cancel(&mut self, src: MhId, dst: MhId, seq: u64) -> Vec<M> {
-        let st = self.rx.entry((src, dst)).or_default();
-        if seq < st.next_expected {
-            return Vec::new(); // already delivered or skipped
+    /// arrive) and passes any successors that become deliverable to
+    /// `release`.
+    pub fn cancel(&mut self, src: MhId, dst: MhId, seq: u64, mut release: impl FnMut(M)) {
+        let pair = self.pairs.entry((src, dst)).or_default();
+        if seq < pair.expected {
+            return; // already delivered or skipped
         }
-        st.cancelled.insert(seq);
-        let (out, drained) = st.drain();
-        self.currently_held -= drained;
-        out
-    }
-
-    /// Messages currently held back waiting for a predecessor.
-    pub fn held(&self) -> usize {
-        self.currently_held
+        let w = pair.waiting.get_or_insert_with(Box::default);
+        w.cancelled.insert(seq);
+        pair.drain(&mut release);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<M> ReorderBuffers<M> {
+        /// Messages held back waiting for a predecessor, over all pairs.
+        fn held(&self) -> usize {
+            self.pairs
+                .values()
+                .filter_map(|p| p.waiting.as_ref())
+                .map(|w| w.held.len())
+                .sum()
+        }
+
+        /// True when no pair keeps anything held or cancelled.
+        fn quiet(&self) -> bool {
+            self.pairs.values().all(|p| p.waiting.is_none())
+        }
+    }
+
+    /// What one `accept` call releases, in order.
+    fn accept(b: &mut ReorderBuffers<u32>, src: MhId, dst: MhId, seq: u64, m: u32) -> Vec<u32> {
+        let mut out = Vec::new();
+        b.accept(src, dst, seq, m, |x| out.push(x));
+        out
+    }
+
+    /// What one `cancel` call releases, in order.
+    fn cancel(b: &mut ReorderBuffers<u32>, src: MhId, dst: MhId, seq: u64) -> Vec<u32> {
+        let mut out = Vec::new();
+        b.cancel(src, dst, seq, |x| out.push(x));
+        out
+    }
 
     #[test]
     fn fifo_chain_clamps_overtaking() {
@@ -291,7 +335,7 @@ mod tests {
         for i in 0..5u64 {
             let s = b.next_seq(a, z);
             assert_eq!(s, i);
-            assert_eq!(b.accept(a, z, s, i as u32), vec![i as u32]);
+            assert_eq!(accept(&mut b, a, z, s, i as u32), vec![i as u32]);
         }
         assert_eq!(b.held(), 0);
     }
@@ -301,11 +345,11 @@ mod tests {
         let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
         let (a, z) = (MhId(2), MhId(3));
         let s: Vec<u64> = (0..4).map(|_| b.next_seq(a, z)).collect();
-        assert!(b.accept(a, z, s[2], 2).is_empty());
-        assert!(b.accept(a, z, s[1], 1).is_empty());
+        assert!(accept(&mut b, a, z, s[2], 2).is_empty());
+        assert!(accept(&mut b, a, z, s[1], 1).is_empty());
         assert_eq!(b.held(), 2);
-        assert_eq!(b.accept(a, z, s[0], 0), vec![0, 1, 2]);
-        assert_eq!(b.accept(a, z, s[3], 3), vec![3]);
+        assert_eq!(accept(&mut b, a, z, s[0], 0), vec![0, 1, 2]);
+        assert_eq!(accept(&mut b, a, z, s[3], 3), vec![3]);
         assert_eq!(b.held(), 0);
     }
 
@@ -314,8 +358,8 @@ mod tests {
         let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
         let (a, z) = (MhId(0), MhId(1));
         let s0 = b.next_seq(a, z);
-        assert_eq!(b.accept(a, z, s0, 7), vec![7]);
-        assert!(b.accept(a, z, s0, 7).is_empty());
+        assert_eq!(accept(&mut b, a, z, s0, 7), vec![7]);
+        assert!(accept(&mut b, a, z, s0, 7).is_empty());
     }
 
     #[test]
@@ -326,7 +370,81 @@ mod tests {
         let s_za = b.next_seq(z, a);
         assert_eq!(s_az, 0);
         assert_eq!(s_za, 0);
-        assert_eq!(b.accept(z, a, s_za, 9), vec![9]);
-        assert_eq!(b.accept(a, z, s_az, 8), vec![8]);
+        assert_eq!(accept(&mut b, z, a, s_za, 9), vec![9]);
+        assert_eq!(accept(&mut b, a, z, s_az, 8), vec![8]);
+    }
+
+    #[test]
+    fn in_order_arrival_releases_the_held_run_behind_it() {
+        let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
+        let (a, z) = (MhId(4), MhId(5));
+        for _ in 0..5 {
+            b.next_seq(a, z);
+        }
+        for s in [1, 2, 4] {
+            assert!(accept(&mut b, a, z, s, s as u32).is_empty());
+        }
+        assert_eq!(b.held(), 3);
+        // 0 is next: it goes out and pulls 1 and 2 behind it; 4 waits for 3.
+        assert_eq!(accept(&mut b, a, z, 0, 0), vec![0, 1, 2]);
+        assert_eq!(b.held(), 1);
+        assert_eq!(accept(&mut b, a, z, 3, 3), vec![3, 4]);
+        assert_eq!(b.held(), 0);
+        assert!(b.quiet());
+    }
+
+    #[test]
+    fn in_order_arrival_after_a_cancel_skips_the_burnt_slot() {
+        let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
+        let (a, z) = (MhId(0), MhId(1));
+        for _ in 0..5 {
+            b.next_seq(a, z);
+        }
+        // 0 burnt while next: skipped at once, so 1 is in order.
+        assert!(cancel(&mut b, a, z, 0).is_empty());
+        assert_eq!(accept(&mut b, a, z, 1, 1), vec![1]);
+        // 3 burnt ahead of 2: releasing 2 steps over it, so 4 is in order.
+        assert!(cancel(&mut b, a, z, 3).is_empty());
+        assert_eq!(accept(&mut b, a, z, 2, 2), vec![2]);
+        assert_eq!(b.held(), 0);
+        assert_eq!(accept(&mut b, a, z, 4, 4), vec![4]);
+        assert_eq!(b.held(), 0);
+        assert!(b.quiet(), "a spent pair drops its waiting state");
+    }
+
+    #[test]
+    fn arrival_for_a_cancelled_slot_is_released_in_order() {
+        let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
+        let (a, z) = (MhId(0), MhId(1));
+        for _ in 0..3 {
+            b.next_seq(a, z);
+        }
+        // 1 is burnt ahead of time, then arrives anyway: it is held like
+        // any early arrival and goes out behind 0.
+        assert!(cancel(&mut b, a, z, 1).is_empty());
+        assert!(accept(&mut b, a, z, 1, 1).is_empty());
+        assert_eq!(b.held(), 1);
+        assert_eq!(accept(&mut b, a, z, 0, 0), vec![0, 1]);
+        assert_eq!(b.held(), 0);
+        assert!(b.quiet());
+        assert_eq!(accept(&mut b, a, z, 2, 2), vec![2]);
+    }
+
+    #[test]
+    fn duplicate_of_a_released_message_is_dropped() {
+        let mut b: ReorderBuffers<u32> = ReorderBuffers::default();
+        let (a, z) = (MhId(0), MhId(1));
+        for _ in 0..3 {
+            b.next_seq(a, z);
+        }
+        assert_eq!(accept(&mut b, a, z, 0, 0), vec![0]);
+        assert!(accept(&mut b, a, z, 2, 2).is_empty());
+        // 0 again, released already: nothing goes out and 2 stays held.
+        assert!(accept(&mut b, a, z, 0, 0).is_empty());
+        assert_eq!(b.held(), 1);
+        assert_eq!(accept(&mut b, a, z, 1, 1), vec![1, 2]);
+        assert!(accept(&mut b, a, z, 1, 1).is_empty());
+        assert_eq!(b.held(), 0);
+        assert!(b.quiet());
     }
 }

@@ -886,13 +886,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         self.ledger.charge_fixed(&self.cfg.cost);
         self.emit(|| TraceEvent::SearchFail { origin, target });
         if let DownMode::FromMh { src, seq, .. } = mode {
-            for m in self.reorder.cancel(src, target, seq) {
+            self.reorder.cancel(src, target, seq, |m| {
                 self.pending.push_back(ProtoEvent::MhMsg {
                     at: target,
                     src: Src::Mh(src),
                     msg: m,
                 });
-            }
+            });
         }
         self.queue.push(
             self.now + delay,
@@ -933,13 +933,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                     msg,
                 }),
                 DownMode::FromMh { src, seq, .. } => {
-                    for m in self.reorder.accept(src, mh, seq, msg) {
+                    self.reorder.accept(src, mh, seq, msg, |m| {
                         self.pending.push_back(ProtoEvent::MhMsg {
                             at: mh,
                             src: Src::Mh(src),
                             msg: m,
                         });
-                    }
+                    });
                     None
                 }
             }

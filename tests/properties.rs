@@ -6,6 +6,10 @@
 //! (the simulator's own [`SimRng`]), so the workspace builds with no
 //! external crates and every CI run exercises the identical case set.
 
+#[path = "../crates/group/tests/support/mod.rs"]
+mod group_oracle;
+
+use group_oracle::{digests_agree, Recording};
 use mobidist::prelude::*;
 
 /// Draws `cases` parameter tuples from a fixed stream and runs `f` on each.
@@ -229,17 +233,20 @@ fn prop_exactly_once_invariants() {
             .with_seed(seed)
             .with_mobility(MobilityConfig::moving(dwell));
         let wl = GroupWorkload::new(members.clone(), msgs, 50);
-        let mut sim = Simulation::new(
-            cfg,
-            GroupHarness::new(ExactlyOnce::new(members, MssId(0)), wl),
-        );
+        let eo = Recording::new(ExactlyOnce::new(members, MssId(0)));
+        let mut sim = Simulation::new(cfg, GroupHarness::new(eo, wl));
         // Run past the last send, then give stragglers time to land.
         sim.run_until(SimTime::from_ticks(60 * msgs as u64 + 50_000));
-        let rep = sim.protocol().report();
+        let h = sim.protocol();
+        let rep = h.report();
         assert_eq!(rep.sent, msgs as u64);
         assert_eq!(rep.missed, 0, "{rep:?}");
         assert_eq!(rep.duplicates, 0, "{rep:?}");
-        assert!(sim.protocol().total_order_consistent());
+        // The O(1) check against the sequencer's numbers and the pairwise
+        // oracle over the recorded sequences agree.
+        assert_eq!(h.order_violations(), 0);
+        assert!(h.strategy().total_order_consistent());
+        assert!(digests_agree(h));
     });
 }
 

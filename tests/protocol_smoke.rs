@@ -159,3 +159,31 @@ fn smoke_exactly_once() {
     let rep = group_smoke(ExactlyOnce::new(members(), MssId(0)), 204, 1.0);
     assert_eq!(rep.missed, 0, "exactly-once never misses: {rep:?}");
 }
+
+#[test]
+fn l1_with_spread_search_latency_reports_the_recorded_run() {
+    // Searches that take 1..=120 ticks let MH→MH messages overtake each
+    // other, so the logical FIFO channels under L1 hold arrivals back and
+    // release runs of them; every `Release` takes one peer's entry out of
+    // each replica's queue. Recorded when every arrival went through the
+    // hold-back map and every `Release` swept the whole queue.
+    let mut cfg = roaming(106);
+    cfg.latency.search = LatencyModel::Uniform { lo: 1, hi: 120 };
+    let wl = WorkloadConfig::all_mhs(N, 3).with_think(200);
+    let mut sim = Simulation::new(cfg, MutexHarness::new(L1::new(members()), wl));
+    sim.run_until(SimTime::from_ticks(HORIZON));
+    assert_eq!(
+        sim.protocol().report(),
+        MutexReport {
+            issued: 30,
+            completed: 30,
+            aborted: 0,
+            outstanding: 0,
+            safety_violations: 0,
+            order_violations: 0,
+            mean_wait: 523.0666666666667,
+            p95_wait: 797,
+        }
+    );
+    assert_eq!(sim.ledger().searches, 1062);
+}
