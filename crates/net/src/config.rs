@@ -33,11 +33,14 @@ impl Default for LatencyConfig {
 /// Not a run-time choice: every run in this repository — experiments,
 /// benchmark, examples — uses [`Batched`](DeliveryMode::Batched), the
 /// default, and nothing reads an environment variable or flag to pick
-/// another. [`Unbatched`](DeliveryMode::Unbatched) is the
-/// one-event-per-message *reference* the batched engine is diffed against
-/// (`crates/net/tests/delivery_equivalence.rs`,
-/// `crates/core/tests/mutex_runs.rs`): both must give identical reports,
-/// cost ledgers and logical event counts, and traces with identical per-kind
+/// another (`tests/doc_gates.rs` checks that no shipped source names
+/// [`Unbatched`](DeliveryMode::Unbatched) outside the net crate's config,
+/// kernel and fingerprint). `Unbatched` is the *reference* the engine is
+/// diffed against (`crates/net/tests/delivery_equivalence.rs`,
+/// `crates/core/tests/mutex_runs.rs`): the same send path with same-tick
+/// fan-out fusion and consume-side coalescing off, so every message is one
+/// wheel event and one callback. Both must give identical reports, cost
+/// ledgers and logical event counts, and traces with identical per-kind
 /// counts. (Within one tick the trace *interleaving* may differ: the batched
 /// path emits a run's receive records before the fused callback fires; see
 /// DESIGN.md §7.)

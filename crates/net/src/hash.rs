@@ -82,9 +82,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// A `HashMap` keyed with the deterministic fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` keyed with the deterministic fast hasher.
-pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -130,8 +127,5 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(m.get(&(i, i + 1)), Some(&(i as u64)));
         }
-        let mut s: FxHashSet<u64> = FxHashSet::default();
-        s.insert(9);
-        assert!(s.contains(&9));
     }
 }

@@ -33,6 +33,7 @@ use crate::search::SearchPolicy;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::fmt::Debug;
+use std::iter::repeat_n;
 
 /// How a wireless downlink delivery is routed, which determines what happens
 /// if the MH has left the cell by delivery time.
@@ -513,61 +514,37 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
 
     /// Fixed-network broadcast to every other MSS. Trace emissions, latency
     /// draws and FIFO clamping are per destination, identical to a loop of
-    /// [`send_fixed`](Self::send_fixed); in batched delivery mode one
-    /// payload is stored per same-arrival-tick run of destinations and the
-    /// ledger charge is fused across the fan-out.
+    /// [`send_fixed`](Self::send_fixed), and the ledger charge is fused
+    /// across the fan-out. Consecutive destinations whose FIFO-clamped
+    /// arrivals share a tick form one shared-payload fan-out event — with
+    /// the default constant latency and un-clamped chains, a single event
+    /// for the whole fan-out. The per-event reference runs the same loop
+    /// with that fusion off: every destination is its own `FixedDeliver`.
     pub(crate) fn broadcast_fixed(&mut self, from: MssId, msg: M) {
         let m = self.cfg.num_mss as u32;
         if m <= 1 {
             return;
         }
-        if self.cfg.delivery == DeliveryMode::Unbatched {
-            let mut msg = Some(msg);
-            for i in 0..m {
-                let to = MssId(i);
-                if to == from {
-                    continue;
-                }
-                let last = if from == MssId(m - 1) { m - 2 } else { m - 1 };
-                let payload = if i == last {
-                    msg.take().expect("payload present until last")
-                } else {
-                    msg.as_ref().expect("payload present until last").clone()
-                };
-                self.send_fixed(from, to, payload);
-            }
-            return;
-        }
-        // Batched: one fused charge, then group consecutive destinations
-        // whose FIFO-clamped arrivals share a tick into shared-payload
-        // fan-out events. With the default constant latency and un-clamped
-        // chains this is a single event for the whole fan-out.
+        let fuse = self.cfg.delivery == DeliveryMode::Batched;
         self.ledger.charge_fixed_n(&self.cfg.cost, (m - 1) as u64);
         let mut group = self.mss_pool.pop().unwrap_or_default();
         debug_assert!(group.is_empty());
         let mut group_at = SimTime::ZERO;
-        let mut msg = Some(msg);
-        for i in 0..m {
-            let to = MssId(i);
-            if to == from {
-                continue;
-            }
+        for to in (0..m).map(MssId).filter(|&to| to != from) {
             self.emit(|| TraceEvent::FixedSend { from, to });
             let lat = self.cfg.latency.fixed.sample(&mut self.rng);
             let at = self
                 .fifo
                 .schedule(ChainKey::Fixed(from, to), self.now + lat);
-            if !group.is_empty() && at != group_at {
-                let payload = msg.as_ref().expect("payload present until last").clone();
+            if !group.is_empty() && (!fuse || at != group_at) {
                 let flushed =
                     std::mem::replace(&mut group, self.mss_pool.pop().unwrap_or_default());
-                self.push_fixed_group(from, flushed, group_at, payload);
+                self.push_fixed_group(from, flushed, group_at, msg.clone());
             }
             group_at = at;
             group.push(to);
         }
-        let payload = msg.take().expect("payload present until last");
-        self.push_fixed_group(from, group, group_at, payload);
+        self.push_fixed_group(from, group, group_at, msg);
     }
 
     /// Enqueues one arrival-tick group of a fixed broadcast: singletons as a
@@ -601,8 +578,11 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// Broadcasts over the cell's wireless channel: one transmission
-    /// reaches every local MH. One payload is stored per same-arrival-tick
-    /// run of recipients and cloned only at delivery.
+    /// reaches every local MH. Consecutive recipients whose FIFO-clamped
+    /// arrivals share a tick form one fan-out event with one stored payload,
+    /// cloned only at delivery — one wheel entry for the whole cell with the
+    /// default constant latency. The per-event reference runs the same loop
+    /// with that fusion off.
     pub(crate) fn broadcast_cell(&mut self, mss: MssId, msg: M) -> usize {
         // Reuse the kernel-owned scratch buffer: the cell's `HostSet` bitmap
         // iterates in ascending id order (deterministic) and the Vec's
@@ -610,61 +590,33 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         let mut locals = std::mem::take(&mut self.scratch_locals);
         locals.clear();
         locals.extend(self.msss[mss.index()].local.iter());
-        if locals.is_empty() {
+        let n = locals.len();
+        if n == 0 {
             self.scratch_locals = locals;
             return 0;
         }
         // One channel use regardless of listener count.
         self.ledger.wireless_msgs += 1;
         self.ledger.wireless_cost += self.cfg.cost.c_wireless;
-        let listeners = locals.len() as u32;
+        let listeners = n as u32;
         self.emit(|| TraceEvent::CellBroadcast { mss, listeners });
         let lat = self.cfg.latency.wireless.sample(&mut self.rng);
-        let n = locals.len();
-        let mut msg = Some(msg);
-        if self.cfg.delivery == DeliveryMode::Unbatched {
-            for (i, mh) in locals.iter().enumerate() {
-                let epoch = self.mhs[mh.index()].epoch;
-                let at = self.fifo.schedule(ChainKey::Down(mss, *mh), self.now + lat);
-                let payload = if i == n - 1 {
-                    msg.take().expect("payload present until last")
-                } else {
-                    msg.as_ref().expect("payload present until last").clone()
-                };
-                self.queue.push(
-                    at,
-                    Ev::DownDeliver {
-                        mss,
-                        mh: *mh,
-                        epoch,
-                        mode: DownMode::Local,
-                        msg: payload,
-                    },
-                );
+        let fuse = self.cfg.delivery == DeliveryMode::Batched;
+        let mut group = self.down_pool.pop().unwrap_or_default();
+        debug_assert!(group.is_empty());
+        let mut group_at = SimTime::ZERO;
+        for &mh in &locals {
+            let epoch = self.mhs[mh.index()].epoch;
+            let at = self.fifo.schedule(ChainKey::Down(mss, mh), self.now + lat);
+            if !group.is_empty() && (!fuse || at != group_at) {
+                let flushed =
+                    std::mem::replace(&mut group, self.down_pool.pop().unwrap_or_default());
+                self.push_down_group(mss, flushed, group_at, msg.clone());
             }
-        } else {
-            // Batched: group consecutive recipients whose FIFO-clamped
-            // arrivals share a tick into shared-payload fan-out events —
-            // one wheel entry and one payload for the whole cell with the
-            // default constant latency.
-            let mut group = self.down_pool.pop().unwrap_or_default();
-            debug_assert!(group.is_empty());
-            let mut group_at = SimTime::ZERO;
-            for mh in &locals {
-                let epoch = self.mhs[mh.index()].epoch;
-                let at = self.fifo.schedule(ChainKey::Down(mss, *mh), self.now + lat);
-                if !group.is_empty() && at != group_at {
-                    let payload = msg.as_ref().expect("payload present until last").clone();
-                    let flushed =
-                        std::mem::replace(&mut group, self.down_pool.pop().unwrap_or_default());
-                    self.push_down_group(mss, flushed, group_at, payload);
-                }
-                group_at = at;
-                group.push((*mh, epoch));
-            }
-            let payload = msg.take().expect("payload present until last");
-            self.push_down_group(mss, group, group_at, payload);
+            group_at = at;
+            group.push((mh, epoch));
         }
+        self.push_down_group(mss, group, group_at, msg);
         self.scratch_locals = locals;
         n
     }
@@ -709,18 +661,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// Wireless uplink send from an MH to its current local MSS; buffered
     /// while between cells and flushed on the next join.
     pub(crate) fn send_wireless_up(&mut self, mh: MhId, msg: M) -> Result<(), NetError> {
-        match self.mhs[mh.index()].status {
-            MhStatus::Disconnected => Err(NetError::Disconnected { mh }),
-            MhStatus::BetweenCells => {
-                self.mhs[mh.index()].outbox.push_back(OutMsg::Plain(msg));
-                Ok(())
-            }
-            MhStatus::Connected => {
-                let mss = self.mhs[mh.index()].cell.expect("connected MH has a cell");
-                self.push_uplink(mh, mss, OutMsg::Plain(msg));
-                Ok(())
-            }
-        }
+        self.uplink(mh, OutMsg::Plain(msg))
     }
 
     /// Locate-and-forward from `origin` to `mh` (the model's search).
@@ -729,24 +670,13 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     /// MH→MH transport with logical FIFO per ordered sender/receiver pair.
+    /// A refused send burns no sequence number.
     pub(crate) fn mh_send_to_mh(&mut self, src: MhId, dst: MhId, msg: M) -> Result<(), NetError> {
         if self.mhs[src.index()].status == MhStatus::Disconnected {
             return Err(NetError::Disconnected { mh: src });
         }
         let seq = self.reorder.next_seq(src, dst);
-        match self.mhs[src.index()].status {
-            MhStatus::Connected => {
-                let mss = self.mhs[src.index()].cell.expect("connected MH has a cell");
-                self.push_uplink(src, mss, OutMsg::ToMh { dst, seq, msg });
-            }
-            MhStatus::BetweenCells => {
-                self.mhs[src.index()]
-                    .outbox
-                    .push_back(OutMsg::ToMh { dst, seq, msg });
-            }
-            MhStatus::Disconnected => unreachable!("checked above"),
-        }
-        Ok(())
+        self.uplink(src, OutMsg::ToMh { dst, seq, msg })
     }
 
     /// Schedules a protocol timer (minimum delay of one tick).
@@ -783,6 +713,21 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     }
 
     // ----- internals ----------------------------------------------------------
+
+    /// Sends `out` up from `mh`: transmitted when connected, buffered in
+    /// the outbox while between cells, refused while disconnected.
+    fn uplink(&mut self, mh: MhId, out: OutMsg<M>) -> Result<(), NetError> {
+        let h = &mut self.mhs[mh.index()];
+        match h.status {
+            MhStatus::Disconnected => return Err(NetError::Disconnected { mh }),
+            MhStatus::BetweenCells => h.outbox.push_back(out),
+            MhStatus::Connected => {
+                let mss = h.cell.expect("connected MH has a cell");
+                self.push_uplink(mh, mss, out);
+            }
+        }
+        Ok(())
+    }
 
     /// Charges and schedules one uplink transmission (plain or MH→MH relay).
     fn push_uplink(&mut self, mh: MhId, mss: MssId, out: OutMsg<M>) {
@@ -1020,15 +965,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                 // the per-event path pops, since the fan-out's members were
                 // scheduled by consecutive pushes at one tick. The shared
                 // payload clones per destination; the last takes it.
-                let last = dsts.len() - 1;
-                let mut msg = Some(msg);
-                for (i, to) in dsts.drain(..).enumerate() {
-                    let payload = if i == last {
-                        msg.take().expect("payload present until last")
-                    } else {
-                        msg.as_ref().expect("payload present until last").clone()
-                    };
-                    if let Some(msg) = self.admit_wired(from, to, payload) {
+                let n = dsts.len();
+                for (to, msg) in dsts.drain(..).zip(repeat_n(msg, n)) {
+                    if let Some(msg) = self.admit_wired(from, to, msg) {
                         self.pending.push_back(ProtoEvent::MssMsg {
                             at: to,
                             src: Src::Mss(from),
@@ -1044,15 +983,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
                 mut recipients,
                 msg,
             } => {
-                let last = recipients.len() - 1;
-                let mut msg = Some(msg);
-                for (i, (mh, epoch)) in recipients.drain(..).enumerate() {
-                    let payload = if i == last {
-                        msg.take().expect("payload present until last")
-                    } else {
-                        msg.as_ref().expect("payload present until last").clone()
-                    };
-                    if let Some(pe) = self.deliver_down(mss, mh, epoch, DownMode::Local, payload) {
+                let n = recipients.len();
+                for ((mh, epoch), msg) in recipients.drain(..).zip(repeat_n(msg, n)) {
+                    if let Some(pe) = self.deliver_down(mss, mh, epoch, DownMode::Local, msg) {
                         self.pending.push_back(pe);
                     }
                 }
@@ -1093,8 +1026,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             Ev::AutoDisconnect { mh } => {
                 let gone = self.do_disconnect(mh, true);
                 if gone.is_none() {
-                    let d = self.rng.exp_delay(self.cfg.disconnect.mean_uptime);
-                    self.queue.push(self.now + d, Ev::AutoDisconnect { mh });
+                    self.arm_disconnect(mh);
                 }
                 gone
             }
@@ -1279,18 +1211,7 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
     /// connected; returns the `Left` callback for the caller to run or
     /// queue.
     fn do_leave(&mut self, mh: MhId, dest: Option<MssId>) -> Option<ProtoEvent<M, T>> {
-        let h = &mut self.mhs[mh.index()];
-        if h.status != MhStatus::Connected {
-            return None;
-        }
-        let mss = h.cell.take().expect("connected MH has a cell");
-        h.status = MhStatus::BetweenCells;
-        h.prev_cell = Some(mss);
-        h.epoch += 1;
-        self.msss[mss.index()].local.remove(&mh);
-        self.fifo.reset(ChainKey::Down(mss, mh));
-        self.fifo.reset(ChainKey::Up(mh, mss));
-        self.ledger.bump("control_wireless"); // leave(r)
+        let mss = self.detach(mh, MhStatus::BetweenCells)?; // leave(r)
         self.emit(|| TraceEvent::HandoffBegin { mh, from: mss });
         let gap = self.rng.exp_delay(self.cfg.mobility.mean_gap.max(1));
         let dest = dest.unwrap_or_else(|| self.next_cell(mh, mss));
@@ -1303,30 +1224,15 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         // Fault plane: a join aimed at a crashed cell lands at the next
         // live one instead (no MSS to run the join choreography).
         let mss = self.live_cell(mss);
-        let h = &mut self.mhs[mh.index()];
-        let prev = h.prev_cell;
-        h.cell = Some(mss);
-        h.status = MhStatus::Connected;
-        self.msss[mss.index()].local.insert(mh);
+        let prev = self.mhs[mh.index()].prev_cell;
+        self.attach(mh, mss); // join(mh-id)
         self.ledger.moves += 1;
-        self.ledger.bump("control_wireless"); // join(mh-id)
-        if self.cfg.search == SearchPolicy::HomeAgent && self.mhs[mh.index()].home != mss {
-            // The new cell registers the MH's location with its home agent.
-            self.ledger.bump("ha_registrations");
-            self.ledger.bump("control_fixed");
-        }
-        if let Some(p) = prev {
-            if p != mss {
-                self.ledger.handoffs += 1;
-                self.ledger.bump("control_fixed"); // handoff state request
-            }
+        if prev.is_some_and(|p| p != mss) {
+            self.ledger.handoffs += 1;
+            self.ledger.bump("control_fixed"); // handoff state request
         }
         self.emit(|| TraceEvent::HandoffEnd { mh, to: mss, prev });
-        self.flush_outbox(mh, mss);
-        if self.cfg.mobility.enabled {
-            let d = self.rng.exp_delay(self.cfg.mobility.mean_dwell);
-            self.queue.push(self.now + d, Ev::AutoLeave { mh });
-        }
+        self.settle(mh, mss);
         ProtoEvent::Joined { mh, mss, prev }
     }
 
@@ -1337,21 +1243,10 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
         mh: MhId,
         schedule_auto_reconnect: bool,
     ) -> Option<ProtoEvent<M, T>> {
-        let h = &mut self.mhs[mh.index()];
-        if h.status != MhStatus::Connected {
-            return None;
-        }
-        let mss = h.cell.take().expect("connected MH has a cell");
-        h.status = MhStatus::Disconnected;
-        h.prev_cell = Some(mss);
-        h.epoch += 1;
-        h.disconnected_at = Some(mss);
-        self.msss[mss.index()].local.remove(&mh);
+        let mss = self.detach(mh, MhStatus::Disconnected)?; // disconnect(r)
+        self.mhs[mh.index()].disconnected_at = Some(mss);
         self.msss[mss.index()].disconnected_here.insert(mh);
-        self.fifo.reset(ChainKey::Down(mss, mh));
-        self.fifo.reset(ChainKey::Up(mh, mss));
         self.ledger.disconnects += 1;
-        self.ledger.bump("control_wireless"); // disconnect(r)
         self.emit(|| TraceEvent::Disconnect { mh, mss });
         if schedule_auto_reconnect {
             let down = self.rng.exp_delay(self.cfg.disconnect.mean_downtime.max(1));
@@ -1367,7 +1262,9 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             return None;
         }
         let mss = self.live_cell(mss);
-        let old = self.mhs[mh.index()].disconnected_at;
+        let h = &mut self.mhs[mh.index()];
+        let old = h.disconnected_at.take();
+        h.prev_cell = old;
         if let Some(o) = old {
             self.msss[o.index()].disconnected_here.remove(&mh);
         }
@@ -1379,37 +1276,71 @@ impl<M: Debug + Clone + 'static, T: Debug + 'static> Kernel<M, T> {
             self.ledger
                 .bump_by("control_fixed", (self.cfg.num_mss as u64).saturating_sub(1));
         }
-        let h = &mut self.mhs[mh.index()];
-        h.status = MhStatus::Connected;
-        h.cell = Some(mss);
-        h.disconnected_at = None;
-        h.prev_cell = old;
-        self.msss[mss.index()].local.insert(mh);
+        self.attach(mh, mss); // reconnect(mh, prev)
         self.ledger.reconnects += 1;
-        self.ledger.bump("control_wireless"); // reconnect(mh, prev)
-        if self.cfg.search == SearchPolicy::HomeAgent && self.mhs[mh.index()].home != mss {
-            self.ledger.bump("ha_registrations");
-            self.ledger.bump("control_fixed");
-        }
         let prev = if supplies_prev { old } else { None };
         self.emit(|| TraceEvent::Reconnect { mh, mss, prev });
-        self.flush_outbox(mh, mss);
-        if self.cfg.mobility.enabled {
-            let d = self.rng.exp_delay(self.cfg.mobility.mean_dwell);
-            self.queue.push(self.now + d, Ev::AutoLeave { mh });
-        }
+        self.settle(mh, mss);
         if self.cfg.disconnect.enabled {
-            let d = self.rng.exp_delay(self.cfg.disconnect.mean_uptime);
-            self.queue.push(self.now + d, Ev::AutoDisconnect { mh });
+            self.arm_disconnect(mh);
         }
         Some(ProtoEvent::Reconnected { mh, mss, prev })
     }
 
-    fn flush_outbox(&mut self, mh: MhId, mss: MssId) {
+    /// Takes a connected `mh` out of its cell into `status` — the steps a
+    /// leave and a disconnect share, one wireless control message — and
+    /// returns the cell it left; `None`, with nothing done, when `mh` is
+    /// not connected. Bumping the epoch loses what is still in flight on
+    /// its downlink.
+    fn detach(&mut self, mh: MhId, status: MhStatus) -> Option<MssId> {
+        let h = &mut self.mhs[mh.index()];
+        if h.status != MhStatus::Connected {
+            return None;
+        }
+        let mss = h.cell.take().expect("connected MH has a cell");
+        h.status = status;
+        h.prev_cell = Some(mss);
+        h.epoch += 1;
+        self.msss[mss.index()].local.remove(&mh);
+        self.fifo.reset(ChainKey::Down(mss, mh));
+        self.fifo.reset(ChainKey::Up(mh, mss));
+        self.ledger.bump("control_wireless");
+        Some(mss)
+    }
+
+    /// Connects `mh` in `mss`'s cell — the steps a join and a reconnect
+    /// share, one wireless control message plus, under home-agent search,
+    /// the new cell's registration with the MH's home agent.
+    fn attach(&mut self, mh: MhId, mss: MssId) {
+        let h = &mut self.mhs[mh.index()];
+        h.cell = Some(mss);
+        h.status = MhStatus::Connected;
+        let home = h.home;
+        self.msss[mss.index()].local.insert(mh);
+        self.ledger.bump("control_wireless");
+        if self.cfg.search == SearchPolicy::HomeAgent && home != mss {
+            self.ledger.bump("ha_registrations");
+            self.ledger.bump("control_fixed");
+        }
+    }
+
+    /// After a join or reconnect: sends up what `mh` buffered while away,
+    /// then arms its next dwell when mobility is on.
+    fn settle(&mut self, mh: MhId, mss: MssId) {
         // Popped one at a time so the outbox keeps its allocation for the
         // host's next move (`push_uplink` never touches it).
         while let Some(out) = self.mhs[mh.index()].outbox.pop_front() {
             self.push_uplink(mh, mss, out);
         }
+        if self.cfg.mobility.enabled {
+            let d = self.rng.exp_delay(self.cfg.mobility.mean_dwell);
+            self.queue.push(self.now + d, Ev::AutoLeave { mh });
+        }
+    }
+
+    /// Schedules `mh`'s next autonomous disconnection one uptime from now.
+    fn arm_disconnect(&mut self, mh: MhId) {
+        let d = self.rng.exp_delay(self.cfg.disconnect.mean_uptime);
+        self.queue.push(self.now + d, Ev::AutoDisconnect { mh });
     }
 }

@@ -13,7 +13,8 @@
 //!   trace groups a run's receive records before the fused callback, so
 //!   only the interleaving may differ — never the events themselves),
 //! * that batches really form (`deliver_batch` appears, lengths ≥ 2) and
-//!   flatten in arrival order.
+//!   flatten in arrival order,
+//! * and that the reference really runs one wheel event per message.
 
 use mobidist_net::prelude::*;
 use mobidist_net::time::SimTime;
@@ -239,4 +240,50 @@ fn batches_flatten_in_arrival_order() {
     assert_eq!(batched_singles, unbatched_singles, "arrival order diverged");
     assert!(unbatched_lens.is_empty(), "unbatched mode must never batch");
     assert_eq!(batched_lens, vec![20]);
+}
+
+/// One wired broadcast and one cell broadcast from MSS 0, counting the
+/// callbacks they yield.
+#[derive(Debug, Default)]
+struct TwoBroadcasts {
+    callbacks: usize,
+}
+
+impl Protocol for TwoBroadcasts {
+    type Msg = ();
+    type Timer = ();
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, (), ()>) {
+        ctx.broadcast_fixed(MssId(0), ());
+        ctx.broadcast_cell(MssId(0), ());
+    }
+
+    fn on_mss_msg(&mut self, _: &mut Ctx<'_, (), ()>, _: MssId, _: Src, _: ()) {
+        self.callbacks += 1;
+    }
+
+    fn on_mh_msg(&mut self, _: &mut Ctx<'_, (), ()>, _: MhId, _: Src, _: ()) {
+        self.callbacks += 1;
+    }
+}
+
+#[test]
+fn the_reference_runs_one_wheel_event_per_message() {
+    // The equivalence tests above cannot tell a reference that fuses from
+    // one that does not, since both sides would then run the same path;
+    // this one counts wheel events. Five cells, fifteen hosts (three in
+    // cell 0), default latencies: the wired broadcast's four deliveries
+    // share a tick, and so do the cell broadcast's three.
+    let run = |mode| {
+        let cfg = NetworkConfig::new(5, 15).with_delivery(mode);
+        let mut sim = Simulation::new(cfg, TwoBroadcasts::default());
+        let mut steps = 0;
+        while sim.step() {
+            steps += 1;
+        }
+        (steps, sim.protocol().callbacks)
+    };
+    // Batched: one `FixedFanout` and one `DownFanout`.
+    assert_eq!(run(DeliveryMode::Batched), (2, 7));
+    assert_eq!(run(DeliveryMode::Unbatched), (7, 7));
 }

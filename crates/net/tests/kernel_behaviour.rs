@@ -302,6 +302,27 @@ fn prefix_delivery_drops_in_flight_downlink_on_leave() {
 }
 
 #[test]
+fn prefix_delivery_drops_in_flight_downlink_after_a_return_to_the_cell() {
+    let mut s = sim(2, 2);
+    // The downlink lands at tick 2; by then the MH has disconnected and
+    // reconnected in the same cell. It was sent to the earlier visit, so it
+    // is lost all the same.
+    s.with_ctx(|ctx, _| {
+        ctx.send_wireless_down(MssId(0), MhId(0), "stale".into())
+            .unwrap();
+        ctx.initiate_disconnect(MhId(0));
+        ctx.initiate_reconnect(MhId(0), Some(MssId(0)), 1);
+    });
+    s.run_to_quiescence(50_000);
+    let r = s.protocol();
+    assert_eq!(r.reconnected.len(), 1);
+    assert_eq!(r.reconnected[0].1, MssId(0));
+    assert!(r.mh_msgs.is_empty(), "message must be lost");
+    assert_eq!(r.wireless_lost.len(), 1);
+    assert_eq!(r.wireless_lost[0].2, "stale");
+}
+
+#[test]
 fn searched_message_survives_leave_and_redelivers() {
     let mut s = sim(4, 4);
     s.with_ctx(|ctx, _| {
@@ -322,6 +343,7 @@ fn searched_message_survives_leave_and_redelivers() {
 #[test]
 fn uplink_while_between_cells_is_buffered_until_join() {
     let mut s = sim(3, 3);
+    s.set_trace_sink(Box::new(RingSink::new(64)));
     // The leave takes effect synchronously; the join is a future event.
     s.with_ctx(|ctx, _| {
         ctx.initiate_move(MhId(0), Some(MssId(2)));
@@ -333,6 +355,14 @@ fn uplink_while_between_cells_is_buffered_until_join() {
     assert_eq!(r.mss_msgs.len(), 1);
     assert_eq!(r.mss_msgs[0].0, MssId(2), "flushed to the NEW cell");
     assert_eq!(r.mss_msgs[0].2, "deferred");
+    // The join is traced before the uplink it flushes.
+    let sink = s.finish_trace().expect("sink installed");
+    let ring = sink.as_any().downcast_ref::<RingSink>().expect("ring sink");
+    let names: Vec<&str> = ring.iter().map(|(_, _, ev)| ev.name()).collect();
+    assert_eq!(
+        names,
+        ["handoff_begin", "handoff_end", "up_send", "up_recv"]
+    );
 }
 
 #[test]

@@ -216,3 +216,45 @@ fn move_patterns_and_fault_kinds_are_in_scenarios() {
         }
     }
 }
+
+#[test]
+fn only_tests_select_the_per_event_reference() {
+    // The per-event delivery reference exists for the equivalence tests to
+    // diff the batched engine against; no shipped code may pick it. Only
+    // the files that define, run and canon-hash the mode may name it.
+    let allowed = [
+        "crates/net/src/config.rs",
+        "crates/net/src/kernel.rs",
+        "crates/net/src/fingerprint.rs",
+    ];
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut scanned = files(&root.join("src"));
+    scanned.extend(files(&root.join("examples")));
+    for krate in std::fs::read_dir(root.join("crates")).expect("read crates/") {
+        scanned.extend(files(
+            &krate.expect("read a directory entry").path().join("src"),
+        ));
+    }
+    assert!(
+        scanned
+            .iter()
+            .any(|f| f.ends_with("crates/net/src/kernel.rs")),
+        "the scan must reach the crates' sources"
+    );
+    for file in scanned {
+        let shown = file.strip_prefix(root).unwrap_or(&file);
+        if allowed.iter().any(|a| shown == Path::new(a)) {
+            continue;
+        }
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        for name in ["with_delivery(", "DeliveryMode::Unbatched"] {
+            assert!(
+                !text.contains(name),
+                "{} names `{name}`: only tests may select the per-event reference",
+                shown.display()
+            );
+        }
+    }
+}
