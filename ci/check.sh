@@ -53,6 +53,10 @@ fi
 # in seconds instead of at the release benchmark gate at the very end.
 echo "==> benchmark surface check"
 cargo check --offline --manifest-path benchmark/Cargo.toml --all-targets
+# The adapters compare the public views the benchmark reads (the episode
+# log's `==` and iteration among them), so they run here, not only in the
+# benchmark's own check.
+cargo test --offline --manifest-path benchmark/Cargo.toml --test adapters -q
 
 echo "==> cargo doc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet

@@ -49,7 +49,7 @@ pub mod r2;
 /// Convenient glob import.
 pub mod prelude {
     pub use crate::algorithm::{AlgoCtx, Effect, HarnessTimer, MutexAlgorithm};
-    pub use crate::checker::{Episode, SafetyChecker};
+    pub use crate::checker::{Episode, EpisodeLog, SafetyChecker};
     pub use crate::harness::{MutexHarness, MutexReport, WorkloadConfig};
     pub use crate::l1::{L1Msg, L1};
     pub use crate::l2::{L2Msg, L2};

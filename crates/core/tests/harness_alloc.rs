@@ -1,16 +1,20 @@
 //! Steady-state allocation discipline of `MutexHarness` and the serving
 //! algorithms under it.
 //!
-//! The harness applies the algorithm's effects out of one reused buffer and
-//! reserves its episode log up front; the kernel's delivery path recycles
-//! its buffers (`crates/net/tests/delivery_alloc.rs`). Above that, R2 moves
-//! a token visit's admitted requests with one `retain` and keeps per-host
+//! The harness applies the algorithm's effects out of one reused buffer, and
+//! `MutexHarness::new` reserves the checker's packed episode log at its
+//! worst case, 45 B per entry, for the whole workload; the log packs about
+//! 6–10 B per entry, so it never regrows, and the reserved pages it never
+//! touches are never resident. The kernel's delivery path recycles its
+//! buffers (`crates/net/tests/delivery_alloc.rs`). Above that, R2 moves a
+//! token visit's admitted requests with one `retain` and keeps per-host
 //! running counts rather than logs, L2 and L2C keep Lamport's queue in a
 //! `RequestQueue` whose ring buffer stops growing once warm, and L2C hands
-//! each finished batch's buffers to the next. So once a run is warm and its
-//! episode log was reserved for the whole workload, nothing reaches the
-//! allocator. A counting global allocator pins that on all three
-//! algorithms.
+//! each finished batch's buffers to the next. So once a run is warm, nothing
+//! reaches the allocator. A counting global allocator pins that on all three
+//! algorithms, and pins that `report()` allocates no more on a longer run:
+//! its mean is a running sum and its percentile a radix select over the
+//! packed log, not a copy of every wait.
 
 use mobidist_core::prelude::*;
 use mobidist_net::prelude::*;
@@ -23,10 +27,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -34,10 +40,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc_zeroed(layout)
     }
 }
@@ -45,30 +53,50 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations made while the completed-entry count goes `warm → warm +
-/// measured`, after a warm-up to `warm` entries.
+/// What one steady-state stretch of a run allocated.
+struct Steady {
+    /// Allocations made while the completed-entry count went `warm → warm +
+    /// measured`.
+    allocs: u64,
+    /// Bytes one `report()` allocated at `warm` and at `warm + measured`
+    /// entries.
+    report_bytes: (u64, u64),
+}
+
+/// Runs to `warm` entries, so that pools, wheel slots, queues and the
+/// effects buffer reach capacity, then on to `warm + measured`.
 fn steady_allocs<A: MutexAlgorithm>(
     cfg: NetworkConfig,
     algo: A,
     wl: WorkloadConfig,
     warm: u64,
     measured: u64,
-) -> u64 {
+) -> Steady {
     let mut sim = Simulation::new(cfg, MutexHarness::new(algo, wl));
-    let mut run_to = |entries: u64| {
-        while sim.protocol().completed() < entries {
-            assert!(sim.step(), "run went quiescent early");
-        }
-    };
-    // Warm-up: pools, wheel slots, queues and the effects buffer reach
-    // capacity.
-    run_to(warm);
+    run_to(&mut sim, warm);
+    let warm_report = report_bytes(&sim);
     let before = ALLOCS.load(Ordering::SeqCst);
-    run_to(warm + measured);
+    run_to(&mut sim, warm + measured);
     let allocs = ALLOCS.load(Ordering::SeqCst) - before;
+    Steady {
+        allocs,
+        report_bytes: (warm_report, report_bytes(&sim)),
+    }
+}
+
+fn run_to<A: MutexAlgorithm>(sim: &mut Simulation<MutexHarness<A>>, entries: u64) {
+    while sim.protocol().completed() < entries {
+        assert!(sim.step(), "run went quiescent early");
+    }
+}
+
+/// Bytes one `report()` allocates; also checks the run is safe.
+fn report_bytes<A: MutexAlgorithm>(sim: &Simulation<MutexHarness<A>>) -> u64 {
+    let before = BYTES.load(Ordering::SeqCst);
     let r = sim.protocol().report();
+    let bytes = BYTES.load(Ordering::SeqCst) - before;
     assert_eq!((r.safety_violations, r.order_violations), (0, 0));
-    allocs
+    bytes
 }
 
 #[test]
@@ -105,8 +133,12 @@ fn steady_state_serving_does_not_allocate() {
     // same runs made 7 819 / 19 596 / 4 247; with R2's grant and service
     // logs, R2 still made 4.
     assert_eq!(
-        (r2, l2, l2c),
+        (r2.allocs, l2.allocs, l2c.allocs),
         (0, 0, 0),
         "R2 allocations over 50 000 entries, L2 / L2C over 15 000"
     );
+    // When `report()` sorted a copy of every wait, it allocated 8 B per
+    // entry: 160 000 B at 20 000 entries and 560 000 B at 70 000.
+    let (warm, end) = r2.report_bytes;
+    assert_eq!(warm, end, "R2 report() bytes at 20 000 and 70 000 entries");
 }

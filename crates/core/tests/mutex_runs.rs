@@ -726,7 +726,7 @@ fn batched_delivery_matches_the_per_event_reference() {
             (
                 report,
                 sim.ledger().clone(),
-                sim.protocol().checker().episodes().to_vec(),
+                sim.protocol().checker().episodes().clone(),
                 sim.kernel().events_processed(),
             )
         };

@@ -281,3 +281,145 @@ fn prop_adaptive_proxy_serves_all() {
         assert_eq!(rep.outputs_delivered, rep.inputs_sent, "{rep:?}");
     });
 }
+
+/// The checker's packed episode log against a reference that keeps every
+/// episode unpacked and closes an exit's episode by searching backwards, as
+/// the checker did before packing. Scripts mix overlapping grants, repeat
+/// entries by one host, unmatched exits, ticks at 0 and `u64::MAX`,
+/// non-monotone request and grant times, and keys that are absent,
+/// regressing or `u64::MAX`.
+#[test]
+fn prop_packed_episode_log_matches_the_unpacked_reference() {
+    #[derive(Default)]
+    struct Reference {
+        holder: Option<MhId>,
+        last_key: Option<u64>,
+        episodes: Vec<Episode>,
+        violations: (u64, u64, u64),
+    }
+    impl Reference {
+        fn enter(&mut self, mh: MhId, requested_at: SimTime, now: SimTime, key: Option<u64>) {
+            self.violations.0 += u64::from(self.holder.is_some());
+            if let (Some(k), Some(prev)) = (key, self.last_key) {
+                self.violations.1 += u64::from(k < prev);
+            }
+            self.last_key = key.or(self.last_key);
+            self.holder = Some(mh);
+            self.episodes.push(Episode {
+                mh,
+                requested_at,
+                granted_at: now,
+                released_at: None,
+                key,
+            });
+        }
+        fn exit(&mut self, mh: MhId, now: SimTime) {
+            if self.holder != Some(mh) {
+                self.violations.2 += 1;
+                return;
+            }
+            self.holder = None;
+            if let Some(ep) = self
+                .episodes
+                .iter_mut()
+                .rev()
+                .find(|e| e.mh == mh && e.released_at.is_none())
+            {
+                ep.released_at = Some(now);
+            }
+        }
+        /// Sums in `u128`: a `u64` sum overflows on waits near `u64::MAX`.
+        fn mean_wait(&self) -> f64 {
+            if self.episodes.is_empty() {
+                return 0.0;
+            }
+            let sum: u128 = self.episodes.iter().map(|e| u128::from(e.wait())).sum();
+            sum as f64 / self.episodes.len() as f64
+        }
+        fn wait_percentile(&self, p: f64) -> u64 {
+            let mut waits: Vec<u64> = self.episodes.iter().map(Episode::wait).collect();
+            waits.sort_unstable();
+            if waits.is_empty() {
+                return 0;
+            }
+            let rank = ((p * waits.len() as f64).ceil() as usize).clamp(1, waits.len());
+            waits[rank - 1]
+        }
+    }
+
+    let tick = |r: &mut SimRng, base: u64| match r.below(6) {
+        0 => 0,
+        1 => u64::MAX,
+        2 => r.next_u64(),
+        3 => base.saturating_sub(r.below(50)),
+        _ => {
+            let bits = r.below(40);
+            base.saturating_add(r.below(1 << bits))
+        }
+    };
+    for_cases("packed_episode_log", 300, |r| {
+        let hosts = r.between(1, 4) as u32;
+        let keyed = r.chance(0.7);
+        let mut c = SafetyChecker::new();
+        let mut reference = Reference::default();
+        let (mut now, mut key) = (r.below(1 << 20), 0u64);
+        let steps = r.between(0, 80);
+        for step in 1..=steps {
+            now = tick(r, now);
+            let mh = if r.chance(0.05) {
+                MhId(u32::MAX)
+            } else {
+                MhId(r.below(u64::from(hosts)) as u32)
+            };
+            if r.chance(0.55) {
+                let requested = tick(r, now);
+                let k = match r.below(8) {
+                    _ if !keyed => None,
+                    0 => None,
+                    1 => Some(u64::MAX),
+                    2 => Some(key.saturating_sub(r.below(100))),
+                    _ => {
+                        key = key.saturating_add(r.below(1 << 20));
+                        Some(key)
+                    }
+                };
+                let (requested, now) = (SimTime::from_ticks(requested), SimTime::from_ticks(now));
+                c.enter(mh, requested, now, k);
+                reference.enter(mh, requested, now, k);
+            } else {
+                let mh = match (r.chance(0.7), reference.holder) {
+                    (true, Some(h)) => h,
+                    _ => mh,
+                };
+                c.exit(mh, SimTime::from_ticks(now));
+                reference.exit(mh, SimTime::from_ticks(now));
+            }
+            let log = c.episodes();
+            assert_eq!(log.len(), reference.episodes.len());
+            assert_eq!(log.is_empty(), reference.episodes.is_empty());
+            assert!(log.iter().eq(reference.episodes.iter().copied()));
+            assert_eq!(c.mean_wait().to_bits(), reference.mean_wait().to_bits());
+            // Each percentile walks the log once per radix digit; every
+            // eighth step and the last are enough.
+            if step % 8 == 0 || step == steps {
+                for p in [0.0, 0.01, 0.5, 0.95, 0.99, 1.0] {
+                    assert_eq!(
+                        c.wait_percentile(p),
+                        reference.wait_percentile(p),
+                        "p = {p}"
+                    );
+                }
+            }
+            assert_eq!(
+                (
+                    c.safety_violations(),
+                    c.order_violations(),
+                    c.unmatched_exits()
+                ),
+                reference.violations
+            );
+            assert_eq!(c.holder(), reference.holder);
+        }
+        assert_eq!(c.episodes().clone(), *c.episodes());
+    });
+}
