@@ -56,7 +56,7 @@ cachecheck:
 	cmp target/cachecheck/cold.txt target/cachecheck/warm.txt
 
 # Million-host smoke on the space-sharded kernel: the E12 top-of-ladder
-# point must complete under the 256 MiB peak-RSS ceiling with real churn
+# point must complete under the 160 MiB peak-RSS ceiling with real churn
 # (see DESIGN.md section 6). MOBIDIST_SHARDS / --shards picks the worker
 # count; the result is bit-identical at every choice.
 scalecheck:

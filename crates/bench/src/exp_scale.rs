@@ -3,8 +3,10 @@
 //! Runs the sharded kernel ([`mobidist_net::shard`]) over a geometric ladder
 //! of populations and reports, per point: events executed, measured vs
 //! closed-form-predicted moves (a model-fidelity check), delivered wired
-//! handoff notifications, resident bytes per host, and the canonical
-//! final-state digest.
+//! handoff notifications, the nominal bytes per host (`B/host`:
+//! [`ScaleReport::state_bytes`](mobidist_net::shard::ScaleReport::state_bytes)
+//! over the population, a fixed 44 B entry size, not measured memory — the
+//! resident figure is `scalecheck`'s), and the canonical final-state digest.
 //!
 //! Two properties distinguish E12 from every other experiment:
 //!
@@ -115,7 +117,7 @@ pub fn e12_scale_curve(quick: bool) -> Table {
 /// `/proc/self/status`), `None` off Linux or if the field is missing.
 ///
 /// `make scalecheck` runs the million-host point and asserts this stays
-/// under the 256 MiB ceiling.
+/// under the 160 MiB ceiling (it reads 44–51 MiB at 1–8 workers).
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

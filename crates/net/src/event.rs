@@ -355,6 +355,36 @@ impl<E> EventQueue<E> {
         self.len == 0
     }
 
+    /// Consumes the queue, mapping every pending event through `f` in no
+    /// particular order and keeping the `Some`s. `R` must have the arena
+    /// item's size and alignment (a compile-time assertion), so std's
+    /// in-place `collect` writes the results into the arena's own
+    /// allocation: the wheel-resident entries cost no second buffer, and
+    /// only the overflow's entries may grow it.
+    pub(crate) fn into_unordered<R>(self, mut f: impl FnMut(SimTime, E) -> Option<R>) -> Vec<R> {
+        const {
+            assert!(
+                std::mem::size_of::<R>() == std::mem::size_of::<Option<Item<E>>>()
+                    && std::mem::align_of::<R>() == std::mem::align_of::<Option<Item<E>>>(),
+                "into_unordered's results must fit the arena's slots exactly"
+            )
+        };
+        let mut out: Vec<R> = self
+            .items
+            .into_iter()
+            .filter_map(|item| item.and_then(|it| f(SimTime::from_ticks(it.time), it.body)))
+            .collect();
+        let overflow = self.overflow.heap.into_iter();
+        out.extend(overflow.filter_map(|e| f(SimTime::from_ticks(e.time), e.body)));
+        out
+    }
+
+    /// Address of the arena's allocation, for pinning in-place reuse.
+    #[cfg(test)]
+    pub(crate) fn arena_ptr(&self) -> *const () {
+        self.items.as_ptr().cast()
+    }
+
     /// Lowest occupied slot index `>= start` on `level`, scanning the bitmap.
     #[inline]
     fn first_occupied_from(&self, level: usize, start: usize) -> Option<usize> {

@@ -108,11 +108,15 @@
 //! There is no per-host array at all: a host's record (20 bytes) lives
 //! inside its one pending event, so host state is one queue entry per host
 //! — [`ScaleReport::state_bytes`] reports a *nominal* entry size, 44 B.
-//! What a million-host run actually keeps *resident* is ≈ 87 B/host: the
-//! wheel's arena holds each entry in 40 B and stays within a few percent of
-//! the live entries, and the rest is the final-state rows, the lanes and the
-//! process itself (`scalecheck` prints both figures; DESIGN.md §6 has the
-//! census). The only allocations on the hot path are the amortised growth
+//! What a million-host run actually keeps *resident* is ≈ 47 B/host at two
+//! workers (46–53 at one to eight): the wheel's arena holds each entry in
+//! 40 B and stays within a few percent of the live entries, and the rest is
+//! the lanes and the process itself (`scalecheck` prints both figures;
+//! DESIGN.md §6 has the census). The final-state rows the digest is taken
+//! over cost nothing extra: a row has the arena slot's layout, so
+//! `EventQueue::into_unordered` writes them over the arena in place
+//! instead of popping the wheel into a second buffer as large as the arena.
+//! The only allocations on the hot path are the amortised growth
 //! of the queues, the lane buffers and the commit-order scratch (8 B per
 //! transfer; its `M + 1` cell offsets are allocated once). Lane buffers
 //! circulate between each lane and its consumer's drain scratch
@@ -341,8 +345,28 @@ fn decision_rng(seed: u64, id: u32, ctr: u32) -> SimRng {
 }
 
 /// One resident host flattened for digesting:
-/// `(id, tag, due, cell, home, ctr, moves, prev)`.
+/// `(id, tag, due, cell, home, ctr, moves, prev)`. It has the layout of the
+/// wheel's arena slot, so [`final_state`] writes the rows over the arena
+/// (a widened row fails [`EventQueue::into_unordered`]'s const assertion).
 type HostRow = (u32, u8, u64, u32, u32, u32, u32, u32);
+
+/// Takes a worker's final state out of its queue, which by then holds every
+/// resident host and undelivered wire: the host rows, sorted by id here on
+/// the worker so the coordinator only has to merge, and the wires, in no
+/// particular order. The rows reuse the queue's arena in place.
+fn final_state(queue: EventQueue<SEv>) -> (Vec<HostRow>, Vec<(u64, u32, u32)>) {
+    let mut wires = Vec::new();
+    let mut hosts = queue.into_unordered(|t, ev| match ev {
+        SEv::Leave(r) => Some((r.id, 0, t.ticks(), r.cell, r.home, r.ctr, r.moves, u32::MAX)),
+        SEv::Join(r, prev) => Some((r.id, 1, t.ticks(), r.cell, r.home, r.ctr, r.moves, prev)),
+        SEv::Wired(from, to) => {
+            wires.push((t.ticks(), from, to));
+            None
+        }
+    });
+    hosts.sort_unstable_by_key(|row: &HostRow| row.0);
+    (hosts, wires)
+}
 
 /// Everything a worker hands back when its windows are done.
 struct ShardOut {
@@ -815,23 +839,7 @@ fn run_shard(
         });
     }
 
-    // Collect the final state for the digest: the queue now holds every
-    // resident host and undelivered wire. Rows are sorted by id here, on
-    // the worker, so the coordinator only has to merge.
-    let mut hosts = Vec::with_capacity(queue.len());
-    let mut wires = Vec::new();
-    while let Some((t, ev)) = queue.pop() {
-        match ev {
-            SEv::Leave(r) => {
-                hosts.push((r.id, 0, t.ticks(), r.cell, r.home, r.ctr, r.moves, u32::MAX))
-            }
-            SEv::Join(r, prev) => {
-                hosts.push((r.id, 1, t.ticks(), r.cell, r.home, r.ctr, r.moves, prev))
-            }
-            SEv::Wired(from, to) => wires.push((t.ticks(), from, to)),
-        }
-    }
-    hosts.sort_unstable_by_key(|row: &HostRow| row.0);
+    let (hosts, wires) = final_state(queue);
     let sink = tracer.finish(&ledger);
     ShardOut {
         ledger,
@@ -1039,6 +1047,36 @@ mod tests {
                 assert_eq!(popped, want, "round {round} at {shards} shards");
             }
         }
+    }
+
+    #[test]
+    fn final_state_writes_the_rows_over_the_arena() {
+        let rec = |id: u32| HostRec {
+            id,
+            home: id % 4,
+            cell: id % 4,
+            ctr: 1,
+            moves: 0,
+        };
+        let mut queue = EventQueue::new();
+        for id in (0..100u32).rev() {
+            let ev = match id % 3 {
+                0 => SEv::Join(rec(id), 7),
+                _ => SEv::Leave(rec(id)),
+            };
+            queue.push(SimTime::from_ticks(10 + id as u64 * 7919 % 300), ev);
+        }
+        queue.push(SimTime::from_ticks(42), SEv::Wired(1, 2));
+        // Past the wheel's 2^24-tick region: an overflow heap entry.
+        queue.push(SimTime::from_ticks(1 << 30), SEv::Leave(rec(100)));
+        let arena = queue.arena_ptr();
+        let (hosts, wires) = final_state(queue);
+        assert_eq!(hosts.as_ptr().cast(), arena, "rows must reuse the arena");
+        let ids: Vec<u32> = hosts.iter().map(|row| row.0).collect();
+        assert_eq!(ids, (0..=100).collect::<Vec<_>>());
+        assert_eq!(hosts[3], (3, 1, 10 + 3 * 7919 % 300, 3, 3, 1, 0, 7));
+        assert_eq!(hosts[100], (100, 0, 1 << 30, 0, 0, 1, 0, u32::MAX));
+        assert_eq!(wires, [(42, 1, 2)]);
     }
 
     fn row(id: u32) -> HostRow {

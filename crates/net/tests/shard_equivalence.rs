@@ -9,14 +9,22 @@ use mobidist_net::obs::{RingSink, TraceEvent, TraceSink};
 use mobidist_net::shard::{run_scale, run_scale_traced, ScaleSpec};
 
 /// Specs spanning the shapes the equivalence must hold for: tiny cell
-/// counts (shards clamp), uneven cell/shard divisions, heavy churn, and a
-/// larger population in the E12 ladder's configuration.
+/// counts (shards clamp), uneven cell/shard divisions, heavy churn, a
+/// larger population in the E12 ladder's configuration, and hosts still in
+/// the wheel's overflow heap when the run ends — mean dwell 2^23 ticks over
+/// a 2^20-tick horizon, so about e^-2 ≈ 13 % of the first dwells end past
+/// 2^24 ticks. The digest asserts every host exactly once, so a final-state
+/// collection that leaves the overflow behind panics.
 fn specs() -> Vec<ScaleSpec> {
     vec![
         ScaleSpec::new(2, 30).with_seed(7),
         ScaleSpec::new(5, 100).with_seed(8).with_churn(60, 10),
         ScaleSpec::new(64, 1_000).with_seed(1202),
         ScaleSpec::new(128, 20_000).with_seed(1202),
+        ScaleSpec::new(16, 2_000)
+            .with_seed(1223)
+            .with_horizon(1 << 20)
+            .with_churn(1 << 23, 20),
     ]
 }
 

@@ -5,8 +5,9 @@
 //! enforces the scale budget:
 //!
 //! * the run completes (every window advances to the horizon);
-//! * peak RSS (`VmHWM`) stays under the 256 MiB ceiling (≈ 3× the measured
-//!   83–87 MiB, so a regression well short of 10× trips it);
+//! * peak RSS (`VmHWM`) stays under the 160 MiB ceiling (≈ 3× the measured
+//!   44–51 MiB at 1–8 workers, so a regression well short of 10× trips it;
+//!   32 workers read 69 MiB);
 //! * the churn actually churned (moves and wired deliveries are non-zero).
 //!
 //! Prints one summary line per run plus the throughput, and exits non-zero
@@ -27,8 +28,8 @@ use std::process::ExitCode;
 /// The sweep worker count's variable, read by `default_jobs`.
 const JOBS_ENV: &str = "MOBIDIST_JOBS";
 
-/// 256 MiB peak-RSS ceiling for the million-host point.
-const RSS_CEILING: u64 = 256 << 20;
+/// 160 MiB peak-RSS ceiling for the million-host point.
+const RSS_CEILING: u64 = 160 << 20;
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("{msg}\nusage: scalecheck [--shards N] [--hosts N]");
@@ -110,8 +111,9 @@ fn main() -> ExitCode {
     match peak_rss_bytes() {
         Some(rss) => {
             // Resident bytes per host count everything the process holds —
-            // the wheel's arena, lanes, the final-state rows — so print them
-            // beside the nominal queue-entry size and never confuse the two.
+            // the wheel's arena (which the final-state rows then reuse), the
+            // lanes, the process itself — so print them beside the nominal
+            // queue-entry size and never confuse the two.
             out += &format!(
                 "scalecheck: peak RSS {:.0} MiB (ceiling {:.0} MiB), \
                  {} B/host resident vs {} B/host nominal\n",
