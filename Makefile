@@ -1,6 +1,6 @@
 # Convenience targets; see ci/check.sh for the full gate.
 
-.PHONY: build test check bench benchcheck quick tracecheck cachecheck scalecheck
+.PHONY: build test check bench benchcheck quick tracecheck scalecheck
 
 build:
 	cargo build --workspace --release
@@ -44,16 +44,6 @@ tracecheck:
 	cargo build --release --bin experiments --bin tracereport
 	MOBIDIST_SHARDS=3 ./target/release/experiments e1 e2 e3 e4 e6 e7 e8 e9 e12 e13 e14 e5 e10 e11 --quick --trace target/tracecheck.jsonl > /dev/null
 	./target/release/tracereport --check target/tracecheck.jsonl
-
-# Run the full sweep set twice against one cache directory and diff the
-# tables byte-for-byte: the warm pass must replay from the run cache
-# (see DESIGN.md). The CI gate in ci/check.sh also enforces the speedup.
-cachecheck:
-	cargo build --release --bin experiments
-	rm -rf target/cachecheck && mkdir -p target/cachecheck
-	./target/release/experiments all --cache target/cachecheck/store > target/cachecheck/cold.txt
-	./target/release/experiments all --cache target/cachecheck/store > target/cachecheck/warm.txt
-	cmp target/cachecheck/cold.txt target/cachecheck/warm.txt
 
 # Million-host smoke on the space-sharded kernel: the E12 top-of-ladder
 # point must complete under the 160 MiB peak-RSS ceiling with real churn

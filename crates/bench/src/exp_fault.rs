@@ -46,15 +46,15 @@ const FAULT_AT: u64 = 5_000;
 /// their serving behaviour).
 pub const E14_ALGOS: [ServeAlgo; 3] = [ServeAlgo::L2, ServeAlgo::L2c, ServeAlgo::R2];
 
-/// Run-cache site labels for the E14 construction sites (one per
-/// algorithm; labels name sites, see [`crate::cache`]).
+/// Trace labels of the E14 cells (one per algorithm), distinct from
+/// E13's.
 fn label_of(algo: ServeAlgo) -> &'static str {
     match algo {
         ServeAlgo::L2 => "e14_l2",
         ServeAlgo::L2c => "e14_l2c",
         ServeAlgo::R2 => "e14_r2",
         // Unused by E14; keep a stable label anyway so a future grid
-        // extension cannot silently alias an E13 cache site.
+        // extension cannot share E13's.
         ServeAlgo::L1 => "e14_l1",
         ServeAlgo::R1 => "e14_r1",
     }

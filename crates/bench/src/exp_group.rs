@@ -1,7 +1,7 @@
 //! Experiments E5–E6: group location management (Section 4).
 
-use crate::cache::run_cached;
 use crate::exp_mutex::params;
+use crate::obs;
 use crate::parallel::{default_jobs, map_indexed_with};
 use crate::table::{f2, pct, Table};
 use mobidist_cost as formulas;
@@ -43,16 +43,15 @@ pub(crate) fn run_strategy(
     fn run<S: LocationStrategy>(
         which: &str,
         cfg: &NetworkConfig,
-        extra: (&Vec<MhId>, &GroupWorkload, u64),
+        wl: GroupWorkload,
+        horizon: u64,
         strategy: S,
         lv: impl FnOnce(&S) -> Option<(usize, f64)>,
     ) -> GroupRun {
-        let (_, wl, horizon) = extra;
-        run_cached(
+        obs::run(
             which,
             cfg,
-            &extra,
-            || GroupHarness::new(strategy, wl.clone()),
+            || GroupHarness::new(strategy, wl),
             |sim| {
                 sim.run_until(SimTime::from_ticks(horizon));
                 GroupRun {
@@ -63,20 +62,21 @@ pub(crate) fn run_strategy(
             },
         )
     }
-    let extra = (&members, &wl, horizon);
-    let m = || members.clone();
     match which {
-        "pure-search" => run(which, &cfg, extra, PureSearch::new(m()), |_| None),
-        "always-inform" => run(which, &cfg, extra, AlwaysInform::new(m()), |_| None),
+        "pure-search" => run(which, &cfg, wl, horizon, PureSearch::new(members), |_| None),
+        "always-inform" => {
+            let s = AlwaysInform::new(members);
+            run(which, &cfg, wl, horizon, s, |_| None)
+        }
         "location-view" => {
-            let s = LocationView::new(m(), MssId(0));
-            run(which, &cfg, extra, s, |s| {
+            let s = LocationView::new(members, MssId(0));
+            run(which, &cfg, wl, horizon, s, |s| {
                 Some((s.max_view_size(), s.significant_fraction()))
             })
         }
         "exactly-once" => {
-            let s = ExactlyOnce::new(m(), MssId(0));
-            run(which, &cfg, extra, s, |_| None)
+            let s = ExactlyOnce::new(members, MssId(0));
+            run(which, &cfg, wl, horizon, s, |_| None)
         }
         other => panic!("unknown strategy {other}"),
     }

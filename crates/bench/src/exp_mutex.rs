@@ -2,7 +2,7 @@
 //! Section 3, regenerated by measurement and printed against the paper's
 //! closed-form predictions.
 
-use crate::cache::run_cached;
+use crate::obs;
 use crate::parallel::{default_jobs, map_indexed_with};
 use crate::table::{f2, pct, Table};
 use mobidist_core::prelude::*;
@@ -57,11 +57,10 @@ pub type L2Pool = SimPool<MutexHarness<L2>>;
 /// Runs L1 with every MH issuing `reqs` requests.
 fn run_l1(cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
     let wl = WorkloadConfig::all_mhs(cfg.num_mh, reqs).with_think(200);
-    run_cached(
+    obs::run(
         "l1",
         &cfg,
-        &(&wl, horizon),
-        || MutexHarness::new(L1::new(wl.requesters.clone()), wl.clone()),
+        || MutexHarness::new(L1::new(wl.requesters.clone()), wl),
         |sim| finish(sim, horizon),
     )
 }
@@ -69,11 +68,10 @@ fn run_l1(cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
 /// Runs L2 with every MH issuing `reqs` requests.
 pub(crate) fn run_l2(cfg: NetworkConfig, reqs: usize, horizon: u64) -> MutexRun {
     let wl = WorkloadConfig::all_mhs(cfg.num_mh, reqs).with_think(200);
-    run_cached(
+    obs::run(
         "l2",
         &cfg,
-        &(&wl, horizon),
-        || MutexHarness::new(L2::new(cfg.num_mss), wl.clone()),
+        || MutexHarness::new(L2::new(cfg.num_mss), wl),
         |sim| finish(sim, horizon),
     )
 }
@@ -87,13 +85,12 @@ pub fn run_l2_in(_: &mut L2Pool, cfg: NetworkConfig, reqs: usize, horizon: u64) 
 
 /// Runs R1; also returns `(traversals, hops)`.
 pub(crate) fn run_r1(cfg: NetworkConfig, wl: WorkloadConfig, horizon: u64) -> (MutexRun, u64, u64) {
-    run_cached(
+    obs::run(
         "r1",
         &cfg,
-        &(&wl, horizon),
         || {
             let ring: Vec<MhId> = (0..cfg.num_mh as u32).map(MhId).collect();
-            MutexHarness::new(R1::new(ring, R1DisconnectPolicy::Stall), wl.clone())
+            MutexHarness::new(R1::new(ring, R1DisconnectPolicy::Stall), wl)
         },
         |sim| {
             let run = finish(sim, horizon);
@@ -112,21 +109,15 @@ pub(crate) fn run_r2(
     horizon: u64,
     liar: Option<MhId>,
 ) -> (MutexRun, u64, u64, u64) {
-    let guard_tag: u64 = match guard {
-        RingGuard::Plain => 0,
-        RingGuard::Counter => 1,
-        RingGuard::TokenList => 2,
-    };
-    run_cached(
+    obs::run(
         "r2",
         &cfg,
-        &(&wl, horizon, guard_tag, liar),
         || {
             let mut algo = R2::new(cfg.num_mss, guard);
             if let Some(l) = liar {
                 algo = algo.with_liar(l);
             }
-            MutexHarness::new(algo, wl.clone())
+            MutexHarness::new(algo, wl)
         },
         |sim| {
             let run = finish(sim, horizon);
@@ -304,11 +295,10 @@ pub fn e3_energy(quick: bool) -> Table {
             // L1: single execution by mh0.
             "L1" => {
                 let wl = WorkloadConfig::only(vec![MhId(0)], 1);
-                let run = run_cached(
+                let run = obs::run(
                     "e3_l1",
                     &cfg(),
-                    &(&wl, 50_000_000u64),
-                    || MutexHarness::new(L1::new((0..n as u32).map(MhId).collect()), wl.clone()),
+                    || MutexHarness::new(L1::new((0..n as u32).map(MhId).collect()), wl),
                     |sim| finish(sim, 50_000_000),
                 );
                 vec![
@@ -322,11 +312,10 @@ pub fn e3_energy(quick: bool) -> Table {
             // L2: single execution by mh0.
             "L2" => {
                 let wl = WorkloadConfig::only(vec![MhId(0)], 1);
-                let run = run_cached(
+                let run = obs::run(
                     "e3_l2",
                     &cfg(),
-                    &(&wl, 50_000_000u64),
-                    || MutexHarness::new(L2::new(m), wl.clone()),
+                    || MutexHarness::new(L2::new(m), wl),
                     |sim| finish(sim, 50_000_000),
                 );
                 vec![
@@ -498,17 +487,15 @@ pub fn e7_disconnection(quick: bool) -> Table {
                 });
             }
             match seed {
-                1 => run_cached(
+                1 => obs::run(
                     "e7_l1",
                     &cfg,
-                    &(&wl(), horizon),
                     || MutexHarness::new(L1::new(wl().requesters), wl()),
                     |sim| finish(sim, horizon),
                 ),
-                2 => run_cached(
+                2 => obs::run(
                     "e7_l2",
                     &cfg,
-                    &(&wl(), horizon),
                     || MutexHarness::new(L2::new(m), wl()),
                     |sim| finish(sim, horizon),
                 ),

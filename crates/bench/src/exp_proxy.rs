@@ -1,6 +1,6 @@
 //! Experiment E10: the proxy framework's mobility price (Section 5).
 
-use crate::cache::run_cached;
+use crate::obs;
 use crate::parallel::{default_jobs, map_indexed_with};
 use crate::table::{f2, Table};
 use mobidist_net::prelude::*;
@@ -54,51 +54,27 @@ pub fn e10_proxy(quick: bool) -> Table {
                 mean_interval: 400,
             };
             let horizon: u64 = if quick { 200_000 } else { 500_000 };
-            // Discriminant + radius pin the policy in the fingerprint.
-            let (policy_tag, radius): (u64, u64) = match policy {
-                ProxyPolicy::Fixed => (0, 0),
-                ProxyPolicy::LocalMss => (1, 0),
-                ProxyPolicy::Adaptive { radius } => (2, radius as u64),
-            };
-            // Cache the ledger plus the report counters the table reads.
-            let (ledger, (loc_updates, handoffs, stale, served, inputs)) = run_cached(
+            let (ledger, r) = obs::run(
                 "e10_proxy",
                 &cfg,
-                &(
-                    policy_tag,
-                    radius,
-                    wl.inputs_per_client,
-                    wl.mean_interval,
-                    horizon,
-                ),
                 || {
                     let clients: Vec<MhId> = (0..n as u32).map(MhId).collect();
                     ProxyRuntime::new(CentralCounter::new(), clients, policy, wl)
                 },
                 |sim| {
                     sim.run_until(SimTime::from_ticks(horizon));
-                    let r = sim.protocol().report();
-                    (
-                        sim.ledger().clone(),
-                        (
-                            r.loc_updates,
-                            r.handoffs,
-                            r.stale_outputs,
-                            r.outputs_delivered,
-                            r.inputs_sent,
-                        ),
-                    )
+                    (sim.ledger().clone(), sim.protocol().report())
                 },
             );
-            let cost = ledger.total_cost() as f64 / served.max(1) as f64;
+            let cost = ledger.total_cost() as f64 / r.outputs_delivered.max(1) as f64;
             vec![
                 dwell.to_string(),
                 format!("{policy:?}"),
                 ledger.moves.to_string(),
-                loc_updates.to_string(),
-                handoffs.to_string(),
-                stale.to_string(),
-                format!("{}/{}", served, inputs),
+                r.loc_updates.to_string(),
+                r.handoffs.to_string(),
+                r.stale_outputs.to_string(),
+                format!("{}/{}", r.outputs_delivered, r.inputs_sent),
                 f2(cost),
             ]
         },

@@ -20,7 +20,7 @@
 //! completion-count index would be trivially 1.0 — wait times are where
 //! unfairness shows).
 
-use crate::cache::run_cached;
+use crate::obs;
 use crate::parallel::{default_jobs, map_indexed_with};
 use crate::stats::{jain, LatencyHist};
 use crate::table::{f2, Table};
@@ -74,8 +74,7 @@ impl ServeAlgo {
         }
     }
 
-    /// Run-cache site label (labels name construction sites; see
-    /// [`crate::cache`]).
+    /// Trace label of this algorithm's E13 cells.
     fn label(self) -> &'static str {
         match self {
             ServeAlgo::L1 => "e13_l1",
@@ -192,10 +191,9 @@ fn finish_serving<A: MutexAlgorithm>(
     }
 }
 
-/// Runs one serving cell for `algo`, memoized in the run cache under site
-/// `label`. E13 passes [`ServeAlgo::label`]; E14's robustness grid reuses
-/// the serving machinery under its own labels so cache records stay
-/// per-construction-site (see [`crate::cache`] on why labels name sites).
+/// Runs one serving cell for `algo`, traced under `label`. E13 passes
+/// [`ServeAlgo::label`]; E14's robustness grid reuses the serving machinery
+/// under its own labels.
 pub(crate) fn run_serve(
     algo: ServeAlgo,
     label: &'static str,
@@ -210,10 +208,9 @@ pub(crate) fn run_serve(
         algo: A,
     ) -> ServeRun {
         let target = (wl.requesters.len() * wl.requests_per_mh) as u64;
-        run_cached(
+        obs::run(
             label,
             cfg,
-            &(wl, HORIZON, CHUNK),
             || MutexHarness::new(algo, wl.clone()),
             |sim| finish_serving(sim, target),
         )
@@ -473,7 +470,7 @@ mod tests {
     #[test]
     fn e13_quick_is_deterministic_per_cell() {
         // Two independent evaluations produce identical tables (this is
-        // what makes the run cache and --jobs fan-out sound).
+        // what makes --jobs fan-out sound).
         let a = e13_serving(true);
         let b = e13_serving(true);
         assert_eq!(a, b);

@@ -19,7 +19,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
 pub mod exp_fault;
 pub mod exp_group;
 pub mod exp_model;

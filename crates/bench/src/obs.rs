@@ -16,12 +16,9 @@
 //! by the `trace` axis of the bench crate's `differential` test).
 
 use mobidist_net::config::NetworkConfig;
-use mobidist_net::fingerprint::Fingerprint;
-use mobidist_net::ledger::CostLedger;
-use mobidist_net::obs::{jsonl_file_sink, JsonlSink, RunMeta, TraceEvent, TraceSink};
+use mobidist_net::obs::{jsonl_file_sink, JsonlSink, RunMeta, TraceSink};
 use mobidist_net::proto::Protocol;
 use mobidist_net::sim::Simulation;
-use mobidist_net::time::SimTime;
 use std::io::{BufRead, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,14 +62,26 @@ fn open_run(base: &Path, part: Option<u64>, label: &str, cfg: &NetworkConfig) ->
         .ok()
 }
 
-/// Attaches a JSONL sink for one labelled run when tracing is enabled
-/// (no-op otherwise). Call after the simulation is built and before it
-/// runs; `Simulation::finish_trace` ends the run's envelope.
-pub fn install<P: Protocol>(sim: &mut Simulation<P>, label: &str) {
-    let Some(base) = trace_base() else { return };
-    if let Some(sink) = open_run(&base, None, label, sim.kernel().config()) {
-        sim.set_trace_sink(Box::new(sink));
+/// Runs one labelled simulation: builds it from `(cfg, build())`, attaches
+/// a JSONL sink when tracing is enabled, lets `reduce` drive it and read
+/// the outcome, then ends the run's trace envelope. Every table run in this
+/// crate goes through here; the label is the run's `run_begin` label.
+pub(crate) fn run<P: Protocol, T>(
+    label: &str,
+    cfg: &NetworkConfig,
+    build: impl FnOnce() -> P,
+    reduce: impl FnOnce(&mut Simulation<P>) -> T,
+) -> T {
+    let mut sim = Simulation::new(cfg.clone(), build());
+    if let Some(base) = trace_base() {
+        if let Some(sink) = open_run(&base, None, label, sim.kernel().config()) {
+            sim.set_trace_sink(Box::new(sink));
+        }
     }
+    let out = reduce(&mut sim);
+    // Writes `run_end` with the final ledger; no-op when untraced.
+    let _ = sim.finish_trace();
+    out
 }
 
 /// Opens one trace sink per shard of a space-sharded run (empty when
@@ -102,27 +111,6 @@ pub fn install_shard_sinks(
         }
     }
     sinks
-}
-
-/// Writes the trace envelope for a run served from the run cache (no-op
-/// when tracing is disabled).
-///
-/// A cache hit replays a stored outcome without executing the kernel, so
-/// there is no event stream to capture; instead the run appears in the
-/// trace as `run_begin`, a single [`TraceEvent::CacheHit`] carrying the
-/// descriptor fingerprint, and a `run_end` built from the **cached**
-/// ledger. `tracereport --check` exempts such runs from event-count
-/// identity for exactly this reason.
-pub fn trace_cached_run(label: &str, cfg: &NetworkConfig, fp: Fingerprint, ledger: &CostLedger) {
-    let Some(base) = trace_base() else { return };
-    if let Some(mut sink) = open_run(&base, None, label, cfg) {
-        let hit = TraceEvent::CacheHit {
-            fp_hi: fp.hi,
-            fp_lo: fp.lo,
-        };
-        sink.record(SimTime::ZERO, 0, &hit);
-        sink.finish(ledger);
-    }
 }
 
 /// Merges the per-worker part files of `base` into `base` itself and

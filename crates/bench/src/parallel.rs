@@ -19,10 +19,14 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-/// Worker count to use: `MOBIDIST_JOBS` when set (clamped to ≥ 1),
+/// Environment variable selecting the sweep worker count; unset means the
+/// machine's available parallelism.
+pub const JOBS_ENV: &str = "MOBIDIST_JOBS";
+
+/// Worker count to use: [`JOBS_ENV`] when set (clamped to ≥ 1),
 /// otherwise the machine's available parallelism.
 pub fn default_jobs() -> usize {
-    if let Ok(v) = std::env::var("MOBIDIST_JOBS") {
+    if let Ok(v) = std::env::var(JOBS_ENV) {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.max(1);
         }

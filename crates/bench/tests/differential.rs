@@ -1,14 +1,13 @@
 //! One differential harness for every knob that must not change a result.
 //!
-//! The engine has four process-wide knobs — sweep workers (`MOBIDIST_JOBS`),
-//! sharded-kernel workers (`MOBIDIST_SHARDS`), the run cache
-//! (`MOBIDIST_CACHE`) and trace capture (`MOBIDIST_TRACE`) — and one contract
-//! for all of them: the rendered tables are byte-identical whatever the knob
+//! The engine has three process-wide knobs — sweep workers (`MOBIDIST_JOBS`),
+//! sharded-kernel workers (`MOBIDIST_SHARDS`) and trace capture
+//! (`MOBIDIST_TRACE`) — and one contract for all of them: the rendered tables are byte-identical whatever the knob
 //! says. [`AXES`] states that contract as a table, one row per `(axis, env
 //! var, baseline, variants, experiments)`; the driver renders the row's
 //! experiments (text *and* CSV) at the baseline and at every variant and
-//! diffs them. A new knob is a new row. Rows with state of their own (the
-//! cache's tiers, the captured trace) wrap each render in their `steps`.
+//! diffs them. A new knob is a new row. A row with state of its own (the
+//! captured trace) wraps each render in its `steps`.
 //!
 //! The whole table runs inside ONE `#[test]` on purpose: the knobs travel
 //! through environment variables, which are process-global, and the table
@@ -25,15 +24,15 @@ use mobidist_bench::exp_proxy::e10_proxy;
 use mobidist_bench::exp_scale::{e12_scale_curve, SHARDS_ENV};
 use mobidist_bench::exp_serve::e13_serving;
 use mobidist_bench::obs::{merge_worker_files, TRACE_ENV};
+use mobidist_bench::parallel::JOBS_ENV;
 use mobidist_bench::table::Table;
 use mobidist_core::prelude::*;
 use mobidist_net::metrics::Metrics;
 use mobidist_net::obs::{parse_line, Line, RingSink, RunMeta, TraceEvent};
 use mobidist_net::prelude::*;
-use mobidist_runcache::{store, CACHE_ENV};
 use std::fs;
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 type Exp = fn(bool) -> Table;
 
@@ -68,7 +67,7 @@ struct Axis {
 const AXES: &[Axis] = &[
     Axis {
         name: "jobs",
-        env: "MOBIDIST_JOBS",
+        env: JOBS_ENV,
         baseline: Some("1"),
         variants: &["4"],
         experiments: &[
@@ -106,21 +105,6 @@ const AXES: &[Axis] = &[
         variants: &["2", "3", "8"],
         experiments: &[e12_scale_curve],
         steps: None,
-    },
-    Axis {
-        name: "cache",
-        env: CACHE_ENV,
-        baseline: None,
-        variants: &[
-            "cold",
-            "warm-mem",
-            "warm-disk",
-            "parallel",
-            "corrupt",
-            "healed",
-        ],
-        experiments: CLASSIC,
-        steps: Some(cache_steps),
     },
     Axis {
         name: "trace",
@@ -171,86 +155,6 @@ fn no_knob_changes_a_table() {
             }
         }
         set_env(axis.env, prev.as_deref());
-    }
-}
-
-// ----- cache axis -----------------------------------------------------------
-
-/// Every record file in the sharded cache directory.
-fn record_files(dir: &Path) -> Vec<PathBuf> {
-    let entries = |d: &Path| {
-        fs::read_dir(d)
-            .expect("read cache dir")
-            .map(|e| e.unwrap().path())
-    };
-    let mut out: Vec<PathBuf> = entries(dir)
-        .filter(|shard| shard.is_dir())
-        .flat_map(|shard| entries(&shard))
-        .filter(|f| f.extension().is_some_and(|e| e == "mdrc"))
-        .collect();
-    out.sort();
-    out
-}
-
-/// Walks the store through its tiers and failure modes: a corrupted record
-/// must read as a miss and recompute — never panic, never change a table.
-fn cache_steps(step: &str, dir: &Path, render: &mut dyn FnMut()) {
-    let cache = store::global();
-    match step {
-        "cold" => {
-            let _ = fs::remove_dir_all(dir);
-            fs::create_dir_all(dir).expect("create cache dir");
-            cache.clear_memory();
-            render();
-            let s = cache.stats();
-            assert!(s.stores > 0, "cold pass stored nothing: {s:?}");
-            assert_eq!(s.hits(), 0, "cold pass cannot hit: {s:?}");
-        }
-        // Memory tier: the map the cold pass filled is still there.
-        "warm-mem" => {
-            render();
-            let s = cache.stats();
-            assert!(s.mem_hits > 0, "warm pass never hit memory: {s:?}");
-        }
-        // Disk tier: drop the map so every hit decodes a record.
-        "warm-disk" => {
-            cache.clear_memory();
-            render();
-            let s = cache.stats();
-            assert!(s.disk_hits > 0, "warm pass never hit disk: {s:?}");
-        }
-        // Replay under fan-out: workers share the one store.
-        "parallel" => {
-            std::env::set_var("MOBIDIST_JOBS", "3");
-            cache.clear_memory();
-            render();
-            std::env::remove_var("MOBIDIST_JOBS");
-        }
-        // Truncate one record, garble another, replace a third with the
-        // wrong magic: all three must be noticed and recomputed.
-        "corrupt" => {
-            let files = record_files(dir);
-            assert!(files.len() >= 3, "only {} records", files.len());
-            let mut bytes = fs::read(&files[0]).expect("read record");
-            fs::write(&files[0], &bytes[..bytes.len() / 2]).expect("truncate record");
-            bytes = fs::read(&files[1]).expect("read record");
-            let mid = bytes.len() / 2;
-            bytes[mid] ^= 0xff;
-            fs::write(&files[1], &bytes).expect("garble record");
-            fs::write(&files[2], b"not a cache record at all").expect("replace record");
-            let before = cache.stats().corrupt;
-            cache.clear_memory();
-            render();
-            let s = cache.stats();
-            assert!(s.corrupt >= before + 3, "corruption not detected: {s:?}");
-        }
-        // The recompute overwrote the bad records.
-        "healed" => {
-            cache.clear_memory();
-            render();
-            let _ = fs::remove_dir_all(dir);
-        }
-        other => unreachable!("no cache step {other:?}"),
     }
 }
 

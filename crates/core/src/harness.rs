@@ -36,7 +36,7 @@ pub struct WorkloadConfig {
 impl mobidist_net::fingerprint::CanonHash for WorkloadConfig {
     fn canon_hash(&self, h: &mut mobidist_net::fingerprint::CanonHasher) {
         // Destructured so a new workload knob cannot silently escape the
-        // run-cache fingerprint.
+        // fingerprint (the benchmark's run-store micro-driver keys on it).
         let WorkloadConfig {
             requesters,
             requests_per_mh,

@@ -263,21 +263,6 @@ pub struct GroupWorkload {
     pub mean_interval: u64,
 }
 
-impl mobidist_net::fingerprint::CanonHash for GroupWorkload {
-    fn canon_hash(&self, h: &mut mobidist_net::fingerprint::CanonHasher) {
-        // Destructured so a new workload knob cannot silently escape the
-        // run-cache fingerprint.
-        let GroupWorkload {
-            members,
-            messages,
-            mean_interval,
-        } = self;
-        members.canon_hash(h);
-        messages.canon_hash(h);
-        mean_interval.canon_hash(h);
-    }
-}
-
 impl GroupWorkload {
     /// A workload over the given members.
     pub fn new(members: Vec<MhId>, messages: usize, mean_interval: u64) -> Self {

@@ -4,8 +4,9 @@
 //! canonical descriptor — the [`NetworkConfig`], the workload, the
 //! algorithm tag and any tuning knobs — so a *stable 128-bit fingerprint*
 //! of that descriptor identifies the run's entire observable outcome
-//! (report, ledger, derived statistics). The `runcache` crate keys its
-//! content-addressed store on these fingerprints.
+//! (report, ledger, derived statistics). The `runcache` crate's
+//! content-addressed store keys its records on these fingerprints, and the
+//! sharded kernel folds its final state into one.
 //!
 //! # Canonical hashing
 //!
@@ -34,10 +35,10 @@
 //! every fingerprint. Any change that can alter the event stream or the
 //! ledger of some run — RNG draw order, event scheduling, cost charging,
 //! protocol logic — **must bump the salt**, which atomically invalidates
-//! every previously cached result (old records are simply never looked up
-//! again; they are content-addressed, not versioned in place). Changes
-//! that cannot affect results (docs, new accessors, faster containers with
-//! identical iteration order) must leave it alone so caches survive.
+//! every record keyed under the old one (records are content-addressed,
+//! not versioned in place) and re-keys the benchmark's golden digests.
+//! Changes that cannot affect results (docs, new accessors, faster
+//! containers with identical iteration order) must leave it alone.
 //!
 //! # Examples
 //!
@@ -68,8 +69,8 @@ use crate::search::SearchPolicy;
 /// alter the event stream, the ledger, or a report of at least one run:
 /// RNG sequencing, event scheduling, charging rules, protocol or harness
 /// logic, default parameters. Doc, API-surface and pure-performance
-/// changes with bit-identical results keep the salt. The policy is
-/// documented in DESIGN.md ("Run cache").
+/// changes with bit-identical results keep the salt. DESIGN.md § 5c says
+/// what still keys on it.
 pub const KERNEL_VERSION_SALT: u64 = 5;
 
 const LANE0_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -94,7 +95,7 @@ impl Fingerprint {
     }
 
     /// Lower-case 32-character hex form (`hi` then `lo`), used as the
-    /// on-disk record name by the run cache.
+    /// on-disk record name by the `runcache` store.
     pub fn to_hex(&self) -> String {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
@@ -414,8 +415,8 @@ impl CanonHash for DeliveryMode {
     fn canon_hash(&self, h: &mut CanonHasher) {
         // The batched engine and the per-event reference are proven
         // byte-identical by the delivery equivalence tests, but they are
-        // hashed apart anyway: a test that runs both through one run cache
-        // must recompute the second, not replay the first's records.
+        // hashed apart anyway: a store keyed on the fingerprint must not
+        // serve one mode's record for the other.
         h.write_u64(match self {
             DeliveryMode::Batched => 0,
             DeliveryMode::Unbatched => 1,
@@ -427,7 +428,7 @@ impl CanonHash for NetworkConfig {
     fn canon_hash(&self, h: &mut CanonHasher) {
         // Destructured so adding a config field without extending the
         // fingerprint is a compile error (a silently un-hashed field would
-        // make the cache return results for the wrong configuration).
+        // let two different configurations share a fingerprint).
         let NetworkConfig {
             num_mss,
             num_mh,

@@ -551,12 +551,13 @@ trace_schema! {
         /// The proxy MSS doing the forwarding.
         mss: MssId,
     }
-    /// The run cache replayed this run from a stored result; nothing was simulated.
+    /// An older binary replayed this run from its run cache; nothing was simulated.
     ///
-    /// Emitted (by the experiment drivers, not the kernel) as the only event
-    /// of a synthetic run whose `run_end` carries the cached ledger; such
-    /// runs are exempt from event-count identity checks because no kernel
-    /// events were replayed.
+    /// No current binary writes it. Older experiment drivers emitted it as
+    /// the only event of a stub run whose `run_end` carries the cached
+    /// ledger; `tracereport --check` exempts exactly that stub from the
+    /// count identities. The kind stays in schema v1 because removing one
+    /// is a breaking change.
     CacheHit = "cache_hit" {
         /// High 64 bits of the run descriptor fingerprint.
         fp_hi: u64,

@@ -1,12 +1,10 @@
-//! Minimal hand-rolled binary serialization for cached run results.
+//! Minimal hand-rolled binary serialization for [`CostLedger`] records.
 //!
 //! Wire format rules, chosen for auditability over generality:
 //!
-//! * all integers are little-endian `u64` (even `u32`/`usize` fields —
-//!   8 bytes of width buys platform independence for free at these sizes);
-//! * `f64` is its IEEE-754 bit pattern;
+//! * all integers are little-endian `u64` (even `usize` fields — 8 bytes of
+//!   width buys platform independence for free at these sizes);
 //! * variable-width data (`String`, `Vec`, maps) is length-prefixed;
-//! * `Option` is a 0/1 tag byte-widened to a `u64`;
 //! * structs encode fields in declaration order, **destructured** so adding
 //!   a field without extending the codec is a compile error.
 //!
@@ -76,16 +74,6 @@ impl Codec for u64 {
     }
 }
 
-impl Codec for u32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        u32::try_from(r.u64()?).ok()
-    }
-}
-
 impl Codec for usize {
     fn encode(&self, out: &mut Vec<u8>) {
         (*self as u64).encode(out);
@@ -93,30 +81,6 @@ impl Codec for usize {
 
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         usize::try_from(r.u64()?).ok()
-    }
-}
-
-impl Codec for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (*self as u64).encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        match r.u64()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-}
-
-impl Codec for f64 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.to_bits().encode(out);
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        Some(f64::from_bits(r.u64()?))
     }
 }
 
@@ -129,26 +93,6 @@ impl Codec for String {
     fn decode(r: &mut Reader<'_>) -> Option<Self> {
         let len = usize::decode(r)?;
         String::from_utf8(r.bytes(len)?.to_vec()).ok()
-    }
-}
-
-impl<T: Codec> Codec for Option<T> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            None => 0u64.encode(out),
-            Some(v) => {
-                1u64.encode(out);
-                v.encode(out);
-            }
-        }
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Option<Self> {
-        match r.u64()? {
-            0 => Some(None),
-            1 => Some(Some(T::decode(r)?)),
-            _ => None,
-        }
     }
 }
 
@@ -198,27 +142,6 @@ impl Codec for BTreeMap<String, u64> {
         Some(out)
     }
 }
-
-macro_rules! codec_tuple {
-    ($($name:ident : $idx:tt),+) => {
-        impl<$($name: Codec),+> Codec for ($($name,)+) {
-            fn encode(&self, out: &mut Vec<u8>) {
-                $(self.$idx.encode(out);)+
-            }
-
-            fn decode(r: &mut Reader<'_>) -> Option<Self> {
-                Some(($($name::decode(r)?,)+))
-            }
-        }
-    };
-}
-
-codec_tuple!(A: 0);
-codec_tuple!(A: 0, B: 1);
-codec_tuple!(A: 0, B: 1, C: 2);
-codec_tuple!(A: 0, B: 1, C: 2, D: 3);
-codec_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4);
-codec_tuple!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5);
 
 impl Codec for CostLedger {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -302,28 +225,12 @@ mod tests {
     fn primitives_round_trip() {
         round_trip(0u64);
         round_trip(u64::MAX);
-        round_trip(u32::MAX);
         round_trip(usize::MAX);
-        round_trip(true);
-        round_trip(false);
-        round_trip(1.5f64);
-        round_trip(f64::NEG_INFINITY);
         round_trip(String::from("mean_wait"));
         round_trip(String::new());
-        round_trip(Option::<u64>::None);
-        round_trip(Some(7u64));
         round_trip(vec![1u64, 2, 3]);
         round_trip(Vec::<u64>::new());
-        round_trip((1u64, 2.5f64, String::from("x")));
         round_trip(BTreeMap::from([(String::from("k"), 9u64)]));
-    }
-
-    #[test]
-    fn nan_bit_pattern_is_preserved() {
-        let mut bytes = Vec::new();
-        f64::NAN.encode(&mut bytes);
-        let got = f64::decode(&mut Reader::new(&bytes)).unwrap();
-        assert_eq!(got.to_bits(), f64::NAN.to_bits());
     }
 
     #[test]
@@ -355,11 +262,6 @@ mod tests {
         assert_eq!(u64::decode(&mut Reader::new(&[1, 2, 3])), None);
         assert_eq!(
             String::decode(&mut Reader::new(&1000u64.to_le_bytes())),
-            None
-        );
-        assert_eq!(bool::decode(&mut Reader::new(&7u64.to_le_bytes())), None);
-        assert_eq!(
-            Option::<u64>::decode(&mut Reader::new(&9u64.to_le_bytes())),
             None
         );
         // A huge claimed Vec length is bounded by the buffer, not allocated.

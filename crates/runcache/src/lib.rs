@@ -1,24 +1,16 @@
-//! # mobidist-runcache — content-addressed memoization of simulation runs
+//! # mobidist-runcache — a content-addressed record store
 //!
-//! Every run in this workspace is a pure function of its canonical
-//! descriptor (configuration + workload + algorithm tag + seed), so its
-//! observable outcome — report, ledger, derived counters — can be stored
-//! once and replayed forever. This crate provides that store:
+//! What is left of the run cache that once memoized experiment runs. The
+//! experiments no longer use it: every table run executes. The crate stays
+//! only because the benchmark package compiles against it — its store and
+//! codec micro-drivers time [`RunCache`](store::RunCache) and the
+//! [`CostLedger`](mobidist_net::ledger::CostLedger) codec, and its
+//! `sweep_tables` workload sets [`CACHE_ENV`] around two passes.
 //!
-//! * a [`codec`] module with a tiny hand-rolled binary serialization layer
-//!   (no external deps, matching the workspace's JSONL-sink precedent);
-//! * a [`store`] module with the two-tier [`RunCache`](store::RunCache):
-//!   an in-process `FxHash` map for hits within one invocation (repeated
-//!   sweep points, resampled seeds) and an on-disk content-addressed store
-//!   shared by `experiments` invocations across sessions.
-//!
-//! The cache is **inactive unless [`CACHE_ENV`] (`MOBIDIST_CACHE`) names a
-//! directory** — set by the CLIs' `--cache DIR` flag. When inactive every
-//! entry point is a cheap no-op and runs execute exactly as before; results
-//! served from a warm cache are byte-identical to cold runs by
-//! construction (the fingerprint covers everything a run's outcome depends
-//! on, and [`KERNEL_VERSION_SALT`](mobidist_net::fingerprint::KERNEL_VERSION_SALT)
-//! invalidates everything on behaviour changes).
+//! * [`codec`]: a tiny hand-rolled binary serialization layer, down to the
+//!   impls the ledger's codec needs;
+//! * [`store`]: the two-tier [`RunCache`](store::RunCache), an in-process
+//!   `FxHash` map over an on-disk content-addressed store.
 //!
 //! ## Example
 //!
@@ -46,19 +38,9 @@
 #![warn(missing_debug_implementations)]
 
 pub mod codec;
-pub mod reports;
 pub mod store;
 
-/// Environment variable naming the on-disk cache directory; when unset the
-/// run cache (both tiers) is inactive.
+/// `MOBIDIST_CACHE`, the variable that once named the experiments' cache
+/// directory. Nothing in this workspace reads it any more; only the
+/// benchmark package still sets it.
 pub const CACHE_ENV: &str = "MOBIDIST_CACHE";
-
-/// The directory configured via [`CACHE_ENV`], if any.
-///
-/// Read lazily on every call rather than latched at startup: the CLIs set
-/// the variable while parsing arguments, and tests toggle it.
-pub fn cache_dir() -> Option<std::path::PathBuf> {
-    std::env::var_os(CACHE_ENV)
-        .filter(|v| !v.is_empty())
-        .map(std::path::PathBuf::from)
-}

@@ -1,9 +1,8 @@
 //! The two-tier content-addressed run store.
 //!
 //! **Memory tier** — an `FxHash` map from [`Fingerprint`] to the encoded
-//! record, shared by every thread of the process (sweep workers consult it
-//! from inside `map_indexed_with`). Bounded by [`MEM_CAP_BYTES`] with FIFO
-//! eviction so unbounded sweeps cannot exhaust memory.
+//! record, shared by every thread of the process. Bounded by
+//! [`MEM_CAP_BYTES`] with FIFO eviction so it cannot exhaust memory.
 //!
 //! **Disk tier** — one flat binary file per fingerprint under the
 //! configured directory, named by the fingerprint's hex form (sharded by
@@ -15,9 +14,9 @@
 //!
 //! Record layout: `"MDRC"` magic, format version (`u64` LE), payload
 //! length (`u64` LE), payload bytes, and a 64-bit payload checksum. Writes
-//! go to a temp file then `rename`, so concurrent writers (several sweep
-//! workers storing the same point, or two CLI processes sharing a cache
-//! directory) can only ever produce complete records. Reads validate
+//! go to a temp file then `rename`, so concurrent writers (two threads or
+//! two processes storing the same record) can only ever produce complete
+//! records. Reads validate
 //! everything — magic, version, length, checksum — and **any** failure is
 //! a miss plus a `corrupt` count, never a panic: a damaged cache can cost
 //! recomputation but can never poison results.
@@ -60,7 +59,7 @@ pub struct CacheStats {
     pub disk_hits: u64,
     /// Lookups that found nothing valid in either tier.
     pub misses: u64,
-    /// Records stored (one per computed run while the cache is active).
+    /// Records stored.
     pub stores: u64,
     /// Memory-tier records evicted to stay under [`MEM_CAP_BYTES`].
     pub evictions: u64,
@@ -96,7 +95,7 @@ pub struct RunCache {
     corrupt: AtomicU64,
 }
 
-/// The process-wide cache instance shared by all sweep workers and CLIs.
+/// The process-wide cache instance.
 pub fn global() -> &'static RunCache {
     static GLOBAL: OnceLock<RunCache> = OnceLock::new();
     GLOBAL.get_or_init(RunCache::default)

@@ -23,15 +23,8 @@
 //! exits. Tracing never changes the tables — sinks only observe. Inspect
 //! the output with `cargo run --release --bin tracereport -- <path>`.
 //!
-//! `--cache <dir>` enables the content-addressed run cache (see DESIGN.md):
-//! every deterministic simulation run is keyed by a fingerprint of its full
-//! configuration and the result is memoized in memory and under `<dir>`, so
-//! a repeated invocation replays from disk instead of re-simulating. Tables
-//! are byte-identical either way. A `cache: ...` summary line is printed to
-//! stderr at exit.
-//!
 //! Each value flag has an environment twin the library layers read
-//! (`MOBIDIST_JOBS`, `MOBIDIST_SHARDS`, `MOBIDIST_TRACE`, `MOBIDIST_CACHE`);
+//! (`MOBIDIST_JOBS`, `MOBIDIST_SHARDS`, `MOBIDIST_TRACE`);
 //! the flag wins, an empty variable counts as unset, and both obey one rule,
 //! checked before anything runs. Bad input — an unknown flag or experiment,
 //! a missing or malformed value, a trace path that is a directory or lies in
@@ -41,8 +34,7 @@
 use mobidist_bench::{
     exp_fault, exp_group, exp_model, exp_mutex, exp_proxy, exp_scale, exp_serve, Table,
 };
-use mobidist_bench::{exp_scale::SHARDS_ENV, obs::TRACE_ENV};
-use mobidist_runcache::CACHE_ENV;
+use mobidist_bench::{exp_scale::SHARDS_ENV, obs::TRACE_ENV, parallel::JOBS_ENV};
 use std::io::Write;
 use std::process::ExitCode;
 
@@ -107,7 +99,7 @@ fn emit(text: &str) -> bool {
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!(
         "{msg}\nusage: experiments [--quick] [--csv] [--list] [--jobs N] [--shards N] \
-         [--trace PATH] [--cache DIR] <e0..e14 | all>..."
+         [--trace PATH] <e0..e14 | all>..."
     );
     ExitCode::FAILURE
 }
@@ -119,20 +111,15 @@ fn positive(v: &str) -> Result<(), String> {
     }
 }
 
-/// Blank means unset to the library layers (`mobidist_bench::obs::trace_base`
-/// trims), so a blank path is refused here rather than silently ignored.
-fn non_blank(v: &str) -> Result<(), String> {
-    if v.trim().is_empty() {
-        return Err(format!("expects a non-blank path, got '{v}'"));
-    }
-    Ok(())
-}
-
 /// The trace's part files are created next to `v` as runs start and merged
 /// into `v` at exit, so a path in a directory that does not exist, or one
 /// that is itself a directory, is refused here, before any table prints.
+/// Blank means unset to the library layers (`mobidist_bench::obs::trace_base`
+/// trims), so a blank path is refused rather than silently ignored.
 fn path(v: &str) -> Result<(), String> {
-    non_blank(v)?;
+    if v.trim().is_empty() {
+        return Err(format!("expects a non-blank path, got '{v}'"));
+    }
     let path = std::path::Path::new(v);
     if path.is_dir() {
         return Err(format!("names a directory, '{v}', not a file"));
@@ -153,27 +140,20 @@ fn path(v: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn dir(v: &str) -> Result<(), String> {
-    non_blank(v)?;
-    std::fs::create_dir_all(v).map_err(|e| format!("cannot create '{v}': {e}"))
-}
-
 /// A value flag: `(--long, -short, environment twin, what the value is,
-/// rule)`. `MOBIDIST_JOBS` is read by `mobidist_bench::parallel`, the other
-/// variables by the modules that name them.
+/// rule)`. Each variable is read by the module that names it.
 type Knob = (&'static str, &'static str, &'static str, &'static str, Rule);
 type Rule = fn(&str) -> Result<(), String>;
-const KNOBS: [Knob; 4] = [
-    ("--jobs", "-j", "MOBIDIST_JOBS", "a worker count", positive),
+const KNOBS: [Knob; 3] = [
+    ("--jobs", "-j", JOBS_ENV, "a worker count", positive),
     ("--shards", "-s", SHARDS_ENV, "a worker count", positive),
     ("--trace", "-t", TRACE_ENV, "an output path", path),
-    ("--cache", "--cache", CACHE_ENV, "a directory", dir),
 ];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (mut quick, mut csv, mut list_only) = (false, false, false);
-    let mut values: [Option<String>; 4] = Default::default();
+    let mut values: [Option<String>; 3] = Default::default();
     let mut selected: Vec<&str> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -216,7 +196,7 @@ fn main() -> ExitCode {
         std::env::set_var(env, &v);
         *value = Some(v);
     }
-    let [_, _, trace, cache] = &values;
+    let [_, _, trace] = &values;
 
     if list_only {
         return if emit(&list()) {
@@ -264,19 +244,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-    if cache.is_some() {
-        let s = mobidist_runcache::store::global().stats();
-        eprintln!(
-            "cache: hits={} (mem={} disk={}) misses={} stored={} evicted={} corrupt={}",
-            s.hits(),
-            s.mem_hits,
-            s.disk_hits,
-            s.misses,
-            s.stores,
-            s.evictions,
-            s.corrupt
-        );
     }
     status
 }

@@ -20,13 +20,10 @@
 //! `experiments`.
 
 use mobidist_bench::exp_scale::{peak_rss_bytes, scale_spec, SHARDS_ENV};
-use mobidist_bench::parallel::default_jobs;
+use mobidist_bench::parallel::{default_jobs, JOBS_ENV};
 use mobidist_net::shard::run_scale;
 use std::io::Write;
 use std::process::ExitCode;
-
-/// The sweep worker count's variable, read by `default_jobs`.
-const JOBS_ENV: &str = "MOBIDIST_JOBS";
 
 /// 160 MiB peak-RSS ceiling for the million-host point.
 const RSS_CEILING: u64 = 160 << 20;

@@ -57,10 +57,12 @@ count identities checked by --check (trace-derived == ledger):
   by fault injection.
   Combining runs (label `l2c`): the combine_batch sizes must sum to the
   cs_enter count — every grant is delivered in exactly one batch.
-  Runs containing a cache_hit event were replayed from the run cache: their
-  trace is a stub envelope (run_begin, cache_hit, run_end with the cached
-  ledger), so they are exempt from the count identities. The envelope
-  structure is still validated.
+  cache_hit is written by no current binary. A run whose only event is a
+  cache_hit is the stub envelope older binaries wrote for a run replayed
+  from their run cache (run_begin, cache_hit, run_end with the cached
+  ledger), so it is exempt from the count identities; its envelope
+  structure is still validated. Any other run containing cache_hit is
+  checked like every run.
   Sharded runs (`experiments e12`, `scalecheck`) write one trace part per
   shard, merged into the output by run id; every identity above holds per
   shard because cross-shard wired messages are charged — and traced — at the
@@ -156,10 +158,11 @@ impl RunAcc {
             ));
         }
         let m = &self.metrics;
-        if m.kind_count("cache_hit") > 0 {
-            // Warm cache hit: the run was replayed from the run cache, so
-            // the trace is a stub envelope with no per-message events to
-            // diff against the ledger. Structural checks above still apply.
+        if m.events == 1 && m.kind_count("cache_hit") == 1 {
+            // The stub an older binary wrote for a run replayed from its
+            // run cache: no per-message events to diff against the cached
+            // ledger. Structural checks above still apply; a longer run
+            // cannot hide a mismatch behind the kind.
             return;
         }
         // The `ledger = trace` identity: `Metrics` tallied the events into

@@ -12,10 +12,10 @@ const EXPERIMENTS: &str = env!("CARGO_BIN_EXE_experiments");
 const SCALECHECK: &str = env!("CARGO_BIN_EXE_scalecheck");
 const TRACEREPORT: &str = env!("CARGO_BIN_EXE_tracereport");
 
-/// `bin` with the four knob variables cleared.
+/// `bin` with the three knob variables cleared.
 fn command(bin: &str) -> Command {
     let mut cmd = Command::new(bin);
-    for var in ["JOBS", "SHARDS", "TRACE", "CACHE"] {
+    for var in ["JOBS", "SHARDS", "TRACE"] {
         cmd.env_remove(format!("MOBIDIST_{var}"));
     }
     cmd
@@ -128,9 +128,30 @@ fn assert_trace_refused(args: &[&str], env: &[(&str, &str)], origin: &str) {
 
 #[test]
 fn missing_flag_value_is_a_usage_error() {
-    for flag in ["--jobs", "--shards", "--trace", "--cache", "-j"] {
+    for flag in ["--jobs", "--shards", "--trace", "-j"] {
         assert_rejected(&experiments(&["e0", flag], &[]), "requires");
     }
+}
+
+#[test]
+fn the_run_cache_knob_is_gone() {
+    // `--cache DIR` used to memoize every run under DIR; it is now an
+    // unknown flag like any other.
+    let dir = scratch_dir("cache");
+    let store = dir.join("store");
+    let store = store.to_str().expect("utf-8 scratch path");
+    assert_rejected(&experiments(&["--cache", store, "e0"], &[]), "unknown flag");
+    // The variable is read by nothing: same bytes, and nothing written.
+    let plain = experiments(&["e1", "--quick"], &[]);
+    let with_var = experiments(&["e1", "--quick"], &[("MOBIDIST_CACHE", store)]);
+    let left = std::fs::read_dir(&dir).expect("read scratch dir").count();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(plain.status.success() && with_var.status.success());
+    assert_eq!(
+        plain.stdout, with_var.stdout,
+        "MOBIDIST_CACHE changed the table"
+    );
+    assert_eq!(left, 0, "MOBIDIST_CACHE created {left} entries");
 }
 
 #[test]

@@ -4,7 +4,9 @@
 //! check green; each test then surgically drops one event line from a copy
 //! — renumbering the sequence numbers and the `run_end` event count so the
 //! tamper is invisible to the density checks — and asserts that the identity
-//! covering that event is the check that catches it.
+//! covering that event is the check that catches it. The `cache_hit` kind
+//! exempts only the three-line stub older binaries wrote for a cached run,
+//! so it cannot hide a mismatch in a real one.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -99,20 +101,37 @@ fn assert_dropping_first_is_caught(kind: &str, needle: &str) {
         tampered.push('\n');
     }
     assert!(dropped, "victim line not found on rewrite");
+    assert_caught(&format!("no-{kind}"), &tampered, needle);
+}
 
-    let path = temp_path(&format!("no-{kind}.jsonl"));
-    std::fs::write(&path, tampered).expect("write tampered trace");
-    let bad = check(&path);
+/// `--check` on `text`, written to a scratch file named after `name`.
+fn check_text(name: &str, text: &str) -> std::process::Output {
+    let path = temp_path(&format!("{name}.jsonl"));
+    std::fs::write(&path, text).expect("write tampered trace");
+    let out = check(&path);
     let _ = std::fs::remove_file(&path);
+    out
+}
+
+/// Asserts that `--check` fails on `text` with `needle` on stderr.
+fn assert_caught(name: &str, text: &str, needle: &str) {
+    let bad = check_text(name, text);
     let stderr = String::from_utf8_lossy(&bad.stderr);
     assert!(
         !bad.status.success(),
-        "trace without one {kind} must fail --check, got: {stderr}"
+        "tampered trace {name} must fail --check, got: {stderr}"
     );
     assert!(
         stderr.contains(needle),
         "failure must name the {needle:?} identity, got: {stderr}"
     );
+}
+
+/// The envelope of an event line (`{"v":1,"run":R,"seq":S,"t":T,`) followed
+/// by a `cache_hit` event.
+fn cache_hit_over(line: &str) -> String {
+    let head = &line[..line.find("\"ev\":").expect("an event line")];
+    format!("{head}\"ev\":\"cache_hit\",\"fp_hi\":1,\"fp_lo\":2}}")
 }
 
 #[test]
@@ -126,4 +145,42 @@ fn check_rejects_a_trace_missing_one_combine_batch() {
     // E14's L2C cells are the only source of `combine_batch`: its sizes
     // must sum to the run's `cs_enter` count.
     assert_dropping_first_is_caught("combine_batch", "combine_batch sizes sum to");
+}
+
+#[test]
+fn check_rejects_a_real_run_that_carries_a_cache_hit() {
+    // Swapping a message line for a `cache_hit` with the same envelope
+    // keeps seq density and the event count; it used to exempt the whole
+    // run from the ledger identities.
+    let text = e14_trace();
+    let victim = text
+        .lines()
+        .find(|l| l.contains("\"ev\":\"fixed_send\""))
+        .expect("the E14 trace must emit fixed_send");
+    let swapped = text.replacen(victim, &cache_hit_over(victim), 1);
+    assert_caught("cache-hit-swap", &swapped, "fixed_msgs: trace-derived");
+}
+
+#[test]
+fn check_accepts_the_stub_a_cached_run_used_to_write() {
+    // `run_begin`, one `cache_hit`, and the cached ledger's `run_end`: the
+    // first run of the E14 trace, as an older binary replayed it.
+    let text = e14_trace();
+    let begin = text.lines().next().expect("a run_begin line");
+    let run = field(begin, "run").expect("run id");
+    let end = text
+        .lines()
+        .find(|l| field(l, "run") == Some(run) && l.contains("\"ev\":\"run_end\""))
+        .expect("the run's run_end");
+    let events = field(end, "events").expect("run_end events");
+    let hit = cache_hit_over(&format!(
+        "{{\"v\":1,\"run\":{run},\"seq\":0,\"t\":0,\"ev\":"
+    ));
+    let stub = format!("{begin}\n{hit}\n{}\n", set_field(end, "events", events, 1));
+    let out = check_text("cache-hit-stub", &stub);
+    assert!(
+        out.status.success(),
+        "the stub envelope must still check green: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
