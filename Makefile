@@ -46,8 +46,8 @@ tracecheck:
 	./target/release/tracereport --check target/tracecheck.jsonl
 
 # Million-host smoke on the space-sharded kernel: the E12 top-of-ladder
-# point must complete under the 160 MiB peak-RSS ceiling with real churn
-# (see DESIGN.md section 6). MOBIDIST_SHARDS / --shards picks the worker
+# point must complete under the 128 MiB peak-RSS ceiling with real churn
+# and E12's digest (see DESIGN.md section 6). MOBIDIST_SHARDS / --shards picks the worker
 # count; the result is bit-identical at every choice.
 scalecheck:
 	cargo run --release --bin scalecheck

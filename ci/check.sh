@@ -84,11 +84,11 @@ if [[ $fast -eq 0 ]]; then
   # order). Two legs here:
   #   1. E12's quick table, 1 shard vs 2 (what the benchmark's churn_1m
   #      runs), 3 (uneven cell division) and 4 shards, cmp'd byte-for-byte;
-  #   2. the million-host smoke under its 160 MiB peak-RSS ceiling (it
-  #      reads 44-51 MiB at 1-8 workers), at 4 workers and at 1 — one
-  #      worker holds the whole million-host wheel arena in a single Vec,
-  #      the worst case for its growth. The 1-worker run is timed: it is
-  #      also the throughput-sanity leg's baseline.
+  #   2. the million-host smoke under its 128 MiB peak-RSS ceiling (it
+  #      reads 37-47 MiB at 1-8 workers) and with E12's digest, at 4
+  #      workers and at 1 — one worker holds the whole million-host wheel
+  #      arena in a single Vec, the worst case for its growth. The 1-worker
+  #      run is timed: it is also the throughput-sanity leg's baseline.
   echo "==> shard-soundness gate"
   ./target/release/experiments e12 --quick --shards 1 > "$scratch/shard1.txt"
   for s in 2 3 4; do

@@ -112,7 +112,7 @@ pub fn e12_scale_curve(quick: bool) -> Table {
 /// `/proc/self/status`), `None` off Linux or if the field is missing.
 ///
 /// `make scalecheck` runs the million-host point and asserts this stays
-/// under the 160 MiB ceiling (it reads 44–51 MiB at 1–8 workers).
+/// under the 128 MiB ceiling (it reads 37–47 MiB at 1–8 workers).
 pub fn peak_rss_bytes() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

@@ -20,7 +20,8 @@
 //!
 //! # Wheel layout
 //!
-//! The wheel tracks a monotone *cursor* (the tick of the last popped event).
+//! The wheel tracks a monotone *cursor*, the tick of the last popped event,
+//! and it is a hard floor: a push before it panics (the kernel never does).
 //! A pending tick `t` lives at the level selected by `x = t ^ cursor`:
 //! level 0 (`x < 2⁸`, one tick per slot), level 1 (`x < 2¹⁶`, 256 ticks per
 //! slot), level 2 (`x < 2²⁴`, 2¹⁶ ticks per slot), or the overflow heap
@@ -46,9 +47,11 @@
 //! the overflow minimum and every overflow entry now within the cursor's
 //! 2²⁴-tick region is drained into the wheel in `(time, seq)` order.
 //!
-//! Pushing a time earlier than the cursor is allowed for generic users (the
-//! kernel never does): the entry is *placed* at the cursor slot and pops with
-//! its original timestamp, preserving `(time, seq)` order among late entries.
+//! A wheel item keeps only the low 32 bits of its tick. Every wheel entry
+//! lies in `[cursor, cursor + 2²⁴)`, so `widen` recovers the tick exactly: a
+//! cascade widens against its new window start, a level-0 pop needs nothing
+//! (the slot is the tick), and the overflow heap keeps `u64` times. An entry
+//! behind the cursor would widen 2³² ticks late, so the floor is an `assert!`.
 //!
 //! # Storage: one chunk arena
 //!
@@ -65,8 +68,8 @@
 //! (`tests/delivery_alloc.rs`).
 //!
 //! `CAP` is not a knob: it is derived from the item size so that a chunk is
-//! about one 4 KiB page, rounded down to a power of two (64 for the sharded
-//! kernel's 40-byte items; 32 for the generic kernel's under the mutex and
+//! about one 4 KiB page, rounded down to a power of two (128 for the sharded
+//! kernel's 32-byte items; 32 for the generic kernel's under the mutex and
 //! group protocols, whose events run 80–104 bytes, 64 under protocols with
 //! small messages).
 //!
@@ -103,10 +106,19 @@ const REGION: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 /// "No chunk": an empty slot's head and tail, the last chunk's `next`.
 const NIL: u32 = u32::MAX;
 
-/// A wheel-resident event. No `seq`: slots are FIFO (module docs).
-struct Item<E> {
-    time: u64,
+/// A wheel-resident event. No `seq`: slots are FIFO (module docs); `time` is
+/// the tick's low 32 bits. 8-byte aligned: an 8-byte-aligned body keeps its
+/// old size, and the sharded kernel's 32-byte item fits its final-state rows.
+#[repr(align(8))]
+pub(crate) struct Item<E> {
+    time: u32,
     body: E,
+}
+
+/// The tick of a wheel entry stored as `low`; it lies in `[cursor, cursor + 2²⁴)`.
+#[inline]
+fn widen(cursor: u64, low: u32) -> u64 {
+    cursor + low.wrapping_sub(cursor as u32) as u64
 }
 
 /// Header of one arena chunk: its live items are `[head, tail)` of its
@@ -169,7 +181,7 @@ pub struct EventQueue<E> {
     /// Far-future entries (`time ^ cursor >= REGION`), in `(time, seq)`
     /// order by the heap's own insertion counter.
     overflow: EventHeap<E>,
-    /// Tick of the last popped event; never decreases.
+    /// Tick of the last popped event: a floor that never decreases.
     cursor: u64,
     /// Total pending entries (wheel + overflow).
     len: usize,
@@ -202,8 +214,8 @@ impl<E> EventQueue<E> {
     /// Items per chunk: about one 4 KiB page of them, rounded down to a
     /// power of two so `chunk * CAP` is a shift (`| 1` only matters for an
     /// item over 4 KiB, which gets a chunk to itself). Derived, not tunable —
-    /// see the module docs. At most 256 (an item is never under 16 bytes), so
-    /// chunk offsets fit the header's `u16`s.
+    /// see the module docs. At most 512 (an 8-byte-aligned item is never
+    /// under 8 bytes), so chunk offsets fit the header's `u16`s.
     const CAP: usize = 1 << ((4096 / std::mem::size_of::<Option<Item<E>>>()) | 1).ilog2();
 
     /// Creates an empty queue.
@@ -222,10 +234,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedules `body` at `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is before the last popped tick (module docs).
     pub fn push(&mut self, time: SimTime, body: E) {
-        self.len += 1;
         let t = time.ticks();
-        if t.max(self.cursor) ^ self.cursor < REGION {
+        assert!(t >= self.cursor, "push behind the last popped tick");
+        self.len += 1;
+        if t ^ self.cursor < REGION {
             self.place(t, body);
         } else {
             self.overflow.push(time, body);
@@ -243,18 +260,15 @@ impl<E> EventQueue<E> {
     /// `peek_time`/`pop` pair.
     ///
     /// When the earliest event is beyond `limit` the queue is left entirely
-    /// untouched — in particular the cursor does not advance, so events the
-    /// caller pushes afterwards (at times at or after the last *popped*
-    /// tick) never count as late.
+    /// untouched — in particular the cursor does not advance, so the caller
+    /// may still push at any time at or after the last *popped* tick.
     pub fn pop_if_at_or_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
-        // Eligibility is judged read-only: cascading here and then returning
-        // `None` would advance the cursor past events the caller is still
-        // allowed to push.
+        // Eligibility is judged read-only: a cascade here followed by `None`
+        // would raise the floor above ticks the caller may still push at.
         //
         // Fast path: a due event already sitting in a level-0 slot — it
         // precedes everything at upper levels and in the overflow, so it can
-        // be popped directly without the settle rescan. Late entries sit at
-        // the cursor slot, so it is the slot's tick that is judged.
+        // be popped directly without the settle rescan.
         if self.wheel_len > 0 {
             let c0 = (self.cursor & SLOT_MASK) as usize;
             if let Some(s) = self.first_occupied_from(0, c0) {
@@ -265,8 +279,7 @@ impl<E> EventQueue<E> {
                 return Some(self.pop_settled(tick, s));
             }
         }
-        // Slow path (cascade or overflow drain pending). Upper-level and
-        // overflow entries are never cursor-clamped, so the earliest time is
+        // Slow path (cascade or overflow drain pending): the earliest time is
         // exactly the tick `pop` will settle to.
         if self.peek_time()? > limit {
             return None;
@@ -281,11 +294,10 @@ impl<E> EventQueue<E> {
     /// This is O(1), no settle or cascade: once an event at tick `t` has been
     /// popped (`cursor == t`), every remaining entry with `time == t` already
     /// sits in level-0 slot `t & 255`. An entry lands in the wheel either
-    /// directly (placement clamps to the cursor, and `t ^ cursor < 256`
-    /// selects level 0 slot `t & 255`) or via a cascade — and a cascade of
-    /// the slot *containing* `t` reinserts its entries against a cursor that
-    /// shares `t`'s upper bits, landing them in that same level-0 slot. An
-    /// overflow jump cannot intervene: it only happens when the wheel is
+    /// directly (`t ^ cursor < 256` selects level-0 slot `t & 255`) or via a
+    /// cascade — and a cascade of the slot *containing* `t` reinserts its
+    /// entries against a cursor that shares `t`'s upper bits, landing them in
+    /// that same level-0 slot. An overflow jump cannot intervene: it only happens when the wheel is
     /// empty, which it isn't while a same-tick entry remains. Within the
     /// slot, entries are FIFO in insertion order, which for equal times *is*
     /// `(time, seq)` order — so the front of the slot is exactly the event
@@ -315,13 +327,12 @@ impl<E> EventQueue<E> {
         if c == NIL {
             return false;
         }
+        // Nothing is behind the cursor, so every entry in its level-0 slot is
+        // at the cursor tick.
         let front = self.items[c as usize * Self::CAP + self.chunks[c as usize].head as usize]
             .as_ref()
             .expect("chain head is live");
-        // `time != cursor` also rejects late-placed entries (time < cursor)
-        // parked in the cursor slot — those must pop through the normal path
-        // with their original timestamps.
-        front.time == self.cursor && pred(&front.body)
+        pred(&front.body)
     }
 
     /// First occupied slot in pop order, read-only: level 0 from the
@@ -369,10 +380,13 @@ impl<E> EventQueue<E> {
                 "into_unordered's results must fit the arena's slots exactly"
             )
         };
+        let cursor = self.cursor;
         let mut out: Vec<R> = self
             .items
             .into_iter()
-            .filter_map(|item| item.and_then(|it| f(SimTime::from_ticks(it.time), it.body)))
+            .filter_map(|item| {
+                item.and_then(|it| f(SimTime::from_ticks(widen(cursor, it.time)), it.body))
+            })
             .collect();
         let overflow = self.overflow.heap.into_iter();
         out.extend(overflow.filter_map(|e| f(SimTime::from_ticks(e.time), e.body)));
@@ -420,20 +434,15 @@ impl<E> EventQueue<E> {
     }
 
     /// Appends an event to the slot its time selects relative to the current
-    /// cursor, which must be within the wheel region. Does not touch `len`.
+    /// cursor, at or after which it must lie, within the wheel region. Does
+    /// not touch `len`.
     #[inline]
     fn place(&mut self, time: u64, body: E) {
-        // Times at or before the cursor are placed *at* the cursor tick;
-        // the entry keeps its original `time` for the pop result and for
-        // ordering among equally-late entries (all end up FIFO in the cursor
-        // slot, i.e. seq order — and their `time`s are all <= cursor, so
-        // (time, seq) order among *future* events is unaffected).
-        let place = time.max(self.cursor);
-        let x = place ^ self.cursor;
-        debug_assert!(x < REGION);
+        let x = time ^ self.cursor;
+        debug_assert!(time >= self.cursor && x < REGION);
         // The level is the index of `x`'s highest non-zero byte.
         let level = ((x | 1).ilog2() / SLOT_BITS) as usize;
-        let si = level * SLOTS + ((place >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
+        let si = level * SLOTS + ((time >> (SLOT_BITS * level as u32)) & SLOT_MASK) as usize;
         let mut c = self.slots[si].tail;
         if c == NIL || self.chunks[c as usize].tail as usize == Self::CAP {
             let fresh = self.grab();
@@ -447,7 +456,11 @@ impl<E> EventQueue<E> {
             c = fresh;
         }
         let chunk = &mut self.chunks[c as usize];
-        self.items[c as usize * Self::CAP + chunk.tail as usize] = Some(Item { time, body });
+        let item = Item {
+            time: time as u32,
+            body,
+        };
+        self.items[c as usize * Self::CAP + chunk.tail as usize] = Some(item);
         chunk.tail += 1;
         self.wheel_len += 1;
     }
@@ -480,7 +493,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the front of a settled level-0 slot, releasing its chunk if that
-    /// drained it.
+    /// drained it. Every entry in the slot is at `tick`.
     #[inline]
     fn pop_settled(&mut self, tick: u64, slot: usize) -> (SimTime, E) {
         let c = self.slots[slot].head;
@@ -502,8 +515,9 @@ impl<E> EventQueue<E> {
         }
         self.wheel_len -= 1;
         self.len -= 1;
+        debug_assert_eq!(widen(self.cursor, item.time), tick);
         self.cursor = tick;
-        (SimTime::from_ticks(item.time), item.body)
+        (SimTime::from_ticks(tick), item.body)
     }
 
     /// Detaches slot `si`'s chain and hands its items to `f` front to back,
@@ -523,10 +537,10 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Moves every entry of level `l`'s slot `s` down the hierarchy after
-    /// advancing the cursor to the slot's window start. Entries re-land at a
-    /// strictly lower level (their level-selecting XOR bits are now zero), so
-    /// repeated cascades terminate.
+    /// Moves every entry of level `l`'s slot `s` down the hierarchy, widened
+    /// against the cursor advanced to the slot's window start. Entries re-land
+    /// at a strictly lower level (their level-selecting XOR bits are now
+    /// zero), so repeated cascades terminate.
     fn cascade(&mut self, l: usize, s: usize) {
         let span = SLOT_BITS * (l + 1) as u32;
         let window_start =
@@ -534,9 +548,10 @@ impl<E> EventQueue<E> {
         debug_assert!(window_start > self.cursor);
         self.cursor = window_start;
         self.drain_slot(l * SLOTS + s, |q, item| {
-            debug_assert!(item.time ^ q.cursor < 1 << (SLOT_BITS * l as u32));
+            let time = widen(q.cursor, item.time);
+            debug_assert!(time ^ q.cursor < 1 << (SLOT_BITS * l as u32));
             q.wheel_len -= 1;
-            q.place(item.time, item.body);
+            q.place(time, item.body);
         });
     }
 
@@ -553,15 +568,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Minimum original `time` over one occupied slot (entries placed late
-    /// keep a `time` below their placement tick, so the front isn't
-    /// necessarily the minimum). `peek_time` is not on the hot path.
+    /// Earliest time over one occupied slot (an upper-level slot spans many
+    /// ticks in arrival order, so its front isn't necessarily the minimum).
+    /// `peek_time` is not on the hot path.
     fn slot_min_time(&self, l: usize, s: usize) -> Option<u64> {
         let next = |&c: &u32| Some(self.chunks[c as usize].next).filter(|&n| n != NIL);
         std::iter::successors(Some(self.slots[l * SLOTS + s].head), next)
             .flat_map(|c| &self.items[c as usize * Self::CAP..][..Self::CAP])
             .flatten()
-            .map(|item| item.time)
+            .map(|item| widen(self.cursor, item.time))
             .min()
     }
 
@@ -832,22 +847,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_same_tick_if_skips_late_entries() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_ticks(1000), 'a');
-        assert_eq!(q.pop().unwrap().1, 'a');
-        // A late push parks at the front of the cursor slot with its
-        // original (earlier) time; it must not be claimed as a same-tick
-        // continuation even though a genuine tick-1000 entry sits behind it.
-        q.push(SimTime::from_ticks(5), 'l');
-        q.push(SimTime::from_ticks(1000), 'b');
-        assert!(q.pop_same_tick_if(|_| true).is_none());
-        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(5), 'l'));
-        // With the late entry out of the way the run resumes.
-        assert_eq!(q.pop_same_tick_if(|_| true).unwrap().1, 'b');
-    }
-
-    #[test]
     fn pop_same_tick_if_interleaves_with_pushes() {
         // The batcher pops a run while the kernel pushes follow-on events at
         // later ticks; those pushes must not perturb the same-tick run.
@@ -919,47 +918,47 @@ mod tests {
     }
 
     #[test]
-    fn push_at_or_before_cursor_pops_immediately() {
+    #[should_panic(expected = "push behind the last popped tick")]
+    fn push_behind_the_cursor_after_a_pop_panics() {
         let mut q = EventQueue::new();
         q.push(SimTime::from_ticks(1000), 'z');
-        assert_eq!(q.pop().unwrap().1, 'z'); // cursor now 1000
-        q.push(SimTime::from_ticks(5), 'a'); // earlier than cursor: late
-        q.push(SimTime::from_ticks(1000), 'b'); // exactly at cursor
-        q.push(SimTime::from_ticks(2000), 'c');
-        let got: Vec<(u64, char)> =
-            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.ticks(), e))).collect();
-        // Late entries pop first (at the cursor) with their original times.
-        assert_eq!(got, vec![(5, 'a'), (1000, 'b'), (2000, 'c')]);
+        assert_eq!(q.pop().unwrap().1, 'z');
+        q.push(SimTime::from_ticks(1000), 'a'); // at the floor: fine
+        q.push(SimTime::from_ticks(999), 'b');
     }
 
     #[test]
-    fn peek_time_sees_late_entries_behind_the_cursor_slot_front() {
+    #[should_panic(expected = "push behind the last popped tick")]
+    fn push_behind_a_cascaded_cursor_panics() {
+        // 70 000 starts on level 2 and 300 on level 1: popping them moves
+        // the cursor by cascades (to 256, then 65 536 and 69 888) before
+        // each pop sets it to the popped tick.
         let mut q = EventQueue::new();
-        q.push(SimTime::from_ticks(1000), 'z');
-        assert_eq!(q.pop().unwrap().1, 'z'); // cursor now 1000
-        q.push(SimTime::from_ticks(1000), 'n'); // at the cursor
-        q.push(SimTime::from_ticks(7), 'l'); // late, behind 'n'
-        q.push(SimTime::from_ticks(3), 'm'); // later still, earlier time
-        q.push(SimTime::from_ticks(1005), 'a'); // later level-0 slot
-        q.push(SimTime::from_ticks(1005), 'b');
-        q.push(SimTime::from_ticks(1300), 'u'); // level 1
+        q.push(SimTime::from_ticks(70_000), 'b');
+        q.push(SimTime::from_ticks(300), 'a');
+        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(300), 'a'));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(70_000), 'b'));
+        q.push(SimTime::from_ticks(69_999), 'c');
+    }
 
-        // The cursor slot's minimum is its third entry, not its front.
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(3)));
-        for _ in 0..3 {
-            q.pop();
-        }
-        // Cursor slot drained: the later level-0 slot's own tick.
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(1005)));
-        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(1005), 'a'));
-        // 'b' now shares the cursor slot; a late entry joins it.
-        q.push(SimTime::from_ticks(9), 'k');
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(9)));
-        q.pop();
-        q.pop();
-        assert_eq!(q.peek_time(), Some(SimTime::from_ticks(1300)));
-        assert_eq!(q.pop().unwrap().1, 'u');
-        assert_eq!(q.peek_time(), None);
+    #[test]
+    fn a_refused_pop_does_not_raise_the_floor() {
+        // One refusal on the level-0 fast path, one with a cascade pending:
+        // either way the last popped tick stays pushable.
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_ticks(10), 'a');
+        q.push(SimTime::from_ticks(20), 'b');
+        q.push(SimTime::from_ticks(1000), 'c');
+        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(10), 'a'));
+        assert!(q.pop_if_at_or_before(SimTime::from_ticks(15)).is_none());
+        q.push(SimTime::from_ticks(10), 'd');
+        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(10), 'd'));
+        assert_eq!(q.pop().unwrap(), (SimTime::from_ticks(20), 'b'));
+        assert!(q.pop_if_at_or_before(SimTime::from_ticks(999)).is_none());
+        q.push(SimTime::from_ticks(20), 'e');
+        let rest: Vec<(u64, char)> =
+            std::iter::from_fn(|| q.pop().map(|(t, e)| (t.ticks(), e))).collect();
+        assert_eq!(rest, [(20, 'e'), (1000, 'c')]);
     }
 
     #[test]

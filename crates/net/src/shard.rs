@@ -70,8 +70,8 @@
 //!   sorted by that key would: (1) the queue orders two different ticks by
 //!   time, never by insertion; (2) every drained transfer arrives at
 //!   `≥ (k+1)W` for the window `k` it was sent in, past the cursor (the
-//!   last popped tick, `< (k+1)W`), so none is placed late at the cursor
-//!   slot; (3) transfers sharing a tick land FIFO in that tick's slot (past
+//!   last popped tick, `< (k+1)W`), so none falls behind the wheel's
+//!   floor; (3) transfers sharing a tick land FIFO in that tick's slot (past
 //!   2²⁴ ticks, in the overflow heap under its own insertion counter) in
 //!   `(source cell, send order)`, behind entries already queued at that
 //!   tick and ahead of entries pushed later;
@@ -108,14 +108,17 @@
 //! There is no per-host array at all: a host's record (20 bytes) lives
 //! inside its one pending event, so host state is one queue entry per host
 //! — [`ScaleReport::state_bytes`] reports a *nominal* entry size, 44 B.
-//! What a million-host run actually keeps *resident* is ≈ 47 B/host at two
-//! workers (46–53 at one to eight): the wheel's arena holds each entry in
-//! 40 B and stays within a few percent of the live entries, and the rest is
+//! What a million-host run actually keeps *resident* is ≈ 40 B/host at two
+//! workers (38–49 at one to eight), below that nominal figure at one and
+//! two: the wheel's arena holds each entry in 32 B (its time cut to the low
+//! 32 bits) and stays within about 6 % of the live entries, and the rest is
 //! the lanes and the process itself (`scalecheck` prints both figures;
 //! DESIGN.md §6 has the census). The final-state rows the digest is taken
-//! over cost nothing extra: a row has the arena slot's layout, so
-//! `EventQueue::into_unordered` writes them over the arena in place
-//! instead of popping the wheel into a second buffer as large as the arena.
+//! over cost nothing extra: a row has the arena slot's layout (32 B, 8-byte
+//! aligned; it leaves out the home cell, which the digest recomputes from
+//! the id), so `EventQueue::into_unordered` writes them over the arena in
+//! place instead of popping the wheel into a second buffer as large as the
+//! arena.
 //! The only allocations on the hot path are the amortised growth
 //! of the queues, the lane buffers and the commit-order scratch (8 B per
 //! transfer; its `M + 1` cell offsets are allocated once). Lane buffers
@@ -252,7 +255,7 @@ pub struct ScaleReport {
     /// Nominal host-state footprint: one queue entry per host, counted as
     /// `size_of::<SEv>()` plus 16 bytes of scheduling overhead — a
     /// convention E12's byte-pinned `B/host` column fixes, not a layout (the
-    /// wheel's arena stores the event and its time in 40 bytes). The scale
+    /// wheel's arena stores the event and its time in 32 bytes). The scale
     /// curve divides this by `N`; it is *not* the process's resident size
     /// (see the module docs, "Memory").
     pub state_bytes: u64,
@@ -345,10 +348,12 @@ fn decision_rng(seed: u64, id: u32, ctr: u32) -> SimRng {
 }
 
 /// One resident host flattened for digesting:
-/// `(id, tag, due, cell, home, ctr, moves, prev)`. It has the layout of the
-/// wheel's arena slot, so [`final_state`] writes the rows over the arena
-/// (a widened row fails [`EventQueue::into_unordered`]'s const assertion).
-type HostRow = (u32, u8, u64, u32, u32, u32, u32, u32);
+/// `(id, tag, due, cell, ctr, moves, prev)`. The home cell is left out: it
+/// is always [`ScaleSpec::initial_cell`] of the id, which the digest hashes
+/// in its place. It has the layout of the wheel's arena slot, so
+/// [`final_state`] writes the rows over the arena (a widened row fails
+/// [`EventQueue::into_unordered`]'s const assertion).
+type HostRow = (u32, u8, u64, u32, u32, u32, u32);
 
 /// Takes a worker's final state out of its queue, which by then holds every
 /// resident host and undelivered wire: the host rows, sorted by id here on
@@ -357,8 +362,8 @@ type HostRow = (u32, u8, u64, u32, u32, u32, u32, u32);
 fn final_state(queue: EventQueue<SEv>) -> (Vec<HostRow>, Vec<(u64, u32, u32)>) {
     let mut wires = Vec::new();
     let mut hosts = queue.into_unordered(|t, ev| match ev {
-        SEv::Leave(r) => Some((r.id, 0, t.ticks(), r.cell, r.home, r.ctr, r.moves, u32::MAX)),
-        SEv::Join(r, prev) => Some((r.id, 1, t.ticks(), r.cell, r.home, r.ctr, r.moves, prev)),
+        SEv::Leave(r) => Some((r.id, 0, t.ticks(), r.cell, r.ctr, r.moves, u32::MAX)),
+        SEv::Join(r, prev) => Some((r.id, 1, t.ticks(), r.cell, r.ctr, r.moves, prev)),
         SEv::Wired(from, to) => {
             wires.push((t.ticks(), from, to));
             None
@@ -477,7 +482,7 @@ pub fn run_scale_traced(
     }
     wires.sort_unstable();
     let parts: Vec<&[HostRow]> = outs.iter().map(|o| &o.hosts[..]).collect();
-    let digest = digest_state(n, &parts, &wires);
+    let digest = digest_state(spec, &parts, &wires);
 
     let entry = std::mem::size_of::<SEv>() + 2 * std::mem::size_of::<u64>();
     let report = ScaleReport {
@@ -492,24 +497,26 @@ pub fn run_scale_traced(
     (report, done_sinks)
 }
 
-/// Hashes the complete final state: every host row in `MhId` order, then
-/// every undelivered wire. `parts` are the workers' resident rows, each
+/// Hashes the complete final state: every host row in `MhId` order (with
+/// its home cell, `spec.initial_cell(id)`, after the cell), then every
+/// undelivered wire. `parts` are the workers' resident rows, each
 /// sorted by id; the merge asks "which worker holds id `next`" and streams
 /// the row straight into the hasher, so no merged copy is ever built.
 ///
 /// # Panics
 ///
-/// Panics unless every id in `0..n` appears exactly once across `parts` —
+/// Panics unless every id in `0..N` appears exactly once across `parts` —
 /// a lost or duplicated host is a kernel bug, and must not become a
 /// silently wrong digest in a release build.
-fn digest_state(n: usize, parts: &[&[HostRow]], wires: &[(u64, u32, u32)]) -> Fingerprint {
+fn digest_state(spec: &ScaleSpec, parts: &[&[HostRow]], wires: &[(u64, u32, u32)]) -> Fingerprint {
+    let n = spec.num_mh;
     let rows: usize = parts.iter().map(|p| p.len()).sum();
     assert_eq!(rows, n, "every host must appear exactly once");
     let mut hasher = CanonHasher::new();
     hasher.write_u64(n as u64);
     let mut cursors = vec![0usize; parts.len()];
     for next in 0..n as u32 {
-        let (id, tag, due, cell, home, ctr, moves, prev) = parts
+        let (id, tag, due, cell, ctr, moves, prev) = parts
             .iter()
             .zip(&mut cursors)
             .find_map(|(part, cur)| {
@@ -518,6 +525,7 @@ fn digest_state(n: usize, parts: &[&[HostRow]], wires: &[(u64, u32, u32)]) -> Fi
                 Some(*row)
             })
             .unwrap_or_else(|| panic!("host {next} was lost or duplicated"));
+        let home = spec.initial_cell(id as usize);
         for v in [id as u64, tag as u64, due, cell as u64, home as u64] {
             hasher.write_u64(v);
         }
@@ -1074,13 +1082,26 @@ mod tests {
         assert_eq!(hosts.as_ptr().cast(), arena, "rows must reuse the arena");
         let ids: Vec<u32> = hosts.iter().map(|row| row.0).collect();
         assert_eq!(ids, (0..=100).collect::<Vec<_>>());
-        assert_eq!(hosts[3], (3, 1, 10 + 3 * 7919 % 300, 3, 3, 1, 0, 7));
-        assert_eq!(hosts[100], (100, 0, 1 << 30, 0, 0, 1, 0, u32::MAX));
+        assert_eq!(hosts[3], (3, 1, 10 + 3 * 7919 % 300, 3, 1, 0, 7));
+        assert_eq!(hosts[100], (100, 0, 1 << 30, 0, 1, 0, u32::MAX));
         assert_eq!(wires, [(42, 1, 2)]);
     }
 
+    #[test]
+    fn arena_slots_and_rows_are_32_bytes() {
+        use crate::event::Item;
+        fn layout<T>() -> (usize, usize) {
+            (std::mem::size_of::<T>(), std::mem::align_of::<T>())
+        }
+        assert_eq!(layout::<Option<Item<SEv>>>(), (32, 8));
+        assert_eq!(layout::<HostRow>(), (32, 8));
+        // An 8-byte-aligned body keeps its slot size: the `u32` time only
+        // frees padding, so the generic kernel's items do not move.
+        assert_eq!(layout::<Option<Item<u64>>>(), (24, 8));
+    }
+
     fn row(id: u32) -> HostRow {
-        (id, 0, 100 + id as u64, id % 4, id % 4, 1, 0, u32::MAX)
+        (id, 0, 100 + id as u64, id % 4, 1, 0, u32::MAX)
     }
 
     #[test]
@@ -1089,14 +1110,14 @@ mod tests {
         // The row count of a sound state: host 3 twice, host 4 missing.
         let mut rows: Vec<HostRow> = (0..6).map(row).collect();
         rows[4] = row(3);
-        digest_state(6, &[&rows[..3], &rows[3..]], &[]);
+        digest_state(&ScaleSpec::new(4, 6), &[&rows[..3], &rows[3..]], &[]);
     }
 
     #[test]
     #[should_panic(expected = "exactly once")]
     fn digest_rejects_a_lost_host() {
         let rows: Vec<HostRow> = (0..6).map(row).collect();
-        digest_state(6, &[&rows[..3], &rows[4..]], &[]);
+        digest_state(&ScaleSpec::new(4, 6), &[&rows[..3], &rows[4..]], &[]);
     }
 
     #[test]

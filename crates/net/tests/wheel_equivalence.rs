@@ -2,12 +2,13 @@
 //! heap ([`EventHeap`]) produce identical `(time, payload)` pop sequences on
 //! randomized workloads — including far-future times routed through the
 //! wheel's overflow heap and bursts of same-tick ties, whose relative order
-//! must follow insertion sequence — and on scripted cases that push single
-//! slots of the wheel's chunk arena across chunk boundaries.
+//! must follow insertion sequence — on runs that straddle 32-bit tick
+//! boundaries, which the wheel's stored times must widen across, and on
+//! scripted cases that push single slots of the wheel's chunk arena across
+//! chunk boundaries.
 //!
-//! The kernel only ever schedules at or after the current time, so the
-//! generator keeps every pushed time `>=` the last popped time — the same
-//! contract the wheel's cursor relies on.
+//! The wheel panics on a push before the last popped time, so the generator
+//! keeps every pushed time `>=` it, as the kernel does.
 
 use mobidist_net::event::{EventHeap, EventQueue};
 use mobidist_net::rng::SimRng;
@@ -21,6 +22,8 @@ struct Both {
     heap: EventHeap<u64>,
     pushed: u64,
     popped: u64,
+    /// First and last popped tick.
+    span: Option<(u64, u64)>,
 }
 
 impl Both {
@@ -29,6 +32,15 @@ impl Both {
         self.wheel.push(SimTime::from_ticks(t), self.pushed);
         self.heap.push(SimTime::from_ticks(t), self.pushed);
         self.pushed += 1;
+    }
+
+    fn note(&mut self, got: Option<(SimTime, u64)>) -> Option<(SimTime, u64)> {
+        if let Some((t, _)) = got {
+            self.popped += 1;
+            let first = self.span.map_or(t.ticks(), |s| s.0);
+            self.span = Some((first, t.ticks()));
+        }
+        got
     }
 
     /// The read-only observables must agree before every removal.
@@ -41,8 +53,7 @@ impl Both {
         self.check();
         let got = self.wheel.pop();
         assert_eq!(got, self.heap.pop());
-        self.popped += got.is_some() as u64;
-        got
+        self.note(got)
     }
 
     fn pop_if_at_or_before(&mut self, limit: u64) -> Option<(SimTime, u64)> {
@@ -52,8 +63,7 @@ impl Both {
             got,
             self.heap.pop_if_at_or_before(SimTime::from_ticks(limit))
         );
-        self.popped += got.is_some() as u64;
-        got
+        self.note(got)
     }
 
     /// The batcher's step: probe, then claim the next event if it is at the
@@ -64,9 +74,8 @@ impl Both {
         assert_eq!(probe, got.is_some());
         if got.is_some() {
             assert_eq!(got, self.heap.pop());
-            self.popped += 1;
         }
-        got
+        self.note(got)
     }
 
     /// Pops until empty; everything ever pushed must have come out.
@@ -78,11 +87,19 @@ impl Both {
 }
 
 /// Drives both queues through an identical randomized interleaving of pushes
-/// and pops and asserts every observable agrees step by step.
-fn run_interleaving(seed: u64, ops: usize, spread: impl Fn(&mut SimRng, u64) -> u64) {
+/// and pops, after one push at `base` (so the first tick popped), and asserts
+/// every observable agrees step by step; returns the first and last popped
+/// tick.
+fn run_interleaving(
+    seed: u64,
+    ops: usize,
+    base: u64,
+    spread: impl Fn(&mut SimRng, u64) -> u64,
+) -> (u64, u64) {
     let mut rng = SimRng::seed_from(seed);
     let mut q = Both::default();
-    let mut now = 0u64; // lower bound for new pushes: the last popped time
+    q.push(base);
+    let mut now = base; // lower bound for new pushes: the last popped time
 
     for _ in 0..ops {
         q.check();
@@ -105,13 +122,14 @@ fn run_interleaving(seed: u64, ops: usize, spread: impl Fn(&mut SimRng, u64) -> 
     }
     // The tails must match exactly too.
     q.drain();
+    q.span.expect("the anchor was popped")
 }
 
 #[test]
 fn uniform_near_future_delays() {
     // Delays within one level-0 page most of the time.
     for seed in [1, 2, 3, 4, 5] {
-        run_interleaving(seed, 4_000, |rng, now| now + rng.below(200));
+        run_interleaving(seed, 4_000, 0, |rng, now| now + rng.below(200));
     }
 }
 
@@ -119,7 +137,7 @@ fn uniform_near_future_delays() {
 fn wide_delays_cross_all_levels() {
     // Delays up to 2^26: exercises level 1, level 2 and cascading.
     for seed in [10, 11, 12] {
-        run_interleaving(seed, 3_000, |rng, now| now + rng.below(1 << 26));
+        run_interleaving(seed, 3_000, 0, |rng, now| now + rng.below(1 << 26));
     }
 }
 
@@ -128,7 +146,7 @@ fn far_future_hits_overflow_heap() {
     // Mostly near events with occasional jumps far beyond the wheel horizon,
     // so entries land in the overflow heap and must drain back in order.
     for seed in [20, 21, 22] {
-        run_interleaving(seed, 2_000, |rng, now| {
+        run_interleaving(seed, 2_000, 0, |rng, now| {
             if rng.chance(0.15) {
                 now + (1 << 25) + rng.below(1 << 40)
             } else {
@@ -143,7 +161,7 @@ fn same_tick_bursts_keep_insertion_order() {
     // Many pushes collapse onto few distinct ticks; ties must pop in
     // insertion order on both queues.
     for seed in [30, 31, 32] {
-        run_interleaving(seed, 4_000, |rng, now| now + rng.below(4) * 64);
+        run_interleaving(seed, 4_000, 0, |rng, now| now + rng.below(4) * 64);
     }
 }
 
@@ -152,7 +170,7 @@ fn bimodal_near_far_mixture() {
     // The micro-bench distribution: half near, half just past the region
     // boundary, so cascades and overflow drains interleave with hot pops.
     for seed in [40, 41] {
-        run_interleaving(seed, 3_000, |rng, now| {
+        run_interleaving(seed, 3_000, 0, |rng, now| {
             if rng.chance(0.5) {
                 now + rng.below(64)
             } else {
@@ -162,12 +180,39 @@ fn bimodal_near_far_mixture() {
     }
 }
 
+#[test]
+fn stored_times_widen_across_32_bit_boundaries() {
+    // Bases just under 2^32, 2^33, and 5·2^32 − 2^24 (where a 2^24-tick
+    // region ends 2^24 ticks before the wrap), with delays below 2^8 (level
+    // 0), 2^16 (level 1 cascades), 2^25 (level 2, region crossings) and 2^34
+    // (mostly overflow): every run pops on both sides of its boundary. The
+    // wheel region is 2^24-aligned, so a wheel entry shares every bit from
+    // 24 up with the cursor; what crosses the boundary is the cursor, by
+    // cascades and overflow jumps, and the widened times must follow it.
+    for (i, boundary) in [1u64 << 32, 1 << 33, (5 << 32) - (1 << 24)]
+        .into_iter()
+        .enumerate()
+    {
+        for (j, bits) in [8u32, 16, 25, 34].into_iter().enumerate() {
+            let base = boundary - (1 << bits.min(25)) / 2;
+            let seed = 50 + 4 * i as u64 + j as u64;
+            let (first, last) =
+                run_interleaving(seed, 3_000, base, |rng, now| now + rng.below(1 << bits));
+            assert!(
+                first < boundary && boundary <= last,
+                "{first}..={last} misses {boundary} (delays below 2^{bits})"
+            );
+        }
+    }
+}
+
 // ---- Scripted cases for the wheel's chunk arena ----------------------------
 //
 // A wheel slot is a chain of fixed-size chunks. The chunk capacity is private
-// and derived from the item size, but it never exceeds 256 items, so `MANY`
-// entries in one slot always span at least four chunks — every case below
-// crosses chunk boundaries on push, pop and cascade.
+// and derived from the item size, but for these `u64` payloads it never
+// exceeds 256 items, so `MANY` entries in one slot always span at least four
+// chunks — every case below crosses chunk boundaries on push, pop and
+// cascade.
 
 const MANY: u64 = 3 * 256 + 17;
 
@@ -217,33 +262,6 @@ fn cascades_carry_multi_chunk_slots_down() {
 }
 
 #[test]
-fn late_pushes_extend_a_multi_chunk_cursor_slot() {
-    // Late entries (time < cursor) park FIFO in the cursor slot. The heap
-    // orders them by time, so they are pushed in non-decreasing time order,
-    // into a cursor slot with nothing else in it yet — the arrangement in
-    // which FIFO and `(time, seq)` agree.
-    let mut q = Both::default();
-    q.push(5_000);
-    q.pop().unwrap();
-    for i in 0..MANY {
-        q.push(1_000 + i / 4);
-    }
-    // The slot now spans several chunks; consume some, extend it again,
-    // then put on-time entries behind the late ones.
-    for _ in 0..300 {
-        q.pop().unwrap();
-    }
-    for i in 0..MANY {
-        q.push(2_000 + i / 4);
-    }
-    for _ in 0..MANY {
-        q.push(5_000);
-    }
-    q.push(5_001);
-    q.drain();
-}
-
-#[test]
 fn same_tick_pops_cross_chunk_boundaries() {
     let mut q = Both::default();
     for _ in 0..MANY {
@@ -273,12 +291,15 @@ fn overflow_drains_more_than_a_chunk() {
     // Everything here starts beyond the 2^24-tick region, so it all sits in
     // the overflow heap until the wheel runs dry, then drains in one go:
     // MANY entries on one far tick, the rest spread over its neighbourhood.
-    let far = 1u64 << 30;
-    let mut q = Both::default();
-    for i in 0..MANY {
-        q.push(far);
-        q.push(far + (i * 7919) % (1 << 20));
+    // At the second `far` that neighbourhood straddles 2^32: part of it
+    // drains into the wheel, the rest (past the next region) on a later jump.
+    for far in [1u64 << 30, (1 << 32) - (1 << 19)] {
+        let mut q = Both::default();
+        for i in 0..MANY {
+            q.push(far);
+            q.push(far + (i * 7919) % (1 << 20));
+        }
+        q.push(2);
+        q.drain();
     }
-    q.push(2);
-    q.drain();
 }

@@ -5,9 +5,11 @@
 //! enforces the scale budget:
 //!
 //! * the run completes (every window advances to the horizon);
-//! * peak RSS (`VmHWM`) stays under the 160 MiB ceiling (≈ 3× the measured
-//!   44–51 MiB at 1–8 workers, so a regression well short of 10× trips it;
-//!   32 workers read 69 MiB);
+//! * at the default million hosts, the final-state digest is E12's
+//!   (`4297497ad8463894`, the EXPERIMENTS.md row), at any worker count;
+//! * peak RSS (`VmHWM`) stays under the 128 MiB ceiling (≈ 3× the measured
+//!   37–47 MiB at 1–8 workers, so a regression well short of 10× trips it;
+//!   32 workers read 74 MiB);
 //! * the churn actually churned (moves and wired deliveries are non-zero).
 //!
 //! Prints one summary line per run plus the throughput, and exits non-zero
@@ -25,8 +27,14 @@ use mobidist_net::shard::run_scale;
 use std::io::Write;
 use std::process::ExitCode;
 
-/// 160 MiB peak-RSS ceiling for the million-host point.
-const RSS_CEILING: u64 = 160 << 20;
+/// 128 MiB peak-RSS ceiling for the million-host point.
+const RSS_CEILING: u64 = 128 << 20;
+
+/// The default population, E12's top-of-ladder point.
+const HOSTS: usize = 1_000_000;
+
+/// Its digest, as E12's table prints it.
+const DIGEST: &str = "4297497ad8463894";
 
 fn usage_error(msg: &str) -> ExitCode {
     eprintln!("{msg}\nusage: scalecheck [--shards N] [--hosts N]");
@@ -43,7 +51,7 @@ fn positive(origin: &str, v: &str) -> Result<usize, String> {
 }
 
 fn main() -> ExitCode {
-    let (mut shards, mut hosts) = (None, 1_000_000usize);
+    let (mut shards, mut hosts) = (None, HOSTS);
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -85,6 +93,7 @@ fn main() -> ExitCode {
     let r = run_scale(&spec, shards);
     let secs = start.elapsed().as_secs_f64();
     let rate = r.events as f64 / secs.max(1e-9);
+    let digest = &r.digest.to_hex()[..16];
     let mut out = format!(
         "scalecheck: hosts={} shards={} windows={} skipped={} events={} moves={} wired={} \
          digest={} {:.2}s ({:.0} events/s)\n",
@@ -95,7 +104,7 @@ fn main() -> ExitCode {
         r.events,
         r.ledger.moves,
         r.ledger.fixed_msgs,
-        &r.digest.to_hex()[..16],
+        digest,
         secs,
         rate,
     );
@@ -103,6 +112,10 @@ fn main() -> ExitCode {
     let mut ok = true;
     if r.ledger.moves == 0 || r.ledger.fixed_msgs == 0 {
         eprintln!("scalecheck: FAIL — churn produced no moves or no wired traffic");
+        ok = false;
+    }
+    if hosts == HOSTS && digest != DIGEST {
+        eprintln!("scalecheck: FAIL — digest {digest} is not E12's {DIGEST}");
         ok = false;
     }
     match peak_rss_bytes() {
